@@ -1,5 +1,10 @@
 """Command line front end.
 
+``bisim``, ``check`` and ``minimise`` all run the one refinement engine
+(``equivalence.refine``); the other routes to the same results are
+test oracles.  Model names may not contain '@', ',' or '"', which the
+outputs use as separators and quotes.
+
 Exit codes: 0 success (or a positive check), 1 negative check result,
 2 usage errors, 3 validation errors in the input model.
 """
@@ -10,16 +15,8 @@ import argparse
 import json
 import sys
 
-from .equivalence import (
-    greatest_conditional_bisimilarity_naive,
-    lattice_bisim_fixpoint,
-)
-from .minimise import (
-    chain_result_dot,
-    chain_result_json,
-    minimise_chain,
-    minimise_fixpoint_kernel,
-)
+from .equivalence import bisim_refinement
+from .minimise import chain_result_dot, chain_result_json, minimise_refinement
 from .modelfile import ParseError, convert_model, parse_model, serialise_model
 from .models import (
     Cts,
@@ -39,14 +36,6 @@ def _read_model(path: str, close: bool):
 
 def _as_cts(model) -> Cts:
     return model if isinstance(model, Cts) else lats_to_cts(model)
-
-
-def _relation_report(relation, algorithm: str, iterations: int) -> dict:
-    pairs = {}
-    for ((x, y), conds) in relation.table().items():
-        if conds:
-            pairs[f"{x},{y}"] = sorted(conds)
-    return {"algorithm": algorithm, "iterations": iterations, "pairs": pairs}
 
 
 def _emit_json(payload: dict) -> None:
@@ -87,23 +76,10 @@ def _cmd_project(args) -> int:
 
 def _cmd_bisim(args) -> int:
     as_cts = _as_cts(_read_model(args.file, args.close))
-    if args.algo == "naive":
-        family, iterations = greatest_conditional_bisimilarity_naive(as_cts)
-        pairs = {}
-        for x in as_cts.states:
-            for y in as_cts.states:
-                conds = sorted(
-                    phi
-                    for phi in as_cts.conditions.elements
-                    if (x, y) in family.relation(phi)
-                )
-                if conds:
-                    pairs[f"{x},{y}"] = conds
-        report = {"algorithm": "naive", "iterations": iterations, "pairs": pairs}
-    else:
-        relation, iterations = lattice_bisim_fixpoint(as_cts)
-        report = _relation_report(relation, "fixpoint", iterations)
-    _emit_json(report)
+    relation, iterations = bisim_refinement(coalgebra_encode(as_cts))
+    pairs = {f"{x},{y}": sorted(conds) for ((x, y), conds) in relation.entries}
+    # the engine computes the lattice fixpoint, which names the report
+    _emit_json({"algorithm": "fixpoint", "iterations": iterations, "pairs": pairs})
     return 0
 
 
@@ -114,7 +90,7 @@ def _cmd_check(args) -> int:
             print(f"unknown state {state!r}", file=sys.stderr)
             return 2
     as_cts.conditions.check_element(args.condition)
-    relation, _ = lattice_bisim_fixpoint(as_cts)
+    relation, _ = bisim_refinement(coalgebra_encode(as_cts))
     if args.condition in relation.value(args.x, args.y):
         print(f"{args.x} and {args.y} are bisimilar under {args.condition}")
         return 0
@@ -124,10 +100,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_minimise(args) -> int:
     as_cts = _as_cts(_read_model(args.file, args.close))
-    if args.algo == "fixpoint-kernel":
-        result = minimise_fixpoint_kernel(as_cts)
-    else:
-        result = minimise_chain(coalgebra_encode(as_cts))
+    result = minimise_refinement(coalgebra_encode(as_cts))
     _emit_json(chain_result_json(result))
     if args.dot is not None:
         with open(args.dot, "w", encoding="utf-8") as handle:
@@ -180,7 +153,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bisim", help="compute conditional bisimilarity")
     common(p)
-    p.add_argument("--algo", choices=("fixpoint", "naive"), default="fixpoint")
     p.set_defaults(run=_cmd_bisim)
 
     p = sub.add_parser("check", help="decide bisimilarity of two states")
@@ -192,9 +164,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("minimise", help="minimise via the behaviour chain")
     common(p)
-    p.add_argument(
-        "--algo", choices=("chain", "fixpoint-kernel"), default="chain"
-    )
     p.add_argument("--dot", help="also write the quotient as a dot graph")
     p.set_defaults(run=_cmd_minimise)
 

@@ -1,11 +1,15 @@
 """Behavioural equivalences: per-condition, conditional, and lattice
 valued.
 
-The naive route computes the greatest conditional bisimilarity as a
+Production runs use one engine, ``refine``: signature refinement of
+(state, condition) pairs over the upgrade coalgebra.  Its rounds are
+the kernels of the final chain, so the final partition gives both the
+bisimilarity relation (``bisim_refinement``) and the minimal quotient
+(``minimise.minimise_refinement``).  Two independent routes to the
+same relation are kept as oracles for the tests: the naive route, a
 greatest fixed point over families of plain relations, one per
-condition, with an antitone closure step.  The lattice route iterates
-one matrix of downsets using Heyting implication.  Both describe the
-same equivalence and the test suite holds them against each other.
+condition, with an antitone closure step; and the lattice route, which
+iterates one matrix of downsets using Heyting implication.
 """
 
 from __future__ import annotations
@@ -14,9 +18,19 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .order import Poset
-from .models import Cts, Lats, Lts, cts_to_lats, project
+from .models import (
+    Cts,
+    Lats,
+    Lts,
+    NotDownwardClosed,
+    UpgradeCoalgebra,
+    cts_to_lats,
+    project,
+)
 
 Pair = tuple[str, str]
+PairKey = tuple[str, str]
+Partition = tuple[tuple[PairKey, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -199,7 +213,10 @@ def _require_equivalence(states: tuple[str, ...], phi: str, rel: frozenset[Pair]
                 raise ValueError(f"relation at {phi} is not transitive at ({x},{z})")
 
 
-def _naive_rounds(m: Cts) -> tuple[ConditionFamily, int]:
+def greatest_conditional_bisimilarity_naive(m: Cts) -> tuple[ConditionFamily, int]:
+    """Greatest fixed point of one-step expansion per condition combined
+    with antitone closure, starting from the all relation.  Returns the
+    family and the number of changing rounds."""
     states = m.states
     full = frozenset((x, y) for x in states for y in states)
     current: dict[str, frozenset[Pair]] = {
@@ -232,19 +249,9 @@ def _naive_rounds(m: Cts) -> tuple[ConditionFamily, int]:
                 value &= current[psi]
             refined[phi] = value
         if refined == current:
-            return (
-                ConditionFamily.of(m.conditions, current),
-                rounds,
-            )
+            return ConditionFamily.of(m.conditions, current), rounds
         current = refined
         rounds += 1
-
-
-def greatest_conditional_bisimilarity_naive(m: Cts) -> tuple[ConditionFamily, int]:
-    """Greatest fixed point of one-step expansion per condition combined
-    with antitone closure, starting from the all relation.  Returns the
-    family and the number of changing rounds."""
-    return _naive_rounds(m)
 
 
 def lattice_fixpoint_stages(m: Lats | Cts) -> list[dict[Pair, frozenset[str]]]:
@@ -353,3 +360,88 @@ def is_lattice_bisimulation(
 def per_condition_partition(m: Cts, phi: str) -> tuple[tuple[str, ...], ...]:
     """Bisimilarity classes of the projection at one condition."""
     return lts_bisimilarity(project(m, phi))
+
+
+def canonical_partition(groups: Iterable[Iterable[PairKey]]) -> Partition:
+    """Classes sorted internally and ordered by their least member."""
+    classes = [tuple(sorted(g)) for g in groups]
+    return tuple(sorted(classes, key=lambda cls: cls[0]))
+
+
+def refine(c: UpgradeCoalgebra) -> list[Partition]:
+    """Signature refinement of (state, condition) pairs.  Round zero has
+    a single class; in the next round a pair's signature is its class
+    together with the set of (action, successor class, entry version)
+    over ``alpha``.  Each round refines the last, so equal class counts
+    mean equal partitions.  Returns every round up to and including the
+    first that repeats its predecessor."""
+    pairs = [(x, cond) for x in c.states for cond in c.conditions.elements]
+    number = {pair: i for i, pair in enumerate(pairs)}
+    moves = [
+        [(a, number[succ], succ[1]) for a in c.actions for succ in c.alpha(x, cond, a)]
+        for (x, cond) in pairs
+    ]
+    block = [0] * len(pairs)
+    blocks = [block]
+    while True:
+        ids: dict[tuple, int] = {}
+        nxt = []
+        for i, succs in enumerate(moves):
+            sig = (block[i], frozenset((a, block[j], chi) for (a, j, chi) in succs))
+            nxt.append(ids.setdefault(sig, len(ids)))
+        blocks.append(nxt)
+        if len(ids) == len(set(block)):
+            break
+        block = nxt
+    partitions = []
+    for block in blocks:
+        groups: dict[int, list[PairKey]] = {}
+        for pair, b in zip(pairs, block):
+            groups.setdefault(b, []).append(pair)
+        partitions.append(canonical_partition(groups.values()))
+    return partitions
+
+
+def _condition_columns(partition: Partition) -> frozenset[tuple[str, tuple[str, ...]]]:
+    """The per-condition state partitions of a pair partition, as
+    (condition, states sharing a class there) entries."""
+    groups: dict[tuple[str, int], list[str]] = {}
+    for i, cls in enumerate(partition):
+        for (x, cond) in cls:
+            groups.setdefault((cond, i), []).append(x)
+    return frozenset((cond, tuple(xs)) for (cond, _), xs in groups.items())
+
+
+def matrix_stage(partitions: list[Partition]) -> int:
+    """First round whose per-condition state partitions, and so whose
+    kernel matrix, equal those of the next round."""
+    columns = [_condition_columns(p) for p in partitions]
+    return next(i for i in range(len(columns) - 1) if columns[i] == columns[i + 1])
+
+
+def partition_matrix(
+    states: Iterable[str], conditions: Poset, partition: Partition
+) -> LatticeRelation:
+    """Same-condition kernel of a pair partition: x and y are related at
+    phi when (x, phi) and (y, phi) share a class.  The values are
+    downward closed for every partition the chain or the engine
+    produces; a violation indicates a corrupted partition and is
+    rejected."""
+    table: dict[Pair, set[str]] = {}
+    for cond, xs in _condition_columns(partition):
+        for x in xs:
+            for y in xs:
+                table.setdefault((x, y), set()).add(cond)
+    for (x, y), conds in sorted(table.items()):
+        if not conditions.is_downward_closed(conds):
+            raise NotDownwardClosed(f"kernel value at ({x},{y}): {sorted(conds)}")
+    return LatticeRelation.of(states, conditions, table)
+
+
+def bisim_refinement(c: UpgradeCoalgebra) -> tuple[LatticeRelation, int]:
+    """Greatest conditional bisimilarity read off the engine's final
+    partition, with the index of the first repeated kernel matrix, which
+    is also the number of rounds ``lattice_bisim_fixpoint`` reports."""
+    partitions = refine(c)
+    relation = partition_matrix(c.states, c.conditions, partitions[-1])
+    return relation, matrix_stage(partitions)

@@ -275,5 +275,6 @@ def import_lattice(lattice: ExplicitLattice | Poset) -> ImportedLattice:
     }
     from_frame = {to_frame[e].members: e for e in order.elements}
     # Injective because every element is the join of the irreducibles below it.
-    assert len(from_frame) == len(order.elements)
+    if len(from_frame) != len(order.elements):
+        raise FrameError("two elements share their join-irreducibles")
     return ImportedLattice(frame, to_frame, from_frame)

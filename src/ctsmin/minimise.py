@@ -1,12 +1,16 @@
-"""Minimisation by the final-chain construction, and its fixed-point twin.
+"""Minimisation: the quotient of the refinement engine, and the
+final-chain construction it is held against.
 
-Stage tables assign every (state, condition) pair a behaviour term.
-Stage zero is constant; each later stage records, per action, the set
-of (previous term, entry version) pairs reachable in one step.  Tables
-are pseudo-factorised into a kernel partition and a least-ordered
-codomain, and the construction stops as soon as the partition repeats.
-The same result can be derived from the lattice fixed-point relation,
-which the fixpoint-kernel route does stage by stage.
+``minimise_refinement`` is the production route: it takes the rounds of
+``equivalence.refine`` and builds the stage history and the quotient.
+``minimise_chain`` is the final-chain oracle.  Its stage tables assign
+every (state, condition) pair a behaviour term.  Stage zero is
+constant; each later stage records, per action, the set of (previous
+term, entry version) pairs reachable in one step.  Tables are
+pseudo-factorised into a kernel partition and a least-ordered codomain,
+and the construction stops as soon as the partition repeats.  Both
+routes feed their partitions to one builder, so they agree exactly when
+their kernels do.
 
 Terms are hash-consed through a module interner keyed by sub-term
 identity, so equality is pointer equality and table comparisons stay
@@ -19,12 +23,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .equivalence import LatticeRelation, lattice_fixpoint_stages
-from .models import Cts, NotDownwardClosed, UpgradeCoalgebra, coalgebra_encode
+from .equivalence import (
+    LatticeRelation,
+    PairKey,
+    Partition,
+    canonical_partition,
+    matrix_stage,
+    partition_matrix,
+    refine,
+)
+from .models import Cts, UpgradeCoalgebra
 from .monad import StarMap, tau
 from .order import Poset, coequalise
-
-PairKey = tuple[str, str]
 
 
 class BehaviourTerm:
@@ -42,7 +52,8 @@ class BehaviourTerm:
         self._pretty: str | None = None
 
     def successors(self, action: str) -> tuple[tuple["BehaviourTerm", str], ...]:
-        assert self.branches is not None
+        if self.branches is None:
+            raise ValueError("the stage-zero term has no successors")
         return dict(self.branches)[action]
 
     def as_nested(self):
@@ -174,36 +185,31 @@ def _pair_name(pair: PairKey) -> str:
     return f"{pair[0]}@{pair[1]}"
 
 
-def _product_poset(states: tuple[str, ...], conditions: Poset) -> tuple[Poset, dict[str, PairKey]]:
+def _product_poset(states: tuple[str, ...], conditions: Poset) -> Poset:
     """States crossed with conditions, states discrete.  Elements are the
     state@condition names."""
-    pairs = [(x, c) for x in states for c in conditions.elements]
-    names = {_pair_name(p): p for p in pairs}
-    relation = set()
-    for (x, c1) in pairs:
-        for c2 in conditions.elements:
-            if conditions.leq(c1, c2):
-                relation.add((_pair_name((x, c1)), _pair_name((x, c2))))
-    return Poset(tuple(names), frozenset(relation)), names
+    relation = {
+        (_pair_name((x, c1)), _pair_name((x, c2)))
+        for x in states
+        for (c1, c2) in conditions.relation
+    }
+    names = tuple(_pair_name((x, c)) for x in states for c in conditions.elements)
+    return Poset(names, frozenset(relation))
 
 
-Partition = tuple[tuple[PairKey, ...], ...]
-
-
-def _canonical_partition(groups: Iterable[Iterable[PairKey]]) -> Partition:
-    classes = [tuple(sorted(g)) for g in groups]
-    return tuple(sorted(classes, key=lambda cls: cls[0]))
-
-
-def pseudo_factorise(d: BehaviourTable) -> tuple[Partition, Poset, dict[str, BehaviourTerm]]:
-    """Split a stage table into its kernel partition and the codomain of
-    reached terms, ordered by the least order making the quotient map
-    monotone.  Codomain elements are named by least representatives."""
+def _kernel_partition(d: BehaviourTable) -> Partition:
     fibres: dict[BehaviourTerm, list[PairKey]] = {}
     for (pair, term) in d.entries:
         fibres.setdefault(term, []).append(pair)
-    partition = _canonical_partition(fibres.values())
-    product, _ = _product_poset(d.states, d.conditions)
+    return canonical_partition(fibres.values())
+
+
+def _quotient_poset(
+    states: tuple[str, ...], conditions: Poset, partition: Partition
+) -> Poset:
+    """Coequalise the product poset by the partition and name each class
+    by its least (state, condition) pair."""
+    product = _product_poset(states, conditions)
     merge_pairs = []
     for cls in partition:
         first = _pair_name(cls[0])
@@ -212,48 +218,39 @@ def pseudo_factorise(d: BehaviourTable) -> tuple[Partition, Poset, dict[str, Beh
     quotient, mapping = coequalise(product, merge_pairs)
     # coequalise names classes by least element string, which sorts the
     # tick character before '@'; rename to least (state, condition) pair.
-    rename = {}
-    for cls in partition:
-        target = _pair_name(cls[0])
-        rename[mapping[_pair_name(cls[0])]] = target
-    renamed = Poset(
+    rename = {mapping[_pair_name(cls[0])]: _pair_name(cls[0]) for cls in partition}
+    return Poset(
         tuple(rename[e] for e in quotient.elements),
         frozenset((rename[p], rename[q]) for (p, q) in quotient.relation),
     )
+
+
+def pseudo_factorise(d: BehaviourTable) -> tuple[Partition, Poset, dict[str, BehaviourTerm]]:
+    """Split a stage table into its kernel partition and the codomain of
+    reached terms, ordered by the least order making the quotient map
+    monotone.  Codomain elements are named by least representatives."""
+    partition = _kernel_partition(d)
     table = d.table()
     terms = {_pair_name(cls[0]): table[cls[0]] for cls in partition}
-    return partition, renamed, terms
+    return partition, _quotient_poset(d.states, d.conditions, partition), terms
 
 
 def kernel_matrix(d: BehaviourTable) -> LatticeRelation:
-    """Same-condition kernel of a stage table as a lattice relation.  The
-    values are downward closed for every table the chain produces; a
-    violation indicates a corrupted table and is rejected."""
-    got = d.table()
-    table: dict[tuple[str, str], frozenset[str]] = {}
-    for x in d.states:
-        for y in d.states:
-            conds = frozenset(
-                c for c in d.conditions.elements if got[(x, c)] is got[(y, c)]
-            )
-            if conds and not d.conditions.is_downward_closed(conds):
-                raise NotDownwardClosed(f"kernel value at ({x},{y}): {sorted(conds)}")
-            table[(x, y)] = conds
-    return LatticeRelation.of(d.states, d.conditions, table)
+    """Same-condition kernel of a stage table as a lattice relation."""
+    return partition_matrix(d.states, d.conditions, _kernel_partition(d))
 
 
 @dataclass(frozen=True)
 class StageInfo:
     stage: int
     partition: Partition
-    matrix: LatticeRelation
-    table: BehaviourTable | None
 
 
 @dataclass(frozen=True)
 class ChainResult:
     """Outcome of minimisation: the stabilised stage, its kernel
-    partition and quotient, and the full stage history.
+    partition and quotient, and the full stage history.  The kernel
+    matrix of a stage is derived on demand with ``partition_matrix``.
 
     ``stage`` is the first index whose partition equals the next one and
     ``confirmed_at`` is that next index.  ``matrix_stage`` is the first
@@ -261,7 +258,6 @@ class ChainResult:
     when the very first table is non-constant but no two states ever
     separate."""
 
-    algorithm: str
     stage: int
     confirmed_at: int
     matrix_stage: int
@@ -321,164 +317,38 @@ def _quotient_transitions(
     return class_of, transitions
 
 
-def minimise_chain(c: UpgradeCoalgebra, max_stages: int | None = None) -> ChainResult:
-    """Iterate the chain until the kernel partition repeats.  Returns the
-    stage at which it first stabilised, with the following stage kept as
-    confirmation."""
-    bound = max_stages if max_stages is not None else (
-        len(c.states) * len(c.conditions.elements) + 2
+def _chain_result(c: UpgradeCoalgebra, partitions: list[Partition]) -> ChainResult:
+    """Assemble the result from every stage's kernel partition, the last
+    one repeating its predecessor."""
+    stage = len(partitions) - 2
+    final = partitions[stage]
+    class_of, transitions = _quotient_transitions(c, final)
+    return ChainResult(
+        stage,
+        stage + 1,
+        matrix_stage(partitions),
+        tuple(StageInfo(i, p) for i, p in enumerate(partitions)),
+        tuple(sorted(class_of.items())),
+        _quotient_poset(c.states, c.conditions, final),
+        transitions,
     )
+
+
+def minimise_refinement(c: UpgradeCoalgebra) -> ChainResult:
+    """Minimise through the refinement engine, whose rounds are the
+    kernels of the final chain."""
+    return _chain_result(c, refine(c))
+
+
+def minimise_chain(c: UpgradeCoalgebra) -> ChainResult:
+    """Iterate the chain until the kernel partition repeats.  Each stage
+    refines the last, so this terminates within one stage per pair."""
     table = chain_init(c)
-    infos: list[StageInfo] = []
-    partition, _, _ = pseudo_factorise(table)
-    infos.append(StageInfo(0, partition, kernel_matrix(table), table))
-    stage = None
-    while stage is None:
-        if len(infos) > bound:
-            raise AssertionError("chain failed to stabilise within its bound")
+    partitions = [_kernel_partition(table)]
+    while len(partitions) < 2 or partitions[-1] != partitions[-2]:
         table = chain_step(c, table)
-        partition, _, _ = pseudo_factorise(table)
-        infos.append(
-            StageInfo(len(infos), partition, kernel_matrix(table), table)
-        )
-        if infos[-1].partition == infos[-2].partition:
-            stage = len(infos) - 2
-    matrix_stage = next(
-        i for i in range(len(infos) - 1) if infos[i].matrix == infos[i + 1].matrix
-    )
-    final = infos[stage]
-    assert final.table is not None
-    _, z_poset, _ = pseudo_factorise(final.table)
-    class_of, transitions = _quotient_transitions(c, final.partition)
-    return ChainResult(
-        "chain",
-        stage,
-        stage + 1,
-        matrix_stage,
-        tuple(infos),
-        tuple(sorted(class_of.items())),
-        z_poset,
-        transitions,
-    )
-
-
-def _step_partition(
-    c: UpgradeCoalgebra, prev: Mapping[tuple[str, str], frozenset[str]]
-) -> Partition:
-    """Kernel partition induced by one unfolding against a lattice
-    relation: two pairs agree when every successor of one is matched by
-    a same-version successor of the other that the relation accepts at
-    that version."""
-    pairs = [(x, cond) for x in c.states for cond in c.conditions.elements]
-
-    def related(p: PairKey, q: PairKey) -> bool:
-        for a in c.actions:
-            left = c.alpha(p[0], p[1], a)
-            right = c.alpha(q[0], q[1], a)
-            for (x1, chi) in left:
-                if not any(
-                    psi == chi and chi in prev[(x1, y1)] for (y1, psi) in right
-                ):
-                    return False
-            for (y1, chi) in right:
-                if not any(
-                    psi == chi and chi in prev[(x1, y1)] for (x1, psi) in left
-                ):
-                    return False
-        return True
-
-    classes: list[list[PairKey]] = []
-    for p in pairs:
-        for cls in classes:
-            if related(cls[0], p):
-                # matching one member must mean matching all of them
-                assert all(related(q, p) for q in cls[1:])
-                cls.append(p)
-                break
-        else:
-            classes.append([p])
-    return _canonical_partition(classes)
-
-
-def minimise_fixpoint_kernel(m: Cts) -> ChainResult:
-    """Derive the chain's result from the lattice fixed-point iteration.
-    Stage kernels come from unfolding each intermediate relation once,
-    which separates exactly the pairs the corresponding table does."""
-    c = coalgebra_encode(m)
-    relations = lattice_fixpoint_stages(m)
-
-    def rel(k: int) -> dict[tuple[str, str], frozenset[str]]:
-        return relations[min(k, len(relations) - 1)]
-
-    pairs_all = _canonical_partition(
-        [[(x, cond) for x in c.states for cond in c.conditions.elements]]
-    )
-    product, _ = _product_poset(c.states, c.conditions)
-
-    infos: list[StageInfo] = []
-    partitions: list[Partition] = [pairs_all]
-    stage = None
-    k = 0
-    while stage is None:
-        infos.append(
-            StageInfo(k, partitions[k], _partition_matrix(c, partitions[k]), None)
-        )
-        nxt = _step_partition(c, rel(k))
-        partitions.append(nxt)
-        if nxt == partitions[k]:
-            stage = k
-        else:
-            k += 1
-    infos.append(
-        StageInfo(k + 1, partitions[k + 1], _partition_matrix(c, partitions[k + 1]), None)
-    )
-    matrix_stage = next(
-        i
-        for i in range(len(relations) - 1)
-        if relations[i] == relations[i + 1]
-    )
-    final = infos[stage]
-    merge = []
-    for cls in final.partition:
-        first = _pair_name(cls[0])
-        for other in cls[1:]:
-            merge.append((first, _pair_name(other)))
-    quotient, mapping = coequalise(product, merge)
-    rename = {mapping[_pair_name(cls[0])]: _pair_name(cls[0]) for cls in final.partition}
-    z_poset = Poset(
-        tuple(rename[e] for e in quotient.elements),
-        frozenset((rename[p], rename[q]) for (p, q) in quotient.relation),
-    )
-    class_of, transitions = _quotient_transitions(c, final.partition)
-    return ChainResult(
-        "fixpoint-kernel",
-        stage,
-        stage + 1,
-        matrix_stage,
-        tuple(infos),
-        tuple(sorted(class_of.items())),
-        z_poset,
-        transitions,
-    )
-
-
-def _partition_matrix(c: UpgradeCoalgebra, partition: Partition) -> LatticeRelation:
-    index: dict[PairKey, int] = {}
-    for i, cls in enumerate(partition):
-        for pair in cls:
-            index[pair] = i
-    table: dict[tuple[str, str], frozenset[str]] = {}
-    for x in c.states:
-        for y in c.states:
-            conds = frozenset(
-                cond
-                for cond in c.conditions.elements
-                if index[(x, cond)] == index[(y, cond)]
-            )
-            if conds and not c.conditions.is_downward_closed(conds):
-                raise NotDownwardClosed(f"kernel value at ({x},{y}): {sorted(conds)}")
-            table[(x, y)] = conds
-    return LatticeRelation.of(c.states, c.conditions, table)
+        partitions.append(_kernel_partition(table))
+    return _chain_result(c, partitions)
 
 
 def quotient_to_cts(result: ChainResult, conditions: Poset) -> Cts:
@@ -516,7 +386,7 @@ def chain_result_json(result: ChainResult) -> dict:
         )
     z = result.z_poset
     return {
-        "algorithm": result.algorithm,
+        "algorithm": "chain",
         "stage": result.stage,
         "confirmed_at": result.confirmed_at,
         "matrix_stage": result.matrix_stage,

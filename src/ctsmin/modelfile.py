@@ -3,24 +3,35 @@ systems.
 
 A model file gives its kind, the condition poset, the state and action
 sets, and one line per labelled edge.  Comments run from '#' to the end
-of the line.  The serialiser emits a canonical form: conditions top
-down, order lines as covering pairs, everything else sorted, so parse
-and serialise are mutually inverse on canonical text.
+of the line.  Names may not contain '@', ',' or '"': the outputs
+join states and conditions with the first two and quote names with
+the third, so such a name could make two outputs collide.  The
+serialiser emits a canonical form: conditions top down, order lines as
+covering pairs, everything else sorted, so parse and serialise are
+mutually inverse on canonical text.
 """
 
 from __future__ import annotations
 
-from .frame import Frame
 from .models import Cts, Lats, NotDownwardClosed, cts_to_lats, lats_to_cts
 from .order import Poset, validate_poset
 
 SECTIONS = ("conditions", "states", "actions", "transitions")
+RESERVED = '@,"'
 
 
 class ParseError(Exception):
     def __init__(self, line: int, message: str):
         self.line = line
         super().__init__(f"line {line}: {message}")
+
+
+def _declared(number: int, names: list[str]) -> list[str]:
+    for name in names:
+        for ch in RESERVED:
+            if ch in name:
+                raise ParseError(number, f"name {name!r} contains reserved {ch!r}")
+    return names
 
 
 def parse_model(text: str, close: bool = False) -> Cts | Lats:
@@ -66,13 +77,13 @@ def parse_model(text: str, close: bool = False) -> Cts | Lats:
             elif len(tokens) == 1:
                 if tokens[0] in conditions:
                     raise ParseError(number, f"condition {tokens[0]!r} declared twice")
-                conditions.append(tokens[0])
+                conditions.extend(_declared(number, tokens))
             else:
                 raise ParseError(number, "one condition name per line")
         elif section == "states":
-            states.extend(line.split())
+            states.extend(_declared(number, line.split()))
         elif section == "actions":
-            actions.extend(line.split())
+            actions.extend(_declared(number, line.split()))
         elif section == "transitions":
             tokens = line.split()
             if len(tokens) < 5 or tokens[3] != ":":

@@ -314,13 +314,10 @@ def version_filter(pairs: SuccessorPairs, phi: str) -> SuccessorPairs:
 def v_hat_apply(
     f: Callable[[str, str], object],
     p: Mapping[str, SuccessorPairs],
-    phi: str,
 ) -> dict[str, frozenset]:
     """Apply a state map under the behaviour functor to one state's
     one-step structure.  Successors are rewritten at their own recorded
-    version; the ambient condition does not enter the formula and is
-    kept only for signature fidelity with the reader-indexed setting."""
-    del phi
+    version; the ambient condition does not enter the formula."""
     return {
         a: frozenset((f(y, psi), psi) for (y, psi) in pairs)
         for a, pairs in p.items()

@@ -117,7 +117,8 @@ def tau(b: StarMap) -> ReaderMap:
     table = {}
     for phi in b.frame.base.elements:
         m = _least_witness(b.dom, values, phi)
-        assert m is not None  # construction invariant of StarMap
+        if m is None:  # construction invariant of StarMap.of
+            raise OrderError(f"no least witness for {phi!r}")
         table[phi] = m
     return ReaderMap.of(b.frame.base, b.dom, table)
 
@@ -217,8 +218,9 @@ def t_mult(h: StarMap, space: TxSpace) -> StarMap:
     if h.dom != space.poset:
         raise OrderError("h must be indexed by the enumerated T(X)")
     frame = h.frame
-    inner_dom = space.maps[0][1].dom if space.maps else None
-    assert inner_dom is not None
+    if not space.maps:
+        raise OrderError("T(X) has no elements to multiply over")
+    inner_dom = space.maps[0][1].dom
     table = {}
     for x in inner_dom.elements:
         members: frozenset[str] = frozenset()

@@ -1,0 +1,59 @@
+"""Byte-for-byte CLI output on the worked examples.
+
+The files under ``tests/golden/`` hold the stdout (and, for ``--dot``,
+the written graph) of each command below.  Every case runs in a fresh
+interpreter, once plainly and once under ``python -O``, so checks that
+the optimiser strips cannot change a result.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+DOT = "{dot}"
+
+# (golden name, argv with the fixture name second, exit code)
+CASES = [
+    ("EX1.bisim", ["bisim", "EX1"], 0),
+    ("EX1.check_yes", ["check", "EX1", "x", "x'", "--condition", "phi'"], 0),
+    ("EX1.check_no", ["check", "EX1", "x", "x'", "--condition", "phi"], 1),
+    ("EX1.minimise", ["minimise", "EX1"], 0),
+    ("EX1.minimise_dot", ["minimise", "EX1", "--dot", DOT], 0),
+    ("EX2.bisim", ["bisim", "EX2"], 0),
+    ("EX2.check_yes", ["check", "EX2", "x2", "x2", "--condition", "phi"], 0),
+    ("EX2.check_no", ["check", "EX2", "x1", "x2", "--condition", "phi'"], 1),
+    ("EX2.minimise", ["minimise", "EX2"], 0),
+    ("EX2.minimise_dot", ["minimise", "EX2", "--dot", DOT], 0),
+]
+
+
+def run_case(argv, dot_path, flags=()):
+    """Run the CLI in a subprocess; returns (exit code, stdout bytes)."""
+    args = [str(ROOT / "fixtures" / a) if i == 1 else a for i, a in enumerate(argv)]
+    args = [str(dot_path) if a == DOT else a for a in args]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "ctsmin", *args],
+        capture_output=True,
+        env=env,
+    )
+    return proc.returncode, proc.stdout
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimised"])
+@pytest.mark.parametrize("name,argv,code", CASES, ids=[c[0] for c in CASES])
+def test_cli_output_matches_golden(tmp_path, name, argv, code, flags):
+    dot_path = tmp_path / "out.dot"
+    got_code, stdout = run_case(argv, dot_path, flags)
+    assert got_code == code
+    assert stdout == (GOLDEN / f"{name}.out").read_bytes()
+    if DOT in argv:
+        assert dot_path.read_bytes() == (GOLDEN / f"{name}.dot").read_bytes()

@@ -19,8 +19,9 @@ from ctsmin import (
     lattice_bisim_fixpoint,
     lattice_fixpoint_stages,
     minimise_chain,
-    minimise_fixpoint_kernel,
+    minimise_refinement,
     node,
+    partition_matrix,
     pseudo_factorise,
     quotient_to_cts,
     t_unit,
@@ -40,6 +41,12 @@ def test_terms_are_hash_consed():
     assert first is second
     assert first.level == 1
     assert node({"a": []}) is not first
+
+
+def test_stage_zero_term_has_no_successors():
+    assert node({"a": [(bullet(), "phi")]}).successors("a") == ((bullet(), "phi"),)
+    with pytest.raises(ValueError):
+        bullet().successors("a")
 
 
 def test_chain_columns_on_ex1():
@@ -146,16 +153,16 @@ def test_kernel_partitions_refine_monotonically():
 
 def test_kernel_matrix_equals_fixpoint_matrix_per_stage():
     for m in cts_corpus(80):
-        r = minimise_chain(coalgebra_encode(m))
+        c = coalgebra_encode(m)
+        r = minimise_chain(c)
         stages = lattice_fixpoint_stages(m)
         # the chain can run one stage past the matrix fixpoint when tables
         # keep splitting inside a single kernel class
         assert len(stages) <= len(r.stages)
         for i, info in enumerate(r.stages):
             mat = stages[min(i, len(stages) - 1)]
-            got = {p: v for p, v in info.matrix.table().items() if v}
-            want = {p: v for p, v in mat.items() if v}
-            assert got == want
+            got = partition_matrix(c.states, c.conditions, info.partition)
+            assert got.table() == {p: v for p, v in mat.items() if v}
 
 
 def test_kernel_classes_match_naive_bisimilarity():
@@ -169,13 +176,10 @@ def test_kernel_classes_match_naive_bisimilarity():
                     assert shared == ((x, y) in family.relation(phi))
 
 
-def test_fixpoint_kernel_route_matches_chain():
+def test_refinement_engine_matches_chain():
     for m in [ex1(), ex2()] + list(cts_corpus(60)):
-        a = chain_result_json(minimise_chain(coalgebra_encode(m)))
-        b = chain_result_json(minimise_fixpoint_kernel(m))
-        assert a.pop("algorithm") == "chain"
-        assert b.pop("algorithm") == "fixpoint-kernel"
-        assert a == b
+        c = coalgebra_encode(m)
+        assert minimise_refinement(c) == minimise_chain(c)
 
 
 def test_quotient_is_minimal_and_behaviour_preserving():

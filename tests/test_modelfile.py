@@ -132,6 +132,13 @@ def test_convert_is_identity_on_matching_kind():
             2,
             "at least one condition",
         ),
+        ("kind: cts\n[conditions]\np@q\n", 3, "reserved '@'"),
+        ("kind: cts\n[conditions]\np\n[states]\nx y,z\n", 5, "reserved ','"),
+        (
+            'kind: cts\n[conditions]\np\n[states]\nx\n[actions]\na"\n',
+            7,
+            "reserved '\"'",
+        ),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line, fragment):

@@ -83,9 +83,7 @@ def test_v_hat_apply_reproduces_first_chain_column():
     c = coalgebra_encode(ex1())
     # the constant map to a single point collapses successors to their
     # versions, giving the first chain column
-    image = v_hat_apply(
-        lambda y, psi: "*", {"a": c.alpha("x", "phi", "a")}, "phi"
-    )
+    image = v_hat_apply(lambda y, psi: "*", {"a": c.alpha("x", "phi", "a")})
     assert image == {"a": frozenset({("*", "phi"), ("*", "phi'")})}
 
 

@@ -24,6 +24,7 @@ from ctsmin import (
     validate_kleisli,
     validate_poset,
 )
+from ctsmin.monad import TxSpace
 
 X_SHAPES = {
     "x1": validate_poset(["x0"], []),
@@ -75,6 +76,18 @@ def test_star_map_rejects_missing_least_witness():
     # no state witnesses c0 at all
     with pytest.raises(OrderError):
         StarMap.of(dom, f, {"x0": [], "x1": []})
+
+
+def test_invariant_breaks_raise_typed_errors():
+    dom = X_SHAPES["x2d"]
+    f = Frame(P_SHAPES["p1"])
+    # direct construction skips the min-condition check of StarMap.of
+    unchecked = StarMap(dom, f, (("x0", f.bottom), ("x1", f.bottom)))
+    with pytest.raises(OrderError):
+        tau(unchecked)
+    empty = TxSpace(Poset((), frozenset()), ())
+    with pytest.raises(OrderError):
+        t_mult(StarMap(empty.poset, f, ()), empty)
 
 
 def test_tx_space_size_guard():
