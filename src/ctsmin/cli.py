@@ -7,13 +7,20 @@ outputs use as separators and quotes.
 
 Exit codes: 0 success (or a positive check), 1 negative check result,
 2 usage errors, 3 validation errors in the input model.
+
+JSON reports go through ``_json_text``, which prints what
+``json.dumps(payload, indent=2, sort_keys=True)`` prints.  CPython
+falls back to its pure-Python encoder whenever ``indent`` is set, and
+on large condition lattices that encoder took longer than the whole
+refinement; the writer keeps the layout but quotes every string with
+the C function ``encode_basestring_ascii``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from json.encoder import encode_basestring_ascii as quote
 
 from .equivalence import bisim_refinement
 from .minimise import chain_result_dot, chain_result_json, minimise_refinement
@@ -38,8 +45,39 @@ def _as_cts(model) -> Cts:
     return model if isinstance(model, Cts) else lats_to_cts(model)
 
 
+def _json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for the dict (with
+    str keys), list, tuple, str, int, bool and None values the reports
+    are made of.  Containers are matched by exact type and str items
+    are quoted in place, because one Python call per node is most of
+    the cost."""
+    kind = type(value)
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        items = [quote(v) if type(v) is str else _json_text(v, inner) for v in value]
+        return f"[{inner}{(',' + inner).join(items)}{indent}]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = [
+            f"{quote(k)}: {quote(v) if type(v) is str else _json_text(v, inner)}"
+            for k, v in sorted(value.items())
+        ]
+        return f"{{{inner}{(',' + inner).join(items)}{indent}}}"
+    if isinstance(value, str):
+        return quote(value)
+    if value is None or isinstance(value, bool):
+        return {None: "null", True: "true", False: "false"}[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"cannot write {kind.__name__} as JSON")
+
+
 def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(_json_text(payload))
 
 
 def _cmd_validate(args) -> int:

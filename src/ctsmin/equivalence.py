@@ -15,6 +15,7 @@ iterates one matrix of downsets using Heyting implication.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .order import Poset
@@ -63,8 +64,12 @@ class LatticeRelation:
                 cleaned[(x, y)] = members
         return cls(states, base, tuple(sorted(cleaned.items())))
 
+    @cached_property
+    def _table(self) -> Mapping[Pair, frozenset[str]]:
+        return dict(self.entries)
+
     def value(self, x: str, y: str) -> frozenset[str]:
-        return dict(self.entries).get((x, y), frozenset())
+        return self._table.get((x, y), frozenset())
 
     def table(self) -> dict[Pair, frozenset[str]]:
         return dict(self.entries)
@@ -94,9 +99,13 @@ class ConditionFamily:
             rels.append((phi, pairs))
         return cls(conditions, tuple(rels))
 
+    @cached_property
+    def _table(self) -> Mapping[str, frozenset[Pair]]:
+        return dict(self.relations)
+
     def relation(self, phi: str) -> frozenset[Pair]:
         self.conditions.check_element(phi)
-        return dict(self.relations)[phi]
+        return self._table[phi]
 
     def table(self) -> dict[str, frozenset[Pair]]:
         return dict(self.relations)
@@ -377,8 +386,21 @@ def refine(c: UpgradeCoalgebra) -> list[Partition]:
     first that repeats its predecessor."""
     pairs = [(x, cond) for x in c.states for cond in c.conditions.elements]
     number = {pair: i for i, pair in enumerate(pairs)}
+    # each (action, entry version) is one int below width, so a move to
+    # a successor in block b signs as the single int b * width + label
+    labels = {
+        key: i
+        for i, key in enumerate(
+            (a, chi) for a in c.actions for chi in c.conditions.elements
+        )
+    }
+    width = len(labels)
     moves = [
-        [(a, number[succ], succ[1]) for a in c.actions for succ in c.alpha(x, cond, a)]
+        [
+            (number[succ], labels[(a, succ[1])])
+            for a in c.actions
+            for succ in c.alpha(x, cond, a)
+        ]
         for (x, cond) in pairs
     ]
     block = [0] * len(pairs)
@@ -387,7 +409,7 @@ def refine(c: UpgradeCoalgebra) -> list[Partition]:
         ids: dict[tuple, int] = {}
         nxt = []
         for i, succs in enumerate(moves):
-            sig = (block[i], frozenset((a, block[j], chi) for (a, j, chi) in succs))
+            sig = (block[i], frozenset([block[j] * width + label for j, label in succs]))
             nxt.append(ids.setdefault(sig, len(ids)))
         blocks.append(nxt)
         if len(ids) == len(set(block)):

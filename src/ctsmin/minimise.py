@@ -21,6 +21,7 @@ dict guarded by the interpreter lock, which is atomic enough here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .equivalence import (
@@ -139,8 +140,12 @@ class BehaviourTable:
     conditions: Poset
     entries: tuple[tuple[PairKey, BehaviourTerm], ...]
 
+    @cached_property
+    def _table(self) -> Mapping[PairKey, BehaviourTerm]:
+        return dict(self.entries)
+
     def value(self, x: str, cond: str) -> BehaviourTerm:
-        return dict(self.entries)[(x, cond)]
+        return self._table[(x, cond)]
 
     def table(self) -> dict[PairKey, BehaviourTerm]:
         return dict(self.entries)
@@ -266,8 +271,12 @@ class ChainResult:
     z_poset: Poset
     transitions: tuple[tuple[str, str, tuple[tuple[str, str], ...]], ...]
 
+    @cached_property
+    def _class_table(self) -> Mapping[PairKey, str]:
+        return dict(self.class_of)
+
     def class_name(self, x: str, cond: str) -> str:
-        return dict(self.class_of)[(x, cond)]
+        return self._class_table[(x, cond)]
 
     def quotient_states(self) -> tuple[str, ...]:
         return self.z_poset.elements
@@ -319,7 +328,16 @@ def _quotient_transitions(
 
 def _chain_result(c: UpgradeCoalgebra, partitions: list[Partition]) -> ChainResult:
     """Assemble the result from every stage's kernel partition, the last
-    one repeating its predecessor."""
+    one repeating its predecessor.  The quotient names pairs
+    state@condition, so two pairs sharing a name (possible when names
+    contain '@') would merge distinct classes; that is rejected."""
+    named: dict[str, PairKey] = {}
+    for pair in ((x, cond) for x in c.states for cond in c.conditions.elements):
+        other = named.setdefault(_pair_name(pair), pair)
+        if other != pair:
+            raise ValueError(
+                f"pairs {other} and {pair} share the name {_pair_name(pair)!r}"
+            )
     stage = len(partitions) - 2
     final = partitions[stage]
     class_of, transitions = _quotient_transitions(c, final)

@@ -14,7 +14,7 @@ mutually inverse on canonical text.
 from __future__ import annotations
 
 from .models import Cts, Lats, NotDownwardClosed, cts_to_lats, lats_to_cts
-from .order import Poset, validate_poset
+from .order import validate_poset
 
 SECTIONS = ("conditions", "states", "actions", "transitions")
 RESERVED = '@,"'
@@ -132,18 +132,6 @@ def parse_model(text: str, close: bool = False) -> Cts | Lats:
     return model
 
 
-def _cover_pairs(poset: Poset) -> list[tuple[str, str]]:
-    covers = []
-    for p in poset.elements:
-        for q in poset.elements:
-            if not poset.lt(p, q):
-                continue
-            if any(poset.lt(p, r) and poset.lt(r, q) for r in poset.elements):
-                continue
-            covers.append((p, q))
-    return sorted(covers)
-
-
 def serialise_model(model: Cts | Lats) -> str:
     if isinstance(model, Lats):
         kind = "lats"
@@ -155,7 +143,7 @@ def serialise_model(model: Cts | Lats) -> str:
     rank = {c: i for i, c in enumerate(poset.top_down_order)}
     lines = [f"kind: {kind}", "", "[conditions]"]
     lines.extend(poset.top_down_order)
-    lines.extend(f"{p} <= {q}" for (p, q) in _cover_pairs(poset))
+    lines.extend(f"{p} <= {q}" for (p, q) in poset.covers)
     lines.append("")
     lines.append("[states]")
     if as_cts.states:

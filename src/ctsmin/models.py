@@ -243,24 +243,47 @@ class UpgradeCoalgebra:
         return self._table.get((x, phi, a), frozenset())
 
     def validate(self) -> None:
-        for (x, phi, a), pairs in sorted(self._table.items()):
-            for (y, psi) in sorted(pairs):
-                if y not in self.states:
-                    raise UnknownElement(y)
-                if not self.conditions.leq(psi, phi):
-                    raise ValueError(
+        """Reject entries with an unknown state, condition or action,
+        successors above their version bound, and successor sets that
+        shrink from a condition to a larger one.  Monotonicity is checked
+        along the covering pairs alone: every psi <= phi is joined by a
+        chain of covers and inclusion is transitive.  All violations are
+        collected and the least is raised, so the message does not depend
+        on set iteration order."""
+        states, actions = set(self.states), set(self.actions)
+        poset = self.conditions
+        conditions = set(poset.elements)
+        found: list[tuple[tuple, Exception]] = []
+        for (x, phi, a), pairs in self._table.items():
+            unknown = [
+                name
+                for name, pool in ((x, states), (phi, conditions), (a, actions))
+                if name not in pool
+            ]
+            if unknown:
+                found.append(((0, x, phi, a), UnknownElement(unknown[0])))
+                continue
+            below = poset.below(phi)
+            for (y, psi) in pairs:
+                if y not in states or psi not in conditions:
+                    error = UnknownElement(y if y not in states else psi)
+                elif psi not in below:
+                    error = ValueError(
                         f"version bound broken: ({y},{psi}) in alpha({x},{phi},{a})"
                     )
+                else:
+                    continue
+                found.append(((0, x, phi, a, y, psi), error))
         for x in self.states:
             for a in self.actions:
-                for phi in self.conditions.elements:
-                    for psi in self.conditions.elements:
-                        if self.conditions.leq(psi, phi):
-                            if not self.alpha(x, psi, a) <= self.alpha(x, phi, a):
-                                raise ValueError(
-                                    f"not monotone in the condition at ({x},{a}): "
-                                    f"{psi} <= {phi}"
-                                )
+                for (psi, phi) in poset.covers:
+                    if not self.alpha(x, psi, a) <= self.alpha(x, phi, a):
+                        error = ValueError(
+                            f"not monotone in the condition at ({x},{a}): {psi} <= {phi}"
+                        )
+                        found.append(((1, x, a, phi, psi), error))
+        if found:
+            raise min(found, key=lambda item: item[0])[1]
 
     def mutated(
         self, key: tuple[str, str, str], pairs: SuccessorPairs
@@ -292,17 +315,17 @@ class UpgradeCoalgebra:
 
 def coalgebra_encode(m: Cts) -> UpgradeCoalgebra:
     """Encode a conditional system as its upgrade coalgebra."""
+    below = {phi: m.conditions.below(phi) for phi in m.conditions.elements}
     table: dict[tuple[str, str, str], SuccessorPairs] = {}
     for x in m.states:
         for a in m.actions:
-            for phi in m.conditions.elements:
-                pairs = set()
-                for (d, conds) in m.outgoing(x, a):
-                    for psi in conds:
-                        if m.conditions.leq(psi, phi):
-                            pairs.add((d, psi))
+            out = m.outgoing(x, a)
+            for phi, lower in below.items():
+                pairs = frozenset(
+                    (d, psi) for (d, conds) in out for psi in conds & lower
+                )
                 if pairs:
-                    table[(x, phi, a)] = frozenset(pairs)
+                    table[(x, phi, a)] = pairs
     return UpgradeCoalgebra(m.states, m.actions, m.conditions, table)
 
 

@@ -85,6 +85,19 @@ class Poset:
     def strictly_below(self, p: str) -> frozenset[str]:
         return self.below(p) - {p}
 
+    @cached_property
+    def covers(self) -> tuple[tuple[str, str], ...]:
+        """The covering pairs (p, q), p < q with nothing strictly
+        between, sorted.  Every p <= q is joined by a chain of them."""
+        out = []
+        for q in self.elements:
+            strict = self._down[q] - {q}
+            reached: set[str] = set()
+            for r in strict:
+                reached |= self._down[r] - {r}
+            out.extend((p, q) for p in strict - reached)
+        return tuple(sorted(out))
+
     def is_downward_closed(self, members: Iterable[str]) -> bool:
         ms = set(members)
         return all(self._down[q] <= ms for q in ms)

@@ -6,14 +6,18 @@ from pathlib import Path
 import pytest
 
 from ctsmin import (
+    bisim_refinement,
     chain_result_dot,
     chain_result_json,
     coalgebra_encode,
     ex1,
     ex2,
     minimise_chain,
+    minimise_refinement,
 )
-from ctsmin.cli import main
+from ctsmin.cli import _json_text, main
+
+from corpus import cts_corpus
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 EX1 = str(FIXTURES / "EX1")
@@ -112,6 +116,41 @@ def test_minimise_writes_dot_file(tmp_path, capsys):
     m = ex1()
     expected = chain_result_dot(minimise_chain(coalgebra_encode(m)), m.conditions)
     assert target.read_text() == expected
+
+
+def test_json_writer_matches_indented_dumps_on_reports():
+    for m in [ex1(), ex2()] + list(cts_corpus(500)):
+        c = coalgebra_encode(m)
+        relation, iterations = bisim_refinement(c)
+        bisim = {
+            "algorithm": "fixpoint",
+            "iterations": iterations,
+            "pairs": {f"{x},{y}": sorted(v) for ((x, y), v) in relation.entries},
+        }
+        for payload in (bisim, chain_result_json(minimise_refinement(c))):
+            assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        [],
+        {},
+        {"a": [], "b": {}},
+        [[], {}, [[]], [{}]],
+        {"z": 1, "a": {"m": [{}]}},
+        ["caf\u00e9", "\u2203x", "back\\slash", 'quo"te', "tab\t", "\ud83d\ude00"],
+        {"\u00fcber": "k\\y", "": ""},
+        [0, -7, 10**30, True, False, None],
+        {"t": True, "f": False, "n": None, "i": 3},
+        ("tu", ("ple",)),
+        "plain",
+        42,
+        None,
+    ],
+)
+def test_json_writer_matches_indented_dumps_on_edge_cases(payload):
+    assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
 
 
 def test_filters_check_passes_on_fixtures(capsys):

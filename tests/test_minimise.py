@@ -24,6 +24,7 @@ from ctsmin import (
     partition_matrix,
     pseudo_factorise,
     quotient_to_cts,
+    refine,
     t_unit,
     validate_poset,
 )
@@ -180,6 +181,23 @@ def test_refinement_engine_matches_chain():
     for m in [ex1(), ex2()] + list(cts_corpus(60)):
         c = coalgebra_encode(m)
         assert minimise_refinement(c) == minimise_chain(c)
+
+
+def test_colliding_pair_names_are_rejected():
+    # (s, p@q) and (s@p, q) are told apart by the engine but would share
+    # the quotient name s@p@q
+    m = Cts(
+        ["s", "s@p"], ["a"], Poset.discrete(["q", "p@q"]), {("s@p", "a", "s@p"): {"q"}}
+    )
+    c = coalgebra_encode(m)
+    assert len(refine(c)[-1]) == 2
+    for route in (minimise_refinement, minimise_chain):
+        with pytest.raises(ValueError, match="share the name 's@p@q'"):
+            route(c)
+    # '@' alone is fine: quotients are re-read with states named x@phi
+    q = quotient_to_cts(minimise_refinement(coalgebra_encode(ex1())), TWO)
+    assert all("@" in x for x in q.states)
+    assert minimise_refinement(coalgebra_encode(q)).stage >= 0
 
 
 def test_quotient_is_minimal_and_behaviour_preserving():

@@ -6,6 +6,7 @@ from ctsmin import (
     Cts,
     NotDownwardClosed,
     Poset,
+    UnknownElement,
     UpgradeCoalgebra,
     check_upgrade_preserving,
     coalgebra_encode,
@@ -18,7 +19,7 @@ from ctsmin import (
     version_filter,
 )
 
-from corpus import cts_corpus
+from corpus import cts_corpus, random_cts
 
 TWO = Poset.chain(["phi'", "phi"])
 
@@ -97,6 +98,61 @@ def test_coalgebra_validation_rejects_bad_tables():
         # monotonicity in the condition
         trimmed = c.alpha("x", "phi", "a") - {("z", "phi'")}
         c.mutated(("x", "phi", "a"), trimmed).validate()
+    # keys naming an unknown state, action or condition are rejected
+    # rather than ignored by the engine
+    with pytest.raises(UnknownElement) as err:
+        UpgradeCoalgebra(["x"], ["a"], TWO, {("ghost", "phi", "a"): {("x", "phi'")}})
+    assert err.value.element == "ghost"
+    with pytest.raises(UnknownElement) as err:
+        UpgradeCoalgebra(["x"], ["a"], TWO, {("x", "phi", "b"): {("x", "phi")}})
+    assert err.value.element == "b"
+    with pytest.raises(UnknownElement) as err:
+        UpgradeCoalgebra(["x"], ["a"], TWO, {("x", "psi", "a"): {("x", "phi")}})
+    assert err.value.element == "psi"
+    # with several faults the least one is reported
+    with pytest.raises(UnknownElement) as err:
+        UpgradeCoalgebra(
+            ["x"],
+            ["a"],
+            TWO,
+            {("x", "phi", "b"): {("x", "phi")}, ("ghost", "phi", "a"): {("x", "phi'")}},
+        )
+    assert err.value.element == "ghost"
+
+
+def test_validation_along_covers_matches_every_comparable_pair():
+    # dropping one successor pair breaks monotonicity exactly when some
+    # comparable psi <= phi sees a larger successor set at psi; posets of
+    # up to six conditions have pairs joined by chains of several covers
+    rng = random.Random(7)
+    checked = 0
+    for seed in range(300):
+        m = random_cts(random.Random(seed), max_conditions=6)
+        c = coalgebra_encode(m)
+        keys = [
+            (x, phi, a)
+            for x in m.states
+            for phi in m.conditions.elements
+            for a in m.actions
+            if c.alpha(x, phi, a)
+        ]
+        if not keys:
+            continue
+        key = rng.choice(keys)
+        mutated = c.mutated(key, c.alpha(*key) - {rng.choice(sorted(c.alpha(*key)))})
+        broken = any(
+            not mutated.alpha(x, psi, a) <= mutated.alpha(x, phi, a)
+            for x in m.states
+            for a in m.actions
+            for (psi, phi) in m.conditions.relation
+        )
+        if broken:
+            checked += 1
+            with pytest.raises(ValueError, match="not monotone"):
+                mutated.validate()
+        else:
+            mutated.validate()
+    assert 20 < checked < 250
 
 
 def test_upgrade_preservation_on_fixtures():

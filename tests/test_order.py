@@ -15,6 +15,8 @@ from ctsmin import (
     validate_poset,
 )
 
+from corpus import cts_corpus
+
 NAMES = ["a", "b", "c", "d", "e"]
 
 
@@ -137,3 +139,30 @@ def test_coequalise_mapping_is_monotone(p, data):
         assert glued.leq(mapping[a], mapping[b])
     for x, y in pairs:
         assert mapping[x] == mapping[y]
+
+
+def _brute_force_covers(p: Poset) -> tuple[tuple[str, str], ...]:
+    return tuple(
+        sorted(
+            (a, b)
+            for a in p.elements
+            for b in p.elements
+            if p.lt(a, b) and not any(p.lt(a, r) and p.lt(r, b) for r in p.elements)
+        )
+    )
+
+
+def _boolean_lattice(k: int) -> Poset:
+    names = {m: f"{m:0{k}b}" for m in range(2**k)}
+    return Poset(
+        tuple(names.values()),
+        frozenset((names[m], names[n]) for m in names for n in names if m & n == m),
+    )
+
+
+def test_covers_match_the_definition():
+    posets = {m.conditions for m in cts_corpus(500)}
+    posets.update(_boolean_lattice(k) for k in range(1, 7))
+    for p in posets:
+        assert p.covers == _brute_force_covers(p)
+    assert len(_boolean_lattice(6).covers) == 6 * 2**5
