@@ -10,7 +10,9 @@ term, entry version) pairs reachable in one step.  Tables are
 pseudo-factorised into a kernel partition and a least-ordered codomain,
 and the construction stops as soon as the partition repeats.  Both
 routes feed their partitions to one builder, so they agree exactly when
-their kernels do.
+their kernels do.  The builder names each class by its least (state,
+condition) pair and orders the classes by closing the condition covers
+under that naming; nothing beyond the final partition is needed.
 
 Terms are hash-consed through a module interner keyed by sub-term
 identity, so equality is pointer equality and table comparisons stay
@@ -34,8 +36,7 @@ from .equivalence import (
     refine,
 )
 from .models import Cts, UpgradeCoalgebra
-from .monad import StarMap, tau
-from .order import Poset, coequalise
+from .order import Poset, validate_poset
 
 
 class BehaviourTerm:
@@ -190,18 +191,6 @@ def _pair_name(pair: PairKey) -> str:
     return f"{pair[0]}@{pair[1]}"
 
 
-def _product_poset(states: tuple[str, ...], conditions: Poset) -> Poset:
-    """States crossed with conditions, states discrete.  Elements are the
-    state@condition names."""
-    relation = {
-        (_pair_name((x, c1)), _pair_name((x, c2)))
-        for x in states
-        for (c1, c2) in conditions.relation
-    }
-    names = tuple(_pair_name((x, c)) for x in states for c in conditions.elements)
-    return Poset(names, frozenset(relation))
-
-
 def _kernel_partition(d: BehaviourTable) -> Partition:
     fibres: dict[BehaviourTerm, list[PairKey]] = {}
     for (pair, term) in d.entries:
@@ -209,24 +198,34 @@ def _kernel_partition(d: BehaviourTable) -> Partition:
     return canonical_partition(fibres.values())
 
 
+def _class_names(partition: Partition) -> dict[PairKey, str]:
+    """Name every pair by the least pair of its class."""
+    return {pair: _pair_name(cls[0]) for cls in partition for pair in cls}
+
+
 def _quotient_poset(
-    states: tuple[str, ...], conditions: Poset, partition: Partition
+    states: tuple[str, ...], conditions: Poset, class_of: Mapping[PairKey, str]
 ) -> Poset:
-    """Coequalise the product poset by the partition and name each class
-    by its least (state, condition) pair."""
-    product = _product_poset(states, conditions)
-    merge_pairs = []
-    for cls in partition:
-        first = _pair_name(cls[0])
-        for other in cls[1:]:
-            merge_pairs.append((first, _pair_name(other)))
-    quotient, mapping = coequalise(product, merge_pairs)
-    # coequalise names classes by least element string, which sorts the
-    # tick character before '@'; rename to least (state, condition) pair.
-    rename = {mapping[_pair_name(cls[0])]: _pair_name(cls[0]) for cls in partition}
-    return Poset(
-        tuple(rename[e] for e in quotient.elements),
-        frozenset((rename[p], rename[q]) for (p, q) in quotient.relation),
+    """The least order on the classes making the quotient map monotone:
+    the closure of class(x, p) <= class(x, q) over each state x and each
+    cover p < q.
+
+    On a round of the engine, or on the equal stage kernel of the final
+    chain, no cycle can arise, by induction over the rounds.  Round zero
+    has one class.  In round k an edge A -> B comes from (x, p) in A and
+    (x, q) in B with p < q, so the round k-1 classes of A and B are
+    ordered the same way, and S_k(A) <= S_k(B) for the signature sets
+    S_k, because ``alpha`` is monotone.  Along a cycle the round k-1
+    classes are therefore equal, and so are the signatures, which makes
+    it one class.  A partition that breaks this raises
+    ``AntisymmetryViolation``."""
+    return validate_poset(
+        class_of.values(),
+        {
+            (class_of[(x, p)], class_of[(x, q)])
+            for x in states
+            for (p, q) in conditions.covers
+        },
     )
 
 
@@ -237,7 +236,8 @@ def pseudo_factorise(d: BehaviourTable) -> tuple[Partition, Poset, dict[str, Beh
     partition = _kernel_partition(d)
     table = d.table()
     terms = {_pair_name(cls[0]): table[cls[0]] for cls in partition}
-    return partition, _quotient_poset(d.states, d.conditions, partition), terms
+    z_poset = _quotient_poset(d.states, d.conditions, _class_names(partition))
+    return partition, z_poset, terms
 
 
 def kernel_matrix(d: BehaviourTable) -> LatticeRelation:
@@ -298,16 +298,11 @@ class ChainResult:
 
 
 def _quotient_transitions(
-    c: UpgradeCoalgebra, partition: Partition
-) -> tuple[dict[PairKey, str], tuple[tuple[str, str, tuple[tuple[str, str], ...]], ...]]:
-    class_of: dict[PairKey, str] = {}
-    for cls in partition:
-        name = _pair_name(cls[0])
-        for pair in cls:
-            class_of[pair] = name
+    c: UpgradeCoalgebra, partition: Partition, class_of: Mapping[PairKey, str]
+) -> tuple[tuple[str, str, tuple[tuple[str, str], ...]], ...]:
     moves: dict[tuple[str, str], tuple[tuple[str, str], ...]] = {}
     for cls in partition:
-        name = _pair_name(cls[0])
+        name = class_of[cls[0]]
         for a in c.actions:
             values = set()
             for (x, cond) in cls:
@@ -316,21 +311,19 @@ def _quotient_transitions(
                 )
                 values.add(image)
             if len(values) != 1:
-                raise AssertionError(
+                raise ValueError(
                     f"quotient not well defined at {name}, action {a}"
                 )
             moves[(name, a)] = tuple(sorted(values.pop()))
-    transitions = tuple(
-        (name, a, moves[(name, a)]) for (name, a) in sorted(moves)
-    )
-    return class_of, transitions
+    return tuple((name, a, moves[(name, a)]) for (name, a) in sorted(moves))
 
 
 def _chain_result(c: UpgradeCoalgebra, partitions: list[Partition]) -> ChainResult:
     """Assemble the result from every stage's kernel partition, the last
-    one repeating its predecessor.  The quotient names pairs
-    state@condition, so two pairs sharing a name (possible when names
-    contain '@') would merge distinct classes; that is rejected."""
+    one repeating its predecessor.  The JSON kernels and the quotient
+    name pairs state@condition, so two pairs sharing a name (possible
+    when names contain '@') would be told apart by the engine yet read
+    as one; that is rejected."""
     named: dict[str, PairKey] = {}
     for pair in ((x, cond) for x in c.states for cond in c.conditions.elements):
         other = named.setdefault(_pair_name(pair), pair)
@@ -340,14 +333,15 @@ def _chain_result(c: UpgradeCoalgebra, partitions: list[Partition]) -> ChainResu
             )
     stage = len(partitions) - 2
     final = partitions[stage]
-    class_of, transitions = _quotient_transitions(c, final)
+    class_of = _class_names(final)
+    transitions = _quotient_transitions(c, final, class_of)
     return ChainResult(
         stage,
         stage + 1,
         matrix_stage(partitions),
         tuple(StageInfo(i, p) for i, p in enumerate(partitions)),
         tuple(sorted(class_of.items())),
-        _quotient_poset(c.states, c.conditions, final),
+        _quotient_poset(c.states, c.conditions, class_of),
         transitions,
     )
 
@@ -437,6 +431,11 @@ def _group_conditions(pairs: tuple[tuple[str, str], ...]) -> dict[str, set[str]]
     return grouped
 
 
+def _dot_quote(text: str) -> str:
+    """A DOT quoted string: backslash and double quote escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def chain_result_dot(result: ChainResult, conditions: Poset) -> str:
     """Graphviz rendering of the quotient, nodes named by their least
     representatives and edges labelled by condition sets."""
@@ -444,42 +443,14 @@ def chain_result_dot(result: ChainResult, conditions: Poset) -> str:
     actions = sorted({a for (_, a, _) in result.transitions})
     lines = ["digraph minimised {", "  rankdir=LR;"]
     for name in result.z_poset.elements:
-        lines.append(f'  "{name}";')
+        lines.append(f"  {_dot_quote(name)};")
     for (src, a, pairs) in result.transitions:
         for dst, conds in sorted(_group_conditions(pairs).items()):
             shown = ",".join(sorted(conds, key=lambda c: (order[c], c)))
             label = shown if len(actions) == 1 else f"{a}: {shown}"
-            lines.append(f'  "{src}" -> "{dst}" [label="{label}"];')
+            lines.append(
+                f"  {_dot_quote(src)} -> {_dot_quote(dst)} [label={_dot_quote(label)}];"
+            )
     lines.append("}")
     return "\n".join(lines) + "\n"
 
-
-def klT_factorise(
-    f: Mapping[str, StarMap], dom: Poset
-) -> tuple[Poset, dict[str, StarMap]]:
-    """Shrink the codomain of a Kleisli map to the elements that matter:
-    those that are a least witness for some input and condition.  On a
-    discrete codomain these are exactly the elements with a non-bottom
-    value somewhere."""
-    if not dom.elements:
-        return Poset((), frozenset()), {}
-    witnesses: set[str] = set()
-    for x in dom.elements:
-        reader = tau(f[x])
-        witnesses.update(v for (_, v) in reader.entries)
-    sample = next(iter(f.values()))
-    cod = sample.dom
-    frame = sample.frame
-    kept = tuple(sorted(witnesses))
-    restricted_poset = Poset(
-        kept, frozenset((p, q) for (p, q) in cod.relation if p in witnesses and q in witnesses)
-    )
-    restricted = {
-        x: StarMap.of(
-            restricted_poset,
-            frame,
-            {y: f[x].value(y) for y in kept},
-        )
-        for x in dom.elements
-    }
-    return restricted_poset, restricted

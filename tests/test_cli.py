@@ -118,6 +118,24 @@ def test_minimise_writes_dot_file(tmp_path, capsys):
     assert target.read_text() == expected
 
 
+def test_minimise_dot_escapes_backslash_in_names(tmp_path, capsys):
+    model = tmp_path / "backslash.cts"
+    model.write_text(
+        "kind: cts\n[conditions]\nc\\\n[states]\nx\n[actions]\na\n"
+        "[transitions]\nx a x : c\\\n"
+    )
+    target = tmp_path / "quotient.dot"
+    code, _, _ = run(capsys, "minimise", str(model), "--dot", str(target))
+    assert code == 0
+    assert target.read_text() == (
+        "digraph minimised {\n"
+        "  rankdir=LR;\n"
+        '  "x@c\\\\";\n'
+        '  "x@c\\\\" -> "x@c\\\\" [label="c\\\\"];\n'
+        "}\n"
+    )
+
+
 def test_json_writer_matches_indented_dumps_on_reports():
     for m in [ex1(), ex2()] + list(cts_corpus(500)):
         c = coalgebra_encode(m)

@@ -1,21 +1,22 @@
+import random
+
 import pytest
 
 from ctsmin import (
+    AntisymmetryViolation,
     Cts,
-    Frame,
     Poset,
-    StarMap,
     bullet,
     chain_init,
     chain_result_dot,
     chain_result_json,
     chain_step,
     coalgebra_encode,
+    coequalise,
     ex1,
     ex2,
     greatest_conditional_bisimilarity_naive,
     kernel_matrix,
-    klT_factorise,
     lattice_bisim_fixpoint,
     lattice_fixpoint_stages,
     minimise_chain,
@@ -25,9 +26,10 @@ from ctsmin import (
     pseudo_factorise,
     quotient_to_cts,
     refine,
-    t_unit,
     validate_poset,
 )
+from ctsmin.equivalence import canonical_partition
+from ctsmin.minimise import _chain_result, _class_names, _quotient_poset
 
 from corpus import cts_corpus
 
@@ -294,35 +296,95 @@ def test_dot_serialisation_golden_ex1():
     assert chain_result_dot(r, m.conditions) == EX1_DOT
 
 
-def test_klT_factorise_unit_case():
-    dom = Poset.chain(["x0", "x1"])
-    cod = Poset.chain(["y0", "y1"])
-    frame = Frame(Poset.chain(["c0", "c1"]))
-    eta = t_unit(cod, frame)
-    f = {x: eta["y0"] for x in dom.elements}
-    kept, restricted = klT_factorise(f, dom)
-    assert kept.elements == ("y0",)
-    assert restricted["x0"].value("y0") == frame.top
+def _coequalised_product(states, conditions, partition) -> Poset:
+    """Oracle for the quotient order: the product of the discrete states
+    with the conditions, coequalised by the partition, its classes renamed
+    to their least (state, condition) pair."""
+
+    def name(pair):
+        return f"{pair[0]}@{pair[1]}"
+
+    product = Poset(
+        tuple(name((x, p)) for x in states for p in conditions.elements),
+        frozenset(
+            (name((x, p)), name((x, q)))
+            for x in states
+            for (p, q) in conditions.relation
+        ),
+    )
+    quotient, mapping = coequalise(
+        product, [(name(cls[0]), name(pair)) for cls in partition for pair in cls[1:]]
+    )
+    rename = {mapping[name(cls[0])]: name(cls[0]) for cls in partition}
+    return Poset(
+        tuple(rename[e] for e in quotient.elements),
+        frozenset((rename[p], rename[q]) for (p, q) in quotient.relation),
+    )
 
 
-def test_klT_factorise_discrete_case():
-    dom = Poset.discrete(["x0"])
-    cod = Poset.discrete(["y0", "y1", "y2"])
-    frame = Frame(Poset.discrete(["c0", "c1"]))
-    from ctsmin import tau
-
-    f = {
-        "x0": StarMap.of(
-            cod, frame, {"y0": ["c0"], "y1": ["c1"], "y2": []}
-        )
+def _boolean_cts(k: int, seed: int) -> Cts:
+    names = [f"{m:0{k}b}" for m in range(2**k)]
+    covers = [
+        (names[m], names[m | 1 << i])
+        for m in range(2**k)
+        for i in range(k)
+        if not m & 1 << i
+    ]
+    conditions = validate_poset(names, covers)
+    rng = random.Random(seed)
+    states = [f"s{i}" for i in range(5)]
+    labels = {
+        (src, a, dst): conditions.down_close(rng.sample(names, rng.randint(1, 3)))
+        for src in states
+        for a in ("a", "b")
+        for dst in states
+        if rng.random() < 0.3
     }
-    kept, restricted = klT_factorise(f, dom)
-    assert kept.elements == ("y0", "y1")
-    # restriction must preserve the reader translation
-    assert tau(restricted["x0"]).table() == tau(f["x0"]).table()
+    return Cts(states, ["a", "b"], conditions, labels)
 
 
-def test_klT_factorise_empty_domain():
-    kept, restricted = klT_factorise({}, Poset.discrete([]))
-    assert kept.elements == ()
-    assert restricted == {}
+def test_quotient_order_matches_coequalised_product():
+    systems = list(cts_corpus(500)) + [
+        _boolean_cts(k, seed) for k in (3, 4) for seed in range(3)
+    ]
+    for m in systems:
+        c = coalgebra_encode(m)
+        rounds = refine(c)
+        for partition in rounds:
+            expected = _coequalised_product(c.states, c.conditions, partition)
+            assert len(expected.elements) == len(partition)
+            got = _quotient_poset(c.states, c.conditions, _class_names(partition))
+            assert got == expected
+        assert minimise_refinement(c).z_poset == expected
+
+
+def test_cyclic_partition_is_rejected():
+    # (x, c1) <= (x, c2) and (y, c1) <= (y, c2) order the two classes
+    # both ways, which no round of the engine can do
+    c = coalgebra_encode(Cts(["x", "y"], ["a"], Poset.chain(["c1", "c2"]), {}))
+    crossed = canonical_partition(
+        [[("x", "c1"), ("y", "c2")], [("x", "c2"), ("y", "c1")]]
+    )
+    with pytest.raises(AntisymmetryViolation):
+        _chain_result(c, [crossed, crossed])
+
+
+def test_partition_that_is_no_congruence_is_a_value_error():
+    c = coalgebra_encode(ex1())
+    whole = canonical_partition(
+        [[(x, phi) for x in c.states for phi in c.conditions.elements]]
+    )
+    with pytest.raises(ValueError, match="quotient not well defined"):
+        _chain_result(c, [whole, whole])
+
+
+def test_dot_escapes_quote_in_library_names():
+    # the parser rejects '"', but a Cts built through the library keeps it
+    m = Cts(['y"'], ["a"], TWO, {('y"', "a", 'y"'): {"phi'"}})
+    assert chain_result_dot(minimise_refinement(coalgebra_encode(m)), TWO) == (
+        "digraph minimised {\n"
+        "  rankdir=LR;\n"
+        '  "y\\"@phi";\n'
+        '  "y\\"@phi" -> "y\\"@phi" [label="phi\'"];\n'
+        "}\n"
+    )
