@@ -3,17 +3,22 @@
 ``bisim``, ``check`` and ``minimise`` all run the one refinement engine
 (``equivalence.refine``); the other routes to the same results are
 test oracles.  Model names may not contain '@', ',' or '"', which the
-outputs use as separators and quotes.
+outputs use as separators and quotes, nor start with '['.
 
 Exit codes: 0 success (or a positive check), 1 negative check result,
-2 usage errors, 3 validation errors in the input model.
+2 usage errors (including a model file that cannot be read), 3
+validation errors in the input model (including bytes that are not
+UTF-8).
 
-JSON reports go through ``_json_text``, which prints what
-``json.dumps(payload, indent=2, sort_keys=True)`` prints.  CPython
-falls back to its pure-Python encoder whenever ``indent`` is set, and
-on large condition lattices that encoder took longer than the whole
-refinement; the writer keeps the layout but quotes every string with
-the C function ``encode_basestring_ascii``.
+Both JSON reports print what ``json.dumps(payload, indent=2,
+sort_keys=True)`` prints.  CPython falls back to its pure-Python encoder
+whenever ``indent`` is set, and on large condition lattices that encoder
+took longer than the whole refinement.  The ``bisim`` report goes
+through ``_json_text``, which keeps the layout but quotes every string
+with the C function ``encode_basestring_ascii``.  The ``minimise``
+report, whose quotient rows make up most of the output, is written
+without a payload dict by ``minimise.chain_result_text``;
+``minimise.chain_result_json`` is the dict it is tested against.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import sys
 from json.encoder import encode_basestring_ascii as quote
 
 from .equivalence import bisim_refinement
-from .minimise import chain_result_dot, chain_result_json, minimise_refinement
+from .minimise import chain_result_dot, chain_result_text, minimise_refinement
 from .modelfile import ParseError, convert_model, parse_model, serialise_model
 from .models import (
     Cts,
@@ -36,9 +41,26 @@ from .models import (
 from .order import AntisymmetryViolation, OrderError
 
 
+class _Unreadable(Exception):
+    """The model file could not be opened or read."""
+
+
 def _read_model(path: str, close: bool):
-    with open(path, encoding="utf-8") as handle:
-        return parse_model(handle.read(), close=close)
+    """Parse a model file.  Bytes that are not UTF-8 make an invalid
+    model, with the line they are on; a file that cannot be read at all
+    raises ``_Unreadable``."""
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    except OSError as err:
+        raise _Unreadable(path) from err
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        # counted as the parser counts lines; the prefix decodes cleanly
+        line = len((data[: err.start].decode("utf-8") + ".").splitlines())
+        raise ParseError(line, f"not UTF-8: {err.reason}") from None
+    return parse_model(text, close=close)
 
 
 def _as_cts(model) -> Cts:
@@ -139,10 +161,14 @@ def _cmd_check(args) -> int:
 def _cmd_minimise(args) -> int:
     as_cts = _as_cts(_read_model(args.file, args.close))
     result = minimise_refinement(coalgebra_encode(as_cts))
-    _emit_json(chain_result_json(result))
+    print(chain_result_text(result))
     if args.dot is not None:
-        with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(chain_result_dot(result, as_cts.conditions))
+        try:
+            with open(args.dot, "w", encoding="utf-8") as handle:
+                handle.write(chain_result_dot(result, as_cts.conditions))
+        except OSError:
+            print(f"cannot write {args.dot}", file=sys.stderr)
+            return 2
     return 0
 
 
@@ -219,8 +245,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except FileNotFoundError as err:
-        print(f"cannot read {err.filename}", file=sys.stderr)
+    except _Unreadable as err:
+        print(f"cannot read {err}", file=sys.stderr)
         return 2
     except (ParseError, NotDownwardClosed, AntisymmetryViolation) as err:
         print(f"invalid model: {err}", file=sys.stderr)

@@ -14,6 +14,12 @@ their kernels do.  The builder names each class by its least (state,
 condition) pair and orders the classes by closing the condition covers
 under that naming; nothing beyond the final partition is needed.
 
+A ``ChainResult`` is serialised here too.  The JSON report of the
+``minimise`` command is written by ``chain_result_text`` in one pass
+over the result; ``chain_result_json`` builds the same content as a
+plain dict and is the reference the tests hold that text against.
+``chain_result_dot`` renders the quotient for Graphviz.
+
 Terms are hash-consed through a module interner keyed by sub-term
 identity, so equality is pointer equality and table comparisons stay
 cheap even when printed forms would be large.  The interner is a plain
@@ -24,6 +30,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
+from json.encoder import encode_basestring_ascii as quote
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .equivalence import (
@@ -422,6 +431,82 @@ def chain_result_json(result: ChainResult) -> dict:
             ],
         },
     }
+
+
+# newline and indent at each depth of the minimise report
+_IN2, _IN4, _IN6, _IN8, _IN10 = ("\n" + " " * n for n in (2, 4, 6, 8, 10))
+
+
+class _Quoted(dict):
+    """Name -> JSON string literal, each name quoted once on first use."""
+
+    def __missing__(self, name: str) -> str:
+        text = self[name] = quote(name)
+        return text
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    """A JSON list of written items, laid out as ``json.dumps(indent=2)``
+    lays out a list whose closing bracket sits at ``indent``."""
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    return f"[{inner}{(',' + inner).join(items)}{indent}]"
+
+
+def chain_result_text(result: ChainResult) -> str:
+    """``json.dumps(chain_result_json(result), indent=2, sort_keys=True)``,
+    written directly: every name is quoted once and each quotient
+    transition row is one string, its keys in sorted order.  The pairs
+    of a transition are sorted by (class, condition), as
+    ``_quotient_transitions`` leaves them, so each run of one class is a
+    row and its conditions come sorted."""
+    quoted = _Quoted()
+    pair_text = {pair: quoted[_pair_name(pair)] for pair, _ in result.class_of}
+    stages = []
+    for info in result.stages:
+        kernel = _json_list(
+            [_json_list([pair_text[p] for p in cls], _IN8) for cls in info.partition],
+            _IN6,
+        )
+        states = _json_list(
+            [
+                _json_list([quoted[x] for x in group], _IN8)
+                for group in result.state_partition(info.stage)
+            ],
+            _IN6,
+        )
+        stages.append(
+            f'{{{_IN6}"kernel": {kernel},{_IN6}"stage": {info.stage},'
+            f'{_IN6}"states": {states}{_IN4}}}'
+        )
+    z = result.z_poset
+    order = [
+        f"[{_IN8}{quoted[p]},{_IN8}{quoted[q]}{_IN6}]"
+        for (p, q) in sorted(z.relation)
+        if p != q
+    ]
+    rows = []
+    cond_sep = "," + _IN10
+    for (src, a, pairs) in result.transitions:
+        head = f'{{{_IN8}"action": {quoted[a]},{_IN8}"conditions": [{_IN10}'
+        tail = f',{_IN8}"src": {quoted[src]}{_IN6}}}'
+        for dst, run in groupby(pairs, itemgetter(0)):
+            conds = cond_sep.join([quoted[chi] for _, chi in run])
+            rows.append(f'{head}{conds}{_IN8}],{_IN8}"dst": {quoted[dst]}{tail}')
+    return (
+        f'{{{_IN2}"algorithm": "chain",'
+        f'{_IN2}"confirmed_at": {result.confirmed_at},'
+        f'{_IN2}"matrix_stage": {result.matrix_stage},'
+        f'{_IN2}"quotient": {{'
+        f'{_IN4}"order": {_json_list(order, _IN4)},'
+        f'{_IN4}"states": {_json_list([quoted[x] for x in z.elements], _IN4)},'
+        f'{_IN4}"transitions": {_json_list(rows, _IN4)}'
+        f'{_IN2}}},'
+        f'{_IN2}"stage": {result.stage},'
+        f'{_IN2}"stages": {_json_list(stages, _IN2)}'
+        "\n}"
+    )
 
 
 def _group_conditions(pairs: tuple[tuple[str, str], ...]) -> dict[str, set[str]]:

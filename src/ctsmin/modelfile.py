@@ -5,7 +5,9 @@ A model file gives its kind, the condition poset, the state and action
 sets, and one line per labelled edge.  Comments run from '#' to the end
 of the line.  Names may not contain '@', ',' or '"': the outputs
 join states and conditions with the first two and quote names with
-the third, so such a name could make two outputs collide.  The
+the third, so such a name could make two outputs collide.  Nor may a
+name start with '[': the serialiser could write it at the start of a
+line that ends in ']', which reads back as a section header.  The
 serialiser emits a canonical form: conditions top down, order lines as
 covering pairs, everything else sorted, so parse and serialise are
 mutually inverse on canonical text.
@@ -28,6 +30,8 @@ class ParseError(Exception):
 
 def _declared(number: int, names: list[str]) -> list[str]:
     for name in names:
+        if name.startswith("["):
+            raise ParseError(number, f"name {name!r} starts with '['")
         for ch in RESERVED:
             if ch in name:
                 raise ParseError(number, f"name {name!r} contains reserved {ch!r}")
@@ -105,6 +109,7 @@ def parse_model(text: str, close: bool = False) -> Cts | Lats:
     poset = validate_poset(conditions, order_pairs)
     state_set = set(states)
     action_set = set(actions)
+    condition_set = set(conditions)
     labels: dict[tuple[str, str, str], set[str]] = {}
     for (number, src, act, dst, conds) in transitions:
         for name, pool, what in (
@@ -115,7 +120,7 @@ def parse_model(text: str, close: bool = False) -> Cts | Lats:
             if name not in pool:
                 raise ParseError(number, f"undeclared {what} {name!r}")
         for c in conds:
-            if c not in set(conditions):
+            if c not in condition_set:
                 raise ParseError(number, f"undeclared condition {c!r}")
         members = conds
         if close:

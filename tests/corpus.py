@@ -46,3 +46,26 @@ def random_cts(
 def cts_corpus(count: int, seed: int = 20260822):
     for index in range(count):
         yield random_cts(random.Random(seed + index))
+
+
+def boolean_cts(k: int, seed: int) -> Cts:
+    """Five states and actions a, b over the Boolean lattice of subsets
+    of k atoms, conditions named by their bit strings."""
+    names = [f"{m:0{k}b}" for m in range(2**k)]
+    covers = [
+        (names[m], names[m | 1 << i])
+        for m in range(2**k)
+        for i in range(k)
+        if not m & 1 << i
+    ]
+    conditions = validate_poset(names, covers)
+    rng = random.Random(seed)
+    states = [f"s{i}" for i in range(5)]
+    labels = {
+        (src, a, dst): conditions.down_close(rng.sample(names, rng.randint(1, 3)))
+        for src in states
+        for a in ("a", "b")
+        for dst in states
+        if rng.random() < 0.3
+    }
+    return Cts(states, ["a", "b"], conditions, labels)

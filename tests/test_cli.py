@@ -16,8 +16,9 @@ from ctsmin import (
     minimise_refinement,
 )
 from ctsmin.cli import _json_text, main
+from ctsmin.minimise import chain_result_text
 
-from corpus import cts_corpus
+from corpus import boolean_cts, cts_corpus
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 EX1 = str(FIXTURES / "EX1")
@@ -137,7 +138,9 @@ def test_minimise_dot_escapes_backslash_in_names(tmp_path, capsys):
 
 
 def test_json_writer_matches_indented_dumps_on_reports():
-    for m in [ex1(), ex2()] + list(cts_corpus(500)):
+    systems = [ex1(), ex2()] + list(cts_corpus(500))
+    systems += [boolean_cts(3, 0), boolean_cts(4, 0)]
+    for m in systems:
         c = coalgebra_encode(m)
         relation, iterations = bisim_refinement(c)
         bisim = {
@@ -145,8 +148,13 @@ def test_json_writer_matches_indented_dumps_on_reports():
             "iterations": iterations,
             "pairs": {f"{x},{y}": sorted(v) for ((x, y), v) in relation.entries},
         }
-        for payload in (bisim, chain_result_json(minimise_refinement(c))):
+        result = minimise_refinement(c)
+        minimised = chain_result_json(result)
+        for payload in (bisim, minimised):
             assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+        assert chain_result_text(result) == json.dumps(
+            minimised, indent=2, sort_keys=True
+        )
 
 
 @pytest.mark.parametrize(
@@ -185,6 +193,33 @@ def test_missing_file_is_a_usage_error(capsys):
         assert "cannot read" in err
 
 
+def test_unopenable_file_is_a_usage_error(tmp_path, capsys):
+    # a directory raises IsADirectoryError, or PermissionError on Windows
+    for command in ("validate", "bisim", "minimise"):
+        code, out, err = run(capsys, command, str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err == f"cannot read {tmp_path}\n"
+
+
+def test_undecodable_file_is_a_model_error(tmp_path, capsys):
+    for text, line in ((b"\xff", 1), (b"kind: cts\r\n\n# caf\xe9\n", 3)):
+        path = tmp_path / "latin1.cts"
+        path.write_bytes(text)
+        code, out, err = run(capsys, "bisim", str(path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"invalid model: line {line}: not UTF-8")
+
+
+def test_unwritable_dot_file_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "no" / "such" / "dir.dot"
+    code, out, err = run(capsys, "minimise", EX1, "--dot", str(target))
+    assert code == 2
+    assert json.loads(out)["algorithm"] == "chain"
+    assert err == f"cannot write {target}\n"
+
+
 def test_invalid_model_is_a_model_error(tmp_path, capsys):
     bad = tmp_path / "bad.cts"
     bad.write_text(NOT_CLOSED)
@@ -201,12 +236,19 @@ def test_invalid_model_is_a_model_error(tmp_path, capsys):
 # Were '@' allowed, s@p at q and s at p@q would both print as "s@p@q"
 # and minimise would give a kernel of 2 classes but a quotient of 1
 # state.  With ',' the bisim key "a,b,a" would stand for both (a, b,a)
-# and (a,b, a).  A '"' would go into the DOT output unescaped.
+# and (a,b, a).  A '"' would go into the DOT output unescaped.  A name
+# starting with '[' could be written first on a line that ends in ']':
+# states "a]" and "[x]" serialise as "[x] a]", a section header.
 RESERVED_NAME_MODELS = {
     "at": (
         "kind: cts\n[conditions]\nq\np@q\n[states]\ns s@p\n"
         "[actions]\na\n[transitions]\ns@p a s@p : q\n",
         4,
+    ),
+    "bracket": (
+        "kind: cts\n[conditions]\nphi\n[states]\na] [x]\n"
+        "[actions]\na\n[transitions]\n",
+        5,
     ),
     "comma": (
         "kind: cts\n[conditions]\nphi\n[states]\na a,b b b,a\n"

@@ -1,6 +1,7 @@
-import random
+import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ctsmin import (
     AntisymmetryViolation,
@@ -26,12 +27,17 @@ from ctsmin import (
     pseudo_factorise,
     quotient_to_cts,
     refine,
-    validate_poset,
 )
 from ctsmin.equivalence import canonical_partition
-from ctsmin.minimise import _chain_result, _class_names, _quotient_poset
+from ctsmin.minimise import (
+    _chain_result,
+    _class_names,
+    _quotient_poset,
+    chain_result_text,
+)
 
-from corpus import cts_corpus
+from corpus import boolean_cts, cts_corpus
+from strategies import cts_models
 
 TWO = Poset.chain(["phi'", "phi"])
 
@@ -322,30 +328,9 @@ def _coequalised_product(states, conditions, partition) -> Poset:
     )
 
 
-def _boolean_cts(k: int, seed: int) -> Cts:
-    names = [f"{m:0{k}b}" for m in range(2**k)]
-    covers = [
-        (names[m], names[m | 1 << i])
-        for m in range(2**k)
-        for i in range(k)
-        if not m & 1 << i
-    ]
-    conditions = validate_poset(names, covers)
-    rng = random.Random(seed)
-    states = [f"s{i}" for i in range(5)]
-    labels = {
-        (src, a, dst): conditions.down_close(rng.sample(names, rng.randint(1, 3)))
-        for src in states
-        for a in ("a", "b")
-        for dst in states
-        if rng.random() < 0.3
-    }
-    return Cts(states, ["a", "b"], conditions, labels)
-
-
 def test_quotient_order_matches_coequalised_product():
     systems = list(cts_corpus(500)) + [
-        _boolean_cts(k, seed) for k in (3, 4) for seed in range(3)
+        boolean_cts(k, seed) for k in (3, 4) for seed in range(3)
     ]
     for m in systems:
         c = coalgebra_encode(m)
@@ -388,3 +373,28 @@ def test_dot_escapes_quote_in_library_names():
         '  "y\\"@phi" -> "y\\"@phi" [label="phi\'"];\n'
         "}\n"
     )
+
+
+# Names a system built through the library may carry, most of which no
+# model file can hold: quotes, backslashes, non-ASCII and control
+# characters.  '@' stays out, since the report names a pair
+# state@condition.
+LIBRARY_NAMES = st.text(
+    st.one_of(
+        st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\u00e9", "\u2203", "a", ","]),
+        st.characters(blacklist_characters="@"),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@given(cts_models(LIBRARY_NAMES))
+def test_report_text_is_the_dumped_report_dict(model):
+    result = minimise_refinement(coalgebra_encode(model))
+    text = chain_result_text(result)
+    assert text == json.dumps(chain_result_json(result), indent=2, sort_keys=True)
+    assert len(result.quotient_states()) == len(result.stages[result.stage].partition)
+    assert chain_result_text(result) == text
+    assert chain_result_text(minimise_refinement(coalgebra_encode(model))) == text
+

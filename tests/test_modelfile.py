@@ -1,6 +1,7 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ctsmin import (
     AntisymmetryViolation,
@@ -14,8 +15,10 @@ from ctsmin import (
     parse_model,
     serialise_model,
 )
+from ctsmin.modelfile import RESERVED
 
 from corpus import cts_corpus
+from strategies import cts_models
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -46,6 +49,37 @@ def test_serialise_is_canonical_on_corpus():
         again = parse_model(text)
         assert set(again.edges()) == set(m.edges())
         assert serialise_model(again) == text
+
+
+# The parser's token alphabet: printable, no whitespace, no reserved
+# character and no '#', which starts a comment; a name may not start
+# with '[', and a condition may not be '<=', which makes an order line.
+# The characters the format gives a meaning to are drawn more often.
+TOKEN_CHARS = st.one_of(
+    st.sampled_from("[]<=:"),
+    st.characters().filter(
+        lambda ch: ch.isprintable() and not ch.isspace() and ch not in RESERVED + "#"
+    ),
+)
+TOKENS = st.text(TOKEN_CHARS, min_size=1, max_size=4).filter(
+    lambda name: not name.startswith("[")
+)
+
+
+@given(
+    cts_models(TOKENS, TOKENS.filter(lambda name: name != "<=")),
+    st.sampled_from(["cts", "lats"]),
+)
+def test_parse_inverts_serialise_on_token_names(model, kind):
+    text = serialise_model(convert_model(model, kind))
+    again = parse_model(text)
+    back = convert_model(again, "cts")
+    assert isinstance(again, Lats if kind == "lats" else Cts)
+    assert back.states == model.states
+    assert back.actions == model.actions
+    assert back.conditions == model.conditions
+    assert set(back.edges()) == set(model.edges())
+    assert serialise_model(again) == text
 
 
 SCRAMBLED = """
@@ -139,6 +173,8 @@ def test_convert_is_identity_on_matching_kind():
             7,
             "reserved '\"'",
         ),
+        ("kind: cts\n[conditions]\np\n[states]\na] [x]\n", 5, "starts with '['"),
+        ("kind: cts\n[conditions]\n[p\n", 3, "starts with '['"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line, fragment):
