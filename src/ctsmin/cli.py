@@ -1,14 +1,19 @@
 """Command line front end.
 
-``bisim``, ``check`` and ``minimise`` all run the one refinement engine
-(``equivalence.refine``); the other routes to the same results are
-test oracles.  Model names may not contain '@', ',' or '"', which the
-outputs use as separators and quotes, nor start with '['.
+``bisim``, ``check`` and ``minimise`` all run the rounds of the one
+refinement engine; the other routes to the same results are test
+oracles.  ``bisim`` and ``minimise`` refine every (state, condition)
+pair (``equivalence.refine``).  ``check`` refines only the pairs
+reachable from its two (state, condition) roots and stops at the first
+round that separates them (``equivalence.bisimilar``).  Model names may
+not contain '@', ',' or '"', which the outputs use as separators and
+quotes, nor start with '['.
 
 Exit codes: 0 success (or a positive check), 1 negative check result,
 2 usage errors (including a model file that cannot be read), 3
 validation errors in the input model (including bytes that are not
-UTF-8).
+UTF-8).  ``validate`` differs: it prints an invalid model's error on
+stdout as ``invalid: <reason>`` and exits 1.
 
 Both JSON reports print what ``json.dumps(payload, indent=2,
 sort_keys=True)`` prints.  CPython falls back to its pure-Python encoder
@@ -27,7 +32,7 @@ import argparse
 import sys
 from json.encoder import encode_basestring_ascii as quote
 
-from .equivalence import bisim_refinement
+from .equivalence import bisim_refinement, bisimilar
 from .minimise import chain_result_dot, chain_result_text, minimise_refinement
 from .modelfile import ParseError, convert_model, parse_model, serialise_model
 from .models import (
@@ -150,8 +155,7 @@ def _cmd_check(args) -> int:
             print(f"unknown state {state!r}", file=sys.stderr)
             return 2
     as_cts.conditions.check_element(args.condition)
-    relation, _ = bisim_refinement(coalgebra_encode(as_cts))
-    if args.condition in relation.value(args.x, args.y):
+    if bisimilar(coalgebra_encode(as_cts), args.x, args.y, args.condition):
         print(f"{args.x} and {args.y} are bisimilar under {args.condition}")
         return 0
     print(f"{args.x} and {args.y} are not bisimilar under {args.condition}")

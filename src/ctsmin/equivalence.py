@@ -1,15 +1,19 @@
 """Behavioural equivalences: per-condition, conditional, and lattice
 valued.
 
-Production runs use one engine, ``refine``: signature refinement of
-(state, condition) pairs over the upgrade coalgebra.  Its rounds are
-the kernels of the final chain, so the final partition gives both the
-bisimilarity relation (``bisim_refinement``) and the minimal quotient
-(``minimise.minimise_refinement``).  Two independent routes to the
-same relation are kept as oracles for the tests: the naive route, a
-greatest fixed point over families of plain relations, one per
-condition, with an antitone closure step; and the lattice route, which
-iterates one matrix of downsets using Heyting implication.
+Production runs use one engine: signature refinement of (state,
+condition) pairs over the upgrade coalgebra.  ``refine`` runs it on
+every pair.  Its rounds are the kernels of the final chain, so the
+final partition gives both the bisimilarity relation
+(``bisim_refinement``) and the minimal quotient
+(``minimise.minimise_refinement``).  ``bisimilar`` answers one query by
+running the same rounds on the pairs reachable from the two queried
+pairs, and stops at the first round that separates them.  Two
+independent routes to the same relation are kept as oracles for the
+tests: the naive route, a greatest fixed point over families of plain
+relations, one per condition, with an antitone closure step; and the
+lattice route, which iterates one matrix of downsets using Heyting
+implication.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .order import Poset
+from .order import Poset, UnknownElement
 from .models import (
     Cts,
     Lats,
@@ -377,51 +381,90 @@ def canonical_partition(groups: Iterable[Iterable[PairKey]]) -> Partition:
     return tuple(sorted(classes, key=lambda cls: cls[0]))
 
 
-def refine(c: UpgradeCoalgebra) -> list[Partition]:
-    """Signature refinement of (state, condition) pairs.  Round zero has
-    a single class; in the next round a pair's signature is its class
-    together with the set of (action, successor class, entry version)
-    over ``alpha``.  Each round refines the last, so equal class counts
-    mean equal partitions.  Returns every round up to and including the
-    first that repeats its predecessor."""
-    pairs = [(x, cond) for x in c.states for cond in c.conditions.elements]
-    number = {pair: i for i, pair in enumerate(pairs)}
-    # each (action, entry version) is one int below width, so a move to
-    # a successor in block b signs as the single int b * width + label
-    labels = {
-        key: i
-        for i, key in enumerate(
-            (a, chi) for a in c.actions for chi in c.conditions.elements
-        )
-    }
-    width = len(labels)
-    moves = [
-        [
-            (number[succ], labels[(a, succ[1])])
-            for a in c.actions
-            for succ in c.alpha(x, cond, a)
-        ]
-        for (x, cond) in pairs
-    ]
-    block = [0] * len(pairs)
-    blocks = [block]
+def _pair_graph(
+    c: UpgradeCoalgebra, roots: Iterable[PairKey]
+) -> tuple[list[PairKey], list[list[tuple[int, int]]], int]:
+    """The (state, condition) pairs reachable over ``alpha`` from the
+    roots, numbered breadth-first with the roots first in their given
+    order, and each pair's moves as (successor number, label).  A label
+    numbers one (action, entry version); the third result is how many
+    there are.  Every successor's version is at most its source's, so no
+    pair reached from a root is above that root's condition."""
+    number: dict[PairKey, int] = {}
+    for pair in roots:
+        number.setdefault(pair, len(number))
+    pairs = list(number)
+    labels: dict[tuple[str, str], int] = {}
+    moves = []
+    for (x, cond) in pairs:  # grows while it is walked
+        succs = []
+        for a in c.actions:
+            for succ in c.alpha(x, cond, a):
+                j = number.get(succ)
+                if j is None:
+                    j = number[succ] = len(pairs)
+                    pairs.append(succ)
+                succs.append((j, labels.setdefault((a, succ[1]), len(labels))))
+        moves.append(succs)
+    return pairs, moves, len(labels)
+
+
+def _rounds(moves: list[list[tuple[int, int]]], width: int):
+    """Yield the block of every pair, round by round.  Round zero has a
+    single block; in the next round a pair's signature is its block
+    together with the set of (label, successor block) over its moves,
+    and blocks are numbered by first occurrence.  Each round refines the
+    last, so equal block counts mean equal partitions: the generator
+    stops after the first round that repeats its predecessor."""
+    block = [0] * len(moves)
+    count = 1 if moves else 0
+    yield block
     while True:
         ids: dict[tuple, int] = {}
         nxt = []
         for i, succs in enumerate(moves):
+            # a move to a successor in block b with label l signs as the
+            # single int b * width + l, since every label is below width
             sig = (block[i], frozenset([block[j] * width + label for j, label in succs]))
             nxt.append(ids.setdefault(sig, len(ids)))
-        blocks.append(nxt)
-        if len(ids) == len(set(block)):
-            break
+        yield nxt
+        if len(ids) == count:
+            return
+        count = len(ids)
         block = nxt
+
+
+def refine(c: UpgradeCoalgebra) -> list[Partition]:
+    """Signature refinement of all (state, condition) pairs: every round
+    of ``_rounds`` up to and including the first that repeats its
+    predecessor, as canonical partitions."""
+    pairs, moves, width = _pair_graph(
+        c, [(x, cond) for x in c.states for cond in c.conditions.elements]
+    )
     partitions = []
-    for block in blocks:
+    for block in _rounds(moves, width):
         groups: dict[int, list[PairKey]] = {}
         for pair, b in zip(pairs, block):
             groups.setdefault(b, []).append(pair)
         partitions.append(canonical_partition(groups.values()))
     return partitions
+
+
+def bisimilar(c: UpgradeCoalgebra, x: str, y: str, phi: str) -> bool:
+    """Whether x and y are conditionally bisimilar under phi.  The pairs
+    reachable from (x, phi) and (y, phi) form a subcoalgebra, and the
+    inclusion is a homomorphism, so ``refine``'s rounds restricted to
+    them are the rounds of that part alone.  Only those pairs are signed,
+    and the answer is no at the first round that separates the two roots,
+    since later rounds only refine."""
+    for state in (x, y):
+        if state not in c.states:
+            raise UnknownElement(state)
+    c.conditions.check_element(phi)
+    if x == y:
+        return True
+    pairs, moves, width = _pair_graph(c, [(x, phi), (y, phi)])
+    return all(block[0] == block[1] for block in _rounds(moves, width))
 
 
 def _condition_columns(partition: Partition) -> frozenset[tuple[str, tuple[str, ...]]]:
@@ -448,16 +491,23 @@ def partition_matrix(
     phi when (x, phi) and (y, phi) share a class.  The values are
     downward closed for every partition the chain or the engine
     produces; a violation indicates a corrupted partition and is
-    rejected."""
+    rejected.  The entries are checked here once, so the relation is
+    built directly rather than through ``LatticeRelation.of``."""
     table: dict[Pair, set[str]] = {}
     for cond, xs in _condition_columns(partition):
         for x in xs:
             for y in xs:
                 table.setdefault((x, y), set()).add(cond)
+    carrier = tuple(sorted(set(states)))
+    known = set(carrier)
+    entries = []
     for (x, y), conds in sorted(table.items()):
         if not conditions.is_downward_closed(conds):
             raise NotDownwardClosed(f"kernel value at ({x},{y}): {sorted(conds)}")
-    return LatticeRelation.of(states, conditions, table)
+        if x not in known or y not in known:
+            raise ValueError(f"pair ({x},{y}) outside the carrier")
+        entries.append(((x, y), frozenset(conds)))
+    return LatticeRelation(carrier, conditions, tuple(entries))
 
 
 def bisim_refinement(c: UpgradeCoalgebra) -> tuple[LatticeRelation, int]:

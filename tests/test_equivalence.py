@@ -1,10 +1,16 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ctsmin import (
     ConditionFamily,
+    Cts,
     LatticeRelation,
     Lts,
     Poset,
+    UnknownElement,
+    bisim_refinement,
+    coalgebra_encode,
     ex1,
     ex2,
     greatest_conditional_bisimilarity_naive,
@@ -16,8 +22,10 @@ from ctsmin import (
     lts_bisimilarity,
     per_condition_partition,
 )
+from ctsmin.equivalence import _pair_graph, bisimilar
 
-from corpus import cts_corpus
+from corpus import boolean_cts, cts_corpus
+from strategies import cts_models
 
 TWO = Poset.chain(["phi'", "phi"])
 
@@ -173,3 +181,113 @@ def test_per_condition_partition_on_ex1():
         ("y", "y'"),
         ("z", "z'"),
     )
+
+
+def assert_bisimilar_matches_relation(m):
+    """``bisimilar`` against the relation ``bisim_refinement`` reads off
+    the whole pair space, on every (x, y, phi)."""
+    c = coalgebra_encode(m)
+    relation, _ = bisim_refinement(c)
+    for x in c.states:
+        for y in c.states:
+            for phi in c.conditions.elements:
+                want = phi in relation.value(x, y)
+                assert bisimilar(c, x, y, phi) == want, (x, y, phi)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [ex1, ex2, lambda: boolean_cts(3, 0), lambda: boolean_cts(4, 0)],
+    ids=["EX1", "EX2", "boolean3", "boolean4"],
+)
+def test_bisimilar_matches_relation_on_examples(make):
+    assert_bisimilar_matches_relation(make())
+
+
+def test_bisimilar_matches_relation_on_corpus():
+    for m in cts_corpus(500):
+        assert_bisimilar_matches_relation(m)
+
+
+def test_bisimilar_on_one_state_twice():
+    c = coalgebra_encode(ex1())
+    for x in c.states:
+        for phi in c.conditions.elements:
+            assert bisimilar(c, x, x, phi)
+
+
+def test_bisimilar_on_states_without_transitions():
+    # dead and idle have no transitions; busy moves once phi' is entered
+    m = Cts(["busy", "dead", "idle"], ["a"], TWO, {("busy", "a", "busy"): {"phi'"}})
+    c = coalgebra_encode(m)
+    for phi in TWO.elements:
+        assert bisimilar(c, "dead", "idle", phi)
+        assert not bisimilar(c, "dead", "busy", phi)
+        assert not bisimilar(c, "busy", "idle", phi)
+    assert_bisimilar_matches_relation(m)
+
+
+def test_bisimilar_on_disjoint_reachable_parts():
+    both = {"phi", "phi'"}
+    # a two-cycle, a self-loop, and a chain that stops after one step
+    m = Cts(
+        ["p", "q", "r", "s", "t"],
+        ["a"],
+        TWO,
+        {
+            ("p", "a", "q"): both,
+            ("q", "a", "p"): both,
+            ("r", "a", "r"): both,
+            ("s", "a", "t"): both,
+        },
+    )
+    c = coalgebra_encode(m)
+    reached = set(_pair_graph(c, [("p", "phi")])[0])
+    assert not reached & set(_pair_graph(c, [("r", "phi")])[0])
+    assert bisimilar(c, "p", "r", "phi")
+    assert not bisimilar(c, "p", "s", "phi")
+    assert not bisimilar(c, "s", "t", "phi'")
+    assert_bisimilar_matches_relation(m)
+
+
+def test_bisimilar_at_a_minimal_condition():
+    c = coalgebra_encode(ex1())
+    # no pair above phi' is reached from a root at phi'
+    pairs, _, _ = _pair_graph(c, [("x", "phi'"), ("x'", "phi'")])
+    assert {cond for _, cond in pairs} == {"phi'"}
+    assert bisimilar(c, "x", "x'", "phi'")
+    assert not bisimilar(c, "x", "x'", "phi")
+
+
+def test_bisimilar_rejects_unknown_names():
+    c = coalgebra_encode(ex1())
+    with pytest.raises(UnknownElement):
+        bisimilar(c, "x", "nowhere", "phi")
+    with pytest.raises(UnknownElement):
+        bisimilar(c, "x", "x'", "psi")
+
+
+@st.composite
+def systems_and_renamings(draw):
+    """A drawn system and a bijection of its states onto themselves."""
+    m = draw(cts_models(st.text("xyz'", min_size=1, max_size=2)))
+    return m, dict(zip(m.states, draw(st.permutations(m.states))))
+
+
+@given(systems_and_renamings())
+def test_bisimilar_matches_fixpoint_under_renaming(drawn):
+    m, rename = drawn
+    renamed = Cts(
+        [rename[x] for x in m.states],
+        m.actions,
+        m.conditions,
+        {(rename[s], a, rename[d]): label for (s, a, d, label) in m.edges()},
+    )
+    relation, _ = lattice_bisim_fixpoint(m)
+    c, c_renamed = coalgebra_encode(m), coalgebra_encode(renamed)
+    for x in m.states:
+        for y in m.states:
+            for phi in m.conditions.elements:
+                want = phi in relation.value(x, y)
+                assert bisimilar(c, x, y, phi) == want
+                assert bisimilar(c_renamed, rename[x], rename[y], phi) == want
