@@ -2,7 +2,7 @@
 
 import random
 
-from ctsmin import Cts, Poset, validate_poset
+from ctsmin import TWO_LEVEL, Cts, Poset, validate_poset
 
 
 def random_poset(rng: random.Random, max_elements: int = 3, prefix: str = "c") -> Poset:
@@ -69,3 +69,17 @@ def boolean_cts(k: int, seed: int) -> Cts:
         if rng.random() < 0.3
     }
     return Cts(states, ["a", "b"], conditions, labels)
+
+
+def line_cts(n: int) -> Cts:
+    """Two n-state a-chains l0..l(n-1) and r0..r(n-1) over the two-level
+    order; the last l state loops at phi' only.  Refinement separates
+    one more chain position per round, so it runs n + 1 rounds."""
+    left = [f"l{i}" for i in range(n)]
+    right = [f"r{i}" for i in range(n)]
+    labels = {}
+    for chain in (left, right):
+        for src, dst in zip(chain, chain[1:]):
+            labels[(src, "a", dst)] = {"phi", "phi'"}
+    labels[(left[-1], "a", left[-1])] = {"phi'"}
+    return Cts(left + right, ["a"], TWO_LEVEL, labels)

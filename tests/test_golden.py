@@ -29,6 +29,17 @@ CASES = [
     ("EX2.check_no", ["check", "EX2", "x1", "x2", "--condition", "phi'"], 1),
     ("EX2.minimise", ["minimise", "EX2"], 0),
     ("EX2.minimise_dot", ["minimise", "EX2", "--dot", DOT], 0),
+    # LINE6 is tests/corpus.py's line_cts(6): stage 6, so seven rounds
+    # change the partition and an eighth confirms it
+    ("LINE6.bisim", ["bisim", "LINE6"], 0),
+    ("LINE6.check_yes", ["check", "LINE6", "l0", "l1", "--condition", "phi'"], 0),
+    ("LINE6.check_no", ["check", "LINE6", "l0", "l1", "--condition", "phi"], 1),
+    ("LINE6.minimise", ["minimise", "LINE6"], 0),
+    ("EMPTY.bisim", ["bisim", "EMPTY"], 0),
+    ("EMPTY.minimise", ["minimise", "EMPTY"], 0),
+    ("ONE.bisim", ["bisim", "ONE"], 0),
+    ("ONE.check_yes", ["check", "ONE", "s", "s", "--condition", "phi"], 0),
+    ("ONE.minimise", ["minimise", "ONE"], 0),
 ]
 
 
