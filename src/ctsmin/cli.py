@@ -3,11 +3,12 @@
 ``bisim``, ``check`` and ``minimise`` all run the rounds of the one
 refinement engine; the other routes to the same results are test
 oracles.  ``bisim`` and ``minimise`` refine every (state, condition)
-pair (``equivalence.refine``).  ``check`` refines only the pairs
-reachable from its two (state, condition) roots and stops at the first
-round that separates them (``equivalence.bisimilar``).  Model names may
-not contain '@', ',' or '"', which the outputs use as separators and
-quotes, nor start with '['.
+pair (``equivalence.bisim_refinement`` and ``equivalence.refine``).
+``check`` refines only the pairs reachable from its two (state,
+condition) roots and stops at the first round that separates them
+(``equivalence.bisimilar``).  Model names may not contain '@', ',' or
+'"', which the outputs use as separators and quotes, nor start with
+'['.
 
 Exit codes: 0 success (or a positive check), 1 negative check result,
 2 usage errors (including a model file that cannot be read), 3

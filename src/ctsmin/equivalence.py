@@ -2,25 +2,31 @@
 valued.
 
 Production runs use one engine: signature refinement of (state,
-condition) pairs over the upgrade coalgebra.  ``refine`` runs it on
-every pair.  Its rounds are the kernels of the final chain, so the
-final partition gives both the bisimilarity relation
-(``bisim_refinement``) and the minimal quotient
-(``minimise.minimise_refinement``).  ``bisimilar`` answers one query by
-running the same rounds on the pairs reachable from the two queried
-pairs, and stops at the first round that separates them.  Two
-independent routes to the same relation are kept as oracles for the
-tests: the naive route, a greatest fixed point over families of plain
-relations, one per condition, with an antitone closure step; and the
-lattice route, which iterates one matrix of downsets using Heyting
-implication.
+condition) pairs over the upgrade coalgebra (``_rounds``).  Its rounds
+are the kernels of the final chain, so they are output, and the engine
+keeps every round exact while signing only what can change: block ids
+are stable, a round re-signs the predecessors of the pairs whose id
+changed in the round before plus one representative of each touched
+block's untouched members, and a block that splits keeps its id for
+its largest part.  ``bisim_refinement`` builds the bisimilarity
+relation once, from the final blocks, and reads its iteration count
+from the number of occupied (condition, block) cells per round.
+``refine`` turns every round into a canonical partition for
+``minimise.minimise_refinement``, which reports them all.
+``bisimilar`` answers one query by running the same rounds on the
+pairs reachable from the two queried pairs, and stops at the first
+round that separates them.  Two independent routes to the same
+relation are kept as oracles for the tests: the naive route, a
+greatest fixed point over families of plain relations, one per
+condition, with an antitone closure step; and the lattice route, which
+iterates one matrix of downsets using Heyting implication.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .order import Poset, UnknownElement
 from .models import (
@@ -409,42 +415,116 @@ def _pair_graph(
     return pairs, moves, len(labels)
 
 
-def _rounds(moves: list[list[tuple[int, int]]], width: int):
-    """Yield the block of every pair, round by round.  Round zero has a
-    single block; in the next round a pair's signature is its block
-    together with the set of (label, successor block) over its moves,
-    and blocks are numbered by first occurrence.  Each round refines the
-    last, so equal block counts mean equal partitions: the generator
-    stops after the first round that repeats its predecessor."""
+class Round(NamedTuple):
+    """One round of ``_rounds``.  ``block`` gives every pair's block id
+    after the round; the engine updates that list in place, so it is
+    valid only until the generator resumes.  ``moved`` lists (pair,
+    previous block id) for the pairs whose id changed in this round,
+    ``signed`` counts the signatures computed in it and ``blocks`` is
+    the number of blocks."""
+
+    block: list[int]
+    moved: list[tuple[int, int]]
+    signed: int
+    blocks: int
+
+
+def _rounds(moves: list[list[tuple[int, int]]], width: int) -> Iterator[Round]:
+    """The rounds of signature refinement over the pair graph
+    ``moves``.  Round zero has a single block.  In each later round a
+    pair's signature is its block together with the set of (label,
+    successor block) over its moves, and the new blocks are the classes
+    of equal signature.  Each round refines the last, so the generator
+    stops after the first round in which no block splits.
+
+    Block ids are stable and only pairs that can split are signed: a
+    pair whose successors all kept their ids in the previous round has
+    the signature of every such pair of its block, because it shared
+    their signature in the previous round.  So a round signs the
+    predecessors of the pairs that moved in the previous round (in
+    round one, every pair with a move) and one representative of each
+    touched block's untouched members, all against the previous round's
+    ids.  A block that splits keeps its id for its largest part,
+    untouched members counted, and the other parts take fresh ids.  A
+    moved pair's new block is at most half its old one, so no pair
+    moves more than log2(pairs) times (Hopcroft's rule, here applied
+    round by round)."""
+    preds: list[list[int]] = [[] for _ in moves]
+    for i, succs in enumerate(moves):
+        for j, _ in succs:
+            preds[j].append(i)
+
     block = [0] * len(moves)
-    count = 1 if moves else 0
-    yield block
+    members = [set(range(len(moves)))] if moves else []
+    yield Round(block, [], 0, len(members))
+    # every pair entered its block in round zero, so round one signs
+    # every pair with a move
+    dirty = {i for i, succs in enumerate(moves) if succs}
     while True:
-        ids: dict[tuple, int] = {}
-        nxt = []
-        for i, succs in enumerate(moves):
+        touched: dict[int, int] = {}
+        for i in dirty:
+            touched[block[i]] = touched.get(block[i], 0) + 1
+        # the pairs to sign, each weighted by the pairs it signs for
+        weight = dict.fromkeys(dirty, 1)
+        for b, count in touched.items():
+            if count < len(members[b]):
+                for i in members[b]:
+                    if i not in dirty:
+                        weight[i] = len(members[b]) - count
+                        break
+        parts: dict[tuple[int, frozenset[int]], list[int]] = {}
+        for i in weight:
             # a move to a successor in block b with label l signs as the
             # single int b * width + l, since every label is below width
-            sig = (block[i], frozenset([block[j] * width + label for j, label in succs]))
-            nxt.append(ids.setdefault(sig, len(ids)))
-        yield nxt
-        if len(ids) == count:
+            key = (block[i], frozenset([block[j] * width + label for j, label in moves[i]]))
+            parts.setdefault(key, []).append(i)
+        split: dict[int, list[list[int]]] = {}
+        for (b, _), part in parts.items():
+            split.setdefault(b, []).append(part)
+        moved: list[tuple[int, int]] = []
+        for b, group in split.items():
+            if len(group) == 1:
+                continue
+            largest = max(group, key=lambda part: sum(map(weight.__getitem__, part)))
+            for part in group:
+                if part is largest:
+                    continue
+                # a representative is signed last, so it ends its part
+                if part[-1] in dirty:
+                    part = set(part)
+                else:
+                    part = members[b].difference(dirty).union(part)
+                members[b] -= part
+                new = len(members)
+                members.append(part)
+                for i in part:
+                    block[i] = new
+                    moved.append((i, b))
+        yield Round(block, moved, len(weight), len(members))
+        if not moved:
             return
-        count = len(ids)
-        block = nxt
+        dirty = set()
+        for i, _ in moved:
+            dirty.update(preds[i])
+
+
+def _all_pairs(c: UpgradeCoalgebra) -> tuple[list[PairKey], list[list[tuple[int, int]]], int]:
+    """The pair graph of every (state, condition) pair, numbered state
+    by state."""
+    return _pair_graph(c, [(x, cond) for x in c.states for cond in c.conditions.elements])
 
 
 def refine(c: UpgradeCoalgebra) -> list[Partition]:
     """Signature refinement of all (state, condition) pairs: every round
     of ``_rounds`` up to and including the first that repeats its
-    predecessor, as canonical partitions."""
-    pairs, moves, width = _pair_graph(
-        c, [(x, cond) for x in c.states for cond in c.conditions.elements]
-    )
+    predecessor, as canonical partitions.  Only ``minimise``, which
+    reports every round, needs them; ``bisim_refinement`` and
+    ``bisimilar`` read the engine's rounds directly."""
+    pairs, moves, width = _all_pairs(c)
     partitions = []
-    for block in _rounds(moves, width):
+    for rnd in _rounds(moves, width):
         groups: dict[int, list[PairKey]] = {}
-        for pair, b in zip(pairs, block):
+        for pair, b in zip(pairs, rnd.block):
             groups.setdefault(b, []).append(pair)
         partitions.append(canonical_partition(groups.values()))
     return partitions
@@ -464,7 +544,7 @@ def bisimilar(c: UpgradeCoalgebra, x: str, y: str, phi: str) -> bool:
     if x == y:
         return True
     pairs, moves, width = _pair_graph(c, [(x, phi), (y, phi)])
-    return all(block[0] == block[1] for block in _rounds(moves, width))
+    return all(rnd.block[0] == rnd.block[1] for rnd in _rounds(moves, width))
 
 
 def _condition_columns(partition: Partition) -> frozenset[tuple[str, tuple[str, ...]]]:
@@ -484,17 +564,19 @@ def matrix_stage(partitions: list[Partition]) -> int:
     return next(i for i in range(len(columns) - 1) if columns[i] == columns[i + 1])
 
 
-def partition_matrix(
-    states: Iterable[str], conditions: Poset, partition: Partition
+def _kernel_relation(
+    states: Iterable[str],
+    conditions: Poset,
+    columns: Iterable[tuple[str, Iterable[str]]],
 ) -> LatticeRelation:
-    """Same-condition kernel of a pair partition: x and y are related at
-    phi when (x, phi) and (y, phi) share a class.  The values are
-    downward closed for every partition the chain or the engine
-    produces; a violation indicates a corrupted partition and is
-    rejected.  The entries are checked here once, so the relation is
-    built directly rather than through ``LatticeRelation.of``."""
+    """The relation that relates x and y at phi when both lie in one
+    (phi, states) column.  The values are downward closed for every
+    partition the chain or the engine produces; a violation indicates a
+    corrupted partition and is rejected.  The entries are checked here
+    once, so the relation is built directly rather than through
+    ``LatticeRelation.of``."""
     table: dict[Pair, set[str]] = {}
-    for cond, xs in _condition_columns(partition):
+    for cond, xs in columns:
         for x in xs:
             for y in xs:
                 table.setdefault((x, y), set()).add(cond)
@@ -510,10 +592,45 @@ def partition_matrix(
     return LatticeRelation(carrier, conditions, tuple(entries))
 
 
+def partition_matrix(
+    states: Iterable[str], conditions: Poset, partition: Partition
+) -> LatticeRelation:
+    """Same-condition kernel of a pair partition: x and y are related at
+    phi when (x, phi) and (y, phi) share a class."""
+    return _kernel_relation(states, conditions, _condition_columns(partition))
+
+
 def bisim_refinement(c: UpgradeCoalgebra) -> tuple[LatticeRelation, int]:
     """Greatest conditional bisimilarity read off the engine's final
-    partition, with the index of the first repeated kernel matrix, which
-    is also the number of rounds ``lattice_bisim_fixpoint`` reports."""
-    partitions = refine(c)
-    relation = partition_matrix(c.states, c.conditions, partitions[-1])
-    return relation, matrix_stage(partitions)
+    blocks, with the index of the first repeated kernel matrix, which
+    is also the number of rounds ``lattice_bisim_fixpoint`` reports.
+
+    No round is materialised.  The kernel matrix of a round is its set
+    of per-condition state partitions, one class per (condition, block)
+    that some pair occupies.  Those partitions only refine from one
+    round to the next, so the matrix repeats exactly when the number of
+    occupied (condition, block) cells does; the count is kept up to date
+    from each round's moved pairs."""
+    pairs, moves, width = _all_pairs(c)
+    column = {cond: k for k, cond in enumerate(c.conditions.elements)}
+    height = len(column)
+    cells: dict[int, int] = {}  # block * height + condition -> pairs there
+    for _, cond in pairs:
+        cells[column[cond]] = cells.get(column[cond], 0) + 1
+    counts = []
+    for rnd in _rounds(moves, width):
+        for i, old in rnd.moved:
+            k = column[pairs[i][1]]
+            cell = old * height + k
+            cells[cell] -= 1
+            if not cells[cell]:
+                del cells[cell]
+            cell = rnd.block[i] * height + k
+            cells[cell] = cells.get(cell, 0) + 1
+        counts.append(len(cells))
+    iterations = next(i for i in range(len(counts) - 1) if counts[i] == counts[i + 1])
+    groups: dict[tuple[str, int], list[str]] = {}
+    for (x, cond), b in zip(pairs, rnd.block):
+        groups.setdefault((cond, b), []).append(x)
+    columns = ((cond, xs) for (cond, _), xs in groups.items())
+    return _kernel_relation(c.states, c.conditions, columns), iterations

@@ -217,9 +217,9 @@ class UpgradeCoalgebra:
     """One-step behaviour with explicit successor versions: alpha(x, phi, a)
     collects the pairs (x', phi') with an a-edge to x' live at phi' <= phi.
 
-    Invariants (checked unless validate=False, which mutation tests use):
-    successor sets grow with the condition, and every successor pair
-    respects the version bound phi' <= phi.
+    Invariants (checked unless validate=False, which ``mutated`` and
+    ``coalgebra_encode`` use): successor sets grow with the condition,
+    and every successor pair respects the version bound phi' <= phi.
     """
 
     def __init__(
@@ -314,7 +314,14 @@ class UpgradeCoalgebra:
 
 
 def coalgebra_encode(m: Cts) -> UpgradeCoalgebra:
-    """Encode a conditional system as its upgrade coalgebra."""
+    """Encode a conditional system as its upgrade coalgebra.
+
+    The result is built with validate=False, because the encoding
+    cannot break what ``UpgradeCoalgebra.validate`` checks: every key
+    is made of the system's own states, conditions and actions, every
+    entered version psi is taken from ``below(phi)``, and ``below`` is
+    monotone, so each successor set grows with the condition.  The
+    tests run ``validate`` on encoded systems to hold that claim."""
     below = {phi: m.conditions.below(phi) for phi in m.conditions.elements}
     table: dict[tuple[str, str, str], SuccessorPairs] = {}
     for x in m.states:
@@ -326,7 +333,7 @@ def coalgebra_encode(m: Cts) -> UpgradeCoalgebra:
                 )
                 if pairs:
                     table[(x, phi, a)] = pairs
-    return UpgradeCoalgebra(m.states, m.actions, m.conditions, table)
+    return UpgradeCoalgebra(m.states, m.actions, m.conditions, table, validate=False)
 
 
 def version_filter(pairs: SuccessorPairs, phi: str) -> SuccessorPairs:

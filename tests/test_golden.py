@@ -1,9 +1,10 @@
-"""Byte-for-byte CLI output on the worked examples.
+"""Byte-for-byte CLI output on the fixtures.
 
 The files under ``tests/golden/`` hold the stdout (and, for ``--dot``,
-the written graph) of each command below.  Every case runs in a fresh
-interpreter, once plainly and once under ``python -O``, so checks that
-the optimiser strips cannot change a result.
+the written graph) of each command below, on the model files under
+``fixtures/``.  Every case runs in a fresh interpreter, once plainly
+and once under ``python -O``, so checks that the optimiser strips
+cannot change a result.
 """
 
 import os
@@ -29,8 +30,8 @@ CASES = [
     ("EX2.check_no", ["check", "EX2", "x1", "x2", "--condition", "phi'"], 1),
     ("EX2.minimise", ["minimise", "EX2"], 0),
     ("EX2.minimise_dot", ["minimise", "EX2", "--dot", DOT], 0),
-    # LINE6 is tests/corpus.py's line_cts(6): stage 6, so seven rounds
-    # change the partition and an eighth confirms it
+    # LINE6 is tests/corpus.py's line_cts(6): rounds one to six split
+    # blocks and round seven confirms stage 6
     ("LINE6.bisim", ["bisim", "LINE6"], 0),
     ("LINE6.check_yes", ["check", "LINE6", "l0", "l1", "--condition", "phi'"], 0),
     ("LINE6.check_no", ["check", "LINE6", "l0", "l1", "--condition", "phi"], 1),

@@ -19,7 +19,7 @@ from ctsmin import (
     version_filter,
 )
 
-from corpus import cts_corpus, random_cts
+from corpus import boolean_cts, cts_corpus, line_cts, random_cts
 
 TWO = Poset.chain(["phi'", "phi"])
 
@@ -118,6 +118,16 @@ def test_coalgebra_validation_rejects_bad_tables():
             {("x", "phi", "b"): {("x", "phi")}, ("ghost", "phi", "a"): {("x", "phi'")}},
         )
     assert err.value.element == "ghost"
+
+
+def test_encoding_passes_validation():
+    # coalgebra_encode skips validate, on the grounds that the encoding
+    # cannot break it; this holds that claim on every system at hand
+    systems = [ex1(), ex2(), line_cts(6), Cts([], [], TWO, {})]
+    systems += [boolean_cts(k, seed) for k in (3, 4, 5, 6) for seed in (0, 1)]
+    systems += list(cts_corpus(500))
+    for m in systems:
+        coalgebra_encode(m).validate()
 
 
 def test_validation_along_covers_matches_every_comparable_pair():

@@ -1,0 +1,112 @@
+"""Results do not depend on how states, conditions and actions are named.
+
+Renaming changes the sort order of every name, so it changes how the
+engine numbers pairs, which pairs it signs first and which block ids it
+hands out.  None of that may reach a result: under a bijection of the
+names, the ``bisim`` relation is the image of the original, the
+``minimise`` quotient is isomorphic to the original through its class
+names, every stage partition is the image of the original's, and the
+stage and iteration counts are equal.
+"""
+
+import random
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from ctsmin import (
+    Cts,
+    bisim_refinement,
+    coalgebra_encode,
+    minimise_refinement,
+    validate_poset,
+)
+from ctsmin.equivalence import bisimilar
+
+from corpus import boolean_cts, random_cts
+
+NAMES = st.text("abxy'01", min_size=1, max_size=3)
+
+
+def renamings(names):
+    """A bijection from the given names onto drawn ones."""
+    return st.lists(NAMES, min_size=len(names), max_size=len(names), unique=True).map(
+        lambda drawn: dict(zip(names, drawn))
+    )
+
+
+@st.composite
+def renamed_systems(draw):
+    """A corpus-style or Boolean system, with a bijection for each kind
+    of name and a query on the original names."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        m = random_cts(random.Random(seed))
+    else:
+        m = boolean_cts(draw(st.integers(2, 3)), seed)
+    states = draw(renamings(m.states))
+    conditions = draw(renamings(m.conditions.elements))
+    actions = draw(renamings(m.actions))
+    query = (
+        draw(st.sampled_from(m.states)),
+        draw(st.sampled_from(m.states)),
+        draw(st.sampled_from(m.conditions.elements)),
+    )
+    return m, states, conditions, actions, query
+
+
+def rename(m, states, conditions, actions):
+    poset = validate_poset(
+        [conditions[c] for c in m.conditions.elements],
+        [(conditions[p], conditions[q]) for p, q in m.conditions.covers],
+    )
+    labels = {
+        (states[s], actions[a], states[d]): {conditions[c] for c in conds}
+        for s, a, d, conds in m.edges()
+    }
+    return Cts(states.values(), actions.values(), poset, labels)
+
+
+@given(renamed_systems())
+def test_results_do_not_depend_on_names(drawn):
+    m, states, conditions, actions, (x, y, phi) = drawn
+    c = coalgebra_encode(m)
+    c2 = coalgebra_encode(rename(m, states, conditions, actions))
+
+    def pair(p):
+        return (states[p[0]], conditions[p[1]])
+
+    relation, iterations = bisim_refinement(c)
+    relation2, iterations2 = bisim_refinement(c2)
+    assert iterations2 == iterations
+    assert relation2.table() == {
+        (states[a], states[b]): frozenset(conditions[v] for v in value)
+        for (a, b), value in relation.entries
+    }
+    assert bisimilar(c2, states[x], states[y], conditions[phi]) == bisimilar(c, x, y, phi)
+
+    result, result2 = minimise_refinement(c), minimise_refinement(c2)
+    assert (result2.stage, result2.confirmed_at, result2.matrix_stage) == (
+        result.stage,
+        result.confirmed_at,
+        result.matrix_stage,
+    )
+    assert len(result2.stages) == len(result.stages)
+    for info, info2 in zip(result.stages, result2.stages):
+        image = {frozenset(map(pair, cls)) for cls in info.partition}
+        assert image == {frozenset(cls) for cls in info2.partition}
+
+    # the class names of the two quotients correspond one to one
+    iso = {}
+    for p, name in result.class_of:
+        image = result2.class_name(*pair(p))
+        assert iso.setdefault(name, image) == image
+    assert sorted(iso.values()) == sorted(result2.quotient_states())
+    order, order2 = result.z_poset, result2.z_poset
+    for a in order.elements:
+        for b in order.elements:
+            assert order2.leq(iso[a], iso[b]) == order.leq(a, b)
+    assert {
+        (iso[name], actions[a], frozenset((iso[t], conditions[v]) for t, v in targets))
+        for name, a, targets in result.transitions
+    } == {(name, a, frozenset(targets)) for name, a, targets in result2.transitions}
