@@ -9,19 +9,16 @@ import argparse
 import sys
 from pathlib import Path
 
-from ctsmin import (
+from ctsmin import coalgebra_encode, lats_to_cts, parse_model, serialise_model
+from ctsmin.models import Cts
+from ctsmin.oracles.chain import (
     chain_init,
     chain_step,
-    coalgebra_encode,
     kernel_matrix,
-    lats_to_cts,
     minimise_chain,
-    parse_model,
     pseudo_factorise,
     quotient_to_cts,
-    serialise_model,
 )
-from ctsmin.models import Cts
 
 DEFAULT = Path(__file__).resolve().parents[1] / "fixtures" / "EX1"
 

@@ -1,50 +1,26 @@
 """Conditional transition systems over finite distributive condition
-lattices: validation, conditional bisimilarity, and minimisation via
-the final chain of the lattice monad."""
+lattices: parsing and validation, conditional bisimilarity and
+minimisation by one partition-refinement engine, and their reports.
+
+This package is the runtime the command line uses.  The oracles that
+the tests hold it against live in ``ctsmin.oracles`` and the lattice
+monad and lattice import in ``ctsmin.theory``; neither is imported
+here."""
 
 from .equivalence import (
-    ConditionFamily,
     LatticeRelation,
     bisim_refinement,
-    greatest_conditional_bisimilarity_naive,
-    is_conditional_bisimulation,
-    is_conditional_congruence,
-    is_lattice_bisimulation,
-    lattice_bisim_fixpoint,
-    lattice_fixpoint_stages,
-    lts_bisimilarity,
+    bisimilar,
     partition_matrix,
-    per_condition_partition,
     refine,
 )
 from .fixtures import TWO_LEVEL, ex1, ex2
-from .frame import (
-    BaseMismatch,
-    ExplicitLattice,
-    Frame,
-    FrameError,
-    ImportedLattice,
-    NotALattice,
-    NotDistributive,
-    TooLarge,
-    import_lattice,
-)
+from .frame import BaseMismatch, Frame, FrameError
 from .minimise import (
-    BehaviourTable,
-    BehaviourTerm,
     ChainResult,
-    StageInfo,
-    bullet,
-    chain_init,
     chain_result_dot,
-    chain_result_json,
-    chain_step,
-    kernel_matrix,
-    minimise_chain,
+    chain_result_text,
     minimise_refinement,
-    node,
-    pseudo_factorise,
-    quotient_to_cts,
 )
 from .modelfile import ParseError, convert_model, parse_model, serialise_model
 from .models import (
@@ -58,37 +34,13 @@ from .models import (
     cts_to_lats,
     lats_to_cts,
     project,
-    v_hat_apply,
-    version_filter,
-)
-from .monad import (
-    ReaderMap,
-    StarMap,
-    TxSpace,
-    kleisli_compose,
-    reader_kleisli_compose,
-    reader_to_star,
-    star_leq,
-    star_to_reader,
-    t_map,
-    t_mult,
-    t_unit,
-    tau,
-    tau_inv,
-    tx_space,
-    validate_kleisli,
 )
 from .order import (
     AntisymmetryViolation,
     Downset,
-    MonotoneMap,
     OrderError,
     Poset,
     UnknownElement,
-    coequalise,
-    down_closure,
-    is_monotone,
-    principal_downset,
     validate_poset,
 )
 
@@ -97,84 +49,37 @@ __version__ = "0.1.0"
 __all__ = [
     "AntisymmetryViolation",
     "BaseMismatch",
-    "BehaviourTable",
-    "BehaviourTerm",
     "ChainResult",
-    "ConditionFamily",
     "Cts",
     "Downset",
-    "ExplicitLattice",
     "Frame",
     "FrameError",
-    "ImportedLattice",
     "Lats",
     "LatticeRelation",
     "Lts",
-    "MonotoneMap",
-    "NotALattice",
-    "NotDistributive",
     "NotDownwardClosed",
     "OrderError",
     "ParseError",
     "Poset",
-    "ReaderMap",
-    "StageInfo",
-    "StarMap",
     "TWO_LEVEL",
-    "TooLarge",
-    "TxSpace",
     "UnknownElement",
     "UpgradeCoalgebra",
     "bisim_refinement",
-    "bullet",
-    "chain_init",
+    "bisimilar",
     "chain_result_dot",
-    "chain_result_json",
-    "chain_step",
+    "chain_result_text",
     "check_upgrade_preserving",
     "coalgebra_encode",
-    "coequalise",
     "convert_model",
     "cts_to_lats",
-    "down_closure",
     "ex1",
     "ex2",
-    "greatest_conditional_bisimilarity_naive",
-    "import_lattice",
-    "is_conditional_bisimulation",
-    "is_conditional_congruence",
-    "is_lattice_bisimulation",
-    "is_monotone",
-    "kernel_matrix",
-    "kleisli_compose",
     "lats_to_cts",
-    "lattice_bisim_fixpoint",
-    "lattice_fixpoint_stages",
-    "lts_bisimilarity",
-    "minimise_chain",
     "minimise_refinement",
-    "node",
     "parse_model",
     "partition_matrix",
-    "per_condition_partition",
-    "principal_downset",
     "project",
-    "pseudo_factorise",
-    "quotient_to_cts",
-    "reader_kleisli_compose",
-    "reader_to_star",
     "refine",
     "serialise_model",
-    "star_leq",
-    "star_to_reader",
-    "t_map",
-    "t_mult",
-    "t_unit",
-    "tau",
-    "tau_inv",
-    "tx_space",
-    "v_hat_apply",
-    "validate_kleisli",
     "validate_poset",
-    "version_filter",
 ]

@@ -1,14 +1,13 @@
 """Command line front end.
 
 ``bisim``, ``check`` and ``minimise`` all run the rounds of the one
-refinement engine; the other routes to the same results are test
-oracles.  ``bisim`` and ``minimise`` refine every (state, condition)
-pair (``equivalence.bisim_refinement`` and ``equivalence.refine``).
-``check`` refines only the pairs reachable from its two (state,
-condition) roots and stops at the first round that separates them
-(``equivalence.bisimilar``).  Model names may not contain '@', ',' or
-'"', which the outputs use as separators and quotes, nor start with
-'['.
+refinement engine.  ``bisim`` and ``minimise`` refine every (state,
+condition) pair (``equivalence.bisim_refinement`` and
+``minimise.minimise_refinement``).  ``check`` refines only the pairs
+reachable from its two (state, condition) roots and stops at the first
+round that separates them (``equivalence.bisimilar``).  Model names
+may not contain '@', ',' or '"', which the outputs use as separators
+and quotes, nor start with '['.
 
 Exit codes: 0 success (or a positive check), 1 negative check result,
 2 usage errors (including a model file that cannot be read), 3
@@ -23,8 +22,7 @@ took longer than the whole refinement.  The ``bisim`` report goes
 through ``_json_text``, which keeps the layout but quotes every string
 with the C function ``encode_basestring_ascii``.  The ``minimise``
 report, whose quotient rows make up most of the output, is written
-without a payload dict by ``minimise.chain_result_text``;
-``minimise.chain_result_json`` is the dict it is tested against.
+without a payload dict by ``minimise.chain_result_text``.
 """
 
 from __future__ import annotations

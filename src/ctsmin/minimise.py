@@ -1,29 +1,15 @@
-"""Minimisation: the quotient of the refinement engine, and the
-final-chain construction it is held against.
+"""Minimisation: the quotient of the refinement engine and its reports.
 
-``minimise_refinement`` is the production route: it takes the rounds of
-``equivalence.refine`` and builds the stage history and the quotient.
-``minimise_chain`` is the final-chain oracle.  Its stage tables assign
-every (state, condition) pair a behaviour term.  Stage zero is
-constant; each later stage records, per action, the set of (previous
-term, entry version) pairs reachable in one step.  Tables are
-pseudo-factorised into a kernel partition and a least-ordered codomain,
-and the construction stops as soon as the partition repeats.  Both
-routes feed their partitions to one builder, so they agree exactly when
-their kernels do.  The builder names each class by its least (state,
-condition) pair and orders the classes by closing the condition covers
-under that naming; nothing beyond the final partition is needed.
+``minimise_refinement`` takes the rounds of ``equivalence.refine`` and
+builds the stage history and the quotient.  The builder names each
+class by its least (state, condition) pair and orders the classes by
+closing the condition covers under that naming; nothing beyond the
+final partition is needed.  ``matrix_stage`` is read from the number of
+occupied (condition, class) cells of each stage.
 
-A ``ChainResult`` is serialised here too.  The JSON report of the
-``minimise`` command is written by ``chain_result_text`` in one pass
-over the result; ``chain_result_json`` builds the same content as a
-plain dict and is the reference the tests hold that text against.
-``chain_result_dot`` renders the quotient for Graphviz.
-
-Terms are hash-consed through a module interner keyed by sub-term
-identity, so equality is pointer equality and table comparisons stay
-cheap even when printed forms would be large.  The interner is a plain
-dict guarded by the interpreter lock, which is atomic enough here.
+A ``ChainResult`` is serialised here too.  ``chain_result_text`` writes
+the JSON report of the ``minimise`` command in one pass over the
+result, and ``chain_result_dot`` renders the quotient for Graphviz.
 """
 
 from __future__ import annotations
@@ -33,178 +19,15 @@ from functools import cached_property
 from itertools import groupby
 from json.encoder import encode_basestring_ascii as quote
 from operator import itemgetter
-from typing import Iterable, Mapping
+from typing import Mapping
 
-from .equivalence import (
-    LatticeRelation,
-    PairKey,
-    Partition,
-    canonical_partition,
-    matrix_stage,
-    partition_matrix,
-    refine,
-)
-from .models import Cts, UpgradeCoalgebra
+from .equivalence import PairKey, Partition, matrix_stage_of, refine
+from .models import UpgradeCoalgebra
 from .order import Poset, validate_poset
-
-
-class BehaviourTerm:
-    """A node of the stage tables.  Use bullet() and node() to obtain
-    instances; direct construction bypasses interning."""
-
-    __slots__ = ("tid", "level", "branches", "_pretty")
-
-    def __init__(self, tid: int, level: int, branches):
-        self.tid = tid
-        self.level = level
-        # branches: None for the stage-zero constant, otherwise a tuple of
-        # (action, ((sub, cond), ...)) with every action present.
-        self.branches = branches
-        self._pretty: str | None = None
-
-    def successors(self, action: str) -> tuple[tuple["BehaviourTerm", str], ...]:
-        if self.branches is None:
-            raise ValueError("the stage-zero term has no successors")
-        return dict(self.branches)[action]
-
-    def as_nested(self):
-        """Structural expansion into plain hashable values, for test
-        comparison against literal nested sets."""
-        if self.branches is None:
-            return "•"
-        return tuple(
-            (a, frozenset((sub.as_nested(), cond) for (sub, cond) in pairs))
-            for a, pairs in self.branches
-        )
-
-    def pretty(self) -> str:
-        """Deterministic print form.  Single-action terms render as bare
-        pair sets matching the usual table notation."""
-        if self._pretty is None:
-            if self.branches is None:
-                text = "•"
-            else:
-                parts = []
-                for a, pairs in self.branches:
-                    inner = sorted(
-                        (cond, sub.pretty()) for (sub, cond) in pairs
-                    )
-                    body = (
-                        "{" + ",".join(f"({s},{c})" for c, s in inner) + "}"
-                        if inner
-                        else "∅"
-                    )
-                    parts.append((a, body))
-                if len(parts) == 1:
-                    text = parts[0][1]
-                else:
-                    text = "{" + ", ".join(f"{a}:{b}" for a, b in parts) + "}"
-            self._pretty = text
-        return self._pretty
-
-    def __repr__(self) -> str:
-        return f"BehaviourTerm(level={self.level}, {self.pretty()})"
-
-
-_INTERN: dict[tuple, BehaviourTerm] = {}
-_BULLET_KEY = ("bullet",)
-
-
-def bullet() -> BehaviourTerm:
-    term = _INTERN.get(_BULLET_KEY)
-    if term is None:
-        term = _INTERN.setdefault(_BULLET_KEY, BehaviourTerm(0, 0, None))
-    return term
-
-
-def node(branches: Mapping[str, Iterable[tuple[BehaviourTerm, str]]]) -> BehaviourTerm:
-    """Intern the term with the given per-action successor pair sets."""
-    canonical = []
-    level = 0
-    for a in sorted(branches):
-        pairs = tuple(
-            sorted(set(branches[a]), key=lambda pc: (pc[1], pc[0].tid))
-        )
-        for sub, _ in pairs:
-            level = max(level, sub.level)
-        canonical.append((a, pairs))
-    key = tuple(
-        (a, tuple((sub.tid, cond) for (sub, cond) in pairs))
-        for a, pairs in canonical
-    )
-    term = _INTERN.get(key)
-    if term is None:
-        term = _INTERN.setdefault(
-            key, BehaviourTerm(len(_INTERN) + 1, level + 1, tuple(canonical))
-        )
-    return term
-
-
-@dataclass(frozen=True)
-class BehaviourTable:
-    """One stage of the chain: a total map from (state, condition) pairs
-    to interned terms."""
-
-    stage: int
-    states: tuple[str, ...]
-    conditions: Poset
-    entries: tuple[tuple[PairKey, BehaviourTerm], ...]
-
-    @cached_property
-    def _table(self) -> Mapping[PairKey, BehaviourTerm]:
-        return dict(self.entries)
-
-    def value(self, x: str, cond: str) -> BehaviourTerm:
-        return self._table[(x, cond)]
-
-    def table(self) -> dict[PairKey, BehaviourTerm]:
-        return dict(self.entries)
-
-    def rows(self) -> list[tuple[str, list[tuple[str, BehaviourTerm]]]]:
-        """Per-condition rows in top-down condition order, states sorted."""
-        got = self.table()
-        return [
-            (cond, [(x, got[(x, cond)]) for x in self.states])
-            for cond in self.conditions.top_down_order
-        ]
-
-
-def chain_init(c: UpgradeCoalgebra) -> BehaviourTable:
-    entries = tuple(
-        ((x, cond), bullet())
-        for x in c.states
-        for cond in c.conditions.elements
-    )
-    return BehaviourTable(0, c.states, c.conditions, entries)
-
-
-def chain_step(c: UpgradeCoalgebra, d: BehaviourTable) -> BehaviourTable:
-    """One unfolding: look up every successor pair in the previous table
-    at its own entry version."""
-    prev = d.table()
-    entries = []
-    for x in c.states:
-        for cond in c.conditions.elements:
-            branches = {
-                a: [
-                    (prev[(x1, chi)], chi)
-                    for (x1, chi) in c.alpha(x, cond, a)
-                ]
-                for a in c.actions
-            }
-            entries.append(((x, cond), node(branches)))
-    return BehaviourTable(d.stage + 1, c.states, c.conditions, tuple(entries))
 
 
 def _pair_name(pair: PairKey) -> str:
     return f"{pair[0]}@{pair[1]}"
-
-
-def _kernel_partition(d: BehaviourTable) -> Partition:
-    fibres: dict[BehaviourTerm, list[PairKey]] = {}
-    for (pair, term) in d.entries:
-        fibres.setdefault(term, []).append(pair)
-    return canonical_partition(fibres.values())
 
 
 def _class_names(partition: Partition) -> dict[PairKey, str]:
@@ -236,22 +59,6 @@ def _quotient_poset(
             for (p, q) in conditions.covers
         },
     )
-
-
-def pseudo_factorise(d: BehaviourTable) -> tuple[Partition, Poset, dict[str, BehaviourTerm]]:
-    """Split a stage table into its kernel partition and the codomain of
-    reached terms, ordered by the least order making the quotient map
-    monotone.  Codomain elements are named by least representatives."""
-    partition = _kernel_partition(d)
-    table = d.table()
-    terms = {_pair_name(cls[0]): table[cls[0]] for cls in partition}
-    z_poset = _quotient_poset(d.states, d.conditions, _class_names(partition))
-    return partition, z_poset, terms
-
-
-def kernel_matrix(d: BehaviourTable) -> LatticeRelation:
-    """Same-condition kernel of a stage table as a lattice relation."""
-    return partition_matrix(d.states, d.conditions, _kernel_partition(d))
 
 
 @dataclass(frozen=True)
@@ -344,10 +151,12 @@ def _chain_result(c: UpgradeCoalgebra, partitions: list[Partition]) -> ChainResu
     final = partitions[stage]
     class_of = _class_names(final)
     transitions = _quotient_transitions(c, final, class_of)
+    # the occupied (condition, class) cells of each stage
+    cells = [sum(len({cond for _, cond in cls}) for cls in p) for p in partitions]
     return ChainResult(
         stage,
         stage + 1,
-        matrix_stage(partitions),
+        matrix_stage_of(cells),
         tuple(StageInfo(i, p) for i, p in enumerate(partitions)),
         tuple(sorted(class_of.items())),
         _quotient_poset(c.states, c.conditions, class_of),
@@ -359,78 +168,6 @@ def minimise_refinement(c: UpgradeCoalgebra) -> ChainResult:
     """Minimise through the refinement engine, whose rounds are the
     kernels of the final chain."""
     return _chain_result(c, refine(c))
-
-
-def minimise_chain(c: UpgradeCoalgebra) -> ChainResult:
-    """Iterate the chain until the kernel partition repeats.  Each stage
-    refines the last, so this terminates within one stage per pair."""
-    table = chain_init(c)
-    partitions = [_kernel_partition(table)]
-    while len(partitions) < 2 or partitions[-1] != partitions[-2]:
-        table = chain_step(c, table)
-        partitions.append(_kernel_partition(table))
-    return _chain_result(c, partitions)
-
-
-def quotient_to_cts(result: ChainResult, conditions: Poset) -> Cts:
-    """Re-read the quotient as a conditional system over the original
-    conditions.  Successor versions become edge conditions; the label
-    sets are closed downward because a quotient state fixes its own
-    version context while edges must stay condition-monotone."""
-    labels: dict[tuple[str, str, str], set[str]] = {}
-    actions = sorted({a for (_, a, _) in result.transitions})
-    for (src, a, pairs) in result.transitions:
-        for (dst, chi) in pairs:
-            labels.setdefault((src, a, dst), set()).add(chi)
-    return Cts(
-        result.quotient_states(),
-        actions,
-        conditions,
-        {edge: conds for edge, conds in labels.items()},
-        close=True,
-    )
-
-
-def chain_result_json(result: ChainResult) -> dict:
-    """Plain serialisable form: stage history with kernel and state
-    partitions, and the final quotient with its order and transitions."""
-    stages = []
-    for info in result.stages:
-        stages.append(
-            {
-                "stage": info.stage,
-                "kernel": [
-                    [_pair_name(p) for p in cls] for cls in info.partition
-                ],
-                "states": [list(g) for g in result.state_partition(info.stage)],
-            }
-        )
-    z = result.z_poset
-    return {
-        "algorithm": "chain",
-        "stage": result.stage,
-        "confirmed_at": result.confirmed_at,
-        "matrix_stage": result.matrix_stage,
-        "stages": stages,
-        "quotient": {
-            "states": list(z.elements),
-            "order": [
-                [p, q] for (p, q) in sorted(z.relation) if p != q
-            ],
-            "transitions": [
-                {
-                    "src": src,
-                    "action": a,
-                    "dst": dst,
-                    "conditions": sorted(conds),
-                }
-                for (src, a, pairs) in result.transitions
-                for (dst, conds) in sorted(
-                    _group_conditions(pairs).items()
-                )
-            ],
-        },
-    }
 
 
 # newline and indent at each depth of the minimise report
@@ -455,8 +192,10 @@ def _json_list(items: list[str], indent: str) -> str:
 
 
 def chain_result_text(result: ChainResult) -> str:
-    """``json.dumps(chain_result_json(result), indent=2, sort_keys=True)``,
-    written directly: every name is quoted once and each quotient
+    """The ``minimise`` report as ``json.dumps(payload, indent=2,
+    sort_keys=True)`` prints it, where the payload is the dict that
+    ``ctsmin.oracles.chain.chain_result_json`` builds, written directly
+    without that dict: every name is quoted once and each quotient
     transition row is one string, its keys in sorted order.  The pairs
     of a transition are sorted by (class, condition), as
     ``_quotient_transitions`` leaves them, so each run of one class is a

@@ -6,12 +6,12 @@ edge a downward closed set of conditions; reading the label set of an
 edge as a lattice element yields the lattice-labelled presentation, and
 fixing a single condition projects out a plain transition system.  The
 upgrade encoding additionally tracks the version a successor is entered
-at, which is what the minimisation chain runs on.
+at, which is what the refinement engine runs on.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .frame import Frame
 from .order import Downset, Poset, UnknownElement
@@ -339,19 +339,6 @@ def coalgebra_encode(m: Cts) -> UpgradeCoalgebra:
 def version_filter(pairs: SuccessorPairs, phi: str) -> SuccessorPairs:
     """Keep the successors entered at exactly the given version."""
     return frozenset((y, psi) for (y, psi) in pairs if psi == phi)
-
-
-def v_hat_apply(
-    f: Callable[[str, str], object],
-    p: Mapping[str, SuccessorPairs],
-) -> dict[str, frozenset]:
-    """Apply a state map under the behaviour functor to one state's
-    one-step structure.  Successors are rewritten at their own recorded
-    version; the ambient condition does not enter the formula."""
-    return {
-        a: frozenset((f(y, psi), psi) for (y, psi) in pairs)
-        for a, pairs in p.items()
-    }
 
 
 def check_upgrade_preserving(

@@ -1,0 +1,9 @@
+"""Independent routes to the results of the runtime, kept as oracles
+for the tests: the naive and lattice-fixpoint constructions of
+conditional bisimilarity with the transfer and congruence checks
+(``bisim``), and the final chain of the lattice monad with its
+minimisation, its plain-dict report and the poset coequaliser
+(``chain``).
+
+These modules import the runtime; nothing in the runtime imports them.
+"""

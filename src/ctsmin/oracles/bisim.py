@@ -1,0 +1,318 @@
+"""Oracles for conditional bisimilarity, kept for the tests.
+
+Each one computes the relation that ``equivalence.bisim_refinement``
+reads off the refinement engine, by a route that shares no code with
+the engine:
+
+- ``lts_bisimilarity`` and ``per_condition_partition``: plain
+  bisimilarity of the projection at one condition;
+- ``greatest_conditional_bisimilarity_naive``: a greatest fixed point
+  over families of plain relations, one per condition, with an
+  antitone closure step;
+- ``lattice_fixpoint_stages`` and ``lattice_bisim_fixpoint``: one
+  matrix of downsets iterated with Heyting implication;
+- ``is_conditional_bisimulation``, ``is_conditional_congruence`` and
+  ``is_lattice_bisimulation``: the transfer and congruence clauses,
+  checked on a given relation.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable, Mapping
+
+from ..equivalence import LatticeRelation, Pair
+from ..models import Cts, Lats, Lts, cts_to_lats, project
+from ..order import Poset
+
+
+@dataclass(frozen=True)
+class ConditionFamily:
+    """A condition-indexed family of plain relations.  Producers keep the
+    family antitone; the checking functions treat that as a proof
+    obligation, not a construction invariant."""
+
+    conditions: Poset
+    relations: tuple[tuple[str, frozenset[Pair]], ...]
+
+    @classmethod
+    def of(
+        cls, conditions: Poset, table: Mapping[str, Iterable[Pair]]
+    ) -> "ConditionFamily":
+        rels = []
+        for phi in conditions.elements:
+            pairs = frozenset(table.get(phi, frozenset()))
+            rels.append((phi, pairs))
+        return cls(conditions, tuple(rels))
+
+    @cached_property
+    def _table(self) -> Mapping[str, frozenset[Pair]]:
+        return dict(self.relations)
+
+    def relation(self, phi: str) -> frozenset[Pair]:
+        self.conditions.check_element(phi)
+        return self._table[phi]
+
+    def table(self) -> dict[str, frozenset[Pair]]:
+        return dict(self.relations)
+
+
+def lts_bisimilarity(m: Lts) -> tuple[tuple[str, ...], ...]:
+    """Greatest bisimulation on a plain system, as a partition with the
+    classes ordered by least member."""
+    block: dict[str, int] = {x: 0 for x in m.states}
+    while True:
+        signature = {
+            x: (
+                block[x],
+                frozenset(
+                    (a, block[y]) for a in m.actions for y in m.successors(x, a)
+                ),
+            )
+            for x in m.states
+        }
+        fresh: dict[tuple, int] = {}
+        new_block: dict[str, int] = {}
+        for x in m.states:  # states are sorted, so numbering is canonical
+            sig = signature[x]
+            if sig not in fresh:
+                fresh[sig] = len(fresh)
+            new_block[x] = fresh[sig]
+        if new_block == block:
+            break
+        block = new_block
+    classes: dict[int, list[str]] = {}
+    for x in m.states:
+        classes.setdefault(block[x], []).append(x)
+    return tuple(
+        tuple(members) for members in sorted(classes.values(), key=lambda c: c[0])
+    )
+
+
+def _transfer_failure(
+    m: Cts, phi: str, rel: frozenset[Pair]
+) -> tuple[str, str, str, str] | None:
+    """First (x, y, a, x') where x can move at phi but y has no matching
+    successor under rel, scanning both clause directions."""
+    for (x, y) in sorted(rel):
+        for a in m.actions:
+            xs = sorted(m.successors(x, a, phi))
+            ys = m.successors(y, a, phi)
+            for x1 in xs:
+                if not any((x1, y1) in rel for y1 in ys):
+                    return (x, y, a, x1)
+            for y1 in sorted(ys):
+                if not any((x1, y1) in rel for x1 in xs):
+                    return (y, x, a, y1)
+    return None
+
+
+def is_conditional_bisimulation(
+    m: Cts, family: ConditionFamily
+) -> tuple[bool, tuple | None]:
+    """A valid family is antitone in the condition and each member
+    relation transfers steps of the projected system at its condition."""
+    if family.conditions != m.conditions:
+        raise ValueError("family indexed by a different condition poset")
+    for phi in m.conditions.elements:
+        for psi in m.conditions.elements:
+            if m.conditions.lt(psi, phi):
+                extra = family.relation(phi) - family.relation(psi)
+                if extra:
+                    return False, ("antitone", phi, psi, min(extra))
+    for phi in m.conditions.elements:
+        failure = _transfer_failure(m, phi, family.relation(phi))
+        if failure is not None:
+            return False, ("transfer", phi) + failure
+    return True, None
+
+
+def is_conditional_congruence(
+    m: Cts, family: ConditionFamily
+) -> tuple[bool, tuple | None]:
+    """Each relation must be an equivalence whose classes have equal
+    class-wise successor images at its own condition, and the family
+    must again be antitone."""
+    for phi, rel in family.relations:
+        _require_equivalence(m.states, phi, rel)
+    for phi in m.conditions.elements:
+        for psi in m.conditions.elements:
+            if m.conditions.lt(psi, phi):
+                extra = family.relation(phi) - family.relation(psi)
+                if extra:
+                    return False, ("antitone", phi, psi, min(extra))
+    for phi in m.conditions.elements:
+        rel = family.relation(phi)
+        cls: dict[str, str] = {}
+        for x in m.states:
+            cls[x] = min(y for y in m.states if (x, y) in rel)
+        for (x, y) in sorted(rel):
+            for a in m.actions:
+                image_x = frozenset(cls[x1] for x1 in m.successors(x, a, phi))
+                image_y = frozenset(cls[y1] for y1 in m.successors(y, a, phi))
+                if image_x != image_y:
+                    return False, ("congruence", phi, x, y, a)
+    return True, None
+
+
+def _require_equivalence(states: tuple[str, ...], phi: str, rel: frozenset[Pair]) -> None:
+    for x in states:
+        if (x, x) not in rel:
+            raise ValueError(f"relation at {phi} is not reflexive at {x}")
+    for (x, y) in rel:
+        if (y, x) not in rel:
+            raise ValueError(f"relation at {phi} is not symmetric at ({x},{y})")
+    for (x, y) in rel:
+        for (y2, z) in rel:
+            if y2 == y and (x, z) not in rel:
+                raise ValueError(f"relation at {phi} is not transitive at ({x},{z})")
+
+
+def greatest_conditional_bisimilarity_naive(m: Cts) -> tuple[ConditionFamily, int]:
+    """Greatest fixed point of one-step expansion per condition combined
+    with antitone closure, starting from the all relation.  Returns the
+    family and the number of changing rounds."""
+    states = m.states
+    full = frozenset((x, y) for x in states for y in states)
+    current: dict[str, frozenset[Pair]] = {
+        phi: full for phi in m.conditions.elements
+    }
+    rounds = 0
+    while True:
+        expanded: dict[str, frozenset[Pair]] = {}
+        for phi in m.conditions.elements:
+            rel = current[phi]
+            keep = set()
+            for (x, y) in rel:
+                ok = True
+                for a in m.actions:
+                    xs = m.successors(x, a, phi)
+                    ys = m.successors(y, a, phi)
+                    if not all(any((x1, y1) in rel for y1 in ys) for x1 in xs):
+                        ok = False
+                        break
+                    if not all(any((x1, y1) in rel for x1 in xs) for y1 in ys):
+                        ok = False
+                        break
+                if ok:
+                    keep.add((x, y))
+            expanded[phi] = frozenset(keep)
+        refined = {}
+        for phi in m.conditions.elements:
+            value = expanded[phi]
+            for psi in m.conditions.below(phi):
+                value &= current[psi]
+            refined[phi] = value
+        if refined == current:
+            return ConditionFamily.of(m.conditions, current), rounds
+        current = refined
+        rounds += 1
+
+
+def lattice_fixpoint_stages(m: Lats | Cts) -> list[dict[Pair, frozenset[str]]]:
+    """All rounds of the lattice-valued refinement, starting from the
+    all relation and ending with the first repeated matrix, which is
+    kept so callers can see the confirmation stage."""
+    if isinstance(m, Cts):
+        m = cts_to_lats(m)
+    base = m.frame.base
+    states = m.states
+    below = {phi: base.below(phi) for phi in base.elements}
+    all_conds = frozenset(base.elements)
+
+    def implies(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
+        return frozenset(phi for phi in all_conds if below[phi] & a <= b)
+
+    out: dict[tuple[str, str], list[tuple[str, frozenset[str]]]] = {}
+    for (s, a, d, label) in m.edges():
+        out.setdefault((s, a), []).append((d, label.members))
+
+    current: dict[Pair, frozenset[str]] = {
+        (x, y): all_conds for x in states for y in states
+    }
+    stages = [current]
+    while True:
+        refined: dict[Pair, frozenset[str]] = {}
+        for x in states:
+            for y in states:
+                value = current[(x, y)]
+                for a in m.actions:
+                    for (x1, gx) in out.get((x, a), []):
+                        matched: frozenset[str] = frozenset()
+                        for (y1, gy) in out.get((y, a), []):
+                            matched |= gy & current[(x1, y1)]
+                        value &= implies(gx, matched)
+                        if not value:
+                            break
+                    for (y1, gy) in out.get((y, a), []):
+                        matched = frozenset()
+                        for (x1, gx) in out.get((x, a), []):
+                            matched |= gx & current[(x1, y1)]
+                        value &= implies(gy, matched)
+                        if not value:
+                            break
+                refined[(x, y)] = value
+        stages.append(refined)
+        if refined == current:
+            return stages
+        current = refined
+
+
+def lattice_bisim_fixpoint(m: Lats | Cts) -> tuple[LatticeRelation, int]:
+    """Iterate the lattice-valued refinement operator to its greatest
+    fixed point.  The whole matrix is recomputed from the previous one
+    each round; the returned count is the first index whose matrix
+    equals its successor."""
+    if isinstance(m, Cts):
+        m = cts_to_lats(m)
+    stages = lattice_fixpoint_stages(m)
+    final = stages[-1]
+    return (
+        LatticeRelation.of(m.states, m.frame.base, final),
+        len(stages) - 2,
+    )
+
+
+def is_lattice_bisimulation(
+    m: Lats | Cts, rel: LatticeRelation
+) -> tuple[bool, tuple | None]:
+    """Check the transfer clauses of a lattice-valued bisimulation at
+    every join-irreducible, here the principal downsets of single
+    conditions.  The witness is the lexicographically least tuple
+    (x, y, side, a, x', phi) that fails."""
+    if isinstance(m, Cts):
+        m = cts_to_lats(m)
+    base = m.frame.base
+    out: dict[tuple[str, str], list[tuple[str, frozenset[str]]]] = {}
+    for (s, a, d, label) in m.edges():
+        out.setdefault((s, a), []).append((d, label.members))
+
+    for x in rel.carrier:
+        for y in rel.carrier:
+            related = rel.value(x, y)
+            for side in ("forth", "back"):
+                mover = x if side == "forth" else y
+                for a in m.actions:
+                    for (t, g_mv) in out.get((mover, a), []):
+                        for phi in base.elements:
+                            if phi not in g_mv or phi not in related:
+                                continue
+                            if side == "forth":
+                                ok = any(
+                                    phi in gy and phi in rel.value(t, y1)
+                                    for (y1, gy) in out.get((y, a), [])
+                                )
+                            else:
+                                ok = any(
+                                    phi in gx and phi in rel.value(x1, t)
+                                    for (x1, gx) in out.get((x, a), [])
+                                )
+                            if not ok:
+                                return False, (x, y, side, a, t, phi)
+    return True, None
+
+
+def per_condition_partition(m: Cts, phi: str) -> tuple[tuple[str, ...], ...]:
+    """Bisimilarity classes of the projection at one condition."""
+    return lts_bisimilarity(project(m, phi))

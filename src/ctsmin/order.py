@@ -1,4 +1,4 @@
-"""Finite posets, downward closed sets and poset quotients.
+"""Finite posets and downward closed sets.
 
 Carriers are small sets of opaque strings.  The order relation is stored
 fully reflexive-transitive closed (not as a Hasse diagram) and every
@@ -82,9 +82,6 @@ class Poset:
         self.check_element(p)
         return self._down[p]
 
-    def strictly_below(self, p: str) -> frozenset[str]:
-        return self.below(p) - {p}
-
     @cached_property
     def covers(self) -> tuple[tuple[str, str], ...]:
         """The covering pairs (p, q), p < q with nothing strictly
@@ -112,7 +109,7 @@ class Poset:
     @cached_property
     def top_down_order(self) -> tuple[str, ...]:
         """Linear extension listing larger elements first, ties broken
-        lexicographically.  Used for table rows and display."""
+        lexicographically.  Used for display."""
         remaining = set(self.elements)
         out: list[str] = []
         while remaining:
@@ -159,33 +156,6 @@ class Downset:
         return "Downset({" + ", ".join(sorted(self.members)) + "})"
 
 
-@dataclass(frozen=True)
-class MonotoneMap:
-    """A total map between posets; monotonicity is a checked property, not
-    a construction invariant (see is_monotone)."""
-
-    dom: Poset
-    cod: Poset
-    entries: tuple[tuple[str, str], ...]
-
-    @classmethod
-    def of(cls, dom: Poset, cod: Poset, table: Mapping[str, str]) -> "MonotoneMap":
-        missing = set(dom.elements) - set(table)
-        if missing:
-            raise OrderError(f"map not total, missing {sorted(missing)}")
-        for x, y in table.items():
-            dom.check_element(x)
-            cod.check_element(y)
-        return cls(dom, cod, tuple(sorted((x, table[x]) for x in dom.elements)))
-
-    @cached_property
-    def _table(self) -> Mapping[str, str]:
-        return dict(self.entries)
-
-    def __call__(self, x: str) -> str:
-        return self._table[x]
-
-
 def validate_poset(elements: Iterable[str], pairs: Iterable[tuple[str, str]]) -> Poset:
     """Close ``pairs`` reflexively and transitively over ``elements`` and
     reject the result unless it is antisymmetric.  The reported cycle is
@@ -216,88 +186,3 @@ def validate_poset(elements: Iterable[str], pairs: Iterable[tuple[str, str]]) ->
                 raise AntisymmetryViolation(cycle)
     relation = frozenset((p, q) for p in elems for q in reach[p])
     return Poset(elems, relation)
-
-
-def down_closure(poset: Poset, members: Iterable[str]) -> Downset:
-    """Smallest downward closed superset of ``members``."""
-    return Downset(poset, poset.down_close(members))
-
-
-def principal_downset(poset: Poset, p: str) -> Downset:
-    return Downset(poset, poset.below(p))
-
-
-def is_monotone(candidate: MonotoneMap) -> bool:
-    table = dict(candidate.entries)
-    return all(
-        candidate.cod.leq(table[p], table[q])
-        for p, q in candidate.dom.relation
-    )
-
-
-def coequalise(
-    poset: Poset, pairs: Iterable[tuple[str, str]]
-) -> tuple[Poset, dict[str, str]]:
-    """Quotient ``poset`` by the equivalence generated by ``pairs``.
-
-    Classes lying on a common cycle of the induced preorder are merged as
-    well, so the result is again a poset, and its order is the least one
-    making the returned (surjective) map monotone.  Class names are the
-    lexicographically least members.
-    """
-    parent: dict[str, str] = {e: e for e in poset.elements}
-
-    def find(e: str) -> str:
-        while parent[e] != e:
-            parent[e] = parent[parent[e]]
-            e = parent[e]
-        return e
-
-    for p, q in pairs:
-        poset.check_element(p)
-        poset.check_element(q)
-        rp, rq = find(p), find(q)
-        if rp != rq:
-            parent[max(rp, rq)] = min(rp, rq)
-
-    groups: dict[str, set[str]] = {}
-    for e in poset.elements:
-        groups.setdefault(find(e), set()).add(e)
-
-    # Transitive closure of the induced relation on classes.
-    roots = sorted(groups)
-    reach: dict[str, set[str]] = {r: {r} for r in roots}
-    for p, q in poset.relation:
-        reach[find(p)].add(find(q))
-    changed = True
-    while changed:
-        changed = False
-        for r in roots:
-            extra: set[str] = set()
-            for s in reach[r]:
-                extra |= reach[s]
-            if not extra <= reach[r]:
-                reach[r] |= extra
-                changed = True
-
-    # Antisymmetry: collapse mutually reachable classes.
-    for r in roots:
-        for s in reach[r]:
-            if s != r and r in reach[s]:
-                ra, rb = find(r), find(s)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-    final_groups: dict[str, set[str]] = {}
-    for e in poset.elements:
-        final_groups.setdefault(find(e), set()).add(e)
-    names = {root: min(members) for root, members in final_groups.items()}
-    mapping = {e: names[find(e)] for e in poset.elements}
-
-    class_elems = tuple(sorted(names.values()))
-    relation = set()
-    for r in final_groups:
-        for s in reach[find(r)]:
-            relation.add((names[find(r)], names[find(s)]))
-    for c in class_elems:
-        relation.add((c, c))
-    return Poset(class_elems, frozenset(relation)), mapping

@@ -1,0 +1,190 @@
+"""Finite distributive lattices given by their order table, and the
+downsets that make up the frame elements.
+
+``ExplicitLattice`` is a lattice given by its order table.
+``import_lattice`` rebuilds an order-isomorphic frame over its
+join-irreducible elements and returns the two translation maps, which
+is the finite Birkhoff duality behind presenting every condition
+lattice as the downsets of a poset.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable
+
+from ..frame import BaseMismatch, Frame, FrameError
+from ..order import Downset, Poset
+
+
+class NotALattice(FrameError):
+    def __init__(self, pair: tuple[str, str], kind: str):
+        self.pair = pair
+        self.kind = kind
+        super().__init__(f"no least upper / greatest lower bound: {kind} of {pair}")
+
+
+class NotDistributive(FrameError):
+    def __init__(self, triple: tuple[str, str, str]):
+        self.triple = triple
+        super().__init__(f"distributivity fails on triple {triple}")
+
+
+def down_closure(poset: Poset, members: Iterable[str]) -> Downset:
+    """Smallest downward closed superset of ``members``."""
+    return Downset(poset, poset.down_close(members))
+
+
+def principal_downset(poset: Poset, p: str) -> Downset:
+    return Downset(poset, poset.below(p))
+
+
+class ExplicitLattice:
+    """A finite lattice given by its full order table.
+
+    Binary joins and meets are computed once at construction; a missing
+    bound raises NotALattice naming the offending pair.
+    """
+
+    def __init__(self, poset: Poset):
+        self.poset = poset
+        elems = poset.elements
+        if not elems:
+            raise NotALattice(("", ""), "empty carrier")
+        index = {e: i for i, e in enumerate(elems)}
+        up = [0] * len(elems)
+        down = [0] * len(elems)
+        for p, q in poset.relation:
+            up[index[p]] |= 1 << index[q]
+            down[index[q]] |= 1 << index[p]
+        n = len(elems)
+        self._join: list[list[int]] = [[0] * n for _ in range(n)]
+        self._meet: list[list[int]] = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                cub = up[i] & up[j]
+                k = _unique_bound(up, cub)
+                if k is None:
+                    raise NotALattice((elems[i], elems[j]), "join")
+                self._join[i][j] = k
+                clb = down[i] & down[j]
+                k = _unique_bound(down, clb)
+                if k is None:
+                    raise NotALattice((elems[i], elems[j]), "meet")
+                self._meet[i][j] = k
+        self._elems = elems
+        self._index = index
+
+    @property
+    def elements(self) -> tuple[str, ...]:
+        return self._elems
+
+    def join(self, a: str, b: str) -> str:
+        return self._elems[self._join[self._index[a]][self._index[b]]]
+
+    def meet(self, a: str, b: str) -> str:
+        return self._elems[self._meet[self._index[a]][self._index[b]]]
+
+    @cached_property
+    def bottom(self) -> str:
+        i = 0
+        for j in range(len(self._elems)):
+            i = self._meet[i][j]
+        return self._elems[i]
+
+    @cached_property
+    def top(self) -> str:
+        i = 0
+        for j in range(len(self._elems)):
+            i = self._join[i][j]
+        return self._elems[i]
+
+    def check_distributive(self) -> None:
+        n = len(self._elems)
+        for i in range(n):
+            mi = self._meet[i]
+            for j in range(n):
+                for k in range(n):
+                    if mi[self._join[j][k]] != self._join[mi[j]][mi[k]]:
+                        raise NotDistributive(
+                            (self._elems[i], self._elems[j], self._elems[k])
+                        )
+
+    def join_irreducible_elements(self) -> list[str]:
+        """Elements that are not bottom and not a join of two strictly
+        smaller elements."""
+        n = len(self._elems)
+        bot = self._index[self.bottom]
+        out = []
+        for i in range(n):
+            if i == bot:
+                continue
+            if all(
+                i in (j, k)
+                for j in range(n)
+                for k in range(n)
+                if self._join[j][k] == i
+            ):
+                out.append(self._elems[i])
+        return sorted(out)
+
+
+def _unique_bound(cones: list[int], candidates: int) -> int | None:
+    """The index k among ``candidates`` whose cone equals the candidate
+    set, if any.  That element is the least (resp. greatest) bound."""
+    bits = candidates
+    while bits:
+        low = bits & -bits
+        k = low.bit_length() - 1
+        if cones[k] == candidates:
+            return k
+        bits ^= low
+    return None
+
+
+@dataclass(frozen=True)
+class ImportedLattice:
+    """Result of import_lattice: a frame over the join-irreducibles plus
+    the translation in both directions."""
+
+    frame: Frame
+    to_frame: dict[str, Downset]
+    from_frame: dict[frozenset[str], str]
+
+    def encode(self, element: str) -> Downset:
+        return self.to_frame[element]
+
+    def decode(self, d: Downset) -> str:
+        if d.base != self.frame.base:
+            raise BaseMismatch()
+        return self.from_frame[d.members]
+
+
+def import_lattice(lattice: ExplicitLattice | Poset) -> ImportedLattice:
+    """Represent a finite distributive lattice as the downset frame of its
+    join-irreducible elements.
+
+    The encoding sends an element to the irreducibles below it; by
+    finite Birkhoff duality this is an order isomorphism, so the decode
+    table is total on the downsets of the irreducible poset.
+    """
+    if isinstance(lattice, Poset):
+        lattice = ExplicitLattice(lattice)
+    lattice.check_distributive()
+    irr = lattice.join_irreducible_elements()
+    order = lattice.poset
+    relation = frozenset(
+        (p, q) for p in irr for q in irr if order.leq(p, q)
+    )
+    base = Poset(tuple(irr), relation)
+    frame = Frame(base)
+    to_frame = {
+        e: Downset(base, frozenset(j for j in irr if order.leq(j, e)))
+        for e in order.elements
+    }
+    from_frame = {to_frame[e].members: e for e in order.elements}
+    # Injective because every element is the join of the irreducibles below it.
+    if len(from_frame) != len(order.elements):
+        raise FrameError("two elements share their join-irreducibles")
+    return ImportedLattice(frame, to_frame, from_frame)

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Mapping
 
-from .frame import BaseMismatch, Frame, TooLarge
-from .order import Downset, MonotoneMap, OrderError, Poset
+from ..frame import BaseMismatch, Frame, TooLarge
+from ..order import Downset, OrderError, Poset
+from .maps import MonotoneMap
 
 
 @dataclass(frozen=True)

@@ -7,27 +7,31 @@ from time import perf_counter
 import pytest
 
 from ctsmin import (
-    ExplicitLattice,
     Frame,
-    MonotoneMap,
-    NotDistributive,
-    ReaderMap,
     bisim_refinement,
-    chain_result_json,
     check_upgrade_preserving,
     coalgebra_encode,
     ex1,
     ex2,
-    greatest_conditional_bisimilarity_naive,
-    import_lattice,
-    kleisli_compose,
-    lattice_bisim_fixpoint,
-    lattice_fixpoint_stages,
-    minimise_chain,
     minimise_refinement,
     partition_matrix,
+    validate_poset,
+)
+from ctsmin.models import version_filter
+from ctsmin.oracles.bisim import (
+    greatest_conditional_bisimilarity_naive,
+    lattice_bisim_fixpoint,
+    lattice_fixpoint_stages,
     per_condition_partition,
-    quotient_to_cts,
+)
+from ctsmin.oracles.chain import chain_result_json, minimise_chain, quotient_to_cts
+from ctsmin.order import Poset
+from ctsmin.theory.lattice import ExplicitLattice, NotDistributive, import_lattice
+from ctsmin.theory.maps import MonotoneMap
+from ctsmin.theory.monad import (
+    ReaderMap,
+    TxSpace,
+    kleisli_compose,
     reader_kleisli_compose,
     reader_to_star,
     star_leq,
@@ -38,11 +42,7 @@ from ctsmin import (
     tau,
     tau_inv,
     tx_space,
-    validate_poset,
-    version_filter,
 )
-from ctsmin.monad import TxSpace
-from ctsmin.order import Poset
 
 from corpus import cts_corpus, random_poset
 from test_frame import m3, n5

@@ -8,15 +8,14 @@ import pytest
 from ctsmin import (
     bisim_refinement,
     chain_result_dot,
-    chain_result_json,
     coalgebra_encode,
     ex1,
     ex2,
-    minimise_chain,
     minimise_refinement,
 )
 from ctsmin.cli import _json_text, main
 from ctsmin.minimise import chain_result_text
+from ctsmin.oracles.chain import chain_result_json, minimise_chain
 
 from corpus import boolean_cts, cts_corpus
 

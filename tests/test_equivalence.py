@@ -3,7 +3,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ctsmin import (
-    ConditionFamily,
     Cts,
     LatticeRelation,
     Lts,
@@ -13,6 +12,10 @@ from ctsmin import (
     coalgebra_encode,
     ex1,
     ex2,
+)
+from ctsmin.equivalence import _pair_graph, bisimilar
+from ctsmin.oracles.bisim import (
+    ConditionFamily,
     greatest_conditional_bisimilarity_naive,
     is_conditional_bisimulation,
     is_conditional_congruence,
@@ -22,7 +25,6 @@ from ctsmin import (
     lts_bisimilarity,
     per_condition_partition,
 )
-from ctsmin.equivalence import _pair_graph, bisimilar
 
 from corpus import boolean_cts, cts_corpus
 from strategies import cts_models

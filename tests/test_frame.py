@@ -1,15 +1,13 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from ctsmin import (
+from ctsmin import Frame, Poset, validate_poset
+from ctsmin.frame import TooLarge
+from ctsmin.theory.lattice import (
     ExplicitLattice,
-    Frame,
     NotALattice,
     NotDistributive,
-    Poset,
-    TooLarge,
     import_lattice,
-    validate_poset,
 )
 
 from test_order import poset_and_subset, posets

@@ -7,25 +7,12 @@ from ctsmin import (
     AntisymmetryViolation,
     Cts,
     Poset,
-    bullet,
-    chain_init,
     chain_result_dot,
-    chain_result_json,
-    chain_step,
     coalgebra_encode,
-    coequalise,
     ex1,
     ex2,
-    greatest_conditional_bisimilarity_naive,
-    kernel_matrix,
-    lattice_bisim_fixpoint,
-    lattice_fixpoint_stages,
-    minimise_chain,
     minimise_refinement,
-    node,
     partition_matrix,
-    pseudo_factorise,
-    quotient_to_cts,
     refine,
 )
 from ctsmin.equivalence import canonical_partition
@@ -34,6 +21,23 @@ from ctsmin.minimise import (
     _class_names,
     _quotient_poset,
     chain_result_text,
+)
+from ctsmin.oracles.bisim import (
+    greatest_conditional_bisimilarity_naive,
+    lattice_bisim_fixpoint,
+    lattice_fixpoint_stages,
+)
+from ctsmin.oracles.chain import (
+    bullet,
+    chain_init,
+    chain_result_json,
+    chain_step,
+    coequalise,
+    kernel_matrix,
+    minimise_chain,
+    node,
+    pseudo_factorise,
+    quotient_to_cts,
 )
 
 from corpus import boolean_cts, cts_corpus

@@ -15,9 +15,9 @@ from ctsmin import (
     ex2,
     lats_to_cts,
     project,
-    v_hat_apply,
-    version_filter,
 )
+from ctsmin.models import version_filter
+from ctsmin.theory.maps import v_hat_apply
 
 from corpus import boolean_cts, cts_corpus, line_cts, random_cts
 

@@ -2,14 +2,13 @@ from itertools import product
 
 import pytest
 
-from ctsmin import (
-    Frame,
-    MonotoneMap,
-    OrderError,
-    Poset,
+from ctsmin import Frame, OrderError, Poset, validate_poset
+from ctsmin.frame import TooLarge
+from ctsmin.theory.maps import MonotoneMap
+from ctsmin.theory.monad import (
     ReaderMap,
     StarMap,
-    TooLarge,
+    TxSpace,
     kleisli_compose,
     reader_kleisli_compose,
     reader_to_star,
@@ -22,9 +21,7 @@ from ctsmin import (
     tau_inv,
     tx_space,
     validate_kleisli,
-    validate_poset,
 )
-from ctsmin.monad import TxSpace
 
 X_SHAPES = {
     "x1": validate_poset(["x0"], []),

@@ -4,16 +4,14 @@ from hypothesis import given, strategies as st
 from ctsmin import (
     AntisymmetryViolation,
     Downset,
-    MonotoneMap,
     OrderError,
     Poset,
     UnknownElement,
-    coequalise,
-    down_closure,
-    is_monotone,
-    principal_downset,
     validate_poset,
 )
+from ctsmin.oracles.chain import coequalise
+from ctsmin.theory.lattice import down_closure, principal_downset
+from ctsmin.theory.maps import MonotoneMap, is_monotone
 
 from corpus import cts_corpus
 

@@ -20,8 +20,8 @@ from ctsmin.equivalence import (
     _rounds,
     bisimilar,
     canonical_partition,
-    matrix_stage,
 )
+from ctsmin.oracles.chain import matrix_stage
 
 from corpus import boolean_cts, cts_corpus, line_cts
 from strategies import cts_models
