@@ -1,11 +1,14 @@
 """Command line front end.
 
 ``bisim``, ``check`` and ``minimise`` all run the rounds of the one
-refinement engine.  ``bisim`` and ``minimise`` refine every (state,
-condition) pair (``equivalence.bisim_refinement`` and
-``minimise.minimise_refinement``).  ``check`` refines only the pairs
-reachable from its two (state, condition) roots and stops at the first
-round that separates them (``equivalence.bisimilar``).  Model names
+refinement engine, which reads the pair graph of the upgrade coalgebra
+straight from the parsed system.  ``bisim`` and ``minimise`` refine
+every (state, condition) pair (``equivalence.bisim_refinement`` and
+``minimise.minimise_refinement``).  ``check`` builds and refines only
+the pairs reachable from its two (state, condition) roots and stops at
+the first round that separates them (``equivalence.bisimilar``).  Only
+``filters-check`` tabulates the coalgebra (``models.coalgebra_encode``),
+since its laws are stated on the table.  Model names
 may not contain '@', ',' or '"', which the outputs use as separators
 and quotes, nor start with '['.
 
@@ -140,7 +143,7 @@ def _cmd_project(args) -> int:
 
 def _cmd_bisim(args) -> int:
     as_cts = _as_cts(_read_model(args.file, args.close))
-    relation, iterations = bisim_refinement(coalgebra_encode(as_cts))
+    relation, iterations = bisim_refinement(as_cts)
     pairs = {f"{x},{y}": sorted(conds) for ((x, y), conds) in relation.entries}
     # the engine computes the lattice fixpoint, which names the report
     _emit_json({"algorithm": "fixpoint", "iterations": iterations, "pairs": pairs})
@@ -154,7 +157,7 @@ def _cmd_check(args) -> int:
             print(f"unknown state {state!r}", file=sys.stderr)
             return 2
     as_cts.conditions.check_element(args.condition)
-    if bisimilar(coalgebra_encode(as_cts), args.x, args.y, args.condition):
+    if bisimilar(as_cts, args.x, args.y, args.condition):
         print(f"{args.x} and {args.y} are bisimilar under {args.condition}")
         return 0
     print(f"{args.x} and {args.y} are not bisimilar under {args.condition}")
@@ -163,7 +166,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_minimise(args) -> int:
     as_cts = _as_cts(_read_model(args.file, args.close))
-    result = minimise_refinement(coalgebra_encode(as_cts))
+    result = minimise_refinement(as_cts)
     print(chain_result_text(result))
     if args.dot is not None:
         try:

@@ -2,20 +2,23 @@
 
 One engine serves ``bisim``, ``check`` and ``minimise``: signature
 refinement of (state, condition) pairs over the upgrade coalgebra
-(``_rounds``).  Its rounds are the kernels of the final chain, so they
-are output, and the engine keeps every round exact while signing only
-what can change: block ids are stable, a round re-signs the
-predecessors of the pairs whose id changed in the round before plus one
-representative of each touched block's untouched members, and a block
-that splits keeps its id for its largest part.  ``bisim_refinement``
-builds the bisimilarity relation once, from the final blocks, and reads
-its iteration count from the number of occupied (condition, block)
-cells per round.  ``refine`` turns every round into a canonical
-partition for ``minimise.minimise_refinement``, which reports them all.
-``bisimilar`` answers one query by running the same rounds on the pairs
-reachable from the two queried pairs, and stops at the first round that
-separates them.  The relations are ``LatticeRelation`` values: each pair
-of states carries the downset of conditions under which it is related.
+(``_rounds``).  The engine reads the integer graph of pairs that the
+coalgebra induces straight from the ``Cts`` (``_pair_graph``), as far as
+the query reaches; the coalgebra itself is never tabulated.  Its rounds
+are the kernels of the final chain, so they are output, and the engine
+keeps every round exact while signing only what can change: block ids
+are stable, a round re-signs the predecessors of the pairs whose id
+changed in the round before plus one representative of each touched
+block's untouched members, and a block that splits keeps its id for its
+largest part.  ``bisim_refinement`` builds the bisimilarity relation
+once, from the final blocks, and reads its iteration count from the
+number of occupied (condition, block) cells per round.  ``refine`` turns
+every round into a canonical partition for
+``minimise.minimise_refinement``, which reports them all.  ``bisimilar``
+answers one query by building and refining only the pairs reachable
+from the two queried pairs, and stops at the first round that separates
+them.  The relations are ``LatticeRelation`` values: each pair of states
+carries the downset of conditions under which it is related.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .models import NotDownwardClosed, UpgradeCoalgebra
+from .models import Cts, NotDownwardClosed
 from .order import Poset, UnknownElement
 
 Pair = tuple[str, str]
@@ -79,32 +82,60 @@ def canonical_partition(groups: Iterable[Iterable[PairKey]]) -> Partition:
     return tuple(sorted(classes, key=lambda cls: cls[0]))
 
 
-def _pair_graph(
-    c: UpgradeCoalgebra, roots: Iterable[PairKey]
-) -> tuple[list[PairKey], list[list[tuple[int, int]]], int]:
-    """The (state, condition) pairs reachable over ``alpha`` from the
-    roots, numbered breadth-first with the roots first in their given
-    order, and each pair's moves as (successor number, label).  A label
-    numbers one (action, entry version); the third result is how many
-    there are.  Every successor's version is at most its source's, so no
-    pair reached from a root is above that root's condition."""
-    number: dict[PairKey, int] = {}
-    for pair in roots:
-        number.setdefault(pair, len(number))
-    pairs = list(number)
-    labels: dict[tuple[str, str], int] = {}
+class PairGraph(NamedTuple):
+    """The (state, condition) pairs that a system's upgrade coalgebra
+    reaches from some roots, and each pair's moves as (successor number,
+    label).  The label of a move to a pair at version chi under action a
+    is ``action index * |conditions| + condition index of chi``, so
+    ``width``, the number of labels, is ``|actions| * |conditions|``."""
+
+    pairs: list[PairKey]
+    moves: list[list[tuple[int, int]]]
+    width: int
+
+
+def _pair_graph(m: Cts, roots: Iterable[PairKey]) -> PairGraph:
+    """The pair graph of the upgrade coalgebra of ``m`` reachable from
+    the roots, read off the system directly: (x, phi) moves under a to
+    (y, chi) for every a-edge from x to y whose label holds chi, for
+    every chi <= phi.  Pairs are numbered breadth-first with the roots
+    first in their given order, and each pair's successors are taken in
+    (action, state, condition) order.  Every successor's version is at
+    most its source's, so no pair reached from a root is above that
+    root's condition.
+
+    The walk numbers pairs through a list indexed by ``state index *
+    |conditions| + condition index``; when the roots are every pair in
+    that order, as in ``_all_pairs``, a pair's number is that index."""
+    conditions = m.conditions.elements
+    height = len(conditions)
+    column = {cond: k for k, cond in enumerate(conditions)}
+    offset = {x: i * height for i, x in enumerate(m.states)}
+    lower = [m.conditions.below(cond) for cond in conditions]
+    number = [-1] * (len(m.states) * height)
+    found: list[int] = []
+    for x, cond in roots:
+        g = offset[x] + column[cond]
+        if number[g] < 0:
+            number[g] = len(found)
+            found.append(g)
     moves = []
-    for (x, cond) in pairs:  # grows while it is walked
+    for g in found:  # grows while it is walked
+        x, k = m.states[g // height], g % height
         succs = []
-        for a in c.actions:
-            for succ in c.alpha(x, cond, a):
-                j = number.get(succ)
-                if j is None:
-                    j = number[succ] = len(pairs)
-                    pairs.append(succ)
-                succs.append((j, labels.setdefault((a, succ[1]), len(labels))))
+        for ai, a in enumerate(m.actions):
+            base = ai * height
+            for y, label in m.outgoing(x, a):
+                row = offset[y]
+                for chi in sorted([column[psi] for psi in label & lower[k]]):
+                    j = number[row + chi]
+                    if j < 0:
+                        j = number[row + chi] = len(found)
+                        found.append(row + chi)
+                    succs.append((j, base + chi))
         moves.append(succs)
-    return pairs, moves, len(labels)
+    pairs = [(m.states[g // height], conditions[g % height]) for g in found]
+    return PairGraph(pairs, moves, len(m.actions) * height)
 
 
 class Round(NamedTuple):
@@ -200,43 +231,45 @@ def _rounds(moves: list[list[tuple[int, int]]], width: int) -> Iterator[Round]:
             dirty.update(preds[i])
 
 
-def _all_pairs(c: UpgradeCoalgebra) -> tuple[list[PairKey], list[list[tuple[int, int]]], int]:
+def _all_pairs(m: Cts) -> PairGraph:
     """The pair graph of every (state, condition) pair, numbered state
-    by state."""
-    return _pair_graph(c, [(x, cond) for x in c.states for cond in c.conditions.elements])
+    by state: (x, phi) is ``state index * |conditions| + condition
+    index``."""
+    return _pair_graph(m, [(x, cond) for x in m.states for cond in m.conditions.elements])
 
 
-def refine(c: UpgradeCoalgebra) -> list[Partition]:
-    """Signature refinement of all (state, condition) pairs: every round
-    of ``_rounds`` up to and including the first that repeats its
-    predecessor, as canonical partitions.  Only ``minimise``, which
-    reports every round, needs them; ``bisim_refinement`` and
+def refine(m: Cts) -> tuple[PairGraph, list[Partition]]:
+    """Signature refinement of all (state, condition) pairs: the pair
+    graph, and every round of ``_rounds`` on it up to and including the
+    first that repeats its predecessor, as canonical partitions.  Only
+    ``minimise``, which reports every round and reads the quotient's
+    moves off the graph, needs them; ``bisim_refinement`` and
     ``bisimilar`` read the engine's rounds directly."""
-    pairs, moves, width = _all_pairs(c)
+    graph = _all_pairs(m)
     partitions = []
-    for rnd in _rounds(moves, width):
+    for rnd in _rounds(graph.moves, graph.width):
         groups: dict[int, list[PairKey]] = {}
-        for pair, b in zip(pairs, rnd.block):
+        for pair, b in zip(graph.pairs, rnd.block):
             groups.setdefault(b, []).append(pair)
         partitions.append(canonical_partition(groups.values()))
-    return partitions
+    return graph, partitions
 
 
-def bisimilar(c: UpgradeCoalgebra, x: str, y: str, phi: str) -> bool:
+def bisimilar(m: Cts, x: str, y: str, phi: str) -> bool:
     """Whether x and y are conditionally bisimilar under phi.  The pairs
     reachable from (x, phi) and (y, phi) form a subcoalgebra, and the
     inclusion is a homomorphism, so ``refine``'s rounds restricted to
-    them are the rounds of that part alone.  Only those pairs are signed,
-    and the answer is no at the first round that separates the two roots,
-    since later rounds only refine."""
+    them are the rounds of that part alone.  Only those pairs are
+    visited and signed, and the answer is no at the first round that
+    separates the two roots, since later rounds only refine."""
     for state in (x, y):
-        if state not in c.states:
+        if state not in m.states:
             raise UnknownElement(state)
-    c.conditions.check_element(phi)
+    m.conditions.check_element(phi)
     if x == y:
         return True
-    pairs, moves, width = _pair_graph(c, [(x, phi), (y, phi)])
-    return all(rnd.block[0] == rnd.block[1] for rnd in _rounds(moves, width))
+    graph = _pair_graph(m, [(x, phi), (y, phi)])
+    return all(rnd.block[0] == rnd.block[1] for rnd in _rounds(graph.moves, graph.width))
 
 
 def matrix_stage_of(cells: list[int]) -> int:
@@ -290,24 +323,23 @@ def partition_matrix(
     )
 
 
-def bisim_refinement(c: UpgradeCoalgebra) -> tuple[LatticeRelation, int]:
+def bisim_refinement(m: Cts) -> tuple[LatticeRelation, int]:
     """Greatest conditional bisimilarity read off the engine's final
     blocks, with the index of the first repeated kernel matrix, which
     is also the number of rounds the lattice fixpoint iteration takes.
 
     No round is materialised.  The number of occupied (condition, block)
     cells, which ``matrix_stage_of`` reads, is kept up to date from each
-    round's moved pairs."""
-    pairs, moves, width = _all_pairs(c)
-    column = {cond: k for k, cond in enumerate(c.conditions.elements)}
-    height = len(column)
+    round's moved pairs; pair i lies at condition i % |conditions|."""
+    pairs, moves, width = _all_pairs(m)
+    height = len(m.conditions.elements)
     cells: dict[int, int] = {}  # block * height + condition -> pairs there
-    for _, cond in pairs:
-        cells[column[cond]] = cells.get(column[cond], 0) + 1
+    for i in range(len(pairs)):
+        cells[i % height] = cells.get(i % height, 0) + 1
     counts = []
     for rnd in _rounds(moves, width):
         for i, old in rnd.moved:
-            k = column[pairs[i][1]]
+            k = i % height
             cell = old * height + k
             cells[cell] -= 1
             if not cells[cell]:
@@ -315,5 +347,5 @@ def bisim_refinement(c: UpgradeCoalgebra) -> tuple[LatticeRelation, int]:
             cell = rnd.block[i] * height + k
             cells[cell] = cells.get(cell, 0) + 1
         counts.append(len(cells))
-    relation = _kernel_relation(c.states, c.conditions, zip(pairs, rnd.block))
+    relation = _kernel_relation(m.states, m.conditions, zip(pairs, rnd.block))
     return relation, matrix_stage_of(counts)

@@ -2,10 +2,11 @@
 
 ``minimise_refinement`` takes the rounds of ``equivalence.refine`` and
 builds the stage history and the quotient.  The builder names each
-class by its least (state, condition) pair and orders the classes by
+class by its least (state, condition) pair, reads the quotient's moves
+off the pair graph that ``refine`` built, and orders the classes by
 closing the condition covers under that naming; nothing beyond the
-final partition is needed.  ``matrix_stage`` is read from the number of
-occupied (condition, class) cells of each stage.
+final partition and that graph is needed.  ``matrix_stage`` is read
+from the number of occupied (condition, class) cells of each stage.
 
 A ``ChainResult`` is serialised here too.  ``chain_result_text`` writes
 the JSON report of the ``minimise`` command in one pass over the
@@ -15,14 +16,14 @@ result, and ``chain_result_dot`` renders the quotient for Graphviz.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import groupby
 from json.encoder import encode_basestring_ascii as quote
 from operator import itemgetter
-from typing import Mapping
+from typing import Callable, Mapping
 
-from .equivalence import PairKey, Partition, matrix_stage_of, refine
-from .models import UpgradeCoalgebra
+from .equivalence import PairGraph, PairKey, Partition, matrix_stage_of, refine
+from .models import Cts, UpgradeCoalgebra
 from .order import Poset, validate_poset
 
 
@@ -61,6 +62,10 @@ def _quotient_poset(
     )
 
 
+# per (class, action): the sorted (successor class, version) pairs
+Transitions = tuple[tuple[str, str, tuple[tuple[str, str], ...]], ...]
+
+
 @dataclass(frozen=True)
 class StageInfo:
     stage: int
@@ -85,7 +90,7 @@ class ChainResult:
     stages: tuple[StageInfo, ...]
     class_of: tuple[tuple[PairKey, str], ...]
     z_poset: Poset
-    transitions: tuple[tuple[str, str, tuple[tuple[str, str], ...]], ...]
+    transitions: Transitions
 
     @cached_property
     def _class_table(self) -> Mapping[PairKey, str]:
@@ -114,34 +119,60 @@ class ChainResult:
 
 
 def _quotient_transitions(
-    c: UpgradeCoalgebra, partition: Partition, class_of: Mapping[PairKey, str]
-) -> tuple[tuple[str, str, tuple[tuple[str, str], ...]], ...]:
-    moves: dict[tuple[str, str], tuple[tuple[str, str], ...]] = {}
-    for cls in partition:
-        name = class_of[cls[0]]
-        for a in c.actions:
-            values = set()
-            for (x, cond) in cls:
-                image = frozenset(
-                    (class_of[(x1, chi)], chi) for (x1, chi) in c.alpha(x, cond, a)
-                )
-                values.add(image)
-            if len(values) != 1:
-                raise ValueError(
-                    f"quotient not well defined at {name}, action {a}"
-                )
-            moves[(name, a)] = tuple(sorted(values.pop()))
-    return tuple((name, a, moves[(name, a)]) for (name, a) in sorted(moves))
+    m: Cts, graph: PairGraph, partition: Partition, class_of: Mapping[PairKey, str]
+) -> Transitions:
+    """The quotient's moves, one entry per (class, action), each a
+    sorted tuple of (successor class, version).  Every pair of a class
+    must have the same moves into classes, read off the pair graph;
+    otherwise the partition is no congruence and the least action where
+    the members differ is reported."""
+    pairs, moves, width = graph
+    conditions = m.conditions.elements
+    height = len(conditions)
+    number = dict(zip(pairs, range(len(pairs))))
+    index = [0] * len(pairs)
+    for k, cls in enumerate(partition):
+        for pair in cls:
+            index[number[pair]] = k
+    names = [class_of[cls[0]] for cls in partition]
+    out = []
+    for name, cls in zip(names, partition):
+        # a move into class k with label l as the single int k * width + l
+        images = {
+            frozenset([index[j] * width + label for j, label in moves[number[pair]]])
+            for pair in cls
+        }
+        if len(images) != 1:
+            spread = frozenset().union(*images) - frozenset.intersection(*images)
+            a = m.actions[min(v % width for v in spread) // height]
+            raise ValueError(f"quotient not well defined at {name}, action {a}")
+        rows: dict[int, list[tuple[str, str]]] = {}
+        for v in images.pop():
+            label = v % width
+            rows.setdefault(label // height, []).append(
+                (names[v // width], conditions[label % height])
+            )
+        for ai, a in enumerate(m.actions):
+            out.append((name, a, tuple(sorted(rows.get(ai, ())))))
+    out.sort()
+    return tuple(out)
 
 
-def _chain_result(c: UpgradeCoalgebra, partitions: list[Partition]) -> ChainResult:
+def _chain_result(
+    system: Cts | UpgradeCoalgebra,
+    partitions: list[Partition],
+    quotient_moves: Callable[[Partition, Mapping[PairKey, str]], Transitions],
+) -> ChainResult:
     """Assemble the result from every stage's kernel partition, the last
-    one repeating its predecessor.  The JSON kernels and the quotient
-    name pairs state@condition, so two pairs sharing a name (possible
-    when names contain '@') would be told apart by the engine yet read
-    as one; that is rejected."""
+    one repeating its predecessor.  ``quotient_moves`` reads the moves
+    of the final partition's classes, given the class names: the engine
+    reads them off its pair graph, the chain oracle off the tabulated
+    coalgebra.  The JSON kernels and the quotient name pairs
+    state@condition, so two pairs sharing a name (possible when names
+    contain '@') would be told apart by the engine yet read as one; that
+    is rejected."""
     named: dict[str, PairKey] = {}
-    for pair in ((x, cond) for x in c.states for cond in c.conditions.elements):
+    for pair in ((x, cond) for x in system.states for cond in system.conditions.elements):
         other = named.setdefault(_pair_name(pair), pair)
         if other != pair:
             raise ValueError(
@@ -150,7 +181,7 @@ def _chain_result(c: UpgradeCoalgebra, partitions: list[Partition]) -> ChainResu
     stage = len(partitions) - 2
     final = partitions[stage]
     class_of = _class_names(final)
-    transitions = _quotient_transitions(c, final, class_of)
+    transitions = quotient_moves(final, class_of)
     # the occupied (condition, class) cells of each stage
     cells = [sum(len({cond for _, cond in cls}) for cls in p) for p in partitions]
     return ChainResult(
@@ -159,15 +190,16 @@ def _chain_result(c: UpgradeCoalgebra, partitions: list[Partition]) -> ChainResu
         matrix_stage_of(cells),
         tuple(StageInfo(i, p) for i, p in enumerate(partitions)),
         tuple(sorted(class_of.items())),
-        _quotient_poset(c.states, c.conditions, class_of),
+        _quotient_poset(system.states, system.conditions, class_of),
         transitions,
     )
 
 
-def minimise_refinement(c: UpgradeCoalgebra) -> ChainResult:
+def minimise_refinement(m: Cts) -> ChainResult:
     """Minimise through the refinement engine, whose rounds are the
     kernels of the final chain."""
-    return _chain_result(c, refine(c))
+    graph, partitions = refine(m)
+    return _chain_result(m, partitions, partial(_quotient_transitions, m, graph))
 
 
 # newline and indent at each depth of the minimise report

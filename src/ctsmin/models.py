@@ -5,8 +5,11 @@ A conditional system fixes a finite condition poset and gives every
 edge a downward closed set of conditions; reading the label set of an
 edge as a lattice element yields the lattice-labelled presentation, and
 fixing a single condition projects out a plain transition system.  The
-upgrade encoding additionally tracks the version a successor is entered
-at, which is what the refinement engine runs on.
+upgrade coalgebra additionally tracks the version a successor is entered
+at.  The refinement engine runs on the graph of (state, condition)
+pairs that this coalgebra induces, but reads that graph straight from a
+``Cts`` (``equivalence._pair_graph``); ``coalgebra_encode`` tabulates
+the coalgebra itself, for ``filters-check`` and the test oracles.
 """
 
 from __future__ import annotations
@@ -217,6 +220,10 @@ class UpgradeCoalgebra:
     """One-step behaviour with explicit successor versions: alpha(x, phi, a)
     collects the pairs (x', phi') with an a-edge to x' live at phi' <= phi.
 
+    The table is what ``check_upgrade_preserving`` (``filters-check``)
+    and the test oracles take.  The refinement engine does not build it:
+    it reads the same successors from the ``Cts`` as it needs them.
+
     Invariants (checked unless validate=False, which ``mutated`` and
     ``coalgebra_encode`` use): successor sets grow with the condition,
     and every successor pair respects the version bound phi' <= phi.
@@ -314,7 +321,11 @@ class UpgradeCoalgebra:
 
 
 def coalgebra_encode(m: Cts) -> UpgradeCoalgebra:
-    """Encode a conditional system as its upgrade coalgebra.
+    """Encode a conditional system as its upgrade coalgebra, one
+    successor set per (state, condition, action).  Only ``filters-check``
+    and the test oracles use the table; the refinement engine reads the
+    pair graph from the system directly, and the tests hold that graph
+    against this encoding.
 
     The result is built with validate=False, because the encoding
     cannot break what ``UpgradeCoalgebra.validate`` checks: every key

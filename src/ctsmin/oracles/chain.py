@@ -6,11 +6,13 @@ term.  Stage zero is constant; each later stage records, per action,
 the set of (previous term, entry version) pairs reachable in one step.
 Tables are pseudo-factorised into a kernel partition and a
 least-ordered codomain, and the construction stops as soon as the
-partition repeats.  The chain feeds its partitions to the quotient
-builder of ``minimise``, so it agrees with ``minimise_refinement``
-exactly when their kernels do; its ``matrix_stage`` compares the
-per-condition columns of every stage, independently of the cell count
-the runtime reads.
+partition repeats.  The chain feeds its partitions to the result
+builder of ``minimise`` together with its own reading of the quotient's
+moves off the tabulated coalgebra (``alpha_transitions``), so it agrees
+with ``minimise_refinement`` exactly when their kernels and the moves
+the engine reads off its pair graph do; its ``matrix_stage`` compares
+the per-condition columns of every stage, independently of the cell
+count the runtime reads.
 
 ``chain_result_json`` is the report as a plain dict, the reference the
 tests hold ``minimise.chain_result_text`` against.  ``quotient_to_cts``
@@ -26,7 +28,7 @@ dict guarded by the interpreter lock, which is atomic enough here.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable, Mapping
 
 from ..equivalence import (
@@ -38,6 +40,7 @@ from ..equivalence import (
 )
 from ..minimise import (
     ChainResult,
+    Transitions,
     _chain_result,
     _class_names,
     _group_conditions,
@@ -218,6 +221,30 @@ def matrix_stage(partitions: list[Partition]) -> int:
     return next(i for i in range(len(columns) - 1) if columns[i] == columns[i + 1])
 
 
+def alpha_transitions(
+    c: UpgradeCoalgebra, partition: Partition, class_of: Mapping[PairKey, str]
+) -> Transitions:
+    """The quotient's moves read off ``alpha``: per class and action, the
+    image of each member under ``alpha`` with successors renamed to their
+    classes, which must be the same for every member."""
+    moves: dict[tuple[str, str], tuple[tuple[str, str], ...]] = {}
+    for cls in partition:
+        name = class_of[cls[0]]
+        for a in c.actions:
+            values = set()
+            for (x, cond) in cls:
+                image = frozenset(
+                    (class_of[(x1, chi)], chi) for (x1, chi) in c.alpha(x, cond, a)
+                )
+                values.add(image)
+            if len(values) != 1:
+                raise ValueError(
+                    f"quotient not well defined at {name}, action {a}"
+                )
+            moves[(name, a)] = tuple(sorted(values.pop()))
+    return tuple((name, a, moves[(name, a)]) for (name, a) in sorted(moves))
+
+
 def minimise_chain(c: UpgradeCoalgebra) -> ChainResult:
     """Iterate the chain until the kernel partition repeats.  Each stage
     refines the last, so this terminates within one stage per pair."""
@@ -226,7 +253,8 @@ def minimise_chain(c: UpgradeCoalgebra) -> ChainResult:
     while len(partitions) < 2 or partitions[-1] != partitions[-2]:
         table = chain_step(c, table)
         partitions.append(_kernel_partition(table))
-    return replace(_chain_result(c, partitions), matrix_stage=matrix_stage(partitions))
+    result = _chain_result(c, partitions, partial(alpha_transitions, c))
+    return replace(result, matrix_stage=matrix_stage(partitions))
 
 
 def quotient_to_cts(result: ChainResult, conditions: Poset) -> Cts:

@@ -1,6 +1,12 @@
 """Finite distributive lattices given by their order table, and the
 downsets that make up the frame elements.
 
+``HeytingFrame`` is the runtime's downset frame with its Heyting
+operations: joins are unions, meets are intersections and implication
+is the relative pseudocomplement.  It also gives the join-irreducibles
+and enumerates every element, which the lattice monad's finite spaces
+are built from.
+
 ``ExplicitLattice`` is a lattice given by its order table.
 ``import_lattice`` rebuilds an order-isomorphic frame over its
 join-irreducible elements and returns the two translation maps, which
@@ -16,6 +22,90 @@ from typing import Iterable
 
 from ..frame import BaseMismatch, Frame, FrameError
 from ..order import Downset, Poset
+
+
+class TooLarge(FrameError):
+    def __init__(self, what: str, size: int, limit: int):
+        super().__init__(f"{what} has size {size}, limit is {limit}")
+
+
+class HeytingFrame(Frame):
+    """The lattice of downsets of ``base`` with its Heyting algebra
+    operations, computed on demand."""
+
+    def _check(self, d: Downset) -> None:
+        if d.base != self.base:
+            raise BaseMismatch()
+
+    @property
+    def top(self) -> Downset:
+        return Downset(self.base, frozenset(self.base.elements))
+
+    def element(self, members: Iterable[str]) -> Downset:
+        return Downset(self.base, frozenset(members))
+
+    def principal(self, p: str) -> Downset:
+        return Downset(self.base, self.base.below(p))
+
+    def join(self, a: Downset, b: Downset) -> Downset:
+        self._check(a)
+        self._check(b)
+        return Downset(self.base, a.members | b.members)
+
+    def meet(self, a: Downset, b: Downset) -> Downset:
+        self._check(a)
+        self._check(b)
+        return Downset(self.base, a.members & b.members)
+
+    def implies(self, a: Downset, b: Downset) -> Downset:
+        """Relative pseudocomplement: the largest c with c meet a below b.
+        Pointwise this collects the conditions whose principal downset
+        meets a inside b."""
+        self._check(a)
+        self._check(b)
+        members = frozenset(
+            p
+            for p in self.base.elements
+            if self.base.below(p) & a.members <= b.members
+        )
+        return Downset(self.base, members)
+
+    def join_irreducibles(self) -> tuple[Poset, dict[str, Downset]]:
+        """The poset of principal downsets under inclusion, keyed by their
+        generating element.  Inclusion is computed, not copied from the
+        base order."""
+        principals = {p: self.principal(p) for p in self.base.elements}
+        relation = frozenset(
+            (p, q)
+            for p in self.base.elements
+            for q in self.base.elements
+            if principals[p].members <= principals[q].members
+        )
+        return Poset(tuple(self.base.elements), relation), principals
+
+    def enumerate_elements(self, limit: int = 20) -> list[Downset]:
+        """All downsets, smallest first, then lexicographic on members."""
+        n = len(self.base.elements)
+        if n > limit:
+            raise TooLarge("frame base", n, limit)
+        order = [
+            p
+            for p in sorted(self.base.elements, key=lambda p: (len(self.base.below(p)), p))
+        ]
+        found: list[frozenset[str]] = []
+
+        def extend(i: int, current: frozenset[str]) -> None:
+            if i == n:
+                found.append(current)
+                return
+            p = order[i]
+            extend(i + 1, current)
+            if self.base.below(p) - {p} <= current:
+                extend(i + 1, current | {p})
+
+        extend(0, frozenset())
+        found.sort(key=lambda ms: (len(ms), tuple(sorted(ms))))
+        return [Downset(self.base, ms) for ms in found]
 
 
 class NotALattice(FrameError):
@@ -148,7 +238,7 @@ class ImportedLattice:
     """Result of import_lattice: a frame over the join-irreducibles plus
     the translation in both directions."""
 
-    frame: Frame
+    frame: HeytingFrame
     to_frame: dict[str, Downset]
     from_frame: dict[frozenset[str], str]
 
@@ -178,7 +268,7 @@ def import_lattice(lattice: ExplicitLattice | Poset) -> ImportedLattice:
         (p, q) for p in irr for q in irr if order.leq(p, q)
     )
     base = Poset(tuple(irr), relation)
-    frame = Frame(base)
+    frame = HeytingFrame(base)
     to_frame = {
         e: Downset(base, frozenset(j for j in irr if order.leq(j, e)))
         for e in order.elements

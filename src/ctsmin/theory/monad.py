@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Mapping
 
-from ..frame import BaseMismatch, Frame, TooLarge
+from ..frame import BaseMismatch
 from ..order import Downset, OrderError, Poset
+from .lattice import HeytingFrame, TooLarge
 from .maps import MonotoneMap
 
 
@@ -26,14 +27,14 @@ class StarMap:
     element."""
 
     dom: Poset
-    frame: Frame
+    frame: HeytingFrame
     entries: tuple[tuple[str, Downset], ...]
 
     @classmethod
     def of(
         cls,
         dom: Poset,
-        frame: Frame,
+        frame: HeytingFrame,
         table: Mapping[str, Downset | Iterable[str]],
     ) -> "StarMap":
         values: dict[str, Downset] = {}
@@ -124,7 +125,7 @@ def tau(b: StarMap) -> ReaderMap:
     return ReaderMap.of(b.frame.base, b.dom, table)
 
 
-def tau_inv(reader: ReaderMap, frame: Frame) -> StarMap:
+def tau_inv(reader: ReaderMap, frame: HeytingFrame) -> StarMap:
     """Inverse of tau: collect, per state, the conditions whose least
     witness sits below it.  The collected set is downward closed because
     the reader map is monotone."""
@@ -153,7 +154,7 @@ def t_map(f: MonotoneMap, b: StarMap) -> StarMap:
     return StarMap.of(f.cod, b.frame, table)
 
 
-def t_unit(dom: Poset, frame: Frame) -> dict[str, StarMap]:
+def t_unit(dom: Poset, frame: HeytingFrame) -> dict[str, StarMap]:
     """Monad unit: each state goes to the map sending its upset to top."""
     out = {}
     for x in dom.elements:
@@ -187,7 +188,7 @@ class TxSpace:
         return dict(self.maps)
 
 
-def tx_space(dom: Poset, frame: Frame, limit: int = 12) -> TxSpace:
+def tx_space(dom: Poset, frame: HeytingFrame, limit: int = 12) -> TxSpace:
     """Enumerate T(dom) over the frame.  Guarded by the product of the
     carrier and condition sizes; beyond the limit enumeration is
     intractable and callers should work through tau instead."""
@@ -244,7 +245,7 @@ def kleisli_compose(
     dom: Poset,
     mid: Poset,
     cod: Poset,
-    frame: Frame,
+    frame: HeytingFrame,
     limit: int = 12,
 ) -> dict[str, StarMap]:
     """Compose Kleisli maps f then g by the functor-multiplication route.
@@ -280,7 +281,7 @@ def reader_to_star(
     arrow: Mapping[tuple[str, str], str],
     dom: Poset,
     cod: Poset,
-    frame: Frame,
+    frame: HeytingFrame,
 ) -> dict[str, StarMap]:
     out = {}
     for x in dom.elements:

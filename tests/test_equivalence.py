@@ -9,7 +9,6 @@ from ctsmin import (
     Poset,
     UnknownElement,
     bisim_refinement,
-    coalgebra_encode,
     ex1,
     ex2,
 )
@@ -188,13 +187,12 @@ def test_per_condition_partition_on_ex1():
 def assert_bisimilar_matches_relation(m):
     """``bisimilar`` against the relation ``bisim_refinement`` reads off
     the whole pair space, on every (x, y, phi)."""
-    c = coalgebra_encode(m)
-    relation, _ = bisim_refinement(c)
-    for x in c.states:
-        for y in c.states:
-            for phi in c.conditions.elements:
+    relation, _ = bisim_refinement(m)
+    for x in m.states:
+        for y in m.states:
+            for phi in m.conditions.elements:
                 want = phi in relation.value(x, y)
-                assert bisimilar(c, x, y, phi) == want, (x, y, phi)
+                assert bisimilar(m, x, y, phi) == want, (x, y, phi)
 
 
 @pytest.mark.parametrize(
@@ -212,20 +210,19 @@ def test_bisimilar_matches_relation_on_corpus():
 
 
 def test_bisimilar_on_one_state_twice():
-    c = coalgebra_encode(ex1())
-    for x in c.states:
-        for phi in c.conditions.elements:
-            assert bisimilar(c, x, x, phi)
+    m = ex1()
+    for x in m.states:
+        for phi in m.conditions.elements:
+            assert bisimilar(m, x, x, phi)
 
 
 def test_bisimilar_on_states_without_transitions():
     # dead and idle have no transitions; busy moves once phi' is entered
     m = Cts(["busy", "dead", "idle"], ["a"], TWO, {("busy", "a", "busy"): {"phi'"}})
-    c = coalgebra_encode(m)
     for phi in TWO.elements:
-        assert bisimilar(c, "dead", "idle", phi)
-        assert not bisimilar(c, "dead", "busy", phi)
-        assert not bisimilar(c, "busy", "idle", phi)
+        assert bisimilar(m, "dead", "idle", phi)
+        assert not bisimilar(m, "dead", "busy", phi)
+        assert not bisimilar(m, "busy", "idle", phi)
     assert_bisimilar_matches_relation(m)
 
 
@@ -243,30 +240,29 @@ def test_bisimilar_on_disjoint_reachable_parts():
             ("s", "a", "t"): both,
         },
     )
-    c = coalgebra_encode(m)
-    reached = set(_pair_graph(c, [("p", "phi")])[0])
-    assert not reached & set(_pair_graph(c, [("r", "phi")])[0])
-    assert bisimilar(c, "p", "r", "phi")
-    assert not bisimilar(c, "p", "s", "phi")
-    assert not bisimilar(c, "s", "t", "phi'")
+    reached = set(_pair_graph(m, [("p", "phi")]).pairs)
+    assert not reached & set(_pair_graph(m, [("r", "phi")]).pairs)
+    assert bisimilar(m, "p", "r", "phi")
+    assert not bisimilar(m, "p", "s", "phi")
+    assert not bisimilar(m, "s", "t", "phi'")
     assert_bisimilar_matches_relation(m)
 
 
 def test_bisimilar_at_a_minimal_condition():
-    c = coalgebra_encode(ex1())
+    m = ex1()
     # no pair above phi' is reached from a root at phi'
-    pairs, _, _ = _pair_graph(c, [("x", "phi'"), ("x'", "phi'")])
+    pairs, _, _ = _pair_graph(m, [("x", "phi'"), ("x'", "phi'")])
     assert {cond for _, cond in pairs} == {"phi'"}
-    assert bisimilar(c, "x", "x'", "phi'")
-    assert not bisimilar(c, "x", "x'", "phi")
+    assert bisimilar(m, "x", "x'", "phi'")
+    assert not bisimilar(m, "x", "x'", "phi")
 
 
 def test_bisimilar_rejects_unknown_names():
-    c = coalgebra_encode(ex1())
+    m = ex1()
     with pytest.raises(UnknownElement):
-        bisimilar(c, "x", "nowhere", "phi")
+        bisimilar(m, "x", "nowhere", "phi")
     with pytest.raises(UnknownElement):
-        bisimilar(c, "x", "x'", "psi")
+        bisimilar(m, "x", "x'", "psi")
 
 
 @st.composite
@@ -286,10 +282,9 @@ def test_bisimilar_matches_fixpoint_under_renaming(drawn):
         {(rename[s], a, rename[d]): label for (s, a, d, label) in m.edges()},
     )
     relation, _ = lattice_bisim_fixpoint(m)
-    c, c_renamed = coalgebra_encode(m), coalgebra_encode(renamed)
     for x in m.states:
         for y in m.states:
             for phi in m.conditions.elements:
                 want = phi in relation.value(x, y)
-                assert bisimilar(c, x, y, phi) == want
-                assert bisimilar(c_renamed, rename[x], rename[y], phi) == want
+                assert bisimilar(m, x, y, phi) == want
+                assert bisimilar(renamed, rename[x], rename[y], phi) == want

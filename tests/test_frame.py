@@ -1,12 +1,13 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from ctsmin import Frame, Poset, validate_poset
-from ctsmin.frame import TooLarge
+from ctsmin import Poset, validate_poset
 from ctsmin.theory.lattice import (
     ExplicitLattice,
+    HeytingFrame,
     NotALattice,
     NotDistributive,
+    TooLarge,
     import_lattice,
 )
 
@@ -16,7 +17,7 @@ TWO = Poset.chain(["phi'", "phi"])
 
 
 def frame2():
-    return Frame(TWO)
+    return HeytingFrame(TWO)
 
 
 def test_two_chain_frame_constants():
@@ -40,7 +41,7 @@ def test_two_chain_heyting_table():
 def test_implies_is_relative_pseudocomplement(pair, data):
     p, first = pair
     second = data.draw(st.frozensets(st.sampled_from(p.elements)))
-    f = Frame(p)
+    f = HeytingFrame(p)
     a = f.element(p.down_close(first))
     b = f.element(p.down_close(second))
     r = f.implies(a, b)
@@ -65,10 +66,10 @@ def test_enumerate_elements_two_chain():
 
 def test_enumerate_elements_size_guard():
     # the guard is on the base size, not the downset count
-    f = Frame(Poset.discrete([f"c{i}" for i in range(21)]))
+    f = HeytingFrame(Poset.discrete([f"c{i}" for i in range(21)]))
     with pytest.raises(TooLarge):
         f.enumerate_elements()
-    small = Frame(Poset.discrete(["c0", "c1"]))
+    small = HeytingFrame(Poset.discrete(["c0", "c1"]))
     assert len(small.enumerate_elements(limit=2)) == 4
 
 
@@ -121,7 +122,7 @@ def test_m3_and_n5_rejected():
 
 @given(posets(max_elements=4))
 def test_import_lattice_round_trips(p):
-    f = Frame(p)
+    f = HeytingFrame(p)
     downsets = f.enumerate_elements(limit=16)
     names = {d.members: "".join(sorted(d.members)) or "0" for d in downsets}
     order = validate_poset(

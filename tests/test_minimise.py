@@ -1,4 +1,5 @@
 import json
+from functools import partial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,11 +16,12 @@ from ctsmin import (
     partition_matrix,
     refine,
 )
-from ctsmin.equivalence import canonical_partition
+from ctsmin.equivalence import _all_pairs, canonical_partition
 from ctsmin.minimise import (
     _chain_result,
     _class_names,
     _quotient_poset,
+    _quotient_transitions,
     chain_result_text,
 )
 from ctsmin.oracles.bisim import (
@@ -28,6 +30,7 @@ from ctsmin.oracles.bisim import (
     lattice_fixpoint_stages,
 )
 from ctsmin.oracles.chain import (
+    alpha_transitions,
     bullet,
     chain_init,
     chain_result_json,
@@ -191,8 +194,7 @@ def test_kernel_classes_match_naive_bisimilarity():
 
 def test_refinement_engine_matches_chain():
     for m in [ex1(), ex2()] + list(cts_corpus(60)):
-        c = coalgebra_encode(m)
-        assert minimise_refinement(c) == minimise_chain(c)
+        assert minimise_refinement(m) == minimise_chain(coalgebra_encode(m))
 
 
 def test_colliding_pair_names_are_rejected():
@@ -201,15 +203,15 @@ def test_colliding_pair_names_are_rejected():
     m = Cts(
         ["s", "s@p"], ["a"], Poset.discrete(["q", "p@q"]), {("s@p", "a", "s@p"): {"q"}}
     )
-    c = coalgebra_encode(m)
-    assert len(refine(c)[-1]) == 2
-    for route in (minimise_refinement, minimise_chain):
-        with pytest.raises(ValueError, match="share the name 's@p@q'"):
-            route(c)
+    assert len(refine(m)[1][-1]) == 2
+    with pytest.raises(ValueError, match="share the name 's@p@q'"):
+        minimise_refinement(m)
+    with pytest.raises(ValueError, match="share the name 's@p@q'"):
+        minimise_chain(coalgebra_encode(m))
     # '@' alone is fine: quotients are re-read with states named x@phi
-    q = quotient_to_cts(minimise_refinement(coalgebra_encode(ex1())), TWO)
+    q = quotient_to_cts(minimise_refinement(ex1()), TWO)
     assert all("@" in x for x in q.states)
-    assert minimise_refinement(coalgebra_encode(q)).stage >= 0
+    assert minimise_refinement(q).stage >= 0
 
 
 def test_quotient_is_minimal_and_behaviour_preserving():
@@ -337,40 +339,48 @@ def test_quotient_order_matches_coequalised_product():
         boolean_cts(k, seed) for k in (3, 4) for seed in range(3)
     ]
     for m in systems:
-        c = coalgebra_encode(m)
-        rounds = refine(c)
+        _, rounds = refine(m)
         for partition in rounds:
-            expected = _coequalised_product(c.states, c.conditions, partition)
+            expected = _coequalised_product(m.states, m.conditions, partition)
             assert len(expected.elements) == len(partition)
-            got = _quotient_poset(c.states, c.conditions, _class_names(partition))
+            got = _quotient_poset(m.states, m.conditions, _class_names(partition))
             assert got == expected
-        assert minimise_refinement(c).z_poset == expected
+        assert minimise_refinement(m).z_poset == expected
 
 
 def test_cyclic_partition_is_rejected():
     # (x, c1) <= (x, c2) and (y, c1) <= (y, c2) order the two classes
     # both ways, which no round of the engine can do
-    c = coalgebra_encode(Cts(["x", "y"], ["a"], Poset.chain(["c1", "c2"]), {}))
+    m = Cts(["x", "y"], ["a"], Poset.chain(["c1", "c2"]), {})
     crossed = canonical_partition(
         [[("x", "c1"), ("y", "c2")], [("x", "c2"), ("y", "c1")]]
     )
     with pytest.raises(AntisymmetryViolation):
-        _chain_result(c, [crossed, crossed])
+        engine_result(m, [crossed, crossed])
+
+
+def engine_result(m, partitions):
+    """The runtime's result builder on given partitions, with the moves
+    read off the engine's pair graph."""
+    return _chain_result(m, partitions, partial(_quotient_transitions, m, _all_pairs(m)))
 
 
 def test_partition_that_is_no_congruence_is_a_value_error():
-    c = coalgebra_encode(ex1())
+    m = ex1()
     whole = canonical_partition(
-        [[(x, phi) for x in c.states for phi in c.conditions.elements]]
+        [[(x, phi) for x in m.states for phi in m.conditions.elements]]
     )
-    with pytest.raises(ValueError, match="quotient not well defined"):
-        _chain_result(c, [whole, whole])
+    with pytest.raises(ValueError, match="quotient not well defined at x@phi, action a"):
+        engine_result(m, [whole, whole])
+    with pytest.raises(ValueError, match="quotient not well defined at x@phi, action a"):
+        c = coalgebra_encode(m)
+        _chain_result(c, [whole, whole], partial(alpha_transitions, c))
 
 
 def test_dot_escapes_quote_in_library_names():
     # the parser rejects '"', but a Cts built through the library keeps it
     m = Cts(['y"'], ["a"], TWO, {('y"', "a", 'y"'): {"phi'"}})
-    assert chain_result_dot(minimise_refinement(coalgebra_encode(m)), TWO) == (
+    assert chain_result_dot(minimise_refinement(m), TWO) == (
         "digraph minimised {\n"
         "  rankdir=LR;\n"
         '  "y\\"@phi";\n'
@@ -395,10 +405,10 @@ LIBRARY_NAMES = st.text(
 
 @given(cts_models(LIBRARY_NAMES))
 def test_report_text_is_the_dumped_report_dict(model):
-    result = minimise_refinement(coalgebra_encode(model))
+    result = minimise_refinement(model)
     text = chain_result_text(result)
     assert text == json.dumps(chain_result_json(result), indent=2, sort_keys=True)
     assert len(result.quotient_states()) == len(result.stages[result.stage].partition)
     assert chain_result_text(result) == text
-    assert chain_result_text(minimise_refinement(coalgebra_encode(model))) == text
+    assert chain_result_text(minimise_refinement(model)) == text
 

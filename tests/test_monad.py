@@ -2,8 +2,8 @@ from itertools import product
 
 import pytest
 
-from ctsmin import Frame, OrderError, Poset, validate_poset
-from ctsmin.frame import TooLarge
+from ctsmin import OrderError, Poset, validate_poset
+from ctsmin.theory.lattice import HeytingFrame, TooLarge
 from ctsmin.theory.maps import MonotoneMap
 from ctsmin.theory.monad import (
     ReaderMap,
@@ -59,14 +59,14 @@ def monotone_readers(conditions: Poset, cod: Poset):
 
 def test_star_map_rejects_non_monotone():
     dom = X_SHAPES["x2c"]
-    f = Frame(P_SHAPES["p1"])
+    f = HeytingFrame(P_SHAPES["p1"])
     with pytest.raises(OrderError):
         StarMap.of(dom, f, {"x0": ["c0"], "x1": []})
 
 
 def test_star_map_rejects_missing_least_witness():
     dom = X_SHAPES["x2d"]
-    f = Frame(P_SHAPES["p1"])
+    f = HeytingFrame(P_SHAPES["p1"])
     # both states witness c0 and neither is least
     with pytest.raises(OrderError):
         StarMap.of(dom, f, {"x0": ["c0"], "x1": ["c0"]})
@@ -77,7 +77,7 @@ def test_star_map_rejects_missing_least_witness():
 
 def test_invariant_breaks_raise_typed_errors():
     dom = X_SHAPES["x2d"]
-    f = Frame(P_SHAPES["p1"])
+    f = HeytingFrame(P_SHAPES["p1"])
     # direct construction skips the min-condition check of StarMap.of
     unchecked = StarMap(dom, f, (("x0", f.bottom), ("x1", f.bottom)))
     with pytest.raises(OrderError):
@@ -90,17 +90,17 @@ def test_invariant_breaks_raise_typed_errors():
 def test_tx_space_size_guard():
     big = validate_poset([f"x{i}" for i in range(7)], [])
     with pytest.raises(TooLarge):
-        tx_space(big, Frame(P_SHAPES["p2d"]))
+        tx_space(big, HeytingFrame(P_SHAPES["p2d"]))
 
 
 def test_tx_two_point_discrete_carrier_has_two_elements():
-    space = tx_space(X_SHAPES["x2d"], Frame(P_SHAPES["p2c"]))
+    space = tx_space(X_SHAPES["x2d"], HeytingFrame(P_SHAPES["p2c"]))
     assert len(space.maps) == 2
 
 
 @pytest.mark.parametrize("xn,pn,dom,conditions", COMBOS)
 def test_tau_is_a_bijection_onto_monotone_readers(xn, pn, dom, conditions):
-    frame = Frame(conditions)
+    frame = HeytingFrame(conditions)
     space = tx_space(dom, frame)
     readers = monotone_readers(conditions, dom)
     assert len(space.maps) == len(readers)
@@ -117,7 +117,7 @@ def test_tau_is_a_bijection_onto_monotone_readers(xn, pn, dom, conditions):
 
 @pytest.mark.parametrize("xn,pn,dom,conditions", COMBOS)
 def test_residuation_laws(xn, pn, dom, conditions):
-    frame = Frame(conditions)
+    frame = HeytingFrame(conditions)
     space = tx_space(dom, frame)
     for _, b in space.maps:
         r = tau(b)
@@ -135,7 +135,7 @@ def test_residuation_laws(xn, pn, dom, conditions):
 
 @pytest.mark.parametrize("xn,pn,dom,conditions", COMBOS)
 def test_t_order_reverses_reader_order(xn, pn, dom, conditions):
-    frame = Frame(conditions)
+    frame = HeytingFrame(conditions)
     space = tx_space(dom, frame)
     for _, b in space.maps:
         for _, c in space.maps:
@@ -148,7 +148,7 @@ def test_t_order_reverses_reader_order(xn, pn, dom, conditions):
 
 @pytest.mark.parametrize("xn,pn,dom,conditions", COMBOS)
 def test_monad_unit_laws(xn, pn, dom, conditions):
-    frame = Frame(conditions)
+    frame = HeytingFrame(conditions)
     space = tx_space(dom, frame)
     unit = t_unit(dom, frame)
     unit_tx = t_unit(space.poset, frame)
@@ -173,7 +173,7 @@ def test_monad_associativity_on_generated_triples(xn, pn, dom, conditions):
     # enumerated through T(T(X)) where the brute search stays within
     # budget; the remaining carriers are covered by the Kleisli
     # associativity test below.
-    frame = Frame(conditions)
+    frame = HeytingFrame(conditions)
     space = tx_space(dom, frame)
     if not _enumeration_budget(space, frame):
         pytest.skip("third level too large to enumerate directly")
@@ -205,7 +205,7 @@ def test_monad_associativity_on_generated_triples(xn, pn, dom, conditions):
 def test_t_mult_matches_reader_multiplication(xn, pn, dom, conditions):
     # oracle: the reader-monad multiplication evaluates the inner reader
     # at the same condition, zeta(D)(phi) = D(phi)(phi)
-    frame = Frame(conditions)
+    frame = HeytingFrame(conditions)
     space = tx_space(dom, frame)
     if not _enumeration_budget(space, frame):
         pytest.skip("T(T(X)) too large to enumerate directly")
@@ -246,7 +246,7 @@ def all_kleisli_arrows(dom, cod, frame, cap=12):
 
 @pytest.mark.parametrize("xn,pn,dom,conditions", COMBOS)
 def test_kleisli_unit_laws(xn, pn, dom, conditions):
-    frame = Frame(conditions)
+    frame = HeytingFrame(conditions)
     unit = t_unit(dom, frame)
     for f_flat in all_kleisli_arrows(dom, dom, frame):
         f = reader_to_star(f_flat, dom, dom, frame)
@@ -256,7 +256,7 @@ def test_kleisli_unit_laws(xn, pn, dom, conditions):
 
 @pytest.mark.parametrize("xn,pn,dom,conditions", COMBOS)
 def test_kleisli_agreement_and_associativity(xn, pn, dom, conditions):
-    frame = Frame(conditions)
+    frame = HeytingFrame(conditions)
     fs = all_kleisli_arrows(dom, dom, frame)
     for f_flat in fs:
         f = reader_to_star(f_flat, dom, dom, frame)
@@ -297,7 +297,7 @@ def test_kleisli_agreement_and_associativity(xn, pn, dom, conditions):
 
 def test_validate_kleisli_rejects_non_monotone():
     dom = X_SHAPES["x2c"]
-    frame = Frame(P_SHAPES["p1"])
+    frame = HeytingFrame(P_SHAPES["p1"])
     top = StarMap.of(dom, frame, {"x0": ["c0"], "x1": ["c0"]})
     low = StarMap.of(dom, frame, {"x0": [], "x1": ["c0"]})
     # x0 <= x1 but the T order requires the x0 image above the x1 image
@@ -308,7 +308,7 @@ def test_validate_kleisli_rejects_non_monotone():
 
 def test_t_map_respects_identity_and_composition():
     dom = X_SHAPES["x2c"]
-    frame = Frame(P_SHAPES["p2c"])
+    frame = HeytingFrame(P_SHAPES["p2c"])
     space = tx_space(dom, frame)
     ident = MonotoneMap.of(dom, dom, {x: x for x in dom.elements})
     swapless = MonotoneMap.of(dom, dom, {"x0": "x0", "x1": "x0"})

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from ctsmin import (
     Cts,
     bisim_refinement,
-    coalgebra_encode,
     minimise_refinement,
     validate_poset,
 )
@@ -70,22 +69,21 @@ def rename(m, states, conditions, actions):
 @given(renamed_systems())
 def test_results_do_not_depend_on_names(drawn):
     m, states, conditions, actions, (x, y, phi) = drawn
-    c = coalgebra_encode(m)
-    c2 = coalgebra_encode(rename(m, states, conditions, actions))
+    m2 = rename(m, states, conditions, actions)
 
     def pair(p):
         return (states[p[0]], conditions[p[1]])
 
-    relation, iterations = bisim_refinement(c)
-    relation2, iterations2 = bisim_refinement(c2)
+    relation, iterations = bisim_refinement(m)
+    relation2, iterations2 = bisim_refinement(m2)
     assert iterations2 == iterations
     assert relation2.table() == {
         (states[a], states[b]): frozenset(conditions[v] for v in value)
         for (a, b), value in relation.entries
     }
-    assert bisimilar(c2, states[x], states[y], conditions[phi]) == bisimilar(c, x, y, phi)
+    assert bisimilar(m2, states[x], states[y], conditions[phi]) == bisimilar(m, x, y, phi)
 
-    result, result2 = minimise_refinement(c), minimise_refinement(c2)
+    result, result2 = minimise_refinement(m), minimise_refinement(m2)
     assert (result2.stage, result2.confirmed_at, result2.matrix_stage) == (
         result.stage,
         result.confirmed_at,

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ctsmin import TWO_LEVEL, Cts, bisim_refinement, coalgebra_encode, ex1, ex2
+from ctsmin import TWO_LEVEL, Cts, bisim_refinement, ex1, ex2
 from ctsmin.equivalence import (
     _all_pairs,
     _pair_graph,
@@ -83,27 +83,26 @@ def assert_engine_matches_oracle(m, queries=None, local=None):
     query), equals full re-signing; ``bisim_refinement``'s iterations and
     relation and ``bisimilar``'s verdicts on ``queries`` (by default
     every (x, y, phi)) are the ones the oracle's rounds give."""
-    c = coalgebra_encode(m)
-    pairs, moves, width = _all_pairs(c)
+    pairs, moves, width = _all_pairs(m)
     assert_rounds_exact(moves, width)
     partitions = oracle_partitions(pairs, moves, width)
     final = {pair: i for i, cls in enumerate(partitions[-1]) for pair in cls}
-    relation, iterations = bisim_refinement(c)
+    relation, iterations = bisim_refinement(m)
     assert iterations == matrix_stage(partitions)
     if queries is None:
         queries = [
             (x, y, phi)
-            for x in c.states
-            for y in c.states
-            for phi in c.conditions.elements
+            for x in m.states
+            for y in m.states
+            for phi in m.conditions.elements
         ]
     for x, y, phi in queries:
         want = final[(x, phi)] == final[(y, phi)]
-        assert bisimilar(c, x, y, phi) == want, (x, y, phi)
+        assert bisimilar(m, x, y, phi) == want, (x, y, phi)
         assert (phi in relation.value(x, y)) == want
     for x, y, phi in queries if local is None else local:
         if x != y:
-            _, part, part_width = _pair_graph(c, [(x, phi), (y, phi)])
+            _, part, part_width = _pair_graph(m, [(x, phi), (y, phi)])
             assert_rounds_exact(part, part_width)
 
 
@@ -146,7 +145,7 @@ def test_rounds_without_moves_sign_nothing():
     # one state, no actions, two conditions: no pair has a predecessor,
     # so round one touches no block and stops
     m = Cts(["s"], [], TWO_LEVEL, {})
-    _, moves, width = _all_pairs(coalgebra_encode(m))
+    _, moves, width = _all_pairs(m)
     rounds = [(list(r.block), r.moved, r.signed, r.blocks) for r in _rounds(moves, width)]
     assert rounds == [([0, 0], [], 0, 1), ([0, 0], [], 0, 1)]
 
@@ -157,7 +156,7 @@ def test_largest_part_keeps_the_block_id():
     # six untouched pairs, which keep block 0; the p pairs move.
     both = {"phi", "phi'"}
     m = Cts(["p", "q", "u", "v"], ["a"], TWO_LEVEL, {("p", "a", "q"): both})
-    pairs, moves, width = _all_pairs(coalgebra_encode(m))
+    pairs, moves, width = _all_pairs(m)
     first = list(_rounds(moves, width))[1]
     assert first.blocks == 3
     moved = sorted(pairs[i] for i, old in first.moved)
@@ -170,8 +169,7 @@ def test_resigning_work_is_bounded_on_a_long_line():
     """Full re-signing would sign 5,120 pairs in each of 1,281 rounds;
     each pair moves at most log2(pairs) times, so the engine signs at
     most 4 P log2 P pairs in all."""
-    c = coalgebra_encode(line_cts(1280))
-    pairs, moves, width = _all_pairs(c)
+    pairs, moves, width = _all_pairs(line_cts(1280))
     size = len(pairs)
     assert size == 5120
     signed = rounds = 0
