@@ -9,8 +9,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from ctsmin import coalgebra_encode, lats_to_cts, parse_model, serialise_model
-from ctsmin.models import Cts
+from ctsmin import parse_model, serialise_model
 from ctsmin.oracles.chain import (
     chain_init,
     chain_step,
@@ -19,6 +18,7 @@ from ctsmin.oracles.chain import (
     pseudo_factorise,
     quotient_to_cts,
 )
+from ctsmin.theory.coalgebra import coalgebra_encode
 
 DEFAULT = Path(__file__).resolve().parents[1] / "fixtures" / "EX1"
 
@@ -36,8 +36,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     model = parse_model(Path(args.file).read_text(), close=args.close)
-    if not isinstance(model, Cts):
-        model = lats_to_cts(model)
     c = coalgebra_encode(model)
 
     d = chain_init(c)

@@ -3,41 +3,29 @@ lattices: parsing and validation, conditional bisimilarity and
 minimisation by one partition-refinement engine, and their reports.
 
 This package is the runtime the command line uses.  The oracles that
-the tests hold it against live in ``ctsmin.oracles`` and the lattice
-monad and lattice import in ``ctsmin.theory``; neither is imported
-here."""
+the tests hold it against live in ``ctsmin.oracles``, and the lattice
+monad, the downset frames, the lattice import and the upgrade
+coalgebra table in ``ctsmin.theory``; neither is imported here.  A lattice-labelled system is the same ``Cts``: by Birkhoff
+duality its labels are the downward closed condition sets, so one
+system type serves both model file kinds."""
 
 from .equivalence import (
     LatticeRelation,
     bisim_refinement,
     bisimilar,
-    partition_matrix,
     refine,
 )
 from .fixtures import TWO_LEVEL, ex1, ex2
-from .frame import BaseMismatch, Frame, FrameError
 from .minimise import (
     ChainResult,
     chain_result_dot,
     chain_result_text,
     minimise_refinement,
 )
-from .modelfile import ParseError, convert_model, parse_model, serialise_model
-from .models import (
-    Cts,
-    Lats,
-    Lts,
-    NotDownwardClosed,
-    UpgradeCoalgebra,
-    check_upgrade_preserving,
-    coalgebra_encode,
-    cts_to_lats,
-    lats_to_cts,
-    project,
-)
+from .modelfile import ParseError, parse_model, serialise_model
+from .models import Cts, Lts, NotDownwardClosed, project
 from .order import (
     AntisymmetryViolation,
-    Downset,
     OrderError,
     Poset,
     UnknownElement,
@@ -48,13 +36,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AntisymmetryViolation",
-    "BaseMismatch",
     "ChainResult",
     "Cts",
-    "Downset",
-    "Frame",
-    "FrameError",
-    "Lats",
     "LatticeRelation",
     "Lts",
     "NotDownwardClosed",
@@ -63,21 +46,14 @@ __all__ = [
     "Poset",
     "TWO_LEVEL",
     "UnknownElement",
-    "UpgradeCoalgebra",
     "bisim_refinement",
     "bisimilar",
     "chain_result_dot",
     "chain_result_text",
-    "check_upgrade_preserving",
-    "coalgebra_encode",
-    "convert_model",
-    "cts_to_lats",
     "ex1",
     "ex2",
-    "lats_to_cts",
     "minimise_refinement",
     "parse_model",
-    "partition_matrix",
     "project",
     "refine",
     "serialise_model",

@@ -1,16 +1,21 @@
 """Command line front end.
 
+Both model kinds parse to the same ``Cts``: by Birkhoff duality a
+lattice-labelled system is a conditional one, and the two file kinds
+share their body.  Only ``validate`` reads the header's kind, to name
+it; ``convert --to`` writes the kind it is given.
+
 ``bisim``, ``check`` and ``minimise`` all run the rounds of the one
 refinement engine, which reads the pair graph of the upgrade coalgebra
 straight from the parsed system.  ``bisim`` and ``minimise`` refine
 every (state, condition) pair (``equivalence.bisim_refinement`` and
 ``minimise.minimise_refinement``).  ``check`` builds and refines only
 the pairs reachable from its two (state, condition) roots and stops at
-the first round that separates them (``equivalence.bisimilar``).  Only
-``filters-check`` tabulates the coalgebra (``models.coalgebra_encode``),
-since its laws are stated on the table.  Model names
-may not contain '@', ',' or '"', which the outputs use as separators
-and quotes, nor start with '['.
+the first round that separates them (``equivalence.bisimilar``).  No
+command tabulates the coalgebra: ``filters-check`` answers from the
+proof that every valid system's coalgebra satisfies the version-filter
+laws.  Model names may not contain '@', ',' or '"', which the outputs
+use as separators and quotes, nor start with '['.
 
 Exit codes: 0 success (or a positive check), 1 negative check result,
 2 usage errors (including a model file that cannot be read), 3
@@ -19,13 +24,13 @@ UTF-8).  ``validate`` differs: it prints an invalid model's error on
 stdout as ``invalid: <reason>`` and exits 1.
 
 Both JSON reports print what ``json.dumps(payload, indent=2,
-sort_keys=True)`` prints.  CPython falls back to its pure-Python encoder
-whenever ``indent`` is set, and on large condition lattices that encoder
-took longer than the whole refinement.  The ``bisim`` report goes
-through ``_json_text``, which keeps the layout but quotes every string
-with the C function ``encode_basestring_ascii``.  The ``minimise``
-report, whose quotient rows make up most of the output, is written
-without a payload dict by ``minimise.chain_result_text``.
+sort_keys=True)`` prints, but are written without a payload dict, every
+string quoted by the C function ``encode_basestring_ascii``.  CPython
+falls back to its pure-Python encoder whenever ``indent`` is set, and
+on large condition lattices that encoder took longer than the whole
+refinement.  ``minimise.chain_result_text`` writes the ``minimise``
+report and ``_bisim_text`` the ``bisim`` report, both with the list
+layout of ``minimise._json_list``.
 """
 
 from __future__ import annotations
@@ -34,17 +39,17 @@ import argparse
 import sys
 from json.encoder import encode_basestring_ascii as quote
 
-from .equivalence import bisim_refinement, bisimilar
-from .minimise import chain_result_dot, chain_result_text, minimise_refinement
-from .modelfile import ParseError, convert_model, parse_model, serialise_model
-from .models import (
-    Cts,
-    NotDownwardClosed,
-    check_upgrade_preserving,
-    coalgebra_encode,
-    lats_to_cts,
-    project,
+from .equivalence import LatticeRelation, bisim_refinement, bisimilar
+from .minimise import (
+    _IN2,
+    _IN4,
+    _json_list,
+    chain_result_dot,
+    chain_result_text,
+    minimise_refinement,
 )
+from .modelfile import ParseError, parse_model, parse_with_kind, serialise_model
+from .models import NotDownwardClosed, project
 from .order import AntisymmetryViolation, OrderError
 
 
@@ -52,8 +57,8 @@ class _Unreadable(Exception):
     """The model file could not be opened or read."""
 
 
-def _read_model(path: str, close: bool):
-    """Parse a model file.  Bytes that are not UTF-8 make an invalid
+def _read_text(path: str) -> str:
+    """A model file's text.  Bytes that are not UTF-8 make an invalid
     model, with the line they are on; a file that cannot be read at all
     raises ``_Unreadable``."""
     try:
@@ -62,102 +67,76 @@ def _read_model(path: str, close: bool):
     except OSError as err:
         raise _Unreadable(path) from err
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as err:
         # counted as the parser counts lines; the prefix decodes cleanly
         line = len((data[: err.start].decode("utf-8") + ".").splitlines())
         raise ParseError(line, f"not UTF-8: {err.reason}") from None
-    return parse_model(text, close=close)
 
 
-def _as_cts(model) -> Cts:
-    return model if isinstance(model, Cts) else lats_to_cts(model)
+def _read_model(args):
+    return parse_model(_read_text(args.file), close=args.close)
 
 
-def _json_text(value, indent: str = "\n") -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)`` for the dict (with
-    str keys), list, tuple, str, int, bool and None values the reports
-    are made of.  Containers are matched by exact type and str items
-    are quoted in place, because one Python call per node is most of
-    the cost."""
-    kind = type(value)
-    if kind is list or kind is tuple:
-        if not value:
-            return "[]"
-        inner = indent + "  "
-        items = [quote(v) if type(v) is str else _json_text(v, inner) for v in value]
-        return f"[{inner}{(',' + inner).join(items)}{indent}]"
-    if kind is dict:
-        if not value:
-            return "{}"
-        inner = indent + "  "
-        items = [
-            f"{quote(k)}: {quote(v) if type(v) is str else _json_text(v, inner)}"
-            for k, v in sorted(value.items())
-        ]
-        return f"{{{inner}{(',' + inner).join(items)}{indent}}}"
-    if isinstance(value, str):
-        return quote(value)
-    if value is None or isinstance(value, bool):
-        return {None: "null", True: "true", False: "false"}[value]
-    if isinstance(value, int):
-        return int.__repr__(value)
-    raise TypeError(f"cannot write {kind.__name__} as JSON")
-
-
-def _emit_json(payload: dict) -> None:
-    print(_json_text(payload))
+def _bisim_text(relation: LatticeRelation, iterations: int) -> str:
+    """The ``bisim`` report, as ``json.dumps`` with ``indent=2`` and
+    ``sort_keys=True`` prints the payload {"algorithm": "fixpoint",
+    "iterations": ..., "pairs": {"x,y": [conditions]}}.  The engine
+    computes the lattice fixpoint, which names the report.  Pairs sort
+    by their raw "x,y" key, as ``sort_keys`` does, not by its quoted
+    form."""
+    rows = sorted(
+        (f"{x},{y}", _json_list([quote(c) for c in sorted(conds)], _IN4))
+        for (x, y), conds in relation.entries
+    )
+    items = [f"{quote(key)}: {conds}" for key, conds in rows]
+    pairs = f"{{{_IN4}{(',' + _IN4).join(items)}{_IN2}}}" if items else "{}"
+    return (
+        f'{{{_IN2}"algorithm": "fixpoint",{_IN2}"iterations": {iterations},'
+        f'{_IN2}"pairs": {pairs}\n}}'
+    )
 
 
 def _cmd_validate(args) -> int:
     try:
-        model = _read_model(args.file, args.close)
+        kind, model = parse_with_kind(_read_text(args.file), close=args.close)
     except (ParseError, NotDownwardClosed, AntisymmetryViolation, OrderError) as err:
         print(f"invalid: {err}")
         return 1
-    as_cts = _as_cts(model)
-    kind = "lats" if not isinstance(model, Cts) else "cts"
     print(
-        f"ok: {kind} with {len(as_cts.states)} states,"
-        f" {len(as_cts.actions)} actions,"
-        f" {len(as_cts.conditions.elements)} conditions,"
-        f" {len(as_cts.edges())} transitions"
+        f"ok: {kind} with {len(model.states)} states,"
+        f" {len(model.actions)} actions,"
+        f" {len(model.conditions.elements)} conditions,"
+        f" {len(model.edges())} transitions"
     )
     return 0
 
 
 def _cmd_convert(args) -> int:
-    model = _read_model(args.file, args.close)
-    sys.stdout.write(serialise_model(convert_model(model, args.to)))
+    sys.stdout.write(serialise_model(_read_model(args), args.to))
     return 0
 
 
 def _cmd_project(args) -> int:
-    as_cts = _as_cts(_read_model(args.file, args.close))
-    as_cts.conditions.check_element(args.condition)
-    flat = project(as_cts, args.condition)
+    flat = project(_read_model(args), args.condition)
     for (src, act, dst) in sorted(flat.edges):
         print(f"{src} {act} {dst}")
     return 0
 
 
 def _cmd_bisim(args) -> int:
-    as_cts = _as_cts(_read_model(args.file, args.close))
-    relation, iterations = bisim_refinement(as_cts)
-    pairs = {f"{x},{y}": sorted(conds) for ((x, y), conds) in relation.entries}
-    # the engine computes the lattice fixpoint, which names the report
-    _emit_json({"algorithm": "fixpoint", "iterations": iterations, "pairs": pairs})
+    print(_bisim_text(*bisim_refinement(_read_model(args))))
     return 0
 
 
 def _cmd_check(args) -> int:
-    as_cts = _as_cts(_read_model(args.file, args.close))
+    model = _read_model(args)
     for state in (args.x, args.y):
-        if state not in as_cts.states:
+        if state not in model.states:
             print(f"unknown state {state!r}", file=sys.stderr)
             return 2
-    as_cts.conditions.check_element(args.condition)
-    if bisimilar(as_cts, args.x, args.y, args.condition):
+    model.conditions.check_element(args.condition)
+    if bisimilar(model, args.x, args.y, args.condition):
         print(f"{args.x} and {args.y} are bisimilar under {args.condition}")
         return 0
     print(f"{args.x} and {args.y} are not bisimilar under {args.condition}")
@@ -165,13 +144,13 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_minimise(args) -> int:
-    as_cts = _as_cts(_read_model(args.file, args.close))
-    result = minimise_refinement(as_cts)
+    model = _read_model(args)
+    result = minimise_refinement(model)
     print(chain_result_text(result))
     if args.dot is not None:
         try:
             with open(args.dot, "w", encoding="utf-8") as handle:
-                handle.write(chain_result_dot(result, as_cts.conditions))
+                handle.write(chain_result_dot(result, model.conditions))
         except OSError:
             print(f"cannot write {args.dot}", file=sys.stderr)
             return 2
@@ -179,17 +158,20 @@ def _cmd_minimise(args) -> int:
 
 
 def _cmd_filters_check(args) -> int:
-    as_cts = _as_cts(_read_model(args.file, args.close))
-    ok, witness = check_upgrade_preserving(coalgebra_encode(as_cts))
-    if ok:
-        print("upgrade preserving")
-        return 0
-    x, act, phi, psi = witness
-    print(
-        "not upgrade preserving:"
-        f" state {x}, action {act}, downgrade {phi} -> {psi}"
-    )
-    return 1
+    """Every system that validates is upgrade preserving, so only the
+    parse can fail.  For a state x, an action a and conditions psi and
+    phi, the psi-slice of alpha(x, phi, a), the successors entered at
+    version psi, is {y : psi in label(x, a, y)} when psi <= phi, since
+    alpha(x, phi, a) enters y at every version of label(x, a, y) below
+    phi; that is also the psi-slice of alpha(x, psi, a).  When psi is
+    not below phi the slice is empty, since every entered version is.
+    These are the two version-filter laws.  The tabulated check,
+    ``ctsmin.theory.coalgebra.check_upgrade_preserving``, stays in the
+    theory layer, where the tests run it on encodings and on mutated
+    tables."""
+    _read_model(args)
+    print("upgrade preserving")
+    return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -313,16 +313,6 @@ def _kernel_relation(
     return LatticeRelation(carrier, conditions, tuple(entries))
 
 
-def partition_matrix(
-    states: Iterable[str], conditions: Poset, partition: Partition
-) -> LatticeRelation:
-    """Same-condition kernel of a pair partition: x and y are related at
-    phi when (x, phi) and (y, phi) share a class."""
-    return _kernel_relation(
-        states, conditions, ((pair, i) for i, cls in enumerate(partition) for pair in cls)
-    )
-
-
 def bisim_refinement(m: Cts) -> tuple[LatticeRelation, int]:
     """Greatest conditional bisimilarity read off the engine's final
     blocks, with the index of the first repeated kernel matrix, which

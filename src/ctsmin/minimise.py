@@ -23,7 +23,7 @@ from operator import itemgetter
 from typing import Callable, Mapping
 
 from .equivalence import PairGraph, PairKey, Partition, matrix_stage_of, refine
-from .models import Cts, UpgradeCoalgebra
+from .models import Cts
 from .order import Poset, validate_poset
 
 
@@ -76,7 +76,8 @@ class StageInfo:
 class ChainResult:
     """Outcome of minimisation: the stabilised stage, its kernel
     partition and quotient, and the full stage history.  The kernel
-    matrix of a stage is derived on demand with ``partition_matrix``.
+    matrix of a stage is derived on demand with
+    ``ctsmin.oracles.chain.partition_matrix``.
 
     ``stage`` is the first index whose partition equals the next one and
     ``confirmed_at`` is that next index.  ``matrix_stage`` is the first
@@ -159,18 +160,19 @@ def _quotient_transitions(
 
 
 def _chain_result(
-    system: Cts | UpgradeCoalgebra,
+    system: Cts,
     partitions: list[Partition],
     quotient_moves: Callable[[Partition, Mapping[PairKey, str]], Transitions],
 ) -> ChainResult:
     """Assemble the result from every stage's kernel partition, the last
-    one repeating its predecessor.  ``quotient_moves`` reads the moves
-    of the final partition's classes, given the class names: the engine
-    reads them off its pair graph, the chain oracle off the tabulated
-    coalgebra.  The JSON kernels and the quotient name pairs
-    state@condition, so two pairs sharing a name (possible when names
-    contain '@') would be told apart by the engine yet read as one; that
-    is rejected."""
+    one repeating its predecessor.  Only ``states`` and ``conditions``
+    are read from ``system``, so the chain oracle passes its tabulated
+    coalgebra there.  ``quotient_moves`` reads the moves of the final
+    partition's classes, given the class names: the engine reads them
+    off its pair graph, the chain oracle off the tabulated coalgebra.
+    The JSON kernels and the quotient name pairs state@condition, so two
+    pairs sharing a name (possible when names contain '@') would be told
+    apart by the engine yet read as one; that is rejected."""
     named: dict[str, PairKey] = {}
     for pair in ((x, cond) for x in system.states for cond in system.conditions.elements):
         other = named.setdefault(_pair_name(pair), pair)

@@ -2,22 +2,28 @@
 systems.
 
 A model file gives its kind, the condition poset, the state and action
-sets, and one line per labelled edge.  Comments run from '#' to the end
-of the line.  Names may not contain '@', ',' or '"': the outputs
-join states and conditions with the first two and quote names with
-the third, so such a name could make two outputs collide.  Nor may a
-name start with '[': the serialiser could write it at the start of a
-line that ends in ']', which reads back as a section header.  The
-serialiser emits a canonical form: conditions top down, order lines as
-covering pairs, everything else sorted, so parse and serialise are
-mutually inverse on canonical text.
+sets, and one line per labelled edge.  The two kinds have the same
+body: a label set of conditions is read either as the conditions under
+which the edge is present (``cts``) or, by Birkhoff duality, as an
+element of the lattice of downsets of the conditions (``lats``).  Both
+parse to the same ``Cts``; only the header line tells them apart.
+
+Comments run from '#' to the end of the line.  Names may not contain
+'@', ',' or '"': the outputs join states and conditions with the first
+two and quote names with the third, so such a name could make two
+outputs collide.  Nor may a name start with '[': the serialiser could
+write it at the start of a line that ends in ']', which reads back as a
+section header.  The serialiser emits a canonical form: conditions top
+down, order lines as covering pairs, everything else sorted, so parse
+and serialise are mutually inverse on canonical text.
 """
 
 from __future__ import annotations
 
-from .models import Cts, Lats, NotDownwardClosed, cts_to_lats, lats_to_cts
+from .models import Cts, NotDownwardClosed
 from .order import validate_poset
 
+KINDS = ("cts", "lats")
 SECTIONS = ("conditions", "states", "actions", "transitions")
 RESERVED = '@,"'
 
@@ -38,7 +44,13 @@ def _declared(number: int, names: list[str]) -> list[str]:
     return names
 
 
-def parse_model(text: str, close: bool = False) -> Cts | Lats:
+def parse_model(text: str, close: bool = False) -> Cts:
+    """The system a model file describes, of either kind."""
+    return parse_with_kind(text, close)[1]
+
+
+def parse_with_kind(text: str, close: bool = False) -> tuple[str, Cts]:
+    """The kind named in a model file's header, and its system."""
     kind: str | None = None
     section: str | None = None
     seen: dict[str, int] = {}
@@ -56,7 +68,7 @@ def parse_model(text: str, close: bool = False) -> Cts | Lats:
             if not line.startswith("kind:"):
                 raise ParseError(number, "expected 'kind: cts' or 'kind: lats'")
             kind = line[len("kind:"):].strip()
-            if kind not in ("cts", "lats"):
+            if kind not in KINDS:
                 raise ParseError(number, f"unknown kind {kind!r}")
             continue
         if line.startswith("[") and line.endswith("]"):
@@ -131,43 +143,30 @@ def parse_model(text: str, close: bool = False) -> Cts | Lats:
             )
         labels.setdefault((src, act, dst), set()).update(members)
 
-    model = Cts(states, actions, poset, labels, close=close)
-    if kind == "lats":
-        return cts_to_lats(model)
-    return model
+    return kind, Cts(states, actions, poset, labels, close=close)
 
 
-def serialise_model(model: Cts | Lats) -> str:
-    if isinstance(model, Lats):
-        kind = "lats"
-        as_cts = lats_to_cts(model)
-    else:
-        kind = "cts"
-        as_cts = model
-    poset = as_cts.conditions
+def serialise_model(model: Cts, kind: str = "cts") -> str:
+    """The canonical text of a system, headed by the given kind."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown kind {kind!r}")
+    poset = model.conditions
     rank = {c: i for i, c in enumerate(poset.top_down_order)}
     lines = [f"kind: {kind}", "", "[conditions]"]
     lines.extend(poset.top_down_order)
     lines.extend(f"{p} <= {q}" for (p, q) in poset.covers)
     lines.append("")
     lines.append("[states]")
-    if as_cts.states:
-        lines.append(" ".join(as_cts.states))
+    if model.states:
+        lines.append(" ".join(model.states))
     lines.append("")
     lines.append("[actions]")
-    if as_cts.actions:
-        lines.append(" ".join(as_cts.actions))
+    if model.actions:
+        lines.append(" ".join(model.actions))
     lines.append("")
     lines.append("[transitions]")
-    for (src, act, dst, conds) in as_cts.edges():
+    for (src, act, dst, conds) in model.edges():
         shown = " ".join(sorted(conds, key=lambda c: (rank[c], c)))
         lines.append(f"{src} {act} {dst} : {shown}")
     return "\n".join(lines) + "\n"
 
-
-def convert_model(model: Cts | Lats, target: str) -> Cts | Lats:
-    if target == "cts":
-        return model if isinstance(model, Cts) else lats_to_cts(model)
-    if target == "lats":
-        return model if isinstance(model, Lats) else cts_to_lats(model)
-    raise ValueError(f"unknown target kind {target!r}")

@@ -2,8 +2,9 @@
 for the tests: the naive and lattice-fixpoint constructions of
 conditional bisimilarity with the transfer and congruence checks
 (``bisim``), and the final chain of the lattice monad with its
-minimisation, its plain-dict report and the poset coequaliser
-(``chain``).
+minimisation, its kernel matrices, its plain-dict report and the poset
+coequaliser (``chain``).  The chain runs on the tabulated upgrade
+coalgebra of ``ctsmin.theory.coalgebra``.
 
 These modules import the runtime; nothing in the runtime imports them.
 """

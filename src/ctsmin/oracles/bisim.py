@@ -23,7 +23,7 @@ from functools import cached_property
 from typing import Iterable, Mapping
 
 from ..equivalence import LatticeRelation, Pair
-from ..models import Cts, Lats, Lts, cts_to_lats, project
+from ..models import Cts, Lts, project
 from ..order import Poset
 
 
@@ -210,23 +210,18 @@ def greatest_conditional_bisimilarity_naive(m: Cts) -> tuple[ConditionFamily, in
         rounds += 1
 
 
-def lattice_fixpoint_stages(m: Lats | Cts) -> list[dict[Pair, frozenset[str]]]:
+def lattice_fixpoint_stages(m: Cts) -> list[dict[Pair, frozenset[str]]]:
     """All rounds of the lattice-valued refinement, starting from the
     all relation and ending with the first repeated matrix, which is
-    kept so callers can see the confirmation stage."""
-    if isinstance(m, Cts):
-        m = cts_to_lats(m)
-    base = m.frame.base
+    kept so callers can see the confirmation stage.  Each label set is
+    read as its element of the downset lattice of the conditions."""
+    base = m.conditions
     states = m.states
     below = {phi: base.below(phi) for phi in base.elements}
     all_conds = frozenset(base.elements)
 
     def implies(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
         return frozenset(phi for phi in all_conds if below[phi] & a <= b)
-
-    out: dict[tuple[str, str], list[tuple[str, frozenset[str]]]] = {}
-    for (s, a, d, label) in m.edges():
-        out.setdefault((s, a), []).append((d, label.members))
 
     current: dict[Pair, frozenset[str]] = {
         (x, y): all_conds for x in states for y in states
@@ -238,16 +233,16 @@ def lattice_fixpoint_stages(m: Lats | Cts) -> list[dict[Pair, frozenset[str]]]:
             for y in states:
                 value = current[(x, y)]
                 for a in m.actions:
-                    for (x1, gx) in out.get((x, a), []):
+                    for (x1, gx) in m.outgoing(x, a):
                         matched: frozenset[str] = frozenset()
-                        for (y1, gy) in out.get((y, a), []):
+                        for (y1, gy) in m.outgoing(y, a):
                             matched |= gy & current[(x1, y1)]
                         value &= implies(gx, matched)
                         if not value:
                             break
-                    for (y1, gy) in out.get((y, a), []):
+                    for (y1, gy) in m.outgoing(y, a):
                         matched = frozenset()
-                        for (x1, gx) in out.get((x, a), []):
+                        for (x1, gx) in m.outgoing(x, a):
                             matched |= gx & current[(x1, y1)]
                         value &= implies(gy, matched)
                         if not value:
@@ -259,54 +254,46 @@ def lattice_fixpoint_stages(m: Lats | Cts) -> list[dict[Pair, frozenset[str]]]:
         current = refined
 
 
-def lattice_bisim_fixpoint(m: Lats | Cts) -> tuple[LatticeRelation, int]:
+def lattice_bisim_fixpoint(m: Cts) -> tuple[LatticeRelation, int]:
     """Iterate the lattice-valued refinement operator to its greatest
     fixed point.  The whole matrix is recomputed from the previous one
     each round; the returned count is the first index whose matrix
     equals its successor."""
-    if isinstance(m, Cts):
-        m = cts_to_lats(m)
     stages = lattice_fixpoint_stages(m)
     final = stages[-1]
     return (
-        LatticeRelation.of(m.states, m.frame.base, final),
+        LatticeRelation.of(m.states, m.conditions, final),
         len(stages) - 2,
     )
 
 
 def is_lattice_bisimulation(
-    m: Lats | Cts, rel: LatticeRelation
+    m: Cts, rel: LatticeRelation
 ) -> tuple[bool, tuple | None]:
     """Check the transfer clauses of a lattice-valued bisimulation at
     every join-irreducible, here the principal downsets of single
     conditions.  The witness is the lexicographically least tuple
     (x, y, side, a, x', phi) that fails."""
-    if isinstance(m, Cts):
-        m = cts_to_lats(m)
-    base = m.frame.base
-    out: dict[tuple[str, str], list[tuple[str, frozenset[str]]]] = {}
-    for (s, a, d, label) in m.edges():
-        out.setdefault((s, a), []).append((d, label.members))
-
+    base = m.conditions
     for x in rel.carrier:
         for y in rel.carrier:
             related = rel.value(x, y)
             for side in ("forth", "back"):
                 mover = x if side == "forth" else y
                 for a in m.actions:
-                    for (t, g_mv) in out.get((mover, a), []):
+                    for (t, g_mv) in m.outgoing(mover, a):
                         for phi in base.elements:
                             if phi not in g_mv or phi not in related:
                                 continue
                             if side == "forth":
                                 ok = any(
                                     phi in gy and phi in rel.value(t, y1)
-                                    for (y1, gy) in out.get((y, a), [])
+                                    for (y1, gy) in m.outgoing(y, a)
                                 )
                             else:
                                 ok = any(
                                     phi in gx and phi in rel.value(x1, t)
-                                    for (x1, gx) in out.get((x, a), [])
+                                    for (x1, gx) in m.outgoing(x, a)
                                 )
                             if not ok:
                                 return False, (x, y, side, a, t, phi)

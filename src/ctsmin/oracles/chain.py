@@ -14,10 +14,12 @@ the engine reads off its pair graph do; its ``matrix_stage`` compares
 the per-condition columns of every stage, independently of the cell
 count the runtime reads.
 
-``chain_result_json`` is the report as a plain dict, the reference the
-tests hold ``minimise.chain_result_text`` against.  ``quotient_to_cts``
-re-reads a quotient as a conditional system, and ``coequalise``
-quotients a poset by the equivalence that a set of pairs generates.
+``partition_matrix`` and ``kernel_matrix`` read a stage's
+same-condition kernel as a lattice relation.  ``chain_result_json`` is
+the report as a plain dict, the reference the tests hold
+``minimise.chain_result_text`` against.  ``quotient_to_cts`` re-reads a
+quotient as a conditional system, and ``coequalise`` quotients a poset
+by the equivalence that a set of pairs generates.
 
 Terms are hash-consed through a module interner keyed by sub-term
 identity, so equality is pointer equality and table comparisons stay
@@ -35,8 +37,8 @@ from ..equivalence import (
     LatticeRelation,
     PairKey,
     Partition,
+    _kernel_relation,
     canonical_partition,
-    partition_matrix,
 )
 from ..minimise import (
     ChainResult,
@@ -47,8 +49,9 @@ from ..minimise import (
     _pair_name,
     _quotient_poset,
 )
-from ..models import Cts, UpgradeCoalgebra
+from ..models import Cts
 from ..order import Poset
+from ..theory.coalgebra import UpgradeCoalgebra
 
 
 class BehaviourTerm:
@@ -197,6 +200,16 @@ def pseudo_factorise(d: BehaviourTable) -> tuple[Partition, Poset, dict[str, Beh
     terms = {_pair_name(cls[0]): table[cls[0]] for cls in partition}
     z_poset = _quotient_poset(d.states, d.conditions, _class_names(partition))
     return partition, z_poset, terms
+
+
+def partition_matrix(
+    states: Iterable[str], conditions: Poset, partition: Partition
+) -> LatticeRelation:
+    """Same-condition kernel of a pair partition: x and y are related at
+    phi when (x, phi) and (y, phi) share a class."""
+    return _kernel_relation(
+        states, conditions, ((pair, i) for i, cls in enumerate(partition) for pair in cls)
+    )
 
 
 def kernel_matrix(d: BehaviourTable) -> LatticeRelation:

@@ -126,36 +126,6 @@ class Poset:
         return f"Poset({list(self.elements)}" + (f", {pairs})" if pairs else ")")
 
 
-@dataclass(frozen=True)
-class Downset:
-    """A downward closed subset of ``base``.  Closure is validated."""
-
-    base: Poset
-    members: frozenset[str]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "members", frozenset(self.members))
-        for q in self.members:
-            self.base.check_element(q)
-        if not self.base.is_downward_closed(self.members):
-            raise OrderError(f"not downward closed: {sorted(self.members)}")
-
-    def __contains__(self, p: str) -> bool:
-        return p in self.members
-
-    def __le__(self, other: "Downset") -> bool:
-        return self.members <= other.members
-
-    def __iter__(self):
-        return iter(sorted(self.members))
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __repr__(self) -> str:
-        return "Downset({" + ", ".join(sorted(self.members)) + "})"
-
-
 def validate_poset(elements: Iterable[str], pairs: Iterable[tuple[str, str]]) -> Poset:
     """Close ``pairs`` reflexively and transitively over ``elements`` and
     reject the result unless it is antisymmetric.  The reported cycle is

@@ -1,11 +1,14 @@
 """Finite distributive lattices given by their order table, and the
 downsets that make up the frame elements.
 
-``HeytingFrame`` is the runtime's downset frame with its Heyting
-operations: joins are unions, meets are intersections and implication
-is the relative pseudocomplement.  It also gives the join-irreducibles
-and enumerates every element, which the lattice monad's finite spaces
-are built from.
+``Downset`` is a validated downward closed subset of a base poset.
+``HeytingFrame`` is the lattice of downsets of a base poset with its
+Heyting operations: joins are unions, meets are intersections and
+implication is the relative pseudocomplement.  It also gives the
+join-irreducibles and enumerates every element, which the lattice
+monad's finite spaces are built from.  The runtime needs none of this:
+a conditional system's label sets are these downsets, held as plain
+frozensets of conditions.
 
 ``ExplicitLattice`` is a lattice given by its order table.
 ``import_lattice`` rebuilds an order-isomorphic frame over its
@@ -20,8 +23,16 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from ..frame import BaseMismatch, Frame, FrameError
-from ..order import Downset, Poset
+from ..order import OrderError, Poset
+
+
+class FrameError(Exception):
+    pass
+
+
+class BaseMismatch(FrameError):
+    def __init__(self) -> None:
+        super().__init__("downsets live over different base posets")
 
 
 class TooLarge(FrameError):
@@ -29,9 +40,46 @@ class TooLarge(FrameError):
         super().__init__(f"{what} has size {size}, limit is {limit}")
 
 
-class HeytingFrame(Frame):
+@dataclass(frozen=True)
+class Downset:
+    """A downward closed subset of ``base``.  Closure is validated."""
+
+    base: Poset
+    members: frozenset[str]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "members", frozenset(self.members))
+        for q in self.members:
+            self.base.check_element(q)
+        if not self.base.is_downward_closed(self.members):
+            raise OrderError(f"not downward closed: {sorted(self.members)}")
+
+    def __contains__(self, p: str) -> bool:
+        return p in self.members
+
+    def __le__(self, other: "Downset") -> bool:
+        return self.members <= other.members
+
+    def __iter__(self):
+        return iter(sorted(self.members))
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+    def __repr__(self) -> str:
+        return "Downset({" + ", ".join(sorted(self.members)) + "})"
+
+
+@dataclass(frozen=True)
+class HeytingFrame:
     """The lattice of downsets of ``base`` with its Heyting algebra
     operations, computed on demand."""
+
+    base: Poset
+
+    @property
+    def bottom(self) -> Downset:
+        return Downset(self.base, frozenset())
 
     def _check(self, d: Downset) -> None:
         if d.base != self.base:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Mapping
 
-from ..models import SuccessorPairs
 from ..order import OrderError, Poset
+from .coalgebra import SuccessorPairs
 
 
 @dataclass(frozen=True)

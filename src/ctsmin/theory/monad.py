@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Mapping
 
-from ..frame import BaseMismatch
-from ..order import Downset, OrderError, Poset
-from .lattice import HeytingFrame, TooLarge
+from ..order import OrderError, Poset
+from .lattice import BaseMismatch, Downset, HeytingFrame, TooLarge
 from .maps import MonotoneMap
 
 

@@ -8,23 +8,29 @@ import pytest
 
 from ctsmin import (
     bisim_refinement,
-    check_upgrade_preserving,
-    coalgebra_encode,
     ex1,
     ex2,
     minimise_refinement,
-    partition_matrix,
     validate_poset,
 )
-from ctsmin.models import version_filter
 from ctsmin.oracles.bisim import (
     greatest_conditional_bisimilarity_naive,
     lattice_bisim_fixpoint,
     lattice_fixpoint_stages,
     per_condition_partition,
 )
-from ctsmin.oracles.chain import chain_result_json, minimise_chain, quotient_to_cts
+from ctsmin.oracles.chain import (
+    chain_result_json,
+    minimise_chain,
+    partition_matrix,
+    quotient_to_cts,
+)
 from ctsmin.order import Poset
+from ctsmin.theory.coalgebra import (
+    check_upgrade_preserving,
+    coalgebra_encode,
+    version_filter,
+)
 from ctsmin.theory.lattice import (
     ExplicitLattice,
     HeytingFrame,

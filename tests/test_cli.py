@@ -6,16 +6,18 @@ from pathlib import Path
 import pytest
 
 from ctsmin import (
+    Cts,
     bisim_refinement,
     chain_result_dot,
-    coalgebra_encode,
     ex1,
     ex2,
     minimise_refinement,
+    validate_poset,
 )
-from ctsmin.cli import _json_text, main
+from ctsmin.cli import _bisim_text, main
 from ctsmin.minimise import chain_result_text
 from ctsmin.oracles.chain import chain_result_json, minimise_chain
+from ctsmin.theory.coalgebra import coalgebra_encode
 
 from corpus import boolean_cts, cts_corpus
 
@@ -136,23 +138,53 @@ def test_minimise_dot_escapes_backslash_in_names(tmp_path, capsys):
     )
 
 
+def bisim_payload(relation, iterations):
+    """The ``bisim`` report as a plain dict."""
+    return {
+        "algorithm": "fixpoint",
+        "iterations": iterations,
+        "pairs": {f"{x},{y}": sorted(v) for ((x, y), v) in relation.entries},
+    }
+
+
+def named_system(names):
+    """A one-action ring over the given state names, each edge present
+    at one condition of a discrete order on the same names.  Without
+    names the system has no states and its relation is empty."""
+    names = sorted(set(names))
+    conditions = validate_poset(names or ["phi"], [])
+    labels = {
+        (x, "a", names[(i + 1) % len(names)]): {names[(i * 7) % len(names)]}
+        for i, x in enumerate(names)
+        if i % 3
+    }
+    return Cts(names, ["a"], conditions, labels)
+
+
 def test_json_writer_matches_indented_dumps_on_reports():
     systems = [ex1(), ex2()] + list(cts_corpus(500))
     systems += [boolean_cts(3, 0), boolean_cts(4, 0)]
+    # "\u00e9" sorts before "z" once quoted, but after it raw
+    systems.append(named_system(["\u00e9", "z", "\u00e9z"]))
     for m in systems:
-        relation, iterations = bisim_refinement(m)
-        bisim = {
-            "algorithm": "fixpoint",
-            "iterations": iterations,
-            "pairs": {f"{x},{y}": sorted(v) for ((x, y), v) in relation.entries},
-        }
-        result = minimise_refinement(m)
-        minimised = chain_result_json(result)
-        for payload in (bisim, minimised):
-            assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
-        assert chain_result_text(result) == json.dumps(
-            minimised, indent=2, sort_keys=True
+        report = bisim_refinement(m)
+        assert _bisim_text(*report) == json.dumps(
+            bisim_payload(*report), indent=2, sort_keys=True
         )
+        result = minimise_refinement(m)
+        assert chain_result_text(result) == json.dumps(
+            chain_result_json(result), indent=2, sort_keys=True
+        )
+
+
+def strings_in(value):
+    if isinstance(value, str):
+        return [value]
+    if isinstance(value, dict):
+        return [s for k, v in value.items() for s in [k, *strings_in(v)]]
+    if isinstance(value, (list, tuple)):
+        return [s for v in value for s in strings_in(v)]
+    return []
 
 
 @pytest.mark.parametrize(
@@ -174,7 +206,14 @@ def test_json_writer_matches_indented_dumps_on_reports():
     ],
 )
 def test_json_writer_matches_indented_dumps_on_edge_cases(payload):
-    assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+    """The strings of each payload (non-ASCII, surrogates, backslash,
+    quote, tab, the empty string) name the states and conditions of a
+    ``bisim`` report; a payload without strings gives the empty
+    relation."""
+    report = bisim_refinement(named_system(strings_in(payload)))
+    assert _bisim_text(*report) == json.dumps(
+        bisim_payload(*report), indent=2, sort_keys=True
+    )
 
 
 def test_filters_check_passes_on_fixtures(capsys):

@@ -41,6 +41,22 @@ CASES = [
     ("ONE.bisim", ["bisim", "ONE"], 0),
     ("ONE.check_yes", ["check", "ONE", "s", "s", "--condition", "phi"], 0),
     ("ONE.minimise", ["minimise", "ONE"], 0),
+    # the commands that only parse, rewrite or project the system
+    ("EX1.validate", ["validate", "EX1"], 0),
+    ("EX1.convert_cts", ["convert", "EX1", "--to", "cts"], 0),
+    ("EX1.convert_lats", ["convert", "EX1", "--to", "lats"], 0),
+    ("EX1.project", ["project", "EX1", "--condition", "phi'"], 0),
+    ("EX1.filters_check", ["filters-check", "EX1"], 0),
+    ("EX2.validate", ["validate", "EX2"], 0),
+    ("EX2.convert_cts", ["convert", "EX2", "--to", "cts"], 0),
+    ("EX2.convert_lats", ["convert", "EX2", "--to", "lats"], 0),
+    ("EX2.project", ["project", "EX2", "--condition", "phi'"], 0),
+    ("EX2.filters_check", ["filters-check", "EX2"], 0),
+    # EX1.lats is EX1 written as a lattice-labelled system
+    ("EX1.lats.validate", ["validate", "EX1.lats"], 0),
+    ("EX1.lats.convert_cts", ["convert", "EX1.lats", "--to", "cts"], 0),
+    ("EX1.lats.bisim", ["bisim", "EX1.lats"], 0),
+    ("EX1.lats.minimise", ["minimise", "EX1.lats"], 0),
 ]
 
 

@@ -9,11 +9,9 @@ from ctsmin import (
     Cts,
     Poset,
     chain_result_dot,
-    coalgebra_encode,
     ex1,
     ex2,
     minimise_refinement,
-    partition_matrix,
     refine,
 )
 from ctsmin.equivalence import _all_pairs, canonical_partition
@@ -39,9 +37,11 @@ from ctsmin.oracles.chain import (
     kernel_matrix,
     minimise_chain,
     node,
+    partition_matrix,
     pseudo_factorise,
     quotient_to_cts,
 )
+from ctsmin.theory.coalgebra import coalgebra_encode
 
 from corpus import boolean_cts, cts_corpus
 from strategies import cts_models

@@ -6,16 +6,14 @@ from hypothesis import given, strategies as st
 from ctsmin import (
     AntisymmetryViolation,
     Cts,
-    Lats,
     NotDownwardClosed,
     ParseError,
-    convert_model,
     ex1,
     ex2,
     parse_model,
     serialise_model,
 )
-from ctsmin.modelfile import RESERVED
+from ctsmin.modelfile import RESERVED, parse_with_kind
 
 from corpus import cts_corpus
 from strategies import cts_models
@@ -71,15 +69,15 @@ TOKENS = st.text(TOKEN_CHARS, min_size=1, max_size=4).filter(
     st.sampled_from(["cts", "lats"]),
 )
 def test_parse_inverts_serialise_on_token_names(model, kind):
-    text = serialise_model(convert_model(model, kind))
-    again = parse_model(text)
-    back = convert_model(again, "cts")
-    assert isinstance(again, Lats if kind == "lats" else Cts)
-    assert back.states == model.states
-    assert back.actions == model.actions
-    assert back.conditions == model.conditions
-    assert set(back.edges()) == set(model.edges())
-    assert serialise_model(again) == text
+    text = serialise_model(model, kind)
+    got_kind, again = parse_with_kind(text)
+    assert got_kind == kind
+    assert again == model == parse_model(text)
+    assert again.states == model.states
+    assert again.actions == model.actions
+    assert again.conditions == model.conditions
+    assert set(again.edges()) == set(model.edges())
+    assert serialise_model(again, kind) == text
 
 
 SCRAMBLED = """
@@ -108,19 +106,19 @@ def test_parse_tolerates_comments_and_section_order():
 
 
 def test_lats_kind_round_trip():
-    text = serialise_model(convert_model(ex1(), "lats"))
+    text = serialise_model(ex1(), "lats")
     assert text.startswith("kind: lats\n")
-    model = parse_model(text)
-    assert isinstance(model, Lats)
-    back = convert_model(model, "cts")
-    assert set(back.edges()) == set(ex1().edges())
+    assert text[len("kind: lats") :] == serialise_model(ex1())[len("kind: cts") :]
+    assert parse_with_kind(text) == ("lats", ex1())
+    assert parse_with_kind((FIXTURES / "EX1.lats").read_text()) == ("lats", ex1())
 
 
 def test_convert_is_identity_on_matching_kind():
-    m = ex1()
-    assert convert_model(m, "cts") is m
+    for kind in ("cts", "lats"):
+        text = serialise_model(ex1(), kind)
+        assert serialise_model(parse_model(text), kind) == text
     with pytest.raises(ValueError):
-        convert_model(m, "graph")
+        serialise_model(ex1(), "graph")
 
 
 @pytest.mark.parametrize(

@@ -3,14 +3,13 @@ from hypothesis import given, strategies as st
 
 from ctsmin import (
     AntisymmetryViolation,
-    Downset,
     OrderError,
     Poset,
     UnknownElement,
     validate_poset,
 )
 from ctsmin.oracles.chain import coequalise
-from ctsmin.theory.lattice import down_closure, principal_downset
+from ctsmin.theory.lattice import Downset, down_closure, principal_downset
 from ctsmin.theory.maps import MonotoneMap, is_monotone
 
 from corpus import cts_corpus
