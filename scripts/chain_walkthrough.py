@@ -61,7 +61,7 @@ def main(argv=None) -> int:
         f"stabilised at stage {result.stage},"
         f" confirmed at stage {result.confirmed_at}"
     )
-    print(f"quotient states: {', '.join(result.quotient_states())}")
+    print(f"quotient states: {', '.join(result.z_poset.elements)}")
     print()
     sys.stdout.write(serialise_model(quotient_to_cts(result, model.conditions)))
     return 0

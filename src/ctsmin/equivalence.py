@@ -10,15 +10,16 @@ keeps every round exact while signing only what can change: block ids
 are stable, a round re-signs the predecessors of the pairs whose id
 changed in the round before plus one representative of each touched
 block's untouched members, and a block that splits keeps its id for its
-largest part.  ``bisim_refinement`` builds the bisimilarity relation
-once, from the final blocks, and reads its iteration count from the
-number of occupied (condition, block) cells per round.  ``refine`` turns
-every round into a canonical partition for
-``minimise.minimise_refinement``, which reports them all.  ``bisimilar``
-answers one query by building and refining only the pairs reachable
-from the two queried pairs, and stops at the first round that separates
-them.  The relations are ``LatticeRelation`` values: each pair of states
-carries the downset of conditions under which it is related.
+largest part.  ``_counted_rounds`` also counts the occupied
+(condition, block) cells from each round's moved pairs, which gives the
+lattice fixpoint's iteration count.  ``bisim_refinement`` builds the
+bisimilarity relation once, from the final blocks; ``refine`` keeps
+every round's block ids for ``minimise``, which reports them all.
+``bisimilar`` answers one query by building and refining only the pairs
+reachable from the two queried pairs, and stops at the first round that
+separates them.  The relations are ``LatticeRelation`` values: each
+pair of states carries the downset of conditions under which it is
+related.
 """
 
 from __future__ import annotations
@@ -74,12 +75,6 @@ class LatticeRelation:
 
     def table(self) -> dict[Pair, frozenset[str]]:
         return dict(self.entries)
-
-
-def canonical_partition(groups: Iterable[Iterable[PairKey]]) -> Partition:
-    """Classes sorted internally and ordered by their least member."""
-    classes = [tuple(sorted(g)) for g in groups]
-    return tuple(sorted(classes, key=lambda cls: cls[0]))
 
 
 class PairGraph(NamedTuple):
@@ -238,21 +233,39 @@ def _all_pairs(m: Cts) -> PairGraph:
     return _pair_graph(m, [(x, cond) for x in m.states for cond in m.conditions.elements])
 
 
-def refine(m: Cts) -> tuple[PairGraph, list[Partition]]:
-    """Signature refinement of all (state, condition) pairs: the pair
-    graph, and every round of ``_rounds`` on it up to and including the
-    first that repeats its predecessor, as canonical partitions.  Only
-    ``minimise``, which reports every round and reads the quotient's
-    moves off the graph, needs them; ``bisim_refinement`` and
-    ``bisimilar`` read the engine's rounds directly."""
-    graph = _all_pairs(m)
-    partitions = []
+def _counted_rounds(graph: PairGraph, height: int) -> Iterator[tuple[list[int], int]]:
+    """Each round of ``_rounds`` on ``_all_pairs`` over ``height``
+    conditions, as its block ids (valid until the generator resumes) and
+    the number of (condition, block) cells that some pair occupies, kept
+    up to date from the round's moved pairs; pair i lies at condition
+    i % height."""
+    cells: dict[int, int] = {}  # block * height + condition -> pairs there
+    for i in range(len(graph.pairs)):
+        cells[i % height] = cells.get(i % height, 0) + 1
     for rnd in _rounds(graph.moves, graph.width):
-        groups: dict[int, list[PairKey]] = {}
-        for pair, b in zip(graph.pairs, rnd.block):
-            groups.setdefault(b, []).append(pair)
-        partitions.append(canonical_partition(groups.values()))
-    return graph, partitions
+        for i, old in rnd.moved:
+            k = i % height
+            cell = old * height + k
+            cells[cell] -= 1
+            if not cells[cell]:
+                del cells[cell]
+            cell = rnd.block[i] * height + k
+            cells[cell] = cells.get(cell, 0) + 1
+        yield rnd.block, len(cells)
+
+
+def refine(m: Cts) -> tuple[PairGraph, list[list[int]], int]:
+    """Signature refinement of all (state, condition) pairs: the pair
+    graph, the block ids of every round up to and including the first
+    that repeats its predecessor, and the index of the first repeated
+    kernel matrix.  Pairs are numbered in sorted (state, condition)
+    order."""
+    graph = _all_pairs(m)
+    stages, cells = [], []
+    for block, count in _counted_rounds(graph, len(m.conditions.elements)):
+        stages.append(list(block))
+        cells.append(count)
+    return graph, stages, matrix_stage_of(cells)
 
 
 def bisimilar(m: Cts, x: str, y: str, phi: str) -> bool:
@@ -317,25 +330,10 @@ def bisim_refinement(m: Cts) -> tuple[LatticeRelation, int]:
     """Greatest conditional bisimilarity read off the engine's final
     blocks, with the index of the first repeated kernel matrix, which
     is also the number of rounds the lattice fixpoint iteration takes.
-
-    No round is materialised.  The number of occupied (condition, block)
-    cells, which ``matrix_stage_of`` reads, is kept up to date from each
-    round's moved pairs; pair i lies at condition i % |conditions|."""
-    pairs, moves, width = _all_pairs(m)
-    height = len(m.conditions.elements)
-    cells: dict[int, int] = {}  # block * height + condition -> pairs there
-    for i in range(len(pairs)):
-        cells[i % height] = cells.get(i % height, 0) + 1
-    counts = []
-    for rnd in _rounds(moves, width):
-        for i, old in rnd.moved:
-            k = i % height
-            cell = old * height + k
-            cells[cell] -= 1
-            if not cells[cell]:
-                del cells[cell]
-            cell = rnd.block[i] * height + k
-            cells[cell] = cells.get(cell, 0) + 1
-        counts.append(len(cells))
-    relation = _kernel_relation(m.states, m.conditions, zip(pairs, rnd.block))
-    return relation, matrix_stage_of(counts)
+    No round but the last is kept."""
+    graph = _all_pairs(m)
+    cells = []
+    for block, count in _counted_rounds(graph, len(m.conditions.elements)):
+        cells.append(count)
+    relation = _kernel_relation(m.states, m.conditions, zip(graph.pairs, block))
+    return relation, matrix_stage_of(cells)

@@ -1,12 +1,13 @@
 """Minimisation: the quotient of the refinement engine and its reports.
 
-``minimise_refinement`` takes the rounds of ``equivalence.refine`` and
-builds the stage history and the quotient.  The builder names each
-class by its least (state, condition) pair, reads the quotient's moves
-off the pair graph that ``refine`` built, and orders the classes by
-closing the condition covers under that naming; nothing beyond the
-final partition and that graph is needed.  ``matrix_stage`` is read
-from the number of occupied (condition, class) cells of each stage.
+``minimise_refinement`` takes every round of ``equivalence.refine`` as
+each pair's block id and builds the stage history and the quotient.
+Pairs are numbered in sorted (state, condition) order, so grouping them
+by block id in number order gives each stage's canonical kernel, and
+grouping the states by their row of block ids its state partition, with
+no sort.  Each class is named by its least pair, its moves are read off
+the pair graph that ``refine`` built, and the classes are ordered by
+closing the condition covers under that naming.
 
 A ``ChainResult`` is serialised here too.  ``chain_result_text`` writes
 the JSON report of the ``minimise`` command in one pass over the
@@ -16,24 +17,19 @@ result, and ``chain_result_dot`` renders the quotient for Graphviz.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from itertools import groupby
 from json.encoder import encode_basestring_ascii as quote
 from operator import itemgetter
 from typing import Callable, Mapping
 
-from .equivalence import PairGraph, PairKey, Partition, matrix_stage_of, refine
+from .equivalence import PairGraph, PairKey, Partition, refine
 from .models import Cts
 from .order import Poset, validate_poset
 
 
 def _pair_name(pair: PairKey) -> str:
     return f"{pair[0]}@{pair[1]}"
-
-
-def _class_names(partition: Partition) -> dict[PairKey, str]:
-    """Name every pair by the least pair of its class."""
-    return {pair: _pair_name(cls[0]) for cls in partition for pair in cls}
 
 
 def _quotient_poset(
@@ -67,17 +63,12 @@ Transitions = tuple[tuple[str, str, tuple[tuple[str, str], ...]], ...]
 
 
 @dataclass(frozen=True)
-class StageInfo:
-    stage: int
-    partition: Partition
-
-
-@dataclass(frozen=True)
 class ChainResult:
-    """Outcome of minimisation: the stabilised stage, its kernel
-    partition and quotient, and the full stage history.  The kernel
-    matrix of a stage is derived on demand with
-    ``ctsmin.oracles.chain.partition_matrix``.
+    """Outcome of minimisation: the stabilised stage, its quotient, and
+    every stage's kernel partition and state partition, whose classes
+    are the states with equal columns.  ``class_of`` names every pair by
+    the least pair of its final class.  The kernel matrix of a stage is
+    derived on demand with ``ctsmin.oracles.chain.partition_matrix``.
 
     ``stage`` is the first index whose partition equals the next one and
     ``confirmed_at`` is that next index.  ``matrix_stage`` is the first
@@ -88,67 +79,40 @@ class ChainResult:
     stage: int
     confirmed_at: int
     matrix_stage: int
-    stages: tuple[StageInfo, ...]
+    stages: tuple[Partition, ...]
+    state_partitions: tuple[tuple[tuple[str, ...], ...], ...]
     class_of: tuple[tuple[PairKey, str], ...]
     z_poset: Poset
     transitions: Transitions
 
-    @cached_property
-    def _class_table(self) -> Mapping[PairKey, str]:
-        return dict(self.class_of)
-
-    def class_name(self, x: str, cond: str) -> str:
-        return self._class_table[(x, cond)]
-
-    def quotient_states(self) -> tuple[str, ...]:
-        return self.z_poset.elements
-
-    def state_partition(self, stage: int) -> tuple[tuple[str, ...], ...]:
-        """States identified at a stage when all their columns agree."""
-        info = self.stages[stage]
-        index: dict[PairKey, int] = {}
-        for i, cls in enumerate(info.partition):
-            for pair in cls:
-                index[pair] = i
-        states = sorted({x for (x, _) in index})
-        conds = sorted({c for (_, c) in index})
-        sig = {x: tuple(index[(x, c)] for c in conds) for x in states}
-        groups: dict[tuple, list[str]] = {}
-        for x in states:
-            groups.setdefault(sig[x], []).append(x)
-        return tuple(sorted((tuple(g) for g in groups.values()), key=lambda g: g[0]))
-
 
 def _quotient_transitions(
-    m: Cts, graph: PairGraph, partition: Partition, class_of: Mapping[PairKey, str]
+    m: Cts, graph: PairGraph, block: list[int], names: Mapping[int, str]
 ) -> Transitions:
     """The quotient's moves, one entry per (class, action), each a
-    sorted tuple of (successor class, version).  Every pair of a class
-    must have the same moves into classes, read off the pair graph;
-    otherwise the partition is no congruence and the least action where
-    the members differ is reported."""
-    pairs, moves, width = graph
+    sorted tuple of (successor class, version), given each pair's block
+    id on the pair graph and each block's class name.  Every pair of a
+    class must have the same moves into classes, read off the pair
+    graph; otherwise the partition is no congruence and the least action
+    where the members differ is reported."""
+    moves, width = graph.moves, graph.width
     conditions = m.conditions.elements
     height = len(conditions)
-    number = dict(zip(pairs, range(len(pairs))))
-    index = [0] * len(pairs)
-    for k, cls in enumerate(partition):
-        for pair in cls:
-            index[number[pair]] = k
-    names = [class_of[cls[0]] for cls in partition]
+    images: dict[int, set[frozenset[int]]] = {}
+    for i, b in enumerate(block):
+        # a move into block k with label l as the single int k * width + l
+        images.setdefault(b, set()).add(
+            frozenset([block[j] * width + label for j, label in moves[i]])
+        )
     out = []
-    for name, cls in zip(names, partition):
-        # a move into class k with label l as the single int k * width + l
-        images = {
-            frozenset([index[j] * width + label for j, label in moves[number[pair]]])
-            for pair in cls
-        }
-        if len(images) != 1:
-            spread = frozenset().union(*images) - frozenset.intersection(*images)
+    for b, found in images.items():
+        name = names[b]
+        if len(found) != 1:
+            spread = frozenset().union(*found) - frozenset.intersection(*found)
             a = m.actions[min(v % width for v in spread) // height]
             raise ValueError(f"quotient not well defined at {name}, action {a}")
         rows: dict[int, list[tuple[str, str]]] = {}
-        for v in images.pop():
+        for v in found.pop():
             label = v % width
             rows.setdefault(label // height, []).append(
                 (names[v // width], conditions[label % height])
@@ -161,37 +125,58 @@ def _quotient_transitions(
 
 def _chain_result(
     system: Cts,
-    partitions: list[Partition],
-    quotient_moves: Callable[[Partition, Mapping[PairKey, str]], Transitions],
+    stages: list[list[int]],
+    matrix_stage: int,
+    quotient_moves: Callable[[list[int], Mapping[int, str]], Transitions],
 ) -> ChainResult:
-    """Assemble the result from every stage's kernel partition, the last
-    one repeating its predecessor.  Only ``states`` and ``conditions``
-    are read from ``system``, so the chain oracle passes its tabulated
-    coalgebra there.  ``quotient_moves`` reads the moves of the final
-    partition's classes, given the class names: the engine reads them
-    off its pair graph, the chain oracle off the tabulated coalgebra.
-    The JSON kernels and the quotient name pairs state@condition, so two
-    pairs sharing a name (possible when names contain '@') would be told
-    apart by the engine yet read as one; that is rejected."""
+    """Assemble the result from every stage's block ids, the last stage
+    repeating its predecessor; pair i is the i-th (state, condition)
+    pair in sorted order.  Only ``states`` and ``conditions`` are read
+    from ``system``, so the chain oracle passes its tabulated coalgebra
+    there, with its own ``matrix_stage``.  ``quotient_moves`` reads the
+    moves of the final classes, given the final block ids and each
+    block's class name: the engine reads them off its pair graph, the
+    chain oracle off the tabulated coalgebra.  The JSON kernels and the
+    quotient name pairs state@condition, so two pairs sharing a name
+    (possible when names contain '@') would be told apart by the engine
+    yet read as one; that is rejected."""
+    height = len(system.conditions.elements)
+    pairs = [(x, cond) for x in system.states for cond in system.conditions.elements]
     named: dict[str, PairKey] = {}
-    for pair in ((x, cond) for x in system.states for cond in system.conditions.elements):
+    for pair in pairs:
         other = named.setdefault(_pair_name(pair), pair)
         if other != pair:
             raise ValueError(
                 f"pairs {other} and {pair} share the name {_pair_name(pair)!r}"
             )
-    stage = len(partitions) - 2
-    final = partitions[stage]
-    class_of = _class_names(final)
-    transitions = quotient_moves(final, class_of)
-    # the occupied (condition, class) cells of each stage
-    cells = [sum(len({cond for _, cond in cls}) for cls in p) for p in partitions]
+    partitions = []
+    state_partitions = []
+    for block in stages:
+        # in number order each class comes sorted, and the classes come
+        # ordered by their least pair
+        classes: dict[int, list[PairKey]] = {}
+        for pair, b in zip(pairs, block):
+            classes.setdefault(b, []).append(pair)
+        partitions.append(tuple(map(tuple, classes.values())))
+        rows: dict[tuple[int, ...], list[str]] = {}
+        for i, x in enumerate(system.states):
+            rows.setdefault(tuple(block[i * height : (i + 1) * height]), []).append(x)
+        state_partitions.append(tuple(map(tuple, rows.values())))
+    stage = len(stages) - 2
+    final = stages[stage]
+    names: dict[int, str] = {}
+    for pair, b in zip(pairs, final):
+        if b not in names:
+            names[b] = _pair_name(pair)
+    class_of = {pair: names[b] for pair, b in zip(pairs, final)}
+    transitions = quotient_moves(final, names)
     return ChainResult(
         stage,
         stage + 1,
-        matrix_stage_of(cells),
-        tuple(StageInfo(i, p) for i, p in enumerate(partitions)),
-        tuple(sorted(class_of.items())),
+        matrix_stage,
+        tuple(partitions),
+        tuple(state_partitions),
+        tuple(class_of.items()),
         _quotient_poset(system.states, system.conditions, class_of),
         transitions,
     )
@@ -200,8 +185,8 @@ def _chain_result(
 def minimise_refinement(m: Cts) -> ChainResult:
     """Minimise through the refinement engine, whose rounds are the
     kernels of the final chain."""
-    graph, partitions = refine(m)
-    return _chain_result(m, partitions, partial(_quotient_transitions, m, graph))
+    graph, stages, matrix_stage = refine(m)
+    return _chain_result(m, stages, matrix_stage, partial(_quotient_transitions, m, graph))
 
 
 # newline and indent at each depth of the minimise report
@@ -237,20 +222,15 @@ def chain_result_text(result: ChainResult) -> str:
     quoted = _Quoted()
     pair_text = {pair: quoted[_pair_name(pair)] for pair, _ in result.class_of}
     stages = []
-    for info in result.stages:
+    for k, (partition, groups) in enumerate(zip(result.stages, result.state_partitions)):
         kernel = _json_list(
-            [_json_list([pair_text[p] for p in cls], _IN8) for cls in info.partition],
-            _IN6,
+            [_json_list([pair_text[p] for p in cls], _IN8) for cls in partition], _IN6
         )
         states = _json_list(
-            [
-                _json_list([quoted[x] for x in group], _IN8)
-                for group in result.state_partition(info.stage)
-            ],
-            _IN6,
+            [_json_list([quoted[x] for x in group], _IN8) for group in groups], _IN6
         )
         stages.append(
-            f'{{{_IN6}"kernel": {kernel},{_IN6}"stage": {info.stage},'
+            f'{{{_IN6}"kernel": {kernel},{_IN6}"stage": {k},'
             f'{_IN6}"states": {states}{_IN4}}}'
         )
     z = result.z_poset

@@ -143,7 +143,7 @@ def parse_with_kind(text: str, close: bool = False) -> tuple[str, Cts]:
             )
         labels.setdefault((src, act, dst), set()).update(members)
 
-    return kind, Cts(states, actions, poset, labels, close=close)
+    return kind, Cts(states, actions, poset, labels)
 
 
 def serialise_model(model: Cts, kind: str = "cts") -> str:

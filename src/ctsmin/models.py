@@ -36,7 +36,7 @@ class Cts:
     ``labels`` maps (src, action, dst) to the set of conditions under
     which the edge is present.  Each label set must be downward closed,
     which is the same thing as the successor structure shrinking under
-    upgrades; pass close=True to normalise instead of reject.
+    upgrades.
     """
 
     def __init__(
@@ -45,7 +45,6 @@ class Cts:
         actions: Iterable[str],
         conditions: Poset,
         labels: Mapping[Edge, Iterable[str]],
-        close: bool = False,
     ):
         if not conditions.elements:
             raise ValueError("condition poset must be non-empty")
@@ -65,9 +64,7 @@ class Cts:
             members = frozenset(conds)
             for c in members:
                 conditions.check_element(c)
-            if close:
-                members = conditions.down_close(members)
-            elif not conditions.is_downward_closed(members):
+            if not conditions.is_downward_closed(members):
                 raise NotDownwardClosed(f"{src} {act} {dst} : {sorted(members)}")
             if members:
                 table[(src, act, dst)] = members

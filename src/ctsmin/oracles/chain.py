@@ -6,13 +6,14 @@ term.  Stage zero is constant; each later stage records, per action,
 the set of (previous term, entry version) pairs reachable in one step.
 Tables are pseudo-factorised into a kernel partition and a
 least-ordered codomain, and the construction stops as soon as the
-partition repeats.  The chain feeds its partitions to the result
-builder of ``minimise`` together with its own reading of the quotient's
-moves off the tabulated coalgebra (``alpha_transitions``), so it agrees
-with ``minimise_refinement`` exactly when their kernels and the moves
-the engine reads off its pair graph do; its ``matrix_stage`` compares
-the per-condition columns of every stage, independently of the cell
-count the runtime reads.
+partition repeats.  The chain numbers each stage's term fibres in the
+engine's pair order and feeds them to the result builder of
+``minimise`` together with its own reading of the quotient's moves off
+the tabulated coalgebra (``alpha_transitions``), so it agrees with
+``minimise_refinement`` exactly when their kernels and the moves the
+engine reads off its pair graph do; its ``matrix_stage`` compares the
+per-condition columns of every stage, independently of the cell count
+the runtime reads.
 
 ``partition_matrix`` and ``kernel_matrix`` read a stage's
 same-condition kernel as a lattice relation.  ``chain_result_json`` is
@@ -29,22 +30,15 @@ dict guarded by the interpreter lock, which is atomic enough here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Iterable, Mapping
 
-from ..equivalence import (
-    LatticeRelation,
-    PairKey,
-    Partition,
-    _kernel_relation,
-    canonical_partition,
-)
+from ..equivalence import LatticeRelation, PairKey, Partition, _kernel_relation
 from ..minimise import (
     ChainResult,
     Transitions,
     _chain_result,
-    _class_names,
     _group_conditions,
     _pair_name,
     _quotient_poset,
@@ -52,6 +46,17 @@ from ..minimise import (
 from ..models import Cts
 from ..order import Poset
 from ..theory.coalgebra import UpgradeCoalgebra
+
+
+def canonical_partition(groups: Iterable[Iterable[PairKey]]) -> Partition:
+    """Classes sorted internally and ordered by their least member."""
+    classes = [tuple(sorted(g)) for g in groups]
+    return tuple(sorted(classes, key=lambda cls: cls[0]))
+
+
+def _class_names(partition: Partition) -> dict[PairKey, str]:
+    """Name every pair by the least pair of its class."""
+    return {pair: _pair_name(cls[0]) for cls in partition for pair in cls}
 
 
 class BehaviourTerm:
@@ -184,6 +189,13 @@ def chain_step(c: UpgradeCoalgebra, d: BehaviourTable) -> BehaviourTable:
     return BehaviourTable(d.stage + 1, c.states, c.conditions, tuple(entries))
 
 
+def _fibres(d: BehaviourTable) -> list[int]:
+    """Every pair's term fibre, numbered by first occurrence in sorted
+    (state, condition) order; equal lists mean equal kernels."""
+    ids: dict[BehaviourTerm, int] = {}
+    return [ids.setdefault(term, len(ids)) for _, term in d.entries]
+
+
 def _kernel_partition(d: BehaviourTable) -> Partition:
     fibres: dict[BehaviourTerm, list[PairKey]] = {}
     for (pair, term) in d.entries:
@@ -235,39 +247,37 @@ def matrix_stage(partitions: list[Partition]) -> int:
 
 
 def alpha_transitions(
-    c: UpgradeCoalgebra, partition: Partition, class_of: Mapping[PairKey, str]
+    c: UpgradeCoalgebra, block: list[int], names: Mapping[int, str]
 ) -> Transitions:
-    """The quotient's moves read off ``alpha``: per class and action, the
-    image of each member under ``alpha`` with successors renamed to their
-    classes, which must be the same for every member."""
-    moves: dict[tuple[str, str], tuple[tuple[str, str], ...]] = {}
-    for cls in partition:
-        name = class_of[cls[0]]
+    """The quotient's moves read off ``alpha``, given each pair's block
+    id and each block's class name: per class and action, the image of
+    each member under ``alpha`` with successors renamed to their classes,
+    which must be the same for every member."""
+    pairs = [(x, cond) for x in c.states for cond in c.conditions.elements]
+    class_of = {pair: names[b] for pair, b in zip(pairs, block)}
+    moves: dict[tuple[str, str], set[frozenset[tuple[str, str]]]] = {}
+    for (x, cond), b in zip(pairs, block):
         for a in c.actions:
-            values = set()
-            for (x, cond) in cls:
-                image = frozenset(
-                    (class_of[(x1, chi)], chi) for (x1, chi) in c.alpha(x, cond, a)
-                )
-                values.add(image)
-            if len(values) != 1:
-                raise ValueError(
-                    f"quotient not well defined at {name}, action {a}"
-                )
-            moves[(name, a)] = tuple(sorted(values.pop()))
-    return tuple((name, a, moves[(name, a)]) for (name, a) in sorted(moves))
+            moves.setdefault((names[b], a), set()).add(
+                frozenset((class_of[(x1, chi)], chi) for (x1, chi) in c.alpha(x, cond, a))
+            )
+    for (name, a), values in moves.items():
+        if len(values) != 1:
+            raise ValueError(f"quotient not well defined at {name}, action {a}")
+    return tuple((name, a, tuple(sorted(moves[(name, a)].pop()))) for (name, a) in sorted(moves))
 
 
 def minimise_chain(c: UpgradeCoalgebra) -> ChainResult:
     """Iterate the chain until the kernel partition repeats.  Each stage
     refines the last, so this terminates within one stage per pair."""
     table = chain_init(c)
+    stages = [_fibres(table)]
     partitions = [_kernel_partition(table)]
-    while len(partitions) < 2 or partitions[-1] != partitions[-2]:
+    while len(stages) < 2 or stages[-1] != stages[-2]:
         table = chain_step(c, table)
+        stages.append(_fibres(table))
         partitions.append(_kernel_partition(table))
-    result = _chain_result(c, partitions, partial(alpha_transitions, c))
-    return replace(result, matrix_stage=matrix_stage(partitions))
+    return _chain_result(c, stages, matrix_stage(partitions), partial(alpha_transitions, c))
 
 
 def quotient_to_cts(result: ChainResult, conditions: Poset) -> Cts:
@@ -281,11 +291,10 @@ def quotient_to_cts(result: ChainResult, conditions: Poset) -> Cts:
         for (dst, chi) in pairs:
             labels.setdefault((src, a, dst), set()).add(chi)
     return Cts(
-        result.quotient_states(),
+        result.z_poset.elements,
         actions,
         conditions,
-        {edge: conds for edge, conds in labels.items()},
-        close=True,
+        {edge: conditions.down_close(conds) for edge, conds in labels.items()},
     )
 
 
@@ -293,14 +302,12 @@ def chain_result_json(result: ChainResult) -> dict:
     """Plain serialisable form: stage history with kernel and state
     partitions, and the final quotient with its order and transitions."""
     stages = []
-    for info in result.stages:
+    for k, (partition, groups) in enumerate(zip(result.stages, result.state_partitions)):
         stages.append(
             {
-                "stage": info.stage,
-                "kernel": [
-                    [_pair_name(p) for p in cls] for cls in info.partition
-                ],
-                "states": [list(g) for g in result.state_partition(info.stage)],
+                "stage": k,
+                "kernel": [[_pair_name(p) for p in cls] for cls in partition],
+                "states": [list(g) for g in groups],
             }
         )
     z = result.z_poset

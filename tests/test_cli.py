@@ -1,17 +1,26 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctsmin import (
     Cts,
+    NotDownwardClosed,
+    OrderError,
+    ParseError,
     bisim_refinement,
     chain_result_dot,
     ex1,
     ex2,
     minimise_refinement,
+    parse_model,
     validate_poset,
 )
 from ctsmin.cli import _bisim_text, main
@@ -310,6 +319,76 @@ def test_reserved_characters_are_a_model_error(tmp_path, capsys, name):
         assert code == 3
         assert out == ""
         assert err.startswith(f"invalid model: line {line}:")
+
+
+FIXTURE_TEXTS = [path.read_text() for path in sorted(FIXTURES.iterdir())]
+FIXTURE_LINES = sorted({line for text in FIXTURE_TEXTS for line in text.splitlines()})
+# fixture tokens, and ones that break the format: reserved characters, a
+# section header, a stray order or label separator
+TOKENS = sorted(
+    {token for text in FIXTURE_TEXTS for token in text.split()}
+    | {"@", ",", '"', "[x", "[states]", "<=", ":", "kind:", "lats", "q@r"}
+)
+
+
+@st.composite
+def mutated_fixtures(draw):
+    """A fixture's text after one to four edits, each deleting,
+    inserting or duplicating a line or a token of a line, and two states
+    and a condition for the queries: the model's own names when the text
+    still parses, or any of its tokens."""
+    lines = draw(st.sampled_from(FIXTURE_TEXTS)).splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        edit = draw(st.sampled_from(("delete", "insert", "duplicate")))
+        at = draw(st.integers(0, len(lines)))
+        if draw(st.booleans()):
+            units, pool = lines, FIXTURE_LINES
+        else:
+            units, pool = lines[at].split() if at < len(lines) else [], TOKENS
+        where = draw(st.integers(0, len(units)))
+        if edit == "insert":
+            units.insert(where, draw(st.sampled_from(pool)))
+        elif where < len(units):
+            if edit == "delete":
+                del units[where]
+            else:
+                units.insert(where, units[where])
+        if units is not lines:
+            lines[at:at + 1] = [" ".join(units)]
+    text = "\n".join(lines) + "\n"
+    # a token starting with '-' would be read as an option
+    tokens = st.sampled_from([t for t in text.split() + ["x"] if not t.startswith("-")])
+    states = conditions = tokens
+    try:
+        model = parse_model(text)
+    except (ParseError, NotDownwardClosed, OrderError):
+        pass
+    else:
+        if model.states:
+            states = st.one_of(st.sampled_from(model.states), tokens)
+        conditions = st.one_of(st.sampled_from(model.conditions.elements), tokens)
+    return text, draw(states), draw(states), draw(conditions)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_fixtures())
+def test_every_command_is_total_on_mutated_fixtures(drawn):
+    text, x, y, phi = drawn
+    with tempfile.TemporaryDirectory() as work:
+        path = str(Path(work) / "model")
+        Path(path).write_text(text, encoding="utf-8")
+        for argv in (
+            ["validate", path],
+            ["bisim", path],
+            ["check", path, x, y, "--condition", phi],
+            ["minimise", path, "--dot", str(Path(work) / "out.dot")],
+            ["project", path, "--condition", phi],
+            ["filters-check", path],
+        ):
+            with contextlib.redirect_stdout(io.StringIO()):
+                with contextlib.redirect_stderr(io.StringIO()):
+                    code = main(argv)
+            assert code in (0, 1, 2, 3), argv
 
 
 def test_module_entry_point():

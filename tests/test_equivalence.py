@@ -6,13 +6,14 @@ from ctsmin import (
     Cts,
     LatticeRelation,
     Lts,
+    NotDownwardClosed,
     Poset,
     UnknownElement,
     bisim_refinement,
     ex1,
     ex2,
 )
-from ctsmin.equivalence import _pair_graph, bisimilar
+from ctsmin.equivalence import _kernel_relation, _pair_graph, bisimilar
 from ctsmin.oracles.bisim import (
     ConditionFamily,
     greatest_conditional_bisimilarity_naive,
@@ -135,6 +136,17 @@ def test_lattice_relation_values_are_downsets():
         LatticeRelation.of(
             m.states, m.conditions, {("x", "x"): frozenset({"phi"})}
         )
+
+
+def test_kernel_relation_rejects_corrupted_blocks():
+    # (x, phi) and (y, phi) share a block but (x, phi') and (y, phi') do
+    # not, so x and y would be related at phi yet not at phi' < phi
+    blocks = [(("x", "phi"), 0), (("y", "phi"), 0), (("x", "phi'"), 1), (("y", "phi'"), 2)]
+    with pytest.raises(NotDownwardClosed, match=r"\(x,y\)"):
+        _kernel_relation(["x", "y"], TWO, blocks)
+    # the same blocks with (y, phi') joined to (x, phi') are a valid kernel
+    fixed = _kernel_relation(["x", "y"], TWO, blocks[:3] + [(("y", "phi'"), 1)])
+    assert fixed.value("x", "y") == {"phi", "phi'"}
 
 
 def test_top_relation_is_not_a_bisimulation_on_ex1():

@@ -4,15 +4,22 @@ The files under ``tests/golden/`` hold the stdout (and, for ``--dot``,
 the written graph) of each command below, on the model files under
 ``fixtures/``.  Every case runs in a fresh interpreter, once plainly
 and once under ``python -O``, so checks that the optimiser strips
-cannot change a result.
+cannot change a result.  Every case also runs through ``cli.main`` in
+this one interpreter, in several seeded shuffled orders, so no call can
+change what a later call prints.
 """
 
+import contextlib
+import io
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from ctsmin.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -60,10 +67,15 @@ CASES = [
 ]
 
 
+def case_args(argv, dot_path):
+    """A case's argv with the fixture and the DOT file as paths."""
+    args = [str(ROOT / "fixtures" / a) if i == 1 else a for i, a in enumerate(argv)]
+    return [str(dot_path) if a == DOT else a for a in args]
+
+
 def run_case(argv, dot_path, flags=()):
     """Run the CLI in a subprocess; returns (exit code, stdout bytes)."""
-    args = [str(ROOT / "fixtures" / a) if i == 1 else a for i, a in enumerate(argv)]
-    args = [str(dot_path) if a == DOT else a for a in args]
+    args = case_args(argv, dot_path)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
@@ -85,3 +97,28 @@ def test_cli_output_matches_golden(tmp_path, name, argv, code, flags):
     assert stdout == (GOLDEN / f"{name}.out").read_bytes()
     if DOT in argv:
         assert dot_path.read_bytes() == (GOLDEN / f"{name}.dot").read_bytes()
+
+
+def run_in_process(argv, dot_path):
+    """Run ``cli.main`` in this interpreter; returns (exit code, stdout
+    bytes as UTF-8, the encoding a subprocess's stdout has here)."""
+    buffer = io.BytesIO()
+    stream = io.TextIOWrapper(buffer, encoding="utf-8")
+    with contextlib.redirect_stdout(stream), contextlib.redirect_stderr(io.StringIO()):
+        code = main(case_args(argv, dot_path))
+    stream.flush()
+    return code, buffer.getvalue()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_in_process_passes_match_golden(tmp_path, seed):
+    cases = list(CASES)
+    random.Random(seed).shuffle(cases)
+    for name, argv, code in cases:
+        dot_path = tmp_path / f"{name}.dot"
+        assert run_in_process(argv, dot_path) == (
+            code,
+            (GOLDEN / f"{name}.out").read_bytes(),
+        ), name
+        if DOT in argv:
+            assert dot_path.read_bytes() == (GOLDEN / f"{name}.dot").read_bytes(), name

@@ -29,8 +29,6 @@ TWO = Poset.chain(["phi'", "phi"])
 def test_labels_must_be_downward_closed():
     with pytest.raises(NotDownwardClosed):
         Cts(["s"], ["a"], TWO, {("s", "a", "s"): {"phi"}})
-    closed = Cts(["s"], ["a"], TWO, {("s", "a", "s"): {"phi"}}, close=True)
-    assert closed.label("s", "a", "s") == {"phi", "phi'"}
 
 
 def test_empty_labels_dropped_not_stored():

@@ -14,14 +14,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ctsmin import TWO_LEVEL, Cts, bisim_refinement, ex1, ex2
-from ctsmin.equivalence import (
-    _all_pairs,
-    _pair_graph,
-    _rounds,
-    bisimilar,
-    canonical_partition,
-)
-from ctsmin.oracles.chain import matrix_stage
+from ctsmin.equivalence import _all_pairs, _pair_graph, _rounds, bisimilar
+from ctsmin.oracles.chain import canonical_partition, matrix_stage
 
 from corpus import boolean_cts, cts_corpus, line_cts
 from strategies import cts_models
