@@ -8,7 +8,7 @@ it; ``convert --to`` writes the kind it is given.
 ``bisim``, ``check`` and ``minimise`` all run the rounds of the one
 refinement engine, which reads the pair graph of the upgrade coalgebra
 straight from the parsed system.  ``bisim`` and ``minimise`` refine
-every (state, condition) pair (``equivalence.bisim_refinement`` and
+every (state, condition) pair (``equivalence.bisim_kernel`` and
 ``minimise.minimise_refinement``).  ``check`` builds and refines only
 the pairs reachable from its two (state, condition) roots and stops at
 the first round that separates them (``equivalence.bisimilar``).  No
@@ -29,7 +29,9 @@ string quoted by the C function ``encode_basestring_ascii``.  CPython
 falls back to its pure-Python encoder whenever ``indent`` is set, and
 on large condition lattices that encoder took longer than the whole
 refinement.  ``minimise.chain_result_text`` writes the ``minimise``
-report and ``_bisim_text`` the ``bisim`` report, both with the list
+report, each class or state group that a stage leaves unchanged written
+once, and ``_bisim_text`` writes the ``bisim`` report straight from the
+cells of the final blocks, with no relation table; both use the list
 layout of ``minimise._json_list``.
 """
 
@@ -39,7 +41,7 @@ import argparse
 import sys
 from json.encoder import encode_basestring_ascii as quote
 
-from .equivalence import LatticeRelation, bisim_refinement, bisimilar
+from .equivalence import Kernel, bisim_kernel, bisimilar
 from .minimise import (
     _IN2,
     _IN4,
@@ -78,18 +80,38 @@ def _read_model(args):
     return parse_model(_read_text(args.file), close=args.close)
 
 
-def _bisim_text(relation: LatticeRelation, iterations: int) -> str:
+def _bisim_text(kernel: Kernel, iterations: int) -> str:
     """The ``bisim`` report, as ``json.dumps`` with ``indent=2`` and
     ``sort_keys=True`` prints the payload {"algorithm": "fixpoint",
-    "iterations": ..., "pairs": {"x,y": [conditions]}}.  The engine
-    computes the lattice fixpoint, which names the report.  Pairs sort
-    by their raw "x,y" key, as ``sort_keys`` does, not by its quoted
-    form."""
-    rows = sorted(
-        (f"{x},{y}", _json_list([quote(c) for c in sorted(conds)], _IN4))
-        for (x, y), conds in relation.entries
-    )
-    items = [f"{quote(key)}: {conds}" for key, conds in rows]
+    "iterations": ..., "pairs": {"x,y": [conditions]}}, written straight
+    from the kernel's cells.  The engine computes the lattice fixpoint,
+    which names the report.
+
+    ``sort_keys`` sorts the raw "x,y" keys, not their quoted form.  When
+    no state name holds ',', the key of x and y sorts by x + ',' first
+    and then by y: two keys whose x differ agree up to the shorter x and
+    its ',' only if that x is a prefix of the other and the other's next
+    character is ',', which no name holds.  So the pairs come x by
+    x + ',' (not by x: "a+" sorts before "a," but after "a") and y by
+    index.  A state name holding ',' is rejected, since it could sort
+    otherwise and give two pairs one key.  Without it, "x,y" splits back
+    at its one ',' into x and y, so the text gives back the relation:
+    two relations give two texts."""
+    states = kernel.states
+    for x in states:
+        if "," in x:
+            raise ValueError(f"state name {x!r} contains ','")
+    conditions = [quote(c) for c in kernel.conditions.elements]
+    # quote(x + "," + y) is head[x] + tail[y], since ',' is not escaped
+    head = [quote(x)[:-1] + "," for x in states]
+    tail = [quote(y)[1:] for y in states]
+    values: dict[tuple[int, ...], str] = {}
+    items = []
+    for x, y, ks in kernel.related(sorted(range(len(states)), key=lambda s: states[s] + ",")):
+        key = tuple(ks)
+        if key not in values:
+            values[key] = _json_list([conditions[k] for k in ks], _IN4)
+        items.append(f"{head[x]}{tail[y]}: {values[key]}")
     pairs = f"{{{_IN4}{(',' + _IN4).join(items)}{_IN2}}}" if items else "{}"
     return (
         f'{{{_IN2}"algorithm": "fixpoint",{_IN2}"iterations": {iterations},'
@@ -125,7 +147,7 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_bisim(args) -> int:
-    print(_bisim_text(*bisim_refinement(_read_model(args))))
+    print(_bisim_text(*bisim_kernel(_read_model(args))))
     return 0
 
 

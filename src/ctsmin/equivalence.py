@@ -12,14 +12,16 @@ changed in the round before plus one representative of each touched
 block's untouched members, and a block that splits keeps its id for its
 largest part.  ``_counted_rounds`` also counts the occupied
 (condition, block) cells from each round's moved pairs, which gives the
-lattice fixpoint's iteration count.  ``bisim_refinement`` builds the
-bisimilarity relation once, from the final blocks; ``refine`` keeps
-every round's block ids for ``minimise``, which reports them all.
-``bisimilar`` answers one query by building and refining only the pairs
-reachable from the two queried pairs, and stops at the first round that
-separates them.  The relations are ``LatticeRelation`` values: each
-pair of states carries the downset of conditions under which it is
-related.
+lattice fixpoint's iteration count.  ``bisim_kernel`` keeps only the
+final blocks, as the cells of their kernel (``Kernel``): the states whose
+pairs at one condition share a block.  The ``bisim`` report is written
+from those cells, and ``Kernel.relation`` reads the same cells as a
+``LatticeRelation``, in which each pair of states carries the downset
+of conditions under which it is related.  ``refine`` hands ``minimise``
+each round's moved pairs with their new block ids, which is all that
+changes from one round to the next.  ``bisimilar`` answers one query by
+building and refining only the pairs reachable from the two queried
+pairs, and stops at the first round that separates them.
 """
 
 from __future__ import annotations
@@ -233,12 +235,11 @@ def _all_pairs(m: Cts) -> PairGraph:
     return _pair_graph(m, [(x, cond) for x in m.states for cond in m.conditions.elements])
 
 
-def _counted_rounds(graph: PairGraph, height: int) -> Iterator[tuple[list[int], int]]:
+def _counted_rounds(graph: PairGraph, height: int) -> Iterator[tuple[Round, int]]:
     """Each round of ``_rounds`` on ``_all_pairs`` over ``height``
-    conditions, as its block ids (valid until the generator resumes) and
-    the number of (condition, block) cells that some pair occupies, kept
-    up to date from the round's moved pairs; pair i lies at condition
-    i % height."""
+    conditions, with the number of (condition, block) cells that some
+    pair occupies after it, kept up to date from the round's moved pairs;
+    pair i lies at condition i % height."""
     cells: dict[int, int] = {}  # block * height + condition -> pairs there
     for i in range(len(graph.pairs)):
         cells[i % height] = cells.get(i % height, 0) + 1
@@ -251,21 +252,27 @@ def _counted_rounds(graph: PairGraph, height: int) -> Iterator[tuple[list[int], 
                 del cells[cell]
             cell = rnd.block[i] * height + k
             cells[cell] = cells.get(cell, 0) + 1
-        yield rnd.block, len(cells)
+        yield rnd, len(cells)
 
 
-def refine(m: Cts) -> tuple[PairGraph, list[list[int]], int]:
+Moves = list[list[tuple[int, int]]]
+
+
+def refine(m: Cts) -> tuple[PairGraph, Moves, int]:
     """Signature refinement of all (state, condition) pairs: the pair
-    graph, the block ids of every round up to and including the first
-    that repeats its predecessor, and the index of the first repeated
-    kernel matrix.  Pairs are numbered in sorted (state, condition)
-    order."""
+    graph, every round's moved pairs as (pair, new block id) up to and
+    including the first round that moves none, and the index of the
+    first repeated kernel matrix.  Round zero puts every pair in block 0
+    and moves none.  Pairs are numbered in sorted (state, condition)
+    order.  A pair moves at most log2(pairs) times, so the rounds hand
+    over O(P log P) entries for P pairs rather than P ids per round."""
     graph = _all_pairs(m)
-    stages, cells = [], []
-    for block, count in _counted_rounds(graph, len(m.conditions.elements)):
-        stages.append(list(block))
+    rounds, cells = [], []
+    for rnd, count in _counted_rounds(graph, len(m.conditions.elements)):
+        block = rnd.block
+        rounds.append([(i, block[i]) for i, _ in rnd.moved])
         cells.append(count)
-    return graph, stages, matrix_stage_of(cells)
+    return graph, rounds, matrix_stage_of(cells)
 
 
 def bisimilar(m: Cts, x: str, y: str, phi: str) -> bool:
@@ -295,45 +302,77 @@ def matrix_stage_of(cells: list[int]) -> int:
     return next(i for i in range(len(cells) - 1) if cells[i] == cells[i + 1])
 
 
-def _kernel_relation(
-    states: Iterable[str],
-    conditions: Poset,
-    blocks: Iterable[tuple[PairKey, int]],
-) -> LatticeRelation:
-    """The relation that relates x and y at phi when (x, phi) and
-    (y, phi) lie in one block.  The values are downward closed for every
-    partition the chain or the engine produces; a violation indicates a
-    corrupted partition and is rejected.  The entries are checked here
-    once, so the relation is built directly rather than through
-    ``LatticeRelation.of``."""
-    columns: dict[tuple[str, int], list[str]] = {}
-    for (x, cond), b in blocks:
-        columns.setdefault((cond, b), []).append(x)
-    table: dict[Pair, set[str]] = {}
-    for (cond, _), xs in columns.items():
-        for x in xs:
-            for y in xs:
-                table.setdefault((x, y), set()).add(cond)
-    carrier = tuple(sorted(set(states)))
-    known = set(carrier)
-    entries = []
-    for (x, y), conds in sorted(table.items()):
-        if not conditions.is_downward_closed(conds):
-            raise NotDownwardClosed(f"kernel value at ({x},{y}): {sorted(conds)}")
-        if x not in known or y not in known:
-            raise ValueError(f"pair ({x},{y}) outside the carrier")
-        entries.append(((x, y), frozenset(conds)))
-    return LatticeRelation(carrier, conditions, tuple(entries))
+class Kernel:
+    """The same-condition kernel of a partition of every (state,
+    condition) pair, held as its cells: x and y are related at phi when
+    (x, phi) and (y, phi) lie in one block, that is in one cell of phi.
+    ``block`` gives pair ``state index * |conditions| + condition
+    index`` its block id, and ``states`` are sorted.
+
+    Every value must be downward closed.  That holds iff, for each cover
+    p < q, the states of every cell at q share one block at p, since
+    every p <= q is joined by a chain of covers; a partition that breaks
+    it is corrupted and raises ``NotDownwardClosed``, naming the first
+    two states of such a cell that part at p."""
+
+    def __init__(self, states: tuple[str, ...], conditions: Poset, block: list[int]):
+        height = len(conditions.elements)
+        cells: list[dict[int, list[int]]] = [{} for _ in range(height)]
+        for i, b in enumerate(block):
+            cells[i % height].setdefault(b, []).append(i // height)
+        column = {cond: k for k, cond in enumerate(conditions.elements)}
+        for p, q in conditions.covers:
+            kp = column[p]
+            for cell in cells[column[q]].values():
+                b = block[cell[0] * height + kp]
+                for y in cell:
+                    if block[y * height + kp] != b:
+                        x, y = states[cell[0]], states[y]
+                        raise NotDownwardClosed(
+                            f"kernel value at ({x},{y}) holds {q} but not {p}"
+                        )
+        self.states = states
+        self.conditions = conditions
+        # each pair's cell, states in index order
+        self._cell = [cells[i % height][b] for i, b in enumerate(block)]
+
+    def related(self, order: Iterable[int]) -> Iterator[tuple[int, int, list[int]]]:
+        """Every related pair as (x, y, condition indices in order), x
+        running through ``order`` and y through the state indices in
+        order, each state given by its index."""
+        height = len(self.conditions.elements)
+        cell = self._cell
+        for x in order:
+            values: dict[int, list[int]] = {}
+            for k, members in enumerate(cell[x * height : (x + 1) * height]):
+                for y in members:
+                    values.setdefault(y, []).append(k)
+            for y in sorted(values):
+                yield x, y, values[y]
+
+    def relation(self) -> LatticeRelation:
+        """The kernel as a ``LatticeRelation``, read off the cells."""
+        names = self.conditions.elements
+        entries = tuple(
+            ((self.states[x], self.states[y]), frozenset([names[k] for k in ks]))
+            for x, y, ks in self.related(range(len(self.states)))
+        )
+        return LatticeRelation(self.states, self.conditions, entries)
+
+
+def bisim_kernel(m: Cts) -> tuple[Kernel, int]:
+    """Greatest conditional bisimilarity as the kernel of the engine's
+    final blocks, with the index of the first repeated kernel matrix,
+    which is also the number of rounds the lattice fixpoint iteration
+    takes.  No round but the last is kept."""
+    graph = _all_pairs(m)
+    cells = []
+    for rnd, count in _counted_rounds(graph, len(m.conditions.elements)):
+        cells.append(count)
+    return Kernel(m.states, m.conditions, rnd.block), matrix_stage_of(cells)
 
 
 def bisim_refinement(m: Cts) -> tuple[LatticeRelation, int]:
-    """Greatest conditional bisimilarity read off the engine's final
-    blocks, with the index of the first repeated kernel matrix, which
-    is also the number of rounds the lattice fixpoint iteration takes.
-    No round but the last is kept."""
-    graph = _all_pairs(m)
-    cells = []
-    for block, count in _counted_rounds(graph, len(m.conditions.elements)):
-        cells.append(count)
-    relation = _kernel_relation(m.states, m.conditions, zip(graph.pairs, block))
-    return relation, matrix_stage_of(cells)
+    """``bisim_kernel`` with its kernel read as a ``LatticeRelation``."""
+    kernel, iterations = bisim_kernel(m)
+    return kernel.relation(), iterations

@@ -1,13 +1,16 @@
 """Minimisation: the quotient of the refinement engine and its reports.
 
-``minimise_refinement`` takes every round of ``equivalence.refine`` as
-each pair's block id and builds the stage history and the quotient.
-Pairs are numbered in sorted (state, condition) order, so grouping them
-by block id in number order gives each stage's canonical kernel, and
-grouping the states by their row of block ids its state partition, with
-no sort.  Each class is named by its least pair, its moves are read off
-the pair graph that ``refine`` built, and the classes are ordered by
-closing the condition covers under that naming.
+``minimise_refinement`` takes the pairs that each round of
+``equivalence.refine`` moved, with their new block ids, and builds the
+stage history and the quotient.  Pairs are numbered in sorted (state,
+condition) order, and a stage's kernel groups them by block id, its
+state partition groups the states by their row of block ids.  Each
+round rebuilds only the classes and state groups that a moved pair left
+or entered (``_Groups``), so an unchanged class is one tuple across
+stages and the report writes it once.  Each class is named by its least
+pair, its moves are read off the pair graph that ``refine`` built, and
+the classes are ordered by closing the condition covers under that
+naming.
 
 A ``ChainResult`` is serialised here too.  ``chain_result_text`` writes
 the JSON report of the ``minimise`` command in one pass over the
@@ -18,12 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import groupby
+from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii as quote
 from operator import itemgetter
-from typing import Callable, Mapping
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
-from .equivalence import PairGraph, PairKey, Partition, refine
+from .equivalence import Moves, PairGraph, PairKey, Partition, refine
 from .models import Cts
 from .order import Poset, validate_poset
 
@@ -123,25 +126,75 @@ def _quotient_transitions(
     return tuple(out)
 
 
+class _Groups:
+    """Numbered items grouped by a key: each group is the tuple of its
+    items' names in number order, and the groups come ordered by their
+    least item.  Moving items rebuilds only the groups they left or
+    entered, so every other group keeps its tuple."""
+
+    def __init__(self, names: Sequence, key: Hashable):
+        self.names = names
+        self.key = [key] * len(names)  # each item's key
+        self._members = {key: set(range(len(names)))} if names else {}
+        self.least = {key: 0} if names else {}  # each key's least item
+        # each group at its least item, None at every other item
+        self._head: list[tuple | None] = [None] * len(names)
+        if names:
+            self._head[0] = tuple(names)
+
+    def move(self, moved: Iterable[tuple[int, Hashable]]) -> None:
+        """Give each (item, key) its new key."""
+        key_of, members, least, head = self.key, self._members, self.least, self._head
+        touched = set()
+        for i, key in moved:
+            old = key_of[i]
+            touched.add(old)
+            touched.add(key)
+            members[old].remove(i)
+            members.setdefault(key, set()).add(i)
+            key_of[i] = key
+        for key in touched:
+            if key in least:
+                head[least.pop(key)] = None
+        for key in touched:
+            if members[key]:
+                ids = sorted(members[key])
+                least[key] = ids[0]
+                head[ids[0]] = tuple(map(self.names.__getitem__, ids))
+            else:
+                del members[key]
+
+    def partition(self) -> tuple:
+        return tuple(filter(None, self._head))
+
+
 def _chain_result(
     system: Cts,
-    stages: list[list[int]],
+    rounds: Moves,
     matrix_stage: int,
     quotient_moves: Callable[[list[int], Mapping[int, str]], Transitions],
 ) -> ChainResult:
-    """Assemble the result from every stage's block ids, the last stage
-    repeating its predecessor; pair i is the i-th (state, condition)
-    pair in sorted order.  Only ``states`` and ``conditions`` are read
-    from ``system``, so the chain oracle passes its tabulated coalgebra
-    there, with its own ``matrix_stage``.  ``quotient_moves`` reads the
-    moves of the final classes, given the final block ids and each
-    block's class name: the engine reads them off its pair graph, the
-    chain oracle off the tabulated coalgebra.  The JSON kernels and the
-    quotient name pairs state@condition, so two pairs sharing a name
-    (possible when names contain '@') would be told apart by the engine
-    yet read as one; that is rejected."""
+    """Assemble the result from every stage's moved pairs, as (pair, new
+    block id), starting from one block 0; the last stage moves none.
+    Pair i is the i-th (state, condition) pair in sorted order.  A
+    stage's kernel groups the pairs by block id, and its state partition
+    groups the states by their row of block ids, which changes only for
+    a state with a moved pair.  Each stage rebuilds only the classes and
+    groups that a moved pair or state left or entered, so every other
+    class and group keeps its tuple from one stage to the next.
+
+    Only ``states`` and ``conditions`` are read from ``system``, so the
+    chain oracle passes its tabulated coalgebra there, with its own
+    ``matrix_stage``.  ``quotient_moves`` reads the moves of the final
+    classes, given the final block ids and each block's class name: the
+    engine reads them off its pair graph, the chain oracle off the
+    tabulated coalgebra.  The JSON kernels and the quotient name pairs
+    state@condition, so two pairs sharing a name (possible when names
+    contain '@') would be told apart by the engine yet read as one; that
+    is rejected."""
+    states = system.states
     height = len(system.conditions.elements)
-    pairs = [(x, cond) for x in system.states for cond in system.conditions.elements]
+    pairs = [(x, cond) for x in states for cond in system.conditions.elements]
     named: dict[str, PairKey] = {}
     for pair in pairs:
         other = named.setdefault(_pair_name(pair), pair)
@@ -149,27 +202,22 @@ def _chain_result(
             raise ValueError(
                 f"pairs {other} and {pair} share the name {_pair_name(pair)!r}"
             )
-    partitions = []
-    state_partitions = []
-    for block in stages:
-        # in number order each class comes sorted, and the classes come
-        # ordered by their least pair
-        classes: dict[int, list[PairKey]] = {}
-        for pair, b in zip(pairs, block):
-            classes.setdefault(b, []).append(pair)
-        partitions.append(tuple(map(tuple, classes.values())))
-        rows: dict[tuple[int, ...], list[str]] = {}
-        for i, x in enumerate(system.states):
-            rows.setdefault(tuple(block[i * height : (i + 1) * height]), []).append(x)
-        state_partitions.append(tuple(map(tuple, rows.values())))
-    stage = len(stages) - 2
-    final = stages[stage]
-    names: dict[int, str] = {}
-    for pair, b in zip(pairs, final):
-        if b not in names:
-            names[b] = _pair_name(pair)
-    class_of = {pair: names[b] for pair, b in zip(pairs, final)}
-    transitions = quotient_moves(final, names)
+    classes = _Groups(pairs, 0)
+    groups = _Groups(states, (0,) * height)
+    block = classes.key
+    partition, state_partition = classes.partition(), groups.partition()
+    partitions, state_partitions = [], []
+    for moved in rounds:
+        if moved:
+            classes.move(moved)
+            movers = {i // height for i, _ in moved}
+            groups.move((s, tuple(block[s * height : (s + 1) * height])) for s in movers)
+            partition, state_partition = classes.partition(), groups.partition()
+        partitions.append(partition)
+        state_partitions.append(state_partition)
+    names = {b: _pair_name(pairs[i]) for b, i in classes.least.items()}
+    class_of = {pair: names[b] for pair, b in zip(pairs, block)}
+    stage = len(rounds) - 2
     return ChainResult(
         stage,
         stage + 1,
@@ -177,16 +225,16 @@ def _chain_result(
         tuple(partitions),
         tuple(state_partitions),
         tuple(class_of.items()),
-        _quotient_poset(system.states, system.conditions, class_of),
-        transitions,
+        _quotient_poset(states, system.conditions, class_of),
+        quotient_moves(block, names),
     )
 
 
 def minimise_refinement(m: Cts) -> ChainResult:
     """Minimise through the refinement engine, whose rounds are the
     kernels of the final chain."""
-    graph, stages, matrix_stage = refine(m)
-    return _chain_result(m, stages, matrix_stage, partial(_quotient_transitions, m, graph))
+    graph, rounds, matrix_stage = refine(m)
+    return _chain_result(m, rounds, matrix_stage, partial(_quotient_transitions, m, graph))
 
 
 # newline and indent at each depth of the minimise report
@@ -221,14 +269,21 @@ def chain_result_text(result: ChainResult) -> str:
     row and its conditions come sorted."""
     quoted = _Quoted()
     pair_text = {pair: quoted[_pair_name(pair)] for pair, _ in result.class_of}
+    # a class or state group that a stage leaves unchanged is the same
+    # tuple in the next stage, so each distinct tuple is written once,
+    # found by its id
+    written: dict[int, str] = {}
+    for history, text in ((result.stages, pair_text), (result.state_partitions, quoted)):
+        every = list(chain.from_iterable(history))
+        for key, items in dict(zip(map(id, every), every)).items():
+            written[key] = _json_list([text[item] for item in items], _IN8)
+
+    def listed(items: tuple) -> str:
+        return _json_list(list(map(written.__getitem__, map(id, items))), _IN6)
+
     stages = []
     for k, (partition, groups) in enumerate(zip(result.stages, result.state_partitions)):
-        kernel = _json_list(
-            [_json_list([pair_text[p] for p in cls], _IN8) for cls in partition], _IN6
-        )
-        states = _json_list(
-            [_json_list([quoted[x] for x in group], _IN8) for group in groups], _IN6
-        )
+        kernel, states = listed(partition), listed(groups)
         stages.append(
             f'{{{_IN6}"kernel": {kernel},{_IN6}"stage": {k},'
             f'{_IN6}"states": {states}{_IN4}}}'

@@ -62,8 +62,9 @@ class Cts:
             if act not in action_set:
                 raise UnknownElement(act)
             members = frozenset(conds)
-            for c in members:
-                conditions.check_element(c)
+            unknown = members - conditions._element_set
+            if unknown:
+                raise UnknownElement(min(unknown))
             if not conditions.is_downward_closed(members):
                 raise NotDownwardClosed(f"{src} {act} {dst} : {sorted(members)}")
             if members:

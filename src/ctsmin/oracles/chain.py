@@ -7,8 +7,10 @@ the set of (previous term, entry version) pairs reachable in one step.
 Tables are pseudo-factorised into a kernel partition and a
 least-ordered codomain, and the construction stops as soon as the
 partition repeats.  The chain numbers each stage's term fibres in the
-engine's pair order and feeds them to the result builder of
-``minimise`` together with its own reading of the quotient's moves off
+engine's pair order and feeds the pairs whose number changed from one
+stage to the next (``stage_moves``) to the result builder of
+``minimise``, as the engine feeds its rounds, together with its own
+reading of the quotient's moves off
 the tabulated coalgebra (``alpha_transitions``), so it agrees with
 ``minimise_refinement`` exactly when their kernels and the moves the
 engine reads off its pair graph do; its ``matrix_stage`` compares the
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Iterable, Mapping
 
-from ..equivalence import LatticeRelation, PairKey, Partition, _kernel_relation
+from ..equivalence import Kernel, LatticeRelation, Moves, PairKey, Partition
 from ..minimise import (
     ChainResult,
     Transitions,
@@ -219,9 +221,10 @@ def partition_matrix(
 ) -> LatticeRelation:
     """Same-condition kernel of a pair partition: x and y are related at
     phi when (x, phi) and (y, phi) share a class."""
-    return _kernel_relation(
-        states, conditions, ((pair, i) for i, cls in enumerate(partition) for pair in cls)
-    )
+    states = tuple(sorted(set(states)))
+    index = {pair: i for i, cls in enumerate(partition) for pair in cls}
+    block = [index[(x, cond)] for x in states for cond in conditions.elements]
+    return Kernel(states, conditions, block).relation()
 
 
 def kernel_matrix(d: BehaviourTable) -> LatticeRelation:
@@ -267,6 +270,18 @@ def alpha_transitions(
     return tuple((name, a, tuple(sorted(moves[(name, a)].pop()))) for (name, a) in sorted(moves))
 
 
+def stage_moves(stages: list[list[int]]) -> Moves:
+    """Every stage's block ids as the pairs that moved from the stage
+    before, as (pair, new block id), starting from one block 0: the form
+    in which ``minimise``'s result builder takes the engine's rounds."""
+    out = []
+    before = [0] * len(stages[0])
+    for block in stages:
+        out.append([(i, b) for i, (a, b) in enumerate(zip(before, block)) if a != b])
+        before = block
+    return out
+
+
 def minimise_chain(c: UpgradeCoalgebra) -> ChainResult:
     """Iterate the chain until the kernel partition repeats.  Each stage
     refines the last, so this terminates within one stage per pair."""
@@ -277,7 +292,9 @@ def minimise_chain(c: UpgradeCoalgebra) -> ChainResult:
         table = chain_step(c, table)
         stages.append(_fibres(table))
         partitions.append(_kernel_partition(table))
-    return _chain_result(c, stages, matrix_stage(partitions), partial(alpha_transitions, c))
+    return _chain_result(
+        c, stage_moves(stages), matrix_stage(partitions), partial(alpha_transitions, c)
+    )
 
 
 def quotient_to_cts(result: ChainResult, conditions: Poset) -> Cts:

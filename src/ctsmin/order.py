@@ -8,6 +8,7 @@ deterministic and serialise identically across runs.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -95,9 +96,22 @@ class Poset:
             out.extend((p, q) for p in strict - reached)
         return tuple(sorted(out))
 
+    @cached_property
+    def _closed(self) -> dict[frozenset[str], bool]:
+        return {}
+
     def is_downward_closed(self, members: Iterable[str]) -> bool:
-        ms = set(members)
-        return all(self._down[q] <= ms for q in ms)
+        """Whether ``members`` holds everything below each member.  The
+        answer is kept per distinct set, so a parse that meets one label
+        on its line and again in the system tests it once."""
+        ms = frozenset(members)
+        known = self._closed.get(ms)
+        if known is None:
+            known = self._closed[ms] = self._test_closed(ms)
+        return known
+
+    def _test_closed(self, ms: frozenset[str]) -> bool:
+        return ms.issuperset(itertools.chain.from_iterable(map(self._down.__getitem__, ms)))
 
     def down_close(self, members: Iterable[str]) -> frozenset[str]:
         closed: set[str] = set()

@@ -4,6 +4,19 @@ from hypothesis import strategies as st
 
 from ctsmin import Cts, validate_poset
 
+# Names a system built through the library may carry, most of which no
+# model file can hold: quotes, backslashes, non-ASCII and control
+# characters.  '@' stays out, since the report names a pair
+# state@condition.
+LIBRARY_NAMES = st.text(
+    st.one_of(
+        st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\u00e9", "\u2203", "a", ","]),
+        st.characters(blacklist_characters="@"),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
 
 @st.composite
 def cts_models(draw, names, condition_names=None):

@@ -24,11 +24,13 @@ from ctsmin import (
     validate_poset,
 )
 from ctsmin.cli import _bisim_text, main
+from ctsmin.equivalence import bisim_kernel
 from ctsmin.minimise import chain_result_text
 from ctsmin.oracles.chain import chain_result_json, minimise_chain
 from ctsmin.theory.coalgebra import coalgebra_encode
 
 from corpus import boolean_cts, cts_corpus
+from strategies import LIBRARY_NAMES, cts_models
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 EX1 = str(FIXTURES / "EX1")
@@ -176,14 +178,37 @@ def test_json_writer_matches_indented_dumps_on_reports():
     # "\u00e9" sorts before "z" once quoted, but after it raw
     systems.append(named_system(["\u00e9", "z", "\u00e9z"]))
     for m in systems:
-        report = bisim_refinement(m)
-        assert _bisim_text(*report) == json.dumps(
-            bisim_payload(*report), indent=2, sort_keys=True
+        assert _bisim_text(*bisim_kernel(m)) == json.dumps(
+            bisim_payload(*bisim_refinement(m)), indent=2, sort_keys=True
         )
         result = minimise_refinement(m)
         assert chain_result_text(result) == json.dumps(
             chain_result_json(result), indent=2, sort_keys=True
         )
+
+
+# names that sort differently from name + ',': '!' and '+' lie below
+# ',', '-' and '.' above it
+TOKENS = st.text("ab!+-.", min_size=1, max_size=3)
+
+
+@given(cts_models(st.one_of(LIBRARY_NAMES, TOKENS)))
+def test_bisim_text_is_the_dumped_payload(m):
+    """The ``bisim`` text is the indented dump of its payload, and on
+    token names it reads back as the relation, keys split at ','.  A
+    state name holding ',' is rejected."""
+    kernel, iterations = bisim_kernel(m)
+    relation, _ = bisim_refinement(m)
+    if any("," in x for x in m.states):
+        with pytest.raises(ValueError, match="contains ','"):
+            _bisim_text(kernel, iterations)
+        return
+    text = _bisim_text(kernel, iterations)
+    assert text == json.dumps(bisim_payload(relation, iterations), indent=2, sort_keys=True)
+    if all(set(x) <= set("ab!+-.") for x in m.states):
+        pairs = json.loads(text)["pairs"]
+        read = {tuple(key.split(",")): frozenset(conds) for key, conds in pairs.items()}
+        assert read == dict(relation.entries)
 
 
 def strings_in(value):
@@ -219,9 +244,9 @@ def test_json_writer_matches_indented_dumps_on_edge_cases(payload):
     quote, tab, the empty string) name the states and conditions of a
     ``bisim`` report; a payload without strings gives the empty
     relation."""
-    report = bisim_refinement(named_system(strings_in(payload)))
-    assert _bisim_text(*report) == json.dumps(
-        bisim_payload(*report), indent=2, sort_keys=True
+    m = named_system(strings_in(payload))
+    assert _bisim_text(*bisim_kernel(m)) == json.dumps(
+        bisim_payload(*bisim_refinement(m)), indent=2, sort_keys=True
     )
 
 

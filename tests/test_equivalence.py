@@ -12,8 +12,9 @@ from ctsmin import (
     bisim_refinement,
     ex1,
     ex2,
+    validate_poset,
 )
-from ctsmin.equivalence import _kernel_relation, _pair_graph, bisimilar
+from ctsmin.equivalence import Kernel, _pair_graph, bisimilar
 from ctsmin.oracles.bisim import (
     ConditionFamily,
     greatest_conditional_bisimilarity_naive,
@@ -138,15 +139,59 @@ def test_lattice_relation_values_are_downsets():
         )
 
 
+def kernel_relation(states, conditions, blocks):
+    """The kernel of (pair, block id) entries, one per pair, read as a
+    relation."""
+    ids = dict(blocks)
+    block = [ids[(x, cond)] for x in states for cond in conditions.elements]
+    return Kernel(tuple(states), conditions, block).relation()
+
+
 def test_kernel_relation_rejects_corrupted_blocks():
     # (x, phi) and (y, phi) share a block but (x, phi') and (y, phi') do
     # not, so x and y would be related at phi yet not at phi' < phi
     blocks = [(("x", "phi"), 0), (("y", "phi"), 0), (("x", "phi'"), 1), (("y", "phi'"), 2)]
     with pytest.raises(NotDownwardClosed, match=r"\(x,y\)"):
-        _kernel_relation(["x", "y"], TWO, blocks)
+        kernel_relation(["x", "y"], TWO, blocks)
     # the same blocks with (y, phi') joined to (x, phi') are a valid kernel
-    fixed = _kernel_relation(["x", "y"], TWO, blocks[:3] + [(("y", "phi'"), 1)])
+    fixed = kernel_relation(["x", "y"], TWO, blocks[:3] + [(("y", "phi'"), 1)])
     assert fixed.value("x", "y") == {"phi", "phi'"}
+
+
+def test_kernel_rejects_a_break_two_covers_down_a_chain():
+    # c0 < c1 < c2: x and y share a block at c2 and at c1 but not at c0,
+    # so the break sits on the cover c0 < c1, two covers below the top
+    chain = Poset.chain(["c0", "c1", "c2"])
+    blocks = [
+        (("x", "c2"), 0), (("y", "c2"), 0),
+        (("x", "c1"), 1), (("y", "c1"), 1),
+        (("x", "c0"), 2), (("y", "c0"), 3),
+    ]
+    with pytest.raises(NotDownwardClosed, match=r"\(x,y\)"):
+        kernel_relation(["x", "y"], chain, blocks)
+    fixed = kernel_relation(["x", "y"], chain, blocks[:5] + [(("y", "c0"), 2)])
+    assert fixed.value("x", "y") == {"c0", "c1", "c2"}
+    assert fixed.value("x", "x") == {"c0", "c1", "c2"}
+
+
+def test_kernel_rejects_a_break_on_one_lower_cover_of_a_diamond():
+    # bot < a, b < top: x and y share a block at a only, so the lower
+    # cover bot < a breaks while bot < b and both upper covers hold
+    diamond = validate_poset(
+        ["bot", "a", "b", "top"],
+        [("bot", "a"), ("bot", "b"), ("a", "top"), ("b", "top")],
+    )
+    blocks = [
+        (("x", "a"), 0), (("y", "a"), 0),
+        (("x", "bot"), 1), (("y", "bot"), 2),
+        (("x", "b"), 3), (("y", "b"), 4),
+        (("x", "top"), 5), (("y", "top"), 6),
+    ]
+    with pytest.raises(NotDownwardClosed, match=r"\(x,y\)"):
+        kernel_relation(["x", "y"], diamond, blocks)
+    fixed = kernel_relation(["x", "y"], diamond, blocks[:3] + [(("y", "bot"), 1)] + blocks[4:])
+    assert fixed.value("x", "y") == {"bot", "a"}
+    assert fixed.value("y", "x") == {"bot", "a"}
 
 
 def test_top_relation_is_not_a_bisimulation_on_ex1():

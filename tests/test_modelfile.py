@@ -8,6 +8,7 @@ from ctsmin import (
     Cts,
     NotDownwardClosed,
     ParseError,
+    Poset,
     ex1,
     ex2,
     parse_model,
@@ -15,7 +16,7 @@ from ctsmin import (
 )
 from ctsmin.modelfile import RESERVED, parse_with_kind
 
-from corpus import cts_corpus
+from corpus import boolean_cts, cts_corpus
 from strategies import cts_models
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -194,6 +195,31 @@ def test_labels_must_be_downward_closed_unless_closing():
     assert err.value.line == 11
     closed = parse_model(NOT_CLOSED, close=True)
     assert closed.label("x", "a", "x") == {"phi", "phi'"}
+
+
+def test_open_line_is_rejected_though_another_line_closes_the_union():
+    # "x a x : phi'" and "x a x : phi" merge into a closed label, but the
+    # second line alone is open
+    text = NOT_CLOSED.replace("x a x : phi\n", "x a x : phi'\nx a x : phi\n")
+    with pytest.raises(NotDownwardClosed) as err:
+        parse_model(text)
+    assert err.value.line == 12
+
+
+def test_each_distinct_label_is_tested_for_closure_once(monkeypatch):
+    text = serialise_model(boolean_cts(4, 0))
+    labels = {conds for *_, conds in parse_model(text).edges()}
+    tested = []
+    closed = Poset._test_closed
+
+    def counted(self, members):
+        tested.append(members)
+        return closed(self, members)
+
+    monkeypatch.setattr(Poset, "_test_closed", counted)
+    model = parse_model(text)
+    assert len(model.edges()) > len(labels) > 1
+    assert sorted(map(sorted, tested)) == sorted(map(sorted, labels))
 
 
 def test_order_cycle_is_rejected():

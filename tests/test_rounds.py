@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ctsmin import TWO_LEVEL, Cts, bisim_refinement, ex1, ex2
+from ctsmin import TWO_LEVEL, Cts, bisim_refinement, ex1, ex2, refine
 from ctsmin.equivalence import _all_pairs, _pair_graph, _rounds, bisimilar
 from ctsmin.oracles.chain import canonical_partition, matrix_stage
 
@@ -172,3 +172,14 @@ def test_resigning_work_is_bounded_on_a_long_line():
         rounds += 1
     assert rounds - 1 == 1281
     assert signed <= 4 * size * math.log2(size)
+
+
+def test_refine_hands_over_bounded_moves_on_a_long_line():
+    """``refine`` hands ``minimise`` each round's moved pairs, not every
+    pair's block id in each of 1,282 rounds; each pair moves at most
+    log2(pairs) times, so at most 4 P log2 P entries in all."""
+    graph, rounds, _ = refine(line_cts(1280))
+    size = len(graph.pairs)
+    assert len(rounds) == 1282
+    assert rounds[0] == [] and rounds[-1] == []
+    assert sum(map(len, rounds)) <= 4 * size * math.log2(size)
