@@ -157,7 +157,6 @@ def _cmd_check(args) -> int:
         if state not in model.states:
             print(f"unknown state {state!r}", file=sys.stderr)
             return 2
-    model.conditions.check_element(args.condition)
     if bisimilar(model, args.x, args.y, args.condition):
         print(f"{args.x} and {args.y} are bisimilar under {args.condition}")
         return 0

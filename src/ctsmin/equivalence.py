@@ -10,18 +10,19 @@ keeps every round exact while signing only what can change: block ids
 are stable, a round re-signs the predecessors of the pairs whose id
 changed in the round before plus one representative of each touched
 block's untouched members, and a block that splits keeps its id for its
-largest part.  ``_counted_rounds`` also counts the occupied
-(condition, block) cells from each round's moved pairs, which gives the
-lattice fixpoint's iteration count.  ``bisim_kernel`` keeps only the
-final blocks, as the cells of their kernel (``Kernel``): the states whose
-pairs at one condition share a block.  The ``bisim`` report is written
-from those cells, and ``Kernel.relation`` reads the same cells as a
-``LatticeRelation``, in which each pair of states carries the downset
-of conditions under which it is related.  ``refine`` hands ``minimise``
-each round's moved pairs with their new block ids, which is all that
-changes from one round to the next.  ``bisimilar`` answers one query by
-building and refining only the pairs reachable from the two queried
-pairs, and stops at the first round that separates them.
+largest part.  ``refine`` is the one pass over every pair: it hands
+``minimise`` each round's moved pairs with their new block ids, which is
+all that changes from one round to the next, and counts the occupied
+(condition, block) cells from them, which gives the lattice fixpoint's
+iteration count.  ``bisim_kernel`` keeps only the final blocks, read
+off those moves, as the cells of their kernel (``Kernel``): the states
+whose pairs at one condition share a block.  The ``bisim`` report is
+written from those cells, and ``Kernel.relation`` reads the same cells
+as a ``LatticeRelation``, in which each pair of states carries the
+downset of conditions under which it is related.  ``bisimilar``
+answers one query by building and refining only the pairs reachable
+from the two queried pairs, and stops at the first round that separates
+them.
 """
 
 from __future__ import annotations
@@ -235,26 +236,6 @@ def _all_pairs(m: Cts) -> PairGraph:
     return _pair_graph(m, [(x, cond) for x in m.states for cond in m.conditions.elements])
 
 
-def _counted_rounds(graph: PairGraph, height: int) -> Iterator[tuple[Round, int]]:
-    """Each round of ``_rounds`` on ``_all_pairs`` over ``height``
-    conditions, with the number of (condition, block) cells that some
-    pair occupies after it, kept up to date from the round's moved pairs;
-    pair i lies at condition i % height."""
-    cells: dict[int, int] = {}  # block * height + condition -> pairs there
-    for i in range(len(graph.pairs)):
-        cells[i % height] = cells.get(i % height, 0) + 1
-    for rnd in _rounds(graph.moves, graph.width):
-        for i, old in rnd.moved:
-            k = i % height
-            cell = old * height + k
-            cells[cell] -= 1
-            if not cells[cell]:
-                del cells[cell]
-            cell = rnd.block[i] * height + k
-            cells[cell] = cells.get(cell, 0) + 1
-        yield rnd, len(cells)
-
-
 Moves = list[list[tuple[int, int]]]
 
 
@@ -264,15 +245,34 @@ def refine(m: Cts) -> tuple[PairGraph, Moves, int]:
     including the first round that moves none, and the index of the
     first repeated kernel matrix.  Round zero puts every pair in block 0
     and moves none.  Pairs are numbered in sorted (state, condition)
-    order.  A pair moves at most log2(pairs) times, so the rounds hand
-    over O(P log P) entries for P pairs rather than P ids per round."""
+    order, so pair i lies at condition i % |conditions|.  A pair moves
+    at most log2(pairs) times, so the rounds hand over O(P log P)
+    entries for P pairs rather than P ids per round.
+
+    The kernel matrix of a round is its set of per-condition state
+    partitions, one class per (condition, block) cell that some pair
+    occupies.  Those partitions only refine from one round to the next,
+    so the matrix repeats exactly when the number of occupied cells
+    does; that number is kept up to date from each round's moved
+    pairs."""
     graph = _all_pairs(m)
-    rounds, cells = [], []
-    for rnd, count in _counted_rounds(graph, len(m.conditions.elements)):
+    height = len(m.conditions.elements)
+    # pairs in each occupied cell, keyed block * height + condition index
+    cells = {k: len(m.states) for k in range(height) if m.states}
+    rounds, counts = [], []
+    for rnd in _rounds(graph.moves, graph.width):
         block = rnd.block
+        for i, old in rnd.moved:
+            cell = old * height + i % height
+            cells[cell] -= 1
+            if not cells[cell]:
+                del cells[cell]
+            cell = block[i] * height + i % height
+            cells[cell] = cells.get(cell, 0) + 1
         rounds.append([(i, block[i]) for i, _ in rnd.moved])
-        cells.append(count)
-    return graph, rounds, matrix_stage_of(cells)
+        counts.append(len(cells))
+    matrix_stage = next(i for i in range(len(counts) - 1) if counts[i] == counts[i + 1])
+    return graph, rounds, matrix_stage
 
 
 def bisimilar(m: Cts, x: str, y: str, phi: str) -> bool:
@@ -290,16 +290,6 @@ def bisimilar(m: Cts, x: str, y: str, phi: str) -> bool:
         return True
     graph = _pair_graph(m, [(x, phi), (y, phi)])
     return all(rnd.block[0] == rnd.block[1] for rnd in _rounds(graph.moves, graph.width))
-
-
-def matrix_stage_of(cells: list[int]) -> int:
-    """The first round whose kernel matrix equals the next round's, given
-    the number of (condition, block) cells that some pair occupies after
-    each round.  The kernel matrix of a round is its set of
-    per-condition state partitions, one class per occupied cell.  Those
-    partitions only refine from one round to the next, so the matrix
-    repeats exactly when the count does."""
-    return next(i for i in range(len(cells) - 1) if cells[i] == cells[i + 1])
 
 
 class Kernel:
@@ -361,15 +351,16 @@ class Kernel:
 
 
 def bisim_kernel(m: Cts) -> tuple[Kernel, int]:
-    """Greatest conditional bisimilarity as the kernel of the engine's
-    final blocks, with the index of the first repeated kernel matrix,
-    which is also the number of rounds the lattice fixpoint iteration
-    takes.  No round but the last is kept."""
-    graph = _all_pairs(m)
-    cells = []
-    for rnd, count in _counted_rounds(graph, len(m.conditions.elements)):
-        cells.append(count)
-    return Kernel(m.states, m.conditions, rnd.block), matrix_stage_of(cells)
+    """Greatest conditional bisimilarity as the kernel of the final
+    blocks of ``refine``, read off its moves, with the index of the
+    first repeated kernel matrix, which is also the number of rounds
+    the lattice fixpoint iteration takes."""
+    graph, rounds, iterations = refine(m)
+    block = [0] * len(graph.pairs)
+    for moved in rounds:
+        for i, b in moved:
+            block[i] = b
+    return Kernel(m.states, m.conditions, block), iterations
 
 
 def bisim_refinement(m: Cts) -> tuple[LatticeRelation, int]:

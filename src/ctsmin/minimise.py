@@ -10,7 +10,9 @@ or entered (``_Groups``), so an unchanged class is one tuple across
 stages and the report writes it once.  Each class is named by its least
 pair, its moves are read off the pair graph that ``refine`` built, and
 the classes are ordered by closing the condition covers under that
-naming.
+naming.  The chain oracle in ``ctsmin.oracles.chain`` builds its own
+``ChainResult`` from its stage tables, so the tests compare two
+independent constructions.
 
 A ``ChainResult`` is serialised here too.  ``chain_result_text`` writes
 the JSON report of the ``minimise`` command in one pass over the
@@ -20,13 +22,12 @@ result, and ``chain_result_dot`` renders the quotient for Graphviz.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii as quote
 from operator import itemgetter
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
-from .equivalence import Moves, PairGraph, PairKey, Partition, refine
+from .equivalence import PairGraph, PairKey, Partition, refine
 from .models import Cts
 from .order import Poset, validate_poset
 
@@ -73,20 +74,23 @@ class ChainResult:
     the least pair of its final class.  The kernel matrix of a stage is
     derived on demand with ``ctsmin.oracles.chain.partition_matrix``.
 
-    ``stage`` is the first index whose partition equals the next one and
-    ``confirmed_at`` is that next index.  ``matrix_stage`` is the first
-    index whose kernel matrix repeats; it can precede ``stage`` by one
-    when the very first table is non-constant but no two states ever
-    separate."""
+    ``stage`` is the first index whose partition equals the next one;
+    ``confirmed_at``, derived from it, is that next index.
+    ``matrix_stage`` is the first index whose kernel matrix repeats; it
+    can precede ``stage`` by one when the very first table is
+    non-constant but no two states ever separate."""
 
     stage: int
-    confirmed_at: int
     matrix_stage: int
     stages: tuple[Partition, ...]
     state_partitions: tuple[tuple[tuple[str, ...], ...], ...]
     class_of: tuple[tuple[PairKey, str], ...]
     z_poset: Poset
     transitions: Transitions
+
+    @property
+    def confirmed_at(self) -> int:
+        return self.stage + 1
 
 
 def _quotient_transitions(
@@ -168,33 +172,17 @@ class _Groups:
         return tuple(filter(None, self._head))
 
 
-def _chain_result(
-    system: Cts,
-    rounds: Moves,
-    matrix_stage: int,
-    quotient_moves: Callable[[list[int], Mapping[int, str]], Transitions],
-) -> ChainResult:
-    """Assemble the result from every stage's moved pairs, as (pair, new
-    block id), starting from one block 0; the last stage moves none.
-    Pair i is the i-th (state, condition) pair in sorted order.  A
-    stage's kernel groups the pairs by block id, and its state partition
-    groups the states by their row of block ids, which changes only for
-    a state with a moved pair.  Each stage rebuilds only the classes and
-    groups that a moved pair or state left or entered, so every other
-    class and group keeps its tuple from one stage to the next.
+def minimise_refinement(m: Cts) -> ChainResult:
+    """Minimise through the refinement engine, whose rounds are the
+    kernels of the final chain.  A state's row of block ids changes only
+    when one of its pairs moves, so only those states are regrouped.
 
-    Only ``states`` and ``conditions`` are read from ``system``, so the
-    chain oracle passes its tabulated coalgebra there, with its own
-    ``matrix_stage``.  ``quotient_moves`` reads the moves of the final
-    classes, given the final block ids and each block's class name: the
-    engine reads them off its pair graph, the chain oracle off the
-    tabulated coalgebra.  The JSON kernels and the quotient name pairs
-    state@condition, so two pairs sharing a name (possible when names
-    contain '@') would be told apart by the engine yet read as one; that
-    is rejected."""
-    states = system.states
-    height = len(system.conditions.elements)
-    pairs = [(x, cond) for x in states for cond in system.conditions.elements]
+    The JSON kernels and the quotient name pairs state@condition, so two
+    pairs sharing a name (possible when names contain '@') would be told
+    apart by the engine yet read as one; that is rejected."""
+    graph, rounds, matrix_stage = refine(m)
+    states, pairs = m.states, graph.pairs
+    height = len(m.conditions.elements)
     named: dict[str, PairKey] = {}
     for pair in pairs:
         other = named.setdefault(_pair_name(pair), pair)
@@ -217,24 +205,15 @@ def _chain_result(
         state_partitions.append(state_partition)
     names = {b: _pair_name(pairs[i]) for b, i in classes.least.items()}
     class_of = {pair: names[b] for pair, b in zip(pairs, block)}
-    stage = len(rounds) - 2
     return ChainResult(
-        stage,
-        stage + 1,
+        len(rounds) - 2,
         matrix_stage,
         tuple(partitions),
         tuple(state_partitions),
         tuple(class_of.items()),
-        _quotient_poset(states, system.conditions, class_of),
-        quotient_moves(block, names),
+        _quotient_poset(states, m.conditions, class_of),
+        _quotient_transitions(m, graph, block, names),
     )
-
-
-def minimise_refinement(m: Cts) -> ChainResult:
-    """Minimise through the refinement engine, whose rounds are the
-    kernels of the final chain."""
-    graph, rounds, matrix_stage = refine(m)
-    return _chain_result(m, rounds, matrix_stage, partial(_quotient_transitions, m, graph))
 
 
 # newline and indent at each depth of the minimise report

@@ -6,16 +6,16 @@ term.  Stage zero is constant; each later stage records, per action,
 the set of (previous term, entry version) pairs reachable in one step.
 Tables are pseudo-factorised into a kernel partition and a
 least-ordered codomain, and the construction stops as soon as the
-partition repeats.  The chain numbers each stage's term fibres in the
-engine's pair order and feeds the pairs whose number changed from one
-stage to the next (``stage_moves``) to the result builder of
-``minimise``, as the engine feeds its rounds, together with its own
-reading of the quotient's moves off
-the tabulated coalgebra (``alpha_transitions``), so it agrees with
-``minimise_refinement`` exactly when their kernels and the moves the
-engine reads off its pair graph do; its ``matrix_stage`` compares the
-per-condition columns of every stage, independently of the cell count
-the runtime reads.
+partition repeats.  ``minimise_chain`` builds its own result from the
+canonical kernel partitions: each stage's state partition groups the
+states by their row of class indices, pairs are named by the least pair
+of their class, the quotient's moves are read off the tabulated
+coalgebra (``alpha_transitions``), and ``matrix_stage`` compares the
+per-condition columns of every stage.  None of that goes through the
+runtime's builder, so ``minimise_refinement`` agrees with it only when
+both constructions are right; only the result type, the pair names and
+the quotient order (``_quotient_poset``, which the tests check against
+``coequalise``) are shared.
 
 ``partition_matrix`` and ``kernel_matrix`` read a stage's
 same-condition kernel as a lattice relation.  ``chain_result_json`` is
@@ -33,14 +33,13 @@ dict guarded by the interpreter lock, which is atomic enough here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Iterable, Mapping
 
-from ..equivalence import Kernel, LatticeRelation, Moves, PairKey, Partition
+from ..equivalence import LatticeRelation, PairKey, Partition
 from ..minimise import (
     ChainResult,
     Transitions,
-    _chain_result,
     _group_conditions,
     _pair_name,
     _quotient_poset,
@@ -191,13 +190,6 @@ def chain_step(c: UpgradeCoalgebra, d: BehaviourTable) -> BehaviourTable:
     return BehaviourTable(d.stage + 1, c.states, c.conditions, tuple(entries))
 
 
-def _fibres(d: BehaviourTable) -> list[int]:
-    """Every pair's term fibre, numbered by first occurrence in sorted
-    (state, condition) order; equal lists mean equal kernels."""
-    ids: dict[BehaviourTerm, int] = {}
-    return [ids.setdefault(term, len(ids)) for _, term in d.entries]
-
-
 def _kernel_partition(d: BehaviourTable) -> Partition:
     fibres: dict[BehaviourTerm, list[PairKey]] = {}
     for (pair, term) in d.entries:
@@ -221,10 +213,14 @@ def partition_matrix(
 ) -> LatticeRelation:
     """Same-condition kernel of a pair partition: x and y are related at
     phi when (x, phi) and (y, phi) share a class."""
-    states = tuple(sorted(set(states)))
     index = {pair: i for i, cls in enumerate(partition) for pair in cls}
-    block = [index[(x, cond)] for x in states for cond in conditions.elements]
-    return Kernel(states, conditions, block).relation()
+    states = set(states)
+    table = {
+        (x, y): [p for p in conditions.elements if index[(x, p)] == index[(y, p)]]
+        for x in states
+        for y in states
+    }
+    return LatticeRelation.of(states, conditions, table)
 
 
 def kernel_matrix(d: BehaviourTable) -> LatticeRelation:
@@ -249,19 +245,15 @@ def matrix_stage(partitions: list[Partition]) -> int:
     return next(i for i in range(len(columns) - 1) if columns[i] == columns[i + 1])
 
 
-def alpha_transitions(
-    c: UpgradeCoalgebra, block: list[int], names: Mapping[int, str]
-) -> Transitions:
-    """The quotient's moves read off ``alpha``, given each pair's block
-    id and each block's class name: per class and action, the image of
-    each member under ``alpha`` with successors renamed to their classes,
-    which must be the same for every member."""
-    pairs = [(x, cond) for x in c.states for cond in c.conditions.elements]
-    class_of = {pair: names[b] for pair, b in zip(pairs, block)}
+def alpha_transitions(c: UpgradeCoalgebra, class_of: Mapping[PairKey, str]) -> Transitions:
+    """The quotient's moves read off ``alpha``, given each pair's class
+    name: per class and action, the image of each member under
+    ``alpha`` with successors renamed to their classes, which must be
+    the same for every member."""
     moves: dict[tuple[str, str], set[frozenset[tuple[str, str]]]] = {}
-    for (x, cond), b in zip(pairs, block):
+    for (x, cond), name in class_of.items():
         for a in c.actions:
-            moves.setdefault((names[b], a), set()).add(
+            moves.setdefault((name, a), set()).add(
                 frozenset((class_of[(x1, chi)], chi) for (x1, chi) in c.alpha(x, cond, a))
             )
     for (name, a), values in moves.items():
@@ -270,30 +262,41 @@ def alpha_transitions(
     return tuple((name, a, tuple(sorted(moves[(name, a)].pop()))) for (name, a) in sorted(moves))
 
 
-def stage_moves(stages: list[list[int]]) -> Moves:
-    """Every stage's block ids as the pairs that moved from the stage
-    before, as (pair, new block id), starting from one block 0: the form
-    in which ``minimise``'s result builder takes the engine's rounds."""
-    out = []
-    before = [0] * len(stages[0])
-    for block in stages:
-        out.append([(i, b) for i, (a, b) in enumerate(zip(before, block)) if a != b])
-        before = block
-    return out
-
-
 def minimise_chain(c: UpgradeCoalgebra) -> ChainResult:
     """Iterate the chain until the kernel partition repeats.  Each stage
-    refines the last, so this terminates within one stage per pair."""
+    refines the last, so this terminates within one stage per pair.
+    Pairs are named state@condition, so two pairs sharing a name are
+    rejected, as ``minimise_refinement`` rejects them."""
+    pairs = [(x, cond) for x in c.states for cond in c.conditions.elements]
+    named: dict[str, PairKey] = {}
+    for pair in pairs:
+        other = named.setdefault(_pair_name(pair), pair)
+        if other != pair:
+            raise ValueError(
+                f"pairs {other} and {pair} share the name {_pair_name(pair)!r}"
+            )
     table = chain_init(c)
-    stages = [_fibres(table)]
     partitions = [_kernel_partition(table)]
-    while len(stages) < 2 or stages[-1] != stages[-2]:
+    while len(partitions) < 2 or partitions[-1] != partitions[-2]:
         table = chain_step(c, table)
-        stages.append(_fibres(table))
         partitions.append(_kernel_partition(table))
-    return _chain_result(
-        c, stage_moves(stages), matrix_stage(partitions), partial(alpha_transitions, c)
+    state_partitions = []
+    for partition in partitions:
+        index = {pair: i for i, cls in enumerate(partition) for pair in cls}
+        rows: dict[tuple[int, ...], list[str]] = {}
+        for x in c.states:
+            row = tuple(index[(x, cond)] for cond in c.conditions.elements)
+            rows.setdefault(row, []).append(x)
+        state_partitions.append(tuple(map(tuple, rows.values())))
+    class_of = _class_names(partitions[-1])
+    return ChainResult(
+        len(partitions) - 2,
+        matrix_stage(partitions),
+        tuple(partitions),
+        tuple(state_partitions),
+        tuple((pair, class_of[pair]) for pair in pairs),
+        _quotient_poset(c.states, c.conditions, class_of),
+        alpha_transitions(c, class_of),
     )
 
 

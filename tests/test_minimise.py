@@ -1,5 +1,4 @@
 import json
-from functools import partial
 
 import pytest
 from hypothesis import given
@@ -16,7 +15,7 @@ from ctsmin import (
 )
 from ctsmin.equivalence import _all_pairs
 from ctsmin.minimise import (
-    _chain_result,
+    _pair_name,
     _quotient_poset,
     _quotient_transitions,
     chain_result_text,
@@ -41,7 +40,6 @@ from ctsmin.oracles.chain import (
     partition_matrix,
     pseudo_factorise,
     quotient_to_cts,
-    stage_moves,
 )
 from ctsmin.theory.coalgebra import coalgebra_encode
 
@@ -197,6 +195,14 @@ def test_kernel_classes_match_naive_bisimilarity():
 def test_refinement_engine_matches_chain():
     for m in [ex1(), ex2()] + list(cts_corpus(60)):
         assert minimise_refinement(m) == minimise_chain(coalgebra_encode(m))
+
+
+@given(cts_models(LIBRARY_NAMES))
+def test_refinement_engine_matches_chain_on_library_names(model):
+    result = minimise_refinement(model)
+    chain = minimise_chain(coalgebra_encode(model))
+    assert result == chain
+    assert chain_result_text(result) == chain_result_text(chain)
 
 
 def test_colliding_pair_names_are_rejected():
@@ -360,20 +366,17 @@ def test_cyclic_partition_is_rejected():
         [[("x", "c1"), ("y", "c2")], [("x", "c2"), ("y", "c1")]]
     )
     with pytest.raises(AntisymmetryViolation):
-        engine_result(m, [crossed, crossed])
+        engine_quotient(m, crossed)
 
 
-def block_ids(m, partition):
-    """Each (state, condition) pair's class index, in sorted pair order."""
+def engine_quotient(m, partition):
+    """The runtime's quotient order and moves for a given final
+    partition, the moves read off the engine's pair graph."""
     index = {pair: k for k, cls in enumerate(partition) for pair in cls}
-    return [index[(x, phi)] for x in m.states for phi in m.conditions.elements]
-
-
-def engine_result(m, partitions):
-    """The runtime's result builder on given partitions, with the moves
-    read off the engine's pair graph."""
-    rounds = stage_moves([block_ids(m, p) for p in partitions])
-    return _chain_result(m, rounds, 0, partial(_quotient_transitions, m, _all_pairs(m)))
+    block = [index[(x, phi)] for x in m.states for phi in m.conditions.elements]
+    names = {k: _pair_name(cls[0]) for k, cls in enumerate(partition)}
+    poset = _quotient_poset(m.states, m.conditions, _class_names(partition))
+    return poset, _quotient_transitions(m, _all_pairs(m), block, names)
 
 
 def test_partition_that_is_no_congruence_is_a_value_error():
@@ -382,11 +385,9 @@ def test_partition_that_is_no_congruence_is_a_value_error():
         [[(x, phi) for x in m.states for phi in m.conditions.elements]]
     )
     with pytest.raises(ValueError, match="quotient not well defined at x@phi, action a"):
-        engine_result(m, [whole, whole])
+        engine_quotient(m, whole)
     with pytest.raises(ValueError, match="quotient not well defined at x@phi, action a"):
-        c = coalgebra_encode(m)
-        stages = [block_ids(m, whole)] * 2
-        _chain_result(c, stage_moves(stages), 0, partial(alpha_transitions, c))
+        alpha_transitions(coalgebra_encode(m), _class_names(whole))
 
 
 def test_dot_escapes_quote_in_library_names():
