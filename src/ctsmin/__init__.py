@@ -9,13 +9,7 @@ coalgebra table in ``ctsmin.theory``; neither is imported here.  A lattice-label
 duality its labels are the downward closed condition sets, so one
 system type serves both model file kinds."""
 
-from .equivalence import (
-    LatticeRelation,
-    bisim_refinement,
-    bisimilar,
-    refine,
-)
-from .fixtures import TWO_LEVEL, ex1, ex2
+from .equivalence import bisimilar, refine
 from .minimise import (
     ChainResult,
     chain_result_dot,
@@ -23,8 +17,9 @@ from .minimise import (
     minimise_refinement,
 )
 from .modelfile import ParseError, parse_model, serialise_model
-from .models import Cts, Lts, NotDownwardClosed, project
+from .models import Cts, NotDownwardClosed
 from .order import (
+    TWO_LEVEL,
     AntisymmetryViolation,
     OrderError,
     Poset,
@@ -38,23 +33,17 @@ __all__ = [
     "AntisymmetryViolation",
     "ChainResult",
     "Cts",
-    "LatticeRelation",
-    "Lts",
     "NotDownwardClosed",
     "OrderError",
     "ParseError",
     "Poset",
     "TWO_LEVEL",
     "UnknownElement",
-    "bisim_refinement",
     "bisimilar",
     "chain_result_dot",
     "chain_result_text",
-    "ex1",
-    "ex2",
     "minimise_refinement",
     "parse_model",
-    "project",
     "refine",
     "serialise_model",
     "validate_poset",

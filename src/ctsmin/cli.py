@@ -8,8 +8,10 @@ it; ``convert --to`` writes the kind it is given.
 ``bisim``, ``check`` and ``minimise`` all run the rounds of the one
 refinement engine, which reads the pair graph of the upgrade coalgebra
 straight from the parsed system.  ``bisim`` and ``minimise`` refine
-every (state, condition) pair (``equivalence.bisim_kernel`` and
-``minimise.minimise_refinement``).  ``check`` builds and refines only
+every (state, condition) pair (``equivalence.refine``): ``bisim``
+writes its report from the final blocks, ``minimise`` from every
+round's moves (``minimise.minimise_refinement``).  ``project`` prints
+the edges present at its condition.  ``check`` builds and refines only
 the pairs reachable from its two (state, condition) roots and stops at
 the first round that separates them (``equivalence.bisimilar``).  No
 command tabulates the coalgebra: ``filters-check`` answers from the
@@ -31,8 +33,8 @@ on large condition lattices that encoder took longer than the whole
 refinement.  ``minimise.chain_result_text`` writes the ``minimise``
 report, each class or state group that a stage leaves unchanged written
 once, and ``_bisim_text`` writes the ``bisim`` report straight from the
-cells of the final blocks, with no relation table; both use the list
-layout of ``minimise._json_list``.
+cells of the final blocks (``equivalence.kernel_cells``), with no
+relation table; both use the list layout of ``minimise._json_list``.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import argparse
 import sys
 from json.encoder import encode_basestring_ascii as quote
 
-from .equivalence import Kernel, bisim_kernel, bisimilar
+from .equivalence import bisimilar, kernel_cells, refine
 from .minimise import (
     _IN2,
     _IN4,
@@ -51,7 +53,7 @@ from .minimise import (
     minimise_refinement,
 )
 from .modelfile import ParseError, parse_model, parse_with_kind, serialise_model
-from .models import NotDownwardClosed, project
+from .models import Cts, NotDownwardClosed
 from .order import AntisymmetryViolation, OrderError
 
 
@@ -80,12 +82,12 @@ def _read_model(args):
     return parse_model(_read_text(args.file), close=args.close)
 
 
-def _bisim_text(kernel: Kernel, iterations: int) -> str:
+def _bisim_text(m: Cts) -> str:
     """The ``bisim`` report, as ``json.dumps`` with ``indent=2`` and
     ``sort_keys=True`` prints the payload {"algorithm": "fixpoint",
     "iterations": ..., "pairs": {"x,y": [conditions]}}, written straight
-    from the kernel's cells.  The engine computes the lattice fixpoint,
-    which names the report.
+    from the cells of ``refine``'s final blocks (``kernel_cells``).  The
+    engine computes the lattice fixpoint, which names the report.
 
     ``sort_keys`` sorts the raw "x,y" keys, not their quoted form.  When
     no state name holds ',', the key of x and y sorts by x + ',' first
@@ -97,21 +99,29 @@ def _bisim_text(kernel: Kernel, iterations: int) -> str:
     otherwise and give two pairs one key.  Without it, "x,y" splits back
     at its one ',' into x and y, so the text gives back the relation:
     two relations give two texts."""
-    states = kernel.states
+    states = m.states
     for x in states:
         if "," in x:
             raise ValueError(f"state name {x!r} contains ','")
-    conditions = [quote(c) for c in kernel.conditions.elements]
+    _, _, block, iterations = refine(m)
+    cell = kernel_cells(m, block)
+    height = len(m.conditions.elements)
+    conditions = [quote(c) for c in m.conditions.elements]
     # quote(x + "," + y) is head[x] + tail[y], since ',' is not escaped
     head = [quote(x)[:-1] + "," for x in states]
     tail = [quote(y)[1:] for y in states]
     values: dict[tuple[int, ...], str] = {}
     items = []
-    for x, y, ks in kernel.related(sorted(range(len(states)), key=lambda s: states[s] + ",")):
-        key = tuple(ks)
-        if key not in values:
-            values[key] = _json_list([conditions[k] for k in ks], _IN4)
-        items.append(f"{head[x]}{tail[y]}: {values[key]}")
+    for x in sorted(range(len(states)), key=lambda s: states[s] + ","):
+        related: dict[int, list[int]] = {}
+        for k, members in enumerate(cell[x * height : (x + 1) * height]):
+            for y in members:
+                related.setdefault(y, []).append(k)
+        for y in sorted(related):
+            key = tuple(related[y])
+            if key not in values:
+                values[key] = _json_list([conditions[k] for k in key], _IN4)
+            items.append(f"{head[x]}{tail[y]}: {values[key]}")
     pairs = f"{{{_IN4}{(',' + _IN4).join(items)}{_IN2}}}" if items else "{}"
     return (
         f'{{{_IN2}"algorithm": "fixpoint",{_IN2}"iterations": {iterations},'
@@ -140,14 +150,16 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_project(args) -> int:
-    flat = project(_read_model(args), args.condition)
-    for (src, act, dst) in sorted(flat.edges):
-        print(f"{src} {act} {dst}")
+    model = _read_model(args)
+    model.conditions.check_element(args.condition)
+    for src, act, dst, label in model.edges():
+        if args.condition in label:
+            print(f"{src} {act} {dst}")
     return 0
 
 
 def _cmd_bisim(args) -> int:
-    print(_bisim_text(*bisim_kernel(_read_model(args))))
+    print(_bisim_text(_read_model(args)))
     return 0
 
 

@@ -14,70 +14,23 @@ largest part.  ``refine`` is the one pass over every pair: it hands
 ``minimise`` each round's moved pairs with their new block ids, which is
 all that changes from one round to the next, and counts the occupied
 (condition, block) cells from them, which gives the lattice fixpoint's
-iteration count.  ``bisim_kernel`` keeps only the final blocks, read
-off those moves, as the cells of their kernel (``Kernel``): the states
-whose pairs at one condition share a block.  The ``bisim`` report is
-written from those cells, and ``Kernel.relation`` reads the same cells
-as a ``LatticeRelation``, in which each pair of states carries the
-downset of conditions under which it is related.  ``bisimilar``
-answers one query by building and refining only the pairs reachable
-from the two queried pairs, and stops at the first round that separates
-them.
+iteration count.  Its final blocks are conditional bisimilarity:
+``kernel_cells`` reads them as the cells of their kernel, the states
+whose pairs at one condition share a block, and the ``bisim`` report is
+written from those cells.  ``bisimilar`` answers one query by building
+and refining only the pairs reachable from the two queried pairs, and
+stops at the first round that separates them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .models import Cts, NotDownwardClosed
-from .order import Poset, UnknownElement
+from .order import UnknownElement
 
-Pair = tuple[str, str]
 PairKey = tuple[str, str]
 Partition = tuple[tuple[PairKey, ...], ...]
-
-
-@dataclass(frozen=True)
-class LatticeRelation:
-    """A lattice-valued relation on a state set: each pair of states is
-    assigned a downward closed set of conditions.  Empty values are not
-    stored."""
-
-    carrier: tuple[str, ...]
-    base: Poset
-    entries: tuple[tuple[Pair, frozenset[str]], ...]
-
-    @classmethod
-    def of(
-        cls,
-        carrier: Iterable[str],
-        base: Poset,
-        table: Mapping[Pair, Iterable[str]],
-    ) -> "LatticeRelation":
-        states = tuple(sorted(set(carrier)))
-        known = set(states)
-        cleaned: dict[Pair, frozenset[str]] = {}
-        for (x, y), conds in table.items():
-            if x not in known or y not in known:
-                raise ValueError(f"pair ({x},{y}) outside the carrier")
-            members = frozenset(conds)
-            if not base.is_downward_closed(members):
-                raise ValueError(f"value at ({x},{y}) not downward closed")
-            if members:
-                cleaned[(x, y)] = members
-        return cls(states, base, tuple(sorted(cleaned.items())))
-
-    @cached_property
-    def _table(self) -> Mapping[Pair, frozenset[str]]:
-        return dict(self.entries)
-
-    def value(self, x: str, y: str) -> frozenset[str]:
-        return self._table.get((x, y), frozenset())
-
-    def table(self) -> dict[Pair, frozenset[str]]:
-        return dict(self.entries)
 
 
 class PairGraph(NamedTuple):
@@ -239,15 +192,16 @@ def _all_pairs(m: Cts) -> PairGraph:
 Moves = list[list[tuple[int, int]]]
 
 
-def refine(m: Cts) -> tuple[PairGraph, Moves, int]:
+def refine(m: Cts) -> tuple[PairGraph, Moves, list[int], int]:
     """Signature refinement of all (state, condition) pairs: the pair
     graph, every round's moved pairs as (pair, new block id) up to and
-    including the first round that moves none, and the index of the
-    first repeated kernel matrix.  Round zero puts every pair in block 0
-    and moves none.  Pairs are numbered in sorted (state, condition)
-    order, so pair i lies at condition i % |conditions|.  A pair moves
-    at most log2(pairs) times, so the rounds hand over O(P log P)
-    entries for P pairs rather than P ids per round.
+    including the first round that moves none, every pair's final block
+    id, and the index of the first repeated kernel matrix.  Round zero
+    puts every pair in block 0 and moves none.  Pairs are numbered in
+    sorted (state, condition) order, so pair i lies at condition
+    i % |conditions|.  A pair moves at most log2(pairs) times, so the
+    rounds hand over O(P log P) entries for P pairs rather than P ids
+    per round.
 
     The kernel matrix of a round is its set of per-condition state
     partitions, one class per (condition, block) cell that some pair
@@ -272,7 +226,7 @@ def refine(m: Cts) -> tuple[PairGraph, Moves, int]:
         rounds.append([(i, block[i]) for i, _ in rnd.moved])
         counts.append(len(cells))
     matrix_stage = next(i for i in range(len(counts) - 1) if counts[i] == counts[i + 1])
-    return graph, rounds, matrix_stage
+    return graph, rounds, block, matrix_stage
 
 
 def bisimilar(m: Cts, x: str, y: str, phi: str) -> bool:
@@ -292,78 +246,35 @@ def bisimilar(m: Cts, x: str, y: str, phi: str) -> bool:
     return all(rnd.block[0] == rnd.block[1] for rnd in _rounds(graph.moves, graph.width))
 
 
-class Kernel:
+
+
+def kernel_cells(m: Cts, block: list[int]) -> list[list[int]]:
     """The same-condition kernel of a partition of every (state,
-    condition) pair, held as its cells: x and y are related at phi when
-    (x, phi) and (y, phi) lie in one block, that is in one cell of phi.
-    ``block`` gives pair ``state index * |conditions| + condition
-    index`` its block id, and ``states`` are sorted.
+    condition) pair, as each pair's cell: the indices, in order, of the
+    states whose pairs at its condition share its block, so x and y are
+    related at phi when y lies in the cell of (x, phi).  ``block`` gives
+    pair ``state index * |conditions| + condition index`` its block id,
+    as ``refine`` numbers them.
 
     Every value must be downward closed.  That holds iff, for each cover
     p < q, the states of every cell at q share one block at p, since
     every p <= q is joined by a chain of covers; a partition that breaks
     it is corrupted and raises ``NotDownwardClosed``, naming the first
     two states of such a cell that part at p."""
-
-    def __init__(self, states: tuple[str, ...], conditions: Poset, block: list[int]):
-        height = len(conditions.elements)
-        cells: list[dict[int, list[int]]] = [{} for _ in range(height)]
-        for i, b in enumerate(block):
-            cells[i % height].setdefault(b, []).append(i // height)
-        column = {cond: k for k, cond in enumerate(conditions.elements)}
-        for p, q in conditions.covers:
-            kp = column[p]
-            for cell in cells[column[q]].values():
-                b = block[cell[0] * height + kp]
-                for y in cell:
-                    if block[y * height + kp] != b:
-                        x, y = states[cell[0]], states[y]
-                        raise NotDownwardClosed(
-                            f"kernel value at ({x},{y}) holds {q} but not {p}"
-                        )
-        self.states = states
-        self.conditions = conditions
-        # each pair's cell, states in index order
-        self._cell = [cells[i % height][b] for i, b in enumerate(block)]
-
-    def related(self, order: Iterable[int]) -> Iterator[tuple[int, int, list[int]]]:
-        """Every related pair as (x, y, condition indices in order), x
-        running through ``order`` and y through the state indices in
-        order, each state given by its index."""
-        height = len(self.conditions.elements)
-        cell = self._cell
-        for x in order:
-            values: dict[int, list[int]] = {}
-            for k, members in enumerate(cell[x * height : (x + 1) * height]):
-                for y in members:
-                    values.setdefault(y, []).append(k)
-            for y in sorted(values):
-                yield x, y, values[y]
-
-    def relation(self) -> LatticeRelation:
-        """The kernel as a ``LatticeRelation``, read off the cells."""
-        names = self.conditions.elements
-        entries = tuple(
-            ((self.states[x], self.states[y]), frozenset([names[k] for k in ks]))
-            for x, y, ks in self.related(range(len(self.states)))
-        )
-        return LatticeRelation(self.states, self.conditions, entries)
-
-
-def bisim_kernel(m: Cts) -> tuple[Kernel, int]:
-    """Greatest conditional bisimilarity as the kernel of the final
-    blocks of ``refine``, read off its moves, with the index of the
-    first repeated kernel matrix, which is also the number of rounds
-    the lattice fixpoint iteration takes."""
-    graph, rounds, iterations = refine(m)
-    block = [0] * len(graph.pairs)
-    for moved in rounds:
-        for i, b in moved:
-            block[i] = b
-    return Kernel(m.states, m.conditions, block), iterations
-
-
-def bisim_refinement(m: Cts) -> tuple[LatticeRelation, int]:
-    """``bisim_kernel`` with its kernel read as a ``LatticeRelation``."""
-    kernel, iterations = bisim_kernel(m)
-    return kernel.relation(), iterations
+    conditions = m.conditions
+    height = len(conditions.elements)
+    cells: list[dict[int, list[int]]] = [{} for _ in range(height)]
+    for i, b in enumerate(block):
+        cells[i % height].setdefault(b, []).append(i // height)
+    column = {cond: k for k, cond in enumerate(conditions.elements)}
+    for p, q in conditions.covers:
+        kp = column[p]
+        for cell in cells[column[q]].values():
+            b = block[cell[0] * height + kp]
+            for y in cell:
+                if block[y * height + kp] != b:
+                    x, y = m.states[cell[0]], m.states[y]
+                    raise NotDownwardClosed(
+                        f"kernel value at ({x},{y}) holds {q} but not {p}"
+                    )
+    return [cells[i % height][b] for i, b in enumerate(block)]

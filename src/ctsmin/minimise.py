@@ -180,7 +180,7 @@ def minimise_refinement(m: Cts) -> ChainResult:
     The JSON kernels and the quotient name pairs state@condition, so two
     pairs sharing a name (possible when names contain '@') would be told
     apart by the engine yet read as one; that is rejected."""
-    graph, rounds, matrix_stage = refine(m)
+    graph, rounds, _, matrix_stage = refine(m)
     states, pairs = m.states, graph.pairs
     height = len(m.conditions.elements)
     named: dict[str, PairKey] = {}
@@ -245,7 +245,14 @@ def chain_result_text(result: ChainResult) -> str:
     transition row is one string, its keys in sorted order.  The pairs
     of a transition are sorted by (class, condition), as
     ``_quotient_transitions`` leaves them, so each run of one class is a
-    row and its conditions come sorted."""
+    row and its conditions come sorted.
+
+    For a fixed system and names without '@' the text gives back the
+    result: each pair name splits at its one '@', each class is named
+    by its least pair, the order's strict pairs close to ``z_poset``,
+    and the (class, action) rows without moves, which the text leaves
+    out, are those of the system's actions.  So two results give two
+    texts."""
     quoted = _Quoted()
     pair_text = {pair: quoted[_pair_name(pair)] for pair, _ in result.class_of}
     # a class or state group that a stage leaves unchanged is the same

@@ -1,13 +1,14 @@
-"""Transition system models: conditional and plain.
+"""Conditional transition systems.
 
 A conditional system fixes a finite condition poset and gives every
 edge a downward closed set of conditions.  By Birkhoff duality those
 sets are exactly the elements of a finite distributive lattice, so the
-same ``Cts`` is also the lattice-labelled presentation of the system;
-fixing a single condition projects out a plain transition system.  The
-refinement engine runs on the graph of (state, condition) pairs that
-the system's upgrade coalgebra induces, and reads that graph straight
-from a ``Cts`` (``equivalence._pair_graph``).  The coalgebra table and
+same ``Cts`` is also the lattice-labelled presentation of the system.
+The edges present at one fixed condition form a plain transition
+system, which the ``project`` command prints.  The refinement engine
+runs on the graph of (state, condition) pairs that the system's upgrade
+coalgebra induces, and reads that graph straight from a ``Cts``
+(``equivalence._pair_graph``).  The coalgebra table and
 its laws are the theory layer's (``ctsmin.theory.coalgebra``).
 """
 from __future__ import annotations
@@ -75,17 +76,8 @@ class Cts:
             out.setdefault((src, act), []).append((dst, table[(src, act, dst)]))
         self._out = out
 
-    def label(self, src: str, act: str, dst: str) -> frozenset[str]:
-        return self._labels.get((src, act, dst), frozenset())
-
     def outgoing(self, src: str, act: str) -> list[tuple[str, frozenset[str]]]:
         return self._out.get((src, act), [])
-
-    def successors(self, src: str, act: str, phi: str) -> frozenset[str]:
-        self.conditions.check_element(phi)
-        return frozenset(
-            dst for dst, conds in self.outgoing(src, act) if phi in conds
-        )
 
     def edges(self) -> list[tuple[str, str, str, frozenset[str]]]:
         return [
@@ -109,38 +101,3 @@ class Cts:
 
     def __repr__(self) -> str:
         return f"Cts(states={len(self.states)}, edges={len(self._labels)})"
-
-
-class Lts:
-    """A plain labelled transition system."""
-
-    def __init__(self, states: Iterable[str], actions: Iterable[str], edges: Iterable[Edge]):
-        self.states = tuple(sorted(set(states)))
-        self.actions = tuple(sorted(set(actions)))
-        self.edges = frozenset(edges)
-        for (s, a, d) in self.edges:
-            if s not in self.states or d not in self.states:
-                raise UnknownElement(s if s not in self.states else d)
-            if a not in self.actions:
-                raise UnknownElement(a)
-
-    def successors(self, src: str, act: str) -> frozenset[str]:
-        return frozenset(d for (s, a, d) in self.edges if s == src and a == act)
-
-    def _key(self):
-        return (self.states, self.actions, self.edges)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Lts) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-
-def project(m: Cts, phi: str) -> Lts:
-    """The plain transition system seen at one fixed condition."""
-    m.conditions.check_element(phi)
-    edges = [
-        (s, a, d) for (s, a, d, conds) in m.edges() if phi in conds
-    ]
-    return Lts(m.states, m.actions, edges)

@@ -1,16 +1,18 @@
 """Oracles for conditional bisimilarity, kept for the tests.
 
-Each one computes the relation that ``equivalence.bisim_refinement``
-reads off the refinement engine, by a route that shares no code with
-the engine:
+Each one computes the relation that the refinement engine's final
+blocks give (``equivalence.refine``, read by the ``bisim`` report), by
+a route that shares no code with the engine:
 
 - ``lts_bisimilarity`` and ``per_condition_partition``: plain
-  bisimilarity of the projection at one condition;
+  bisimilarity of the projection at one condition (``project``, an
+  ``Lts``);
 - ``greatest_conditional_bisimilarity_naive``: a greatest fixed point
   over families of plain relations, one per condition, with an
   antitone closure step;
 - ``lattice_fixpoint_stages`` and ``lattice_bisim_fixpoint``: one
-  matrix of downsets iterated with Heyting implication;
+  matrix of downsets iterated with Heyting implication, returned as a
+  ``LatticeRelation``;
 - ``is_conditional_bisimulation``, ``is_conditional_congruence`` and
   ``is_lattice_bisimulation``: the transfer and congruence clauses,
   checked on a given relation.
@@ -22,9 +24,93 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from ..equivalence import LatticeRelation, Pair
-from ..models import Cts, Lts, project
-from ..order import Poset
+from ..models import Cts
+from ..order import Poset, UnknownElement
+
+Pair = tuple[str, str]
+Edge = tuple[str, str, str]
+
+
+@dataclass(frozen=True)
+class LatticeRelation:
+    """A lattice-valued relation on a state set: each pair of states is
+    assigned a downward closed set of conditions.  Empty values are not
+    stored."""
+
+    carrier: tuple[str, ...]
+    base: Poset
+    entries: tuple[tuple[Pair, frozenset[str]], ...]
+
+    @classmethod
+    def of(
+        cls,
+        carrier: Iterable[str],
+        base: Poset,
+        table: Mapping[Pair, Iterable[str]],
+    ) -> "LatticeRelation":
+        states = tuple(sorted(set(carrier)))
+        known = set(states)
+        cleaned: dict[Pair, frozenset[str]] = {}
+        for (x, y), conds in table.items():
+            if x not in known or y not in known:
+                raise ValueError(f"pair ({x},{y}) outside the carrier")
+            members = frozenset(conds)
+            if not base.is_downward_closed(members):
+                raise ValueError(f"value at ({x},{y}) not downward closed")
+            if members:
+                cleaned[(x, y)] = members
+        return cls(states, base, tuple(sorted(cleaned.items())))
+
+    @cached_property
+    def _table(self) -> Mapping[Pair, frozenset[str]]:
+        return dict(self.entries)
+
+    def value(self, x: str, y: str) -> frozenset[str]:
+        return self._table.get((x, y), frozenset())
+
+    def table(self) -> dict[Pair, frozenset[str]]:
+        return dict(self.entries)
+
+
+class Lts:
+    """A plain labelled transition system."""
+
+    def __init__(self, states: Iterable[str], actions: Iterable[str], edges: Iterable[Edge]):
+        self.states = tuple(sorted(set(states)))
+        self.actions = tuple(sorted(set(actions)))
+        self.edges = frozenset(edges)
+        for (s, a, d) in self.edges:
+            if s not in self.states or d not in self.states:
+                raise UnknownElement(s if s not in self.states else d)
+            if a not in self.actions:
+                raise UnknownElement(a)
+
+    def successors(self, src: str, act: str) -> frozenset[str]:
+        return frozenset(d for (s, a, d) in self.edges if s == src and a == act)
+
+    def _key(self):
+        return (self.states, self.actions, self.edges)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Lts) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+def project(m: Cts, phi: str) -> Lts:
+    """The plain transition system seen at one fixed condition."""
+    m.conditions.check_element(phi)
+    edges = [
+        (s, a, d) for (s, a, d, conds) in m.edges() if phi in conds
+    ]
+    return Lts(m.states, m.actions, edges)
+
+
+def successors(m: Cts, src: str, act: str, phi: str) -> frozenset[str]:
+    """The a-successors of a state that are present at condition phi."""
+    m.conditions.check_element(phi)
+    return frozenset(dst for dst, conds in m.outgoing(src, act) if phi in conds)
 
 
 @dataclass(frozen=True)
@@ -97,8 +183,8 @@ def _transfer_failure(
     successor under rel, scanning both clause directions."""
     for (x, y) in sorted(rel):
         for a in m.actions:
-            xs = sorted(m.successors(x, a, phi))
-            ys = m.successors(y, a, phi)
+            xs = sorted(successors(m, x, a, phi))
+            ys = successors(m, y, a, phi)
             for x1 in xs:
                 if not any((x1, y1) in rel for y1 in ys):
                     return (x, y, a, x1)
@@ -149,8 +235,8 @@ def is_conditional_congruence(
             cls[x] = min(y for y in m.states if (x, y) in rel)
         for (x, y) in sorted(rel):
             for a in m.actions:
-                image_x = frozenset(cls[x1] for x1 in m.successors(x, a, phi))
-                image_y = frozenset(cls[y1] for y1 in m.successors(y, a, phi))
+                image_x = frozenset(cls[x1] for x1 in successors(m, x, a, phi))
+                image_y = frozenset(cls[y1] for y1 in successors(m, y, a, phi))
                 if image_x != image_y:
                     return False, ("congruence", phi, x, y, a)
     return True, None
@@ -187,8 +273,8 @@ def greatest_conditional_bisimilarity_naive(m: Cts) -> tuple[ConditionFamily, in
             for (x, y) in rel:
                 ok = True
                 for a in m.actions:
-                    xs = m.successors(x, a, phi)
-                    ys = m.successors(y, a, phi)
+                    xs = successors(m, x, a, phi)
+                    ys = successors(m, y, a, phi)
                     if not all(any((x1, y1) in rel for y1 in ys) for x1 in xs):
                         ok = False
                         break

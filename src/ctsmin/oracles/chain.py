@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from ..equivalence import LatticeRelation, PairKey, Partition
+from ..equivalence import PairKey, Partition
 from ..minimise import (
     ChainResult,
     Transitions,
@@ -47,6 +47,7 @@ from ..minimise import (
 from ..models import Cts
 from ..order import Poset
 from ..theory.coalgebra import UpgradeCoalgebra
+from .bisim import LatticeRelation
 
 
 def canonical_partition(groups: Iterable[Iterable[PairKey]]) -> Partition:

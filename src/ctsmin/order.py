@@ -43,20 +43,6 @@ class Poset:
     def __post_init__(self) -> None:
         object.__setattr__(self, "elements", tuple(sorted(self.elements)))
 
-    @classmethod
-    def discrete(cls, elements: Iterable[str]) -> "Poset":
-        elems = tuple(sorted(set(elements)))
-        return cls(elems, frozenset((e, e) for e in elems))
-
-    @classmethod
-    def chain(cls, elements: Iterable[str]) -> "Poset":
-        """Chain ordered by the given sequence, first element at the bottom."""
-        elems = tuple(elements)
-        rel = frozenset(
-            (elems[i], elems[j]) for i in range(len(elems)) for j in range(i, len(elems))
-        )
-        return cls(elems, rel)
-
     @cached_property
     def _element_set(self) -> frozenset[str]:
         return frozenset(self.elements)
@@ -170,3 +156,8 @@ def validate_poset(elements: Iterable[str], pairs: Iterable[tuple[str, str]]) ->
                 raise AntisymmetryViolation(cycle)
     relation = frozenset((p, q) for p in elems for q in reach[p])
     return Poset(elems, relation)
+
+
+# the two-level order phi' < phi of the worked examples, which the test
+# corpus and the benchmark's line systems use too
+TWO_LEVEL = validate_poset(["phi", "phi'"], [("phi'", "phi")])

@@ -15,21 +15,19 @@ from ctsmin import (
     NotDownwardClosed,
     OrderError,
     ParseError,
-    bisim_refinement,
     chain_result_dot,
-    ex1,
-    ex2,
     minimise_refinement,
     parse_model,
     validate_poset,
 )
 from ctsmin.cli import _bisim_text, main
-from ctsmin.equivalence import bisim_kernel
 from ctsmin.minimise import chain_result_text
+from ctsmin.oracles.bisim import lattice_bisim_fixpoint
 from ctsmin.oracles.chain import chain_result_json, minimise_chain
 from ctsmin.theory.coalgebra import coalgebra_encode
 
 from corpus import boolean_cts, cts_corpus
+from examples import ex1, ex2
 from strategies import LIBRARY_NAMES, cts_models
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -84,6 +82,8 @@ def test_project_lists_plain_edges(capsys):
     code, out, _ = run(capsys, "project", EX1, "--condition", "phi'")
     assert code == 0
     assert len(out.splitlines()) == 6
+    code, out, err = run(capsys, "project", EX1, "--condition", "psi")
+    assert (code, out, err) == (2, "", "error: unknown element: 'psi'\n")
 
 
 def test_bisim_fixpoint_report(capsys):
@@ -178,8 +178,8 @@ def test_json_writer_matches_indented_dumps_on_reports():
     # "\u00e9" sorts before "z" once quoted, but after it raw
     systems.append(named_system(["\u00e9", "z", "\u00e9z"]))
     for m in systems:
-        assert _bisim_text(*bisim_kernel(m)) == json.dumps(
-            bisim_payload(*bisim_refinement(m)), indent=2, sort_keys=True
+        assert _bisim_text(m) == json.dumps(
+            bisim_payload(*lattice_bisim_fixpoint(m)), indent=2, sort_keys=True
         )
         result = minimise_refinement(m)
         assert chain_result_text(result) == json.dumps(
@@ -197,13 +197,12 @@ def test_bisim_text_is_the_dumped_payload(m):
     """The ``bisim`` text is the indented dump of its payload, and on
     token names it reads back as the relation, keys split at ','.  A
     state name holding ',' is rejected."""
-    kernel, iterations = bisim_kernel(m)
-    relation, _ = bisim_refinement(m)
     if any("," in x for x in m.states):
         with pytest.raises(ValueError, match="contains ','"):
-            _bisim_text(kernel, iterations)
+            _bisim_text(m)
         return
-    text = _bisim_text(kernel, iterations)
+    relation, iterations = lattice_bisim_fixpoint(m)
+    text = _bisim_text(m)
     assert text == json.dumps(bisim_payload(relation, iterations), indent=2, sort_keys=True)
     if all(set(x) <= set("ab!+-.") for x in m.states):
         pairs = json.loads(text)["pairs"]
@@ -245,8 +244,8 @@ def test_json_writer_matches_indented_dumps_on_edge_cases(payload):
     ``bisim`` report; a payload without strings gives the empty
     relation."""
     m = named_system(strings_in(payload))
-    assert _bisim_text(*bisim_kernel(m)) == json.dumps(
-        bisim_payload(*bisim_refinement(m)), indent=2, sort_keys=True
+    assert _bisim_text(m) == json.dumps(
+        bisim_payload(*lattice_bisim_fixpoint(m)), indent=2, sort_keys=True
     )
 
 

@@ -3,20 +3,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ctsmin import (
+    TWO_LEVEL,
     Cts,
-    LatticeRelation,
-    Lts,
     NotDownwardClosed,
-    Poset,
     UnknownElement,
-    bisim_refinement,
-    ex1,
-    ex2,
     validate_poset,
 )
-from ctsmin.equivalence import Kernel, _pair_graph, bisimilar
+from ctsmin.equivalence import _pair_graph, bisimilar, kernel_cells
 from ctsmin.oracles.bisim import (
     ConditionFamily,
+    LatticeRelation,
+    Lts,
     greatest_conditional_bisimilarity_naive,
     is_conditional_bisimulation,
     is_conditional_congruence,
@@ -28,9 +25,8 @@ from ctsmin.oracles.bisim import (
 )
 
 from corpus import boolean_cts, cts_corpus
+from examples import ex1, ex2, final_relation
 from strategies import cts_models
-
-TWO = Poset.chain(["phi'", "phi"])
 
 
 def family_of(m, relations):
@@ -140,11 +136,19 @@ def test_lattice_relation_values_are_downsets():
 
 
 def kernel_relation(states, conditions, blocks):
-    """The kernel of (pair, block id) entries, one per pair, read as a
-    relation."""
+    """The kernel cells of (pair, block id) entries, one per pair, read
+    as a map from each (x, y) to the conditions relating them."""
     ids = dict(blocks)
+    states = sorted(states)
     block = [ids[(x, cond)] for x in states for cond in conditions.elements]
-    return Kernel(tuple(states), conditions, block).relation()
+    height = len(conditions.elements)
+    cells = kernel_cells(Cts(states, [], conditions, {}), block)
+    values = {}
+    for i, cell in enumerate(cells):
+        for y in cell:
+            key = (states[i // height], states[y])
+            values.setdefault(key, set()).add(conditions.elements[i % height])
+    return values
 
 
 def test_kernel_relation_rejects_corrupted_blocks():
@@ -152,16 +156,16 @@ def test_kernel_relation_rejects_corrupted_blocks():
     # not, so x and y would be related at phi yet not at phi' < phi
     blocks = [(("x", "phi"), 0), (("y", "phi"), 0), (("x", "phi'"), 1), (("y", "phi'"), 2)]
     with pytest.raises(NotDownwardClosed, match=r"\(x,y\)"):
-        kernel_relation(["x", "y"], TWO, blocks)
+        kernel_relation(["x", "y"], TWO_LEVEL, blocks)
     # the same blocks with (y, phi') joined to (x, phi') are a valid kernel
-    fixed = kernel_relation(["x", "y"], TWO, blocks[:3] + [(("y", "phi'"), 1)])
-    assert fixed.value("x", "y") == {"phi", "phi'"}
+    fixed = kernel_relation(["x", "y"], TWO_LEVEL, blocks[:3] + [(("y", "phi'"), 1)])
+    assert fixed[("x", "y")] == {"phi", "phi'"}
 
 
 def test_kernel_rejects_a_break_two_covers_down_a_chain():
     # c0 < c1 < c2: x and y share a block at c2 and at c1 but not at c0,
     # so the break sits on the cover c0 < c1, two covers below the top
-    chain = Poset.chain(["c0", "c1", "c2"])
+    chain = validate_poset(["c0", "c1", "c2"], [("c0", "c1"), ("c1", "c2")])
     blocks = [
         (("x", "c2"), 0), (("y", "c2"), 0),
         (("x", "c1"), 1), (("y", "c1"), 1),
@@ -170,8 +174,8 @@ def test_kernel_rejects_a_break_two_covers_down_a_chain():
     with pytest.raises(NotDownwardClosed, match=r"\(x,y\)"):
         kernel_relation(["x", "y"], chain, blocks)
     fixed = kernel_relation(["x", "y"], chain, blocks[:5] + [(("y", "c0"), 2)])
-    assert fixed.value("x", "y") == {"c0", "c1", "c2"}
-    assert fixed.value("x", "x") == {"c0", "c1", "c2"}
+    assert fixed[("x", "y")] == {"c0", "c1", "c2"}
+    assert fixed[("x", "x")] == {"c0", "c1", "c2"}
 
 
 def test_kernel_rejects_a_break_on_one_lower_cover_of_a_diamond():
@@ -190,8 +194,8 @@ def test_kernel_rejects_a_break_on_one_lower_cover_of_a_diamond():
     with pytest.raises(NotDownwardClosed, match=r"\(x,y\)"):
         kernel_relation(["x", "y"], diamond, blocks)
     fixed = kernel_relation(["x", "y"], diamond, blocks[:3] + [(("y", "bot"), 1)] + blocks[4:])
-    assert fixed.value("x", "y") == {"bot", "a"}
-    assert fixed.value("y", "x") == {"bot", "a"}
+    assert fixed[("x", "y")] == {"bot", "a"}
+    assert fixed[("y", "x")] == {"bot", "a"}
 
 
 def test_top_relation_is_not_a_bisimulation_on_ex1():
@@ -242,9 +246,9 @@ def test_per_condition_partition_on_ex1():
 
 
 def assert_bisimilar_matches_relation(m):
-    """``bisimilar`` against the relation ``bisim_refinement`` reads off
-    the whole pair space, on every (x, y, phi)."""
-    relation, _ = bisim_refinement(m)
+    """``bisimilar`` against the relation of ``refine``'s final blocks
+    over the whole pair space, on every (x, y, phi)."""
+    relation, _ = final_relation(m)
     for x in m.states:
         for y in m.states:
             for phi in m.conditions.elements:
@@ -275,8 +279,8 @@ def test_bisimilar_on_one_state_twice():
 
 def test_bisimilar_on_states_without_transitions():
     # dead and idle have no transitions; busy moves once phi' is entered
-    m = Cts(["busy", "dead", "idle"], ["a"], TWO, {("busy", "a", "busy"): {"phi'"}})
-    for phi in TWO.elements:
+    m = Cts(["busy", "dead", "idle"], ["a"], TWO_LEVEL, {("busy", "a", "busy"): {"phi'"}})
+    for phi in TWO_LEVEL.elements:
         assert bisimilar(m, "dead", "idle", phi)
         assert not bisimilar(m, "dead", "busy", phi)
         assert not bisimilar(m, "busy", "idle", phi)
@@ -289,7 +293,7 @@ def test_bisimilar_on_disjoint_reachable_parts():
     m = Cts(
         ["p", "q", "r", "s", "t"],
         ["a"],
-        TWO,
+        TWO_LEVEL,
         {
             ("p", "a", "q"): both,
             ("q", "a", "p"): both,

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from ctsmin import Poset, validate_poset
+from ctsmin import TWO_LEVEL, validate_poset
 from ctsmin.theory.lattice import (
     ExplicitLattice,
     HeytingFrame,
@@ -13,11 +13,9 @@ from ctsmin.theory.lattice import (
 
 from test_order import poset_and_subset, posets
 
-TWO = Poset.chain(["phi'", "phi"])
-
 
 def frame2():
-    return HeytingFrame(TWO)
+    return HeytingFrame(TWO_LEVEL)
 
 
 def test_two_chain_frame_constants():
@@ -66,10 +64,10 @@ def test_enumerate_elements_two_chain():
 
 def test_enumerate_elements_size_guard():
     # the guard is on the base size, not the downset count
-    f = HeytingFrame(Poset.discrete([f"c{i}" for i in range(21)]))
+    f = HeytingFrame(validate_poset([f"c{i}" for i in range(21)], []))
     with pytest.raises(TooLarge):
         f.enumerate_elements()
-    small = HeytingFrame(Poset.discrete(["c0", "c1"]))
+    small = HeytingFrame(validate_poset(["c0", "c1"], []))
     assert len(small.enumerate_elements(limit=2)) == 4
 
 

@@ -4,14 +4,15 @@ import pytest
 from hypothesis import given
 
 from ctsmin import (
+    TWO_LEVEL,
     AntisymmetryViolation,
+    ChainResult,
     Cts,
     Poset,
     chain_result_dot,
-    ex1,
-    ex2,
     minimise_refinement,
     refine,
+    validate_poset,
 )
 from ctsmin.equivalence import _all_pairs
 from ctsmin.minimise import (
@@ -43,10 +44,10 @@ from ctsmin.oracles.chain import (
 )
 from ctsmin.theory.coalgebra import coalgebra_encode
 
-from corpus import boolean_cts, cts_corpus
+from corpus import boolean_cts, cts_corpus, line_cts
+from examples import ex1, ex2
 from strategies import LIBRARY_NAMES, cts_models
-
-TWO = Poset.chain(["phi'", "phi"])
+from test_modelfile import TOKENS
 
 
 def test_terms_are_hash_consed():
@@ -132,7 +133,7 @@ def test_minimise_chain_on_ex2():
 
 
 def test_single_state_without_transitions_collapses():
-    m = Cts(["s"], ["a"], TWO, {})
+    m = Cts(["s"], ["a"], TWO_LEVEL, {})
     r = minimise_chain(coalgebra_encode(m))
     assert r.stage == 0
     assert r.z_poset.elements == ("s@phi",)
@@ -142,7 +143,7 @@ def test_partition_stage_can_trail_matrix_stage_by_one():
     # one state, top-labelled self loop: no pair of states ever separates
     # so the kernel matrix is constant, yet the first table is already
     # non-constant across conditions
-    m = Cts(["s"], ["a"], TWO, {("s", "a", "s"): {"phi", "phi'"}})
+    m = Cts(["s"], ["a"], TWO_LEVEL, {("s", "a", "s"): {"phi", "phi'"}})
     r = minimise_chain(coalgebra_encode(m))
     assert r.matrix_stage == 0
     assert r.stage == 1
@@ -209,16 +210,16 @@ def test_colliding_pair_names_are_rejected():
     # (s, p@q) and (s@p, q) are told apart by the engine but would share
     # the quotient name s@p@q
     m = Cts(
-        ["s", "s@p"], ["a"], Poset.discrete(["q", "p@q"]), {("s@p", "a", "s@p"): {"q"}}
+        ["s", "s@p"], ["a"], validate_poset(["q", "p@q"], []), {("s@p", "a", "s@p"): {"q"}}
     )
-    _, rounds, _ = refine(m)
-    assert len({0} | {b for moved in rounds for _, b in moved}) == 2
+    _, _, block, _ = refine(m)
+    assert len(set(block)) == 2
     with pytest.raises(ValueError, match="share the name 's@p@q'"):
         minimise_refinement(m)
     with pytest.raises(ValueError, match="share the name 's@p@q'"):
         minimise_chain(coalgebra_encode(m))
     # '@' alone is fine: quotients are re-read with states named x@phi
-    q = quotient_to_cts(minimise_refinement(ex1()), TWO)
+    q = quotient_to_cts(minimise_refinement(ex1()), TWO_LEVEL)
     assert all("@" in x for x in q.states)
     assert minimise_refinement(q).stage >= 0
 
@@ -361,7 +362,7 @@ def test_quotient_order_matches_coequalised_product():
 def test_cyclic_partition_is_rejected():
     # (x, c1) <= (x, c2) and (y, c1) <= (y, c2) order the two classes
     # both ways, which no round of the engine can do
-    m = Cts(["x", "y"], ["a"], Poset.chain(["c1", "c2"]), {})
+    m = Cts(["x", "y"], ["a"], validate_poset(["c1", "c2"], [("c1", "c2")]), {})
     crossed = canonical_partition(
         [[("x", "c1"), ("y", "c2")], [("x", "c2"), ("y", "c1")]]
     )
@@ -392,8 +393,8 @@ def test_partition_that_is_no_congruence_is_a_value_error():
 
 def test_dot_escapes_quote_in_library_names():
     # the parser rejects '"', but a Cts built through the library keeps it
-    m = Cts(['y"'], ["a"], TWO, {('y"', "a", 'y"'): {"phi'"}})
-    assert chain_result_dot(minimise_refinement(m), TWO) == (
+    m = Cts(['y"'], ["a"], TWO_LEVEL, {('y"', "a", 'y"'): {"phi'"}})
+    assert chain_result_dot(minimise_refinement(m), TWO_LEVEL) == (
         "digraph minimised {\n"
         "  rankdir=LR;\n"
         '  "y\\"@phi";\n'
@@ -411,3 +412,69 @@ def test_report_text_is_the_dumped_report_dict(model):
     assert chain_result_text(result) == text
     assert chain_result_text(minimise_refinement(model)) == text
 
+
+
+def read_chain_result(text, m):
+    """Rebuild a ``ChainResult`` from its ``minimise`` report and the
+    system.  Each pair name splits at its one '@', each class is named
+    by its least pair, the quotient order is closed again from its
+    strict pairs, and the (class, action) rows the report leaves out,
+    those without moves, come back from the system's actions."""
+    report = json.loads(text)
+
+    def pair(name):
+        state, cond = name.split("@")
+        return (state, cond)
+
+    stages = tuple(
+        tuple(tuple(map(pair, cls)) for cls in stage["kernel"]) for stage in report["stages"]
+    )
+    state_partitions = tuple(
+        tuple(map(tuple, stage["states"])) for stage in report["stages"]
+    )
+    assert [stage["stage"] for stage in report["stages"]] == list(range(len(stages)))
+    class_of = sorted(
+        (p, f"{min(cls)[0]}@{min(cls)[1]}") for cls in stages[-1] for p in cls
+    )
+    quotient = report["quotient"]
+    rows = {(name, a): [] for name in quotient["states"] for a in m.actions}
+    for row in quotient["transitions"]:
+        rows[(row["src"], row["action"])] += [(row["dst"], c) for c in row["conditions"]]
+    result = ChainResult(
+        report["stage"],
+        report["matrix_stage"],
+        stages,
+        state_partitions,
+        tuple(class_of),
+        validate_poset(quotient["states"], map(tuple, quotient["order"])),
+        tuple(sorted((src, a, tuple(sorted(moves))) for (src, a), moves in rows.items())),
+    )
+    assert report["algorithm"] == "chain"
+    assert report["confirmed_at"] == result.confirmed_at
+    return result
+
+
+def assert_report_reads_back(m):
+    result = minimise_refinement(m)
+    assert read_chain_result(chain_result_text(result), m) == result
+
+
+@pytest.mark.parametrize(
+    "make",
+    [ex1, ex2, lambda: boolean_cts(3, 0), lambda: boolean_cts(4, 0), lambda: line_cts(12)],
+    ids=["EX1", "EX2", "boolean3", "boolean4", "line12"],
+)
+def test_report_reads_back_on_examples(make):
+    assert_report_reads_back(make())
+
+
+def test_report_reads_back_on_corpus():
+    for m in cts_corpus(500):
+        assert_report_reads_back(m)
+
+
+@given(cts_models(TOKENS, TOKENS.filter(lambda name: name != "<=")))
+def test_report_reads_back_on_token_names(m):
+    """Pair names are state@condition and no token holds '@', so two
+    different results for one system give two different reports."""
+    assert_report_reads_back(m)

@@ -1,39 +1,48 @@
-from pathlib import Path
-
 import pytest
 from hypothesis import given, strategies as st
 
 from ctsmin import (
+    TWO_LEVEL,
     AntisymmetryViolation,
     Cts,
     NotDownwardClosed,
     ParseError,
     Poset,
-    ex1,
-    ex2,
     parse_model,
     serialise_model,
 )
 from ctsmin.modelfile import RESERVED, parse_with_kind
 
 from corpus import boolean_cts, cts_corpus
+from examples import FIXTURES, ex1, ex2
 from strategies import cts_models
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+BOTH = frozenset({"phi", "phi'"})
+LOW = frozenset({"phi'"})
 
 
 def test_ex1_fixture_matches_builtin():
-    parsed = parse_model((FIXTURES / "EX1").read_text())
-    built = ex1()
-    assert parsed.states == built.states
-    assert parsed.actions == built.actions
-    assert parsed.conditions == built.conditions
-    assert set(parsed.edges()) == set(built.edges())
+    # two three-state gadgets over phi' < phi: x' moves to y' only at
+    # phi', and y and y' move back only at phi'
+    m = ex1()
+    assert m.states == ("x", "x'", "y", "y'", "z", "z'")
+    assert m.actions == ("a",)
+    assert m.conditions == TWO_LEVEL
+    assert m.edges() == [
+        ("x", "a", "y", BOTH),
+        ("x", "a", "z", BOTH),
+        ("x'", "a", "y'", LOW),
+        ("x'", "a", "z'", BOTH),
+        ("y", "a", "x", LOW),
+        ("y'", "a", "x'", LOW),
+    ]
 
 
 def test_ex2_fixture_matches_builtin():
-    parsed = parse_model((FIXTURES / "EX2").read_text())
-    assert set(parsed.edges()) == set(ex2().edges())
+    # x2 loops only at phi', x1 never moves
+    m = ex2()
+    assert (m.states, m.actions, m.conditions) == (("x1", "x2"), ("a",), TWO_LEVEL)
+    assert m.edges() == [("x2", "a", "x2", LOW)]
 
 
 def test_fixture_files_are_canonical():
@@ -101,7 +110,7 @@ x a y : phi' phi
 def test_parse_tolerates_comments_and_section_order():
     m = parse_model(SCRAMBLED)
     assert isinstance(m, Cts)
-    assert m.label("x", "a", "y") == {"phi", "phi'"}
+    assert m.outgoing("x", "a") == [("y", BOTH)]
     canonical = serialise_model(m)
     assert "x a y : phi phi'" in canonical
 
@@ -194,7 +203,7 @@ def test_labels_must_be_downward_closed_unless_closing():
         parse_model(NOT_CLOSED)
     assert err.value.line == 11
     closed = parse_model(NOT_CLOSED, close=True)
-    assert closed.label("x", "a", "x") == {"phi", "phi'"}
+    assert closed.outgoing("x", "a") == [("x", BOTH)]
 
 
 def test_open_line_is_rejected_though_another_line_closes_the_union():

@@ -16,21 +16,19 @@ without it.
 
 import random
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ctsmin import Cts, TWO_LEVEL, ex1, parse_model, serialise_model
+from ctsmin import Cts, TWO_LEVEL, serialise_model
 from ctsmin.cli import main
 from ctsmin.equivalence import _all_pairs, _pair_graph
 from ctsmin.theory.coalgebra import coalgebra_encode
 
 from corpus import boolean_cts, cts_corpus, line_cts
+from examples import FIXTURES, ex1, read_fixture
 from strategies import cts_models
-
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def alpha_graph(c, roots):
@@ -105,7 +103,7 @@ def test_pair_graph_matches_alpha_on_corpus():
 
 @pytest.mark.parametrize("name", ["EMPTY", "EX1", "EX2", "LINE6", "ONE"])
 def test_pair_graph_matches_alpha_on_fixtures(name):
-    m = parse_model((FIXTURES / name).read_text())
+    m = read_fixture(name)
     assert_graphs_match_alpha(m, random.Random(name), queries=10)
 
 

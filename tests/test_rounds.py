@@ -13,11 +13,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ctsmin import TWO_LEVEL, Cts, bisim_refinement, ex1, ex2, refine
+from ctsmin import TWO_LEVEL, Cts, refine
 from ctsmin.equivalence import _all_pairs, _pair_graph, _rounds, bisimilar
 from ctsmin.oracles.chain import canonical_partition, matrix_stage
 
 from corpus import boolean_cts, cts_corpus, line_cts
+from examples import ex1, ex2
 from strategies import cts_models
 
 
@@ -74,15 +75,19 @@ def assert_rounds_exact(moves, width):
 def assert_engine_matches_oracle(m, queries=None, local=None):
     """Every round of the engine on the whole pair graph, and on the part
     reachable from the roots of each query in ``local`` (by default every
-    query), equals full re-signing; ``bisim_refinement``'s iterations and
-    relation and ``bisimilar``'s verdicts on ``queries`` (by default
+    query), equals full re-signing; ``refine``'s iterations and final
+    blocks and ``bisimilar``'s verdicts on ``queries`` (by default
     every (x, y, phi)) are the ones the oracle's rounds give."""
     pairs, moves, width = _all_pairs(m)
     assert_rounds_exact(moves, width)
     partitions = oracle_partitions(pairs, moves, width)
     final = {pair: i for i, cls in enumerate(partitions[-1]) for pair in cls}
-    relation, iterations = bisim_refinement(m)
+    _, _, block, iterations = refine(m)
     assert iterations == matrix_stage(partitions)
+    groups = {}
+    for pair, b in zip(pairs, block):
+        groups.setdefault(b, []).append(pair)
+    assert canonical_partition(groups.values()) == partitions[-1]
     if queries is None:
         queries = [
             (x, y, phi)
@@ -93,7 +98,6 @@ def assert_engine_matches_oracle(m, queries=None, local=None):
     for x, y, phi in queries:
         want = final[(x, phi)] == final[(y, phi)]
         assert bisimilar(m, x, y, phi) == want, (x, y, phi)
-        assert (phi in relation.value(x, y)) == want
     for x, y, phi in queries if local is None else local:
         if x != y:
             _, part, part_width = _pair_graph(m, [(x, phi), (y, phi)])
@@ -178,7 +182,7 @@ def test_refine_hands_over_bounded_moves_on_a_long_line():
     """``refine`` hands ``minimise`` each round's moved pairs, not every
     pair's block id in each of 1,282 rounds; each pair moves at most
     log2(pairs) times, so at most 4 P log2 P entries in all."""
-    graph, rounds, _ = refine(line_cts(1280))
+    graph, rounds, _, _ = refine(line_cts(1280))
     size = len(graph.pairs)
     assert len(rounds) == 1282
     assert rounds[0] == [] and rounds[-1] == []
