@@ -25,35 +25,22 @@ validation errors in the input model (including bytes that are not
 UTF-8).  ``validate`` differs: it prints an invalid model's error on
 stdout as ``invalid: <reason>`` and exits 1.
 
-Both JSON reports print what ``json.dumps(payload, indent=2,
-sort_keys=True)`` prints, but are written without a payload dict, every
-string quoted by the C function ``encode_basestring_ascii``.  CPython
-falls back to its pure-Python encoder whenever ``indent`` is set, and
-on large condition lattices that encoder took longer than the whole
-refinement.  ``minimise.chain_result_text`` writes the ``minimise``
-report, each class or state group that a stage leaves unchanged written
-once, and ``_bisim_text`` writes the ``bisim`` report straight from the
-cells of the final blocks (``equivalence.kernel_cells``), with no
-relation table; both use the list layout of ``minimise._json_list``.
+This module only parses the command line, dispatches and maps errors to
+exit codes.  Both JSON reports and the DOT graph are written by
+``ctsmin.minimise``: ``bisim_text`` and ``chain_result_text`` print what
+``json.dumps(payload, indent=2, sort_keys=True)`` prints, without
+building the payload.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from json.encoder import encode_basestring_ascii as quote
 
-from .equivalence import bisimilar, kernel_cells, refine
-from .minimise import (
-    _IN2,
-    _IN4,
-    _json_list,
-    chain_result_dot,
-    chain_result_text,
-    minimise_refinement,
-)
+from .equivalence import bisimilar
+from .minimise import bisim_text, chain_result_dot, chain_result_text, minimise_refinement
 from .modelfile import ParseError, parse_model, parse_with_kind, serialise_model
-from .models import Cts, NotDownwardClosed
+from .models import NotDownwardClosed
 from .order import AntisymmetryViolation, OrderError
 
 
@@ -80,53 +67,6 @@ def _read_text(path: str) -> str:
 
 def _read_model(args):
     return parse_model(_read_text(args.file), close=args.close)
-
-
-def _bisim_text(m: Cts) -> str:
-    """The ``bisim`` report, as ``json.dumps`` with ``indent=2`` and
-    ``sort_keys=True`` prints the payload {"algorithm": "fixpoint",
-    "iterations": ..., "pairs": {"x,y": [conditions]}}, written straight
-    from the cells of ``refine``'s final blocks (``kernel_cells``).  The
-    engine computes the lattice fixpoint, which names the report.
-
-    ``sort_keys`` sorts the raw "x,y" keys, not their quoted form.  When
-    no state name holds ',', the key of x and y sorts by x + ',' first
-    and then by y: two keys whose x differ agree up to the shorter x and
-    its ',' only if that x is a prefix of the other and the other's next
-    character is ',', which no name holds.  So the pairs come x by
-    x + ',' (not by x: "a+" sorts before "a," but after "a") and y by
-    index.  A state name holding ',' is rejected, since it could sort
-    otherwise and give two pairs one key.  Without it, "x,y" splits back
-    at its one ',' into x and y, so the text gives back the relation:
-    two relations give two texts."""
-    states = m.states
-    for x in states:
-        if "," in x:
-            raise ValueError(f"state name {x!r} contains ','")
-    _, _, block, iterations = refine(m)
-    cell = kernel_cells(m, block)
-    height = len(m.conditions.elements)
-    conditions = [quote(c) for c in m.conditions.elements]
-    # quote(x + "," + y) is head[x] + tail[y], since ',' is not escaped
-    head = [quote(x)[:-1] + "," for x in states]
-    tail = [quote(y)[1:] for y in states]
-    values: dict[tuple[int, ...], str] = {}
-    items = []
-    for x in sorted(range(len(states)), key=lambda s: states[s] + ","):
-        related: dict[int, list[int]] = {}
-        for k, members in enumerate(cell[x * height : (x + 1) * height]):
-            for y in members:
-                related.setdefault(y, []).append(k)
-        for y in sorted(related):
-            key = tuple(related[y])
-            if key not in values:
-                values[key] = _json_list([conditions[k] for k in key], _IN4)
-            items.append(f"{head[x]}{tail[y]}: {values[key]}")
-    pairs = f"{{{_IN4}{(',' + _IN4).join(items)}{_IN2}}}" if items else "{}"
-    return (
-        f'{{{_IN2}"algorithm": "fixpoint",{_IN2}"iterations": {iterations},'
-        f'{_IN2}"pairs": {pairs}\n}}'
-    )
 
 
 def _cmd_validate(args) -> int:
@@ -159,7 +99,7 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_bisim(args) -> int:
-    print(_bisim_text(_read_model(args)))
+    print(bisim_text(_read_model(args)))
     return 0
 
 

@@ -12,14 +12,16 @@ changed in the round before plus one representative of each touched
 block's untouched members, and a block that splits keeps its id for its
 largest part.  ``refine`` is the one pass over every pair: it hands
 ``minimise`` each round's moved pairs with their new block ids, which is
-all that changes from one round to the next, and counts the occupied
-(condition, block) cells from them, which gives the lattice fixpoint's
-iteration count.  Its final blocks are conditional bisimilarity:
-``kernel_cells`` reads them as the cells of their kernel, the states
-whose pairs at one condition share a block, and the ``bisim`` report is
-written from those cells.  ``bisimilar`` answers one query by building
-and refining only the pairs reachable from the two queried pairs, and
-stops at the first round that separates them.
+all that changes from one round to the next.  The lattice fixpoint's
+iteration count, the first round whose kernel matrix repeats, follows
+from round one alone: it is 0 when round one splits no condition's
+states, and the partition's stage otherwise (the proof is ``refine``'s).
+Its final blocks are conditional bisimilarity: ``kernel_cells`` reads
+them as the cells of their kernel, the states whose pairs at one
+condition share a block, and the ``bisim`` report is written from those
+cells.  ``bisimilar`` answers one query by building and refining only
+the pairs reachable from the two queried pairs, and stops at the first
+round that separates them.
 """
 
 from __future__ import annotations
@@ -204,29 +206,32 @@ def refine(m: Cts) -> tuple[PairGraph, Moves, list[int], int]:
     per round.
 
     The kernel matrix of a round is its set of per-condition state
-    partitions, one class per (condition, block) cell that some pair
-    occupies.  Those partitions only refine from one round to the next,
-    so the matrix repeats exactly when the number of occupied cells
-    does; that number is kept up to date from each round's moved
-    pairs."""
+    partitions.  It first repeats at round 0 if round one leaves every
+    condition's states in one block, and otherwise where the partition
+    first repeats, at ``len(rounds) - 2``.  Proof:
+
+    - Pairs sharing a block at round k share one at each condition below
+      both (induction on k): upgrades only filter signatures, as the
+      moves of (x, chi) are those of (x, phi) entering at versions <= chi.
+    - Let the matrix repeat at round k >= 1 and (x, phi), (y, psi) share
+      a block at round k.  A move of the first under a at version chi
+      into round-k block B has a partner in their equal round-k
+      signatures, so chi is below phi and psi.  So (x, chi) and (y, chi)
+      share a block at round k, hence at k + 1; (x, chi) has the move
+      (a, chi, B), so (y, chi) and (y, psi) have it.  By symmetry the
+      partition repeats.
+    - If round one splits no condition's states, each successor's
+      round-one block depends on its condition alone, so round two
+      splits nothing and the partition repeats from round one."""
     graph = _all_pairs(m)
     height = len(m.conditions.elements)
-    # pairs in each occupied cell, keyed block * height + condition index
-    cells = {k: len(m.states) for k in range(height) if m.states}
-    rounds, counts = [], []
+    rounds: Moves = []
     for rnd in _rounds(graph.moves, graph.width):
         block = rnd.block
-        for i, old in rnd.moved:
-            cell = old * height + i % height
-            cells[cell] -= 1
-            if not cells[cell]:
-                del cells[cell]
-            cell = block[i] * height + i % height
-            cells[cell] = cells.get(cell, 0) + 1
+        if len(rounds) == 1:
+            split = any(b != block[i % height] for i, b in enumerate(block))
         rounds.append([(i, block[i]) for i, _ in rnd.moved])
-        counts.append(len(cells))
-    matrix_stage = next(i for i in range(len(counts) - 1) if counts[i] == counts[i + 1])
-    return graph, rounds, block, matrix_stage
+    return graph, rounds, block, len(rounds) - 2 if split else 0
 
 
 def bisimilar(m: Cts, x: str, y: str, phi: str) -> bool:

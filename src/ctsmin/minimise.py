@@ -1,4 +1,4 @@
-"""Minimisation: the quotient of the refinement engine and its reports.
+"""Minimisation by the refinement engine, and the command line's reports.
 
 ``minimise_refinement`` takes the pairs that each round of
 ``equivalence.refine`` moved, with their new block ids, and builds the
@@ -14,9 +14,15 @@ naming.  The chain oracle in ``ctsmin.oracles.chain`` builds its own
 ``ChainResult`` from its stage tables, so the tests compare two
 independent constructions.
 
-A ``ChainResult`` is serialised here too.  ``chain_result_text`` writes
-the JSON report of the ``minimise`` command in one pass over the
-result, and ``chain_result_dot`` renders the quotient for Graphviz.
+The module owns the layout of both JSON reports.  ``bisim_text``
+writes the ``bisim`` report from the cells of ``refine``'s final blocks
+(``equivalence.kernel_cells``), and ``chain_result_text`` the
+``minimise`` report from a ``ChainResult``.  Both print what
+``json.dumps(payload, indent=2, sort_keys=True)`` prints without a
+payload dict, quoting through the C ``encode_basestring_ascii``: with
+``indent`` set, CPython's pure-Python encoder took longer than the whole
+refinement on large lattices.  ``chain_result_dot`` renders the
+quotient for Graphviz.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from json.encoder import encode_basestring_ascii as quote
 from operator import itemgetter
 from typing import Hashable, Iterable, Mapping, Sequence
 
-from .equivalence import PairGraph, PairKey, Partition, refine
+from .equivalence import PairGraph, PairKey, Partition, kernel_cells, refine
 from .models import Cts
 from .order import Poset, validate_poset
 
@@ -68,29 +74,37 @@ Transitions = tuple[tuple[str, str, tuple[tuple[str, str], ...]], ...]
 
 @dataclass(frozen=True)
 class ChainResult:
-    """Outcome of minimisation: the stabilised stage, its quotient, and
-    every stage's kernel partition and state partition, whose classes
-    are the states with equal columns.  ``class_of`` names every pair by
-    the least pair of its final class.  The kernel matrix of a stage is
-    derived on demand with ``ctsmin.oracles.chain.partition_matrix``.
+    """Outcome of minimisation: every stage's kernel partition and state
+    partition (the states with equal columns), up to and including the
+    first repeat, and the quotient of the last.  The kernel matrix of a
+    stage is derived on demand with ``ctsmin.oracles.chain.partition_matrix``.
 
-    ``stage`` is the first index whose partition equals the next one;
-    ``confirmed_at``, derived from it, is that next index.
-    ``matrix_stage`` is the first index whose kernel matrix repeats; it
-    can precede ``stage`` by one when the very first table is
-    non-constant but no two states ever separate."""
+    ``stage`` is the first index whose partition equals the next one,
+    and ``confirmed_at`` is that next index.  ``class_of`` names every
+    pair, in pair order, by the least pair of its final class.
+    ``matrix_stage`` is the first index whose kernel matrix repeats: 0
+    when the first stage splits no condition's states, else ``stage``
+    (see ``equivalence.refine``).  So it precedes ``stage`` by one
+    exactly when the first stage splits pairs but no two states ever
+    separate."""
 
-    stage: int
     matrix_stage: int
     stages: tuple[Partition, ...]
     state_partitions: tuple[tuple[tuple[str, ...], ...], ...]
-    class_of: tuple[tuple[PairKey, str], ...]
     z_poset: Poset
     transitions: Transitions
 
     @property
+    def stage(self) -> int:
+        return len(self.stages) - 2
+
+    @property
     def confirmed_at(self) -> int:
         return self.stage + 1
+
+    @property
+    def class_of(self) -> tuple[tuple[PairKey, str], ...]:
+        return tuple(sorted((p, _pair_name(cls[0])) for cls in self.stages[-1] for p in cls))
 
 
 def _quotient_transitions(
@@ -206,17 +220,15 @@ def minimise_refinement(m: Cts) -> ChainResult:
     names = {b: _pair_name(pairs[i]) for b, i in classes.least.items()}
     class_of = {pair: names[b] for pair, b in zip(pairs, block)}
     return ChainResult(
-        len(rounds) - 2,
         matrix_stage,
         tuple(partitions),
         tuple(state_partitions),
-        tuple(class_of.items()),
         _quotient_poset(states, m.conditions, class_of),
         _quotient_transitions(m, graph, block, names),
     )
 
 
-# newline and indent at each depth of the minimise report
+# newline and indent at each depth of the reports
 _IN2, _IN4, _IN6, _IN8, _IN10 = ("\n" + " " * n for n in (2, 4, 6, 8, 10))
 
 
@@ -237,6 +249,53 @@ def _json_list(items: list[str], indent: str) -> str:
     return f"[{inner}{(',' + inner).join(items)}{indent}]"
 
 
+def bisim_text(m: Cts) -> str:
+    """The ``bisim`` report, as ``json.dumps`` with ``indent=2`` and
+    ``sort_keys=True`` prints the payload {"algorithm": "fixpoint",
+    "iterations": ..., "pairs": {"x,y": [conditions]}}, written straight
+    from the cells of ``refine``'s final blocks (``kernel_cells``).  The
+    engine computes the lattice fixpoint, which names the report.
+
+    ``sort_keys`` sorts the raw "x,y" keys, not their quoted form.  When
+    no state name holds ',', the key of x and y sorts by x + ',' first
+    and then by y: two keys whose x differ agree up to the shorter x and
+    its ',' only if that x is a prefix of the other and the other's next
+    character is ',', which no name holds.  So the pairs come x by
+    x + ',' (not by x: "a+" sorts before "a," but after "a") and y by
+    index.  A state name holding ',' is rejected, since it could sort
+    otherwise and give two pairs one key.  Without it, "x,y" splits back
+    at its one ',' into x and y, so the text gives back the relation:
+    two relations give two texts."""
+    states = m.states
+    for x in states:
+        if "," in x:
+            raise ValueError(f"state name {x!r} contains ','")
+    _, _, block, iterations = refine(m)
+    cell = kernel_cells(m, block)
+    height = len(m.conditions.elements)
+    conditions = [quote(c) for c in m.conditions.elements]
+    # quote(x + "," + y) is head[x] + tail[y], since ',' is not escaped
+    head = [quote(x)[:-1] + "," for x in states]
+    tail = [quote(y)[1:] for y in states]
+    values: dict[tuple[int, ...], str] = {}
+    items = []
+    for x in sorted(range(len(states)), key=lambda s: states[s] + ","):
+        related: dict[int, list[int]] = {}
+        for k, members in enumerate(cell[x * height : (x + 1) * height]):
+            for y in members:
+                related.setdefault(y, []).append(k)
+        for y in sorted(related):
+            key = tuple(related[y])
+            if key not in values:
+                values[key] = _json_list([conditions[k] for k in key], _IN4)
+            items.append(f"{head[x]}{tail[y]}: {values[key]}")
+    pairs = f"{{{_IN4}{(',' + _IN4).join(items)}{_IN2}}}" if items else "{}"
+    return (
+        f'{{{_IN2}"algorithm": "fixpoint",{_IN2}"iterations": {iterations},'
+        f'{_IN2}"pairs": {pairs}\n}}'
+    )
+
+
 def chain_result_text(result: ChainResult) -> str:
     """The ``minimise`` report as ``json.dumps(payload, indent=2,
     sort_keys=True)`` prints it, where the payload is the dict that
@@ -254,7 +313,7 @@ def chain_result_text(result: ChainResult) -> str:
     out, are those of the system's actions.  So two results give two
     texts."""
     quoted = _Quoted()
-    pair_text = {pair: quoted[_pair_name(pair)] for pair, _ in result.class_of}
+    pair_text = {pair: quoted[_pair_name(pair)] for cls in result.stages[-1] for pair in cls}
     # a class or state group that a stage leaves unchanged is the same
     # tuple in the next stage, so each distinct tuple is written once,
     # found by its id
@@ -303,13 +362,6 @@ def chain_result_text(result: ChainResult) -> str:
     )
 
 
-def _group_conditions(pairs: tuple[tuple[str, str], ...]) -> dict[str, set[str]]:
-    grouped: dict[str, set[str]] = {}
-    for (dst, chi) in pairs:
-        grouped.setdefault(dst, set()).add(chi)
-    return grouped
-
-
 def _dot_quote(text: str) -> str:
     """A DOT quoted string: backslash and double quote escaped."""
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
@@ -317,15 +369,17 @@ def _dot_quote(text: str) -> str:
 
 def chain_result_dot(result: ChainResult, conditions: Poset) -> str:
     """Graphviz rendering of the quotient, nodes named by their least
-    representatives and edges labelled by condition sets."""
+    representatives and edges labelled by condition sets.  The pairs of
+    a transition come sorted by (class, condition), so each run of one
+    class is an edge."""
     order = {c: i for i, c in enumerate(conditions.top_down_order)}
     actions = sorted({a for (_, a, _) in result.transitions})
     lines = ["digraph minimised {", "  rankdir=LR;"]
     for name in result.z_poset.elements:
         lines.append(f"  {_dot_quote(name)};")
     for (src, a, pairs) in result.transitions:
-        for dst, conds in sorted(_group_conditions(pairs).items()):
-            shown = ",".join(sorted(conds, key=lambda c: (order[c], c)))
+        for dst, run in groupby(pairs, itemgetter(0)):
+            shown = ",".join(sorted([chi for _, chi in run], key=lambda c: (order[c], c)))
             label = shown if len(actions) == 1 else f"{a}: {shown}"
             lines.append(
                 f"  {_dot_quote(src)} -> {_dot_quote(dst)} [label={_dot_quote(label)}];"

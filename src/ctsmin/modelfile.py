@@ -147,9 +147,14 @@ def parse_with_kind(text: str, close: bool = False) -> tuple[str, Cts]:
 
 
 def serialise_model(model: Cts, kind: str = "cts") -> str:
-    """The canonical text of a system, headed by the given kind."""
+    """The canonical text of a system, headed by the given kind.  A name
+    that is empty or holds whitespace or '#' would read back as another
+    system, so it raises ``ValueError``."""
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
+    for name in (*model.states, *model.actions, *model.conditions.elements):
+        if name.split() != [name] or "#" in name:
+            raise ValueError(f"name {name!r} is empty or holds whitespace or '#'")
     poset = model.conditions
     rank = {c: i for i, c in enumerate(poset.top_down_order)}
     lines = [f"kind: {kind}", "", "[conditions]"]

@@ -70,7 +70,7 @@ class Cts:
                 raise NotDownwardClosed(f"{src} {act} {dst} : {sorted(members)}")
             if members:
                 table[(src, act, dst)] = members
-        self._labels = table
+        # each (src, act) row of (dst, label), keys and rows in sorted order
         out: dict[tuple[str, str], list[tuple[str, frozenset[str]]]] = {}
         for (src, act, dst) in sorted(table):
             out.setdefault((src, act), []).append((dst, table[(src, act, dst)]))
@@ -80,18 +80,11 @@ class Cts:
         return self._out.get((src, act), [])
 
     def edges(self) -> list[tuple[str, str, str, frozenset[str]]]:
-        return [
-            (s, a, d, self._labels[(s, a, d)])
-            for (s, a, d) in sorted(self._labels)
-        ]
+        """Every edge with its label, in sorted (src, action, dst) order."""
+        return [(s, a, d, label) for (s, a), row in self._out.items() for d, label in row]
 
     def _key(self):
-        return (
-            self.states,
-            self.actions,
-            self.conditions,
-            tuple(sorted((e, c) for e, c in self._labels.items())),
-        )
+        return (self.states, self.actions, self.conditions, tuple(self.edges()))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Cts) and self._key() == other._key()
@@ -100,4 +93,4 @@ class Cts:
         return hash(self._key())
 
     def __repr__(self) -> str:
-        return f"Cts(states={len(self.states)}, edges={len(self._labels)})"
+        return f"Cts(states={len(self.states)}, edges={len(self.edges())})"

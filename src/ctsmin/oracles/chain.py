@@ -37,13 +37,7 @@ from functools import cached_property
 from typing import Iterable, Mapping
 
 from ..equivalence import PairKey, Partition
-from ..minimise import (
-    ChainResult,
-    Transitions,
-    _group_conditions,
-    _pair_name,
-    _quotient_poset,
-)
+from ..minimise import ChainResult, Transitions, _pair_name, _quotient_poset
 from ..models import Cts
 from ..order import Poset
 from ..theory.coalgebra import UpgradeCoalgebra
@@ -291,11 +285,9 @@ def minimise_chain(c: UpgradeCoalgebra) -> ChainResult:
         state_partitions.append(tuple(map(tuple, rows.values())))
     class_of = _class_names(partitions[-1])
     return ChainResult(
-        len(partitions) - 2,
         matrix_stage(partitions),
         tuple(partitions),
         tuple(state_partitions),
-        tuple((pair, class_of[pair]) for pair in pairs),
         _quotient_poset(c.states, c.conditions, class_of),
         alpha_transitions(c, class_of),
     )
@@ -317,6 +309,13 @@ def quotient_to_cts(result: ChainResult, conditions: Poset) -> Cts:
         conditions,
         {edge: conditions.down_close(conds) for edge, conds in labels.items()},
     )
+
+
+def _group_conditions(pairs: tuple[tuple[str, str], ...]) -> dict[str, set[str]]:
+    grouped: dict[str, set[str]] = {}
+    for (dst, chi) in pairs:
+        grouped.setdefault(dst, set()).add(chi)
+    return grouped
 
 
 def chain_result_json(result: ChainResult) -> dict:

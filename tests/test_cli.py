@@ -20,8 +20,8 @@ from ctsmin import (
     parse_model,
     validate_poset,
 )
-from ctsmin.cli import _bisim_text, main
-from ctsmin.minimise import chain_result_text
+from ctsmin.cli import main
+from ctsmin.minimise import bisim_text, chain_result_text
 from ctsmin.oracles.bisim import lattice_bisim_fixpoint
 from ctsmin.oracles.chain import chain_result_json, minimise_chain
 from ctsmin.theory.coalgebra import coalgebra_encode
@@ -178,7 +178,7 @@ def test_json_writer_matches_indented_dumps_on_reports():
     # "\u00e9" sorts before "z" once quoted, but after it raw
     systems.append(named_system(["\u00e9", "z", "\u00e9z"]))
     for m in systems:
-        assert _bisim_text(m) == json.dumps(
+        assert bisim_text(m) == json.dumps(
             bisim_payload(*lattice_bisim_fixpoint(m)), indent=2, sort_keys=True
         )
         result = minimise_refinement(m)
@@ -199,10 +199,10 @@ def test_bisim_text_is_the_dumped_payload(m):
     state name holding ',' is rejected."""
     if any("," in x for x in m.states):
         with pytest.raises(ValueError, match="contains ','"):
-            _bisim_text(m)
+            bisim_text(m)
         return
     relation, iterations = lattice_bisim_fixpoint(m)
-    text = _bisim_text(m)
+    text = bisim_text(m)
     assert text == json.dumps(bisim_payload(relation, iterations), indent=2, sort_keys=True)
     if all(set(x) <= set("ab!+-.") for x in m.states):
         pairs = json.loads(text)["pairs"]
@@ -244,7 +244,7 @@ def test_json_writer_matches_indented_dumps_on_edge_cases(payload):
     ``bisim`` report; a payload without strings gives the empty
     relation."""
     m = named_system(strings_in(payload))
-    assert _bisim_text(m) == json.dumps(
+    assert bisim_text(m) == json.dumps(
         bisim_payload(*lattice_bisim_fixpoint(m)), indent=2, sort_keys=True
     )
 

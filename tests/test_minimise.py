@@ -19,6 +19,7 @@ from ctsmin.minimise import (
     _pair_name,
     _quotient_poset,
     _quotient_transitions,
+    bisim_text,
     chain_result_text,
 )
 from ctsmin.oracles.bisim import (
@@ -144,10 +145,11 @@ def test_partition_stage_can_trail_matrix_stage_by_one():
     # so the kernel matrix is constant, yet the first table is already
     # non-constant across conditions
     m = Cts(["s"], ["a"], TWO_LEVEL, {("s", "a", "s"): {"phi", "phi'"}})
-    r = minimise_chain(coalgebra_encode(m))
-    assert r.matrix_stage == 0
-    assert r.stage == 1
-    assert r.z_poset.elements == ("s@phi", "s@phi'")
+    for r in (minimise_chain(coalgebra_encode(m)), minimise_refinement(m)):
+        assert r.matrix_stage == 0
+        assert r.stage == 1
+        assert r.z_poset.elements == ("s@phi", "s@phi'")
+    assert json.loads(bisim_text(m))["iterations"] == 0
 
 
 def test_stage_matches_matrix_stage_otherwise_on_corpus():
@@ -433,23 +435,19 @@ def read_chain_result(text, m):
         tuple(map(tuple, stage["states"])) for stage in report["stages"]
     )
     assert [stage["stage"] for stage in report["stages"]] == list(range(len(stages)))
-    class_of = sorted(
-        (p, f"{min(cls)[0]}@{min(cls)[1]}") for cls in stages[-1] for p in cls
-    )
     quotient = report["quotient"]
     rows = {(name, a): [] for name in quotient["states"] for a in m.actions}
     for row in quotient["transitions"]:
         rows[(row["src"], row["action"])] += [(row["dst"], c) for c in row["conditions"]]
     result = ChainResult(
-        report["stage"],
         report["matrix_stage"],
         stages,
         state_partitions,
-        tuple(class_of),
         validate_poset(quotient["states"], map(tuple, quotient["order"])),
         tuple(sorted((src, a, tuple(sorted(moves))) for (src, a), moves in rows.items())),
     )
     assert report["algorithm"] == "chain"
+    assert report["stage"] == result.stage
     assert report["confirmed_at"] == result.confirmed_at
     return result
 

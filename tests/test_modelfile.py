@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,6 +12,7 @@ from ctsmin import (
     Poset,
     parse_model,
     serialise_model,
+    validate_poset,
 )
 from ctsmin.modelfile import RESERVED, parse_with_kind
 
@@ -57,6 +60,25 @@ def test_serialise_is_canonical_on_corpus():
         again = parse_model(text)
         assert set(again.edges()) == set(m.edges())
         assert serialise_model(again) == text
+
+
+@pytest.mark.parametrize("name", ["", "b c", "a#b", "a\nb"])
+@pytest.mark.parametrize("kind", ["state", "action", "condition"])
+def test_serialise_rejects_names_that_read_back_as_another_system(kind, name):
+    """An empty name, or one holding whitespace or '#', would be split
+    or cut short on read-back, so ``serialise_model`` names it."""
+    names = {"state": ["a"], "action": ["x"], "condition": ["phi"]}
+    names[kind].append(name)
+    m = Cts(names["state"], names["action"], validate_poset(names["condition"], []), {})
+    with pytest.raises(ValueError, match=re.escape(repr(name))):
+        serialise_model(m)
+
+
+def test_serialise_writes_names_the_parser_rejects_loudly():
+    for name in ("x@phi", "a,b", 'q"', "[s"):
+        text = serialise_model(Cts([name], ["a"], TWO_LEVEL, {}))
+        with pytest.raises(ParseError):
+            parse_model(text)
 
 
 # The parser's token alphabet: printable, no whitespace, no reserved

@@ -104,6 +104,43 @@ def assert_engine_matches_oracle(m, queries=None, local=None):
             assert_rounds_exact(part, part_width)
 
 
+def condition_partitions(block, height):
+    """A round's kernel matrix as its per-condition state partitions:
+    (condition index, states sharing a block there) entries."""
+    groups = {}
+    for i, b in enumerate(block):
+        groups.setdefault((i % height, b), []).append(i // height)
+    return frozenset((k, tuple(xs)) for (k, _), xs in groups.items())
+
+
+def assert_round_one_rule(m):
+    """From round one on, the per-condition state partitions repeat
+    exactly when the pair partition does; and when round one splits no
+    condition's states, round two moves nothing.  This is the argument
+    by which ``refine`` reads the kernel matrix's stage off round one."""
+    _, moves, width = _all_pairs(m)
+    height = len(m.conditions.elements)
+    matrices, partitions, moved = [], [], []
+    for rnd in _rounds(moves, width):
+        matrices.append(condition_partitions(rnd.block, height))
+        partitions.append(index_partition(rnd.block))
+        moved.append(rnd.moved)
+    for k in range(1, len(matrices) - 1):
+        assert (matrices[k] == matrices[k + 1]) == (partitions[k] == partitions[k + 1]), k
+    if matrices[1] == matrices[0] and len(moved) > 2:
+        assert moved[2] == []
+
+
+def test_round_one_rule_on_corpus():
+    for m in cts_corpus(500):
+        assert_round_one_rule(m)
+
+
+@given(cts_models(st.text("xyz'", min_size=1, max_size=2)))
+def test_round_one_rule_on_drawn_systems(m):
+    assert_round_one_rule(m)
+
+
 def test_rounds_match_full_resigning_on_corpus():
     for m in cts_corpus(500):
         assert_engine_matches_oracle(m)
