@@ -2,12 +2,13 @@
 lattices: parsing and validation, conditional bisimilarity and
 minimisation by one partition-refinement engine, and their reports.
 
-This package is the runtime the command line uses.  The oracles that
-the tests hold it against live in ``ctsmin.oracles``, and the lattice
-monad, the downset frames, the lattice import and the upgrade
-coalgebra table in ``ctsmin.theory``; neither is imported here.  A lattice-labelled system is the same ``Cts``: by Birkhoff
-duality its labels are the downward closed condition sets, so one
-system type serves both model file kinds."""
+This package is the runtime the command line uses, and all that is
+installed.  The references that the tests hold it against (the
+oracles, the lattice monad, the downset frames, the lattice import and
+the upgrade coalgebra table) live with the tests, in
+``tests/reference``.  A lattice-labelled system is the same ``Cts``: by
+Birkhoff duality its labels are the downward closed condition sets, so
+one system type serves both model file kinds."""
 
 from .equivalence import bisimilar, refine
 from .minimise import (

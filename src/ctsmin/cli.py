@@ -139,8 +139,8 @@ def _cmd_filters_check(args) -> int:
     phi; that is also the psi-slice of alpha(x, psi, a).  When psi is
     not below phi the slice is empty, since every entered version is.
     These are the two version-filter laws.  The tabulated check,
-    ``ctsmin.theory.coalgebra.check_upgrade_preserving``, stays in the
-    theory layer, where the tests run it on encodings and on mutated
+    ``check_upgrade_preserving`` in ``tests/reference/coalgebra.py``,
+    stays with the tests, which run it on encodings and on mutated
     tables."""
     _read_model(args)
     print("upgrade preserving")

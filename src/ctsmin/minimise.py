@@ -10,7 +10,7 @@ or entered (``_Groups``), so an unchanged class is one tuple across
 stages and the report writes it once.  Each class is named by its least
 pair, its moves are read off the pair graph that ``refine`` built, and
 the classes are ordered by closing the condition covers under that
-naming.  The chain oracle in ``ctsmin.oracles.chain`` builds its own
+naming.  The chain oracle in ``tests/reference/chain.py`` builds its own
 ``ChainResult`` from its stage tables, so the tests compare two
 independent constructions.
 
@@ -77,7 +77,7 @@ class ChainResult:
     """Outcome of minimisation: every stage's kernel partition and state
     partition (the states with equal columns), up to and including the
     first repeat, and the quotient of the last.  The kernel matrix of a
-    stage is derived on demand with ``ctsmin.oracles.chain.partition_matrix``.
+    stage is derived on demand by the tests' ``reference.chain.partition_matrix``.
 
     ``stage`` is the first index whose partition equals the next one,
     and ``confirmed_at`` is that next index.  ``class_of`` names every
@@ -299,7 +299,7 @@ def bisim_text(m: Cts) -> str:
 def chain_result_text(result: ChainResult) -> str:
     """The ``minimise`` report as ``json.dumps(payload, indent=2,
     sort_keys=True)`` prints it, where the payload is the dict that
-    ``ctsmin.oracles.chain.chain_result_json`` builds, written directly
+    the tests' ``reference.chain.chain_result_json`` builds, written directly
     without that dict: every name is quoted once and each quotient
     transition row is one string, its keys in sorted order.  The pairs
     of a transition are sorted by (class, condition), as

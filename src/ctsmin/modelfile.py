@@ -13,7 +13,8 @@ Comments run from '#' to the end of the line.  Names may not contain
 two and quote names with the third, so such a name could make two
 outputs collide.  Nor may a name start with '[': the serialiser could
 write it at the start of a line that ends in ']', which reads back as a
-section header.  The serialiser emits a canonical form: conditions top
+section header.  A condition may not hold '<=': the line declaring it
+would read as an order line.  The serialiser emits a canonical form: conditions top
 down, order lines as covering pairs, everything else sorted, so parse
 and serialise are mutually inverse on canonical text.
 """
@@ -83,7 +84,7 @@ def parse_with_kind(text: str, close: bool = False) -> tuple[str, Cts]:
             raise ParseError(number, "content outside any section")
         if section == "conditions":
             tokens = line.split()
-            if "<=" in tokens:
+            if "<=" in tokens or (len(tokens) == 1 and "<=" in line):
                 if len(tokens) != 3 or tokens[1] != "<=":
                     raise ParseError(number, "order lines read 'a <= b'")
                 for name in (tokens[0], tokens[2]):

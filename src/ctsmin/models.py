@@ -8,8 +8,8 @@ The edges present at one fixed condition form a plain transition
 system, which the ``project`` command prints.  The refinement engine
 runs on the graph of (state, condition) pairs that the system's upgrade
 coalgebra induces, and reads that graph straight from a ``Cts``
-(``equivalence._pair_graph``).  The coalgebra table and
-its laws are the theory layer's (``ctsmin.theory.coalgebra``).
+(``equivalence._pair_graph``).  The coalgebra table and its laws are
+a test reference (``tests/reference/coalgebra.py``).
 """
 from __future__ import annotations
 

@@ -8,6 +8,7 @@ deterministic and serialise identically across runs.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -109,15 +110,23 @@ class Poset:
     @cached_property
     def top_down_order(self) -> tuple[str, ...]:
         """Linear extension listing larger elements first, ties broken
-        lexicographically.  Used for display."""
-        remaining = set(self.elements)
+        lexicographically.  Used for display.  Kahn's algorithm over the
+        covers: an element is maximal among those not yet listed exactly
+        when all its upper covers are listed."""
+        above = dict.fromkeys(self.elements, 0)
+        lower: dict[str, list[str]] = {e: [] for e in self.elements}
+        for p, q in self.covers:
+            above[p] += 1
+            lower[q].append(p)
+        ready = [e for e in self.elements if not above[e]]  # sorted, so a heap
         out: list[str] = []
-        while remaining:
-            maximal = sorted(
-                p for p in remaining if not any(self.lt(p, q) for q in remaining)
-            )
-            out.append(maximal[0])
-            remaining.remove(maximal[0])
+        while ready:
+            q = heapq.heappop(ready)
+            out.append(q)
+            for p in lower[q]:
+                above[p] -= 1
+                if not above[p]:
+                    heapq.heappush(ready, p)
         return tuple(out)
 
     def __repr__(self) -> str:

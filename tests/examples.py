@@ -11,7 +11,7 @@ version-aware equivalence from the per-condition view at the top.
 from pathlib import Path
 
 from ctsmin import parse_model, refine
-from ctsmin.oracles.chain import partition_matrix
+from reference.chain import partition_matrix
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 

@@ -1,0 +1,13 @@
+"""The paper's constructions, kept as independent references that the
+tests hold the runtime against: the naive and lattice-fixpoint
+constructions of conditional bisimilarity with the transfer and
+congruence checks (``bisim``); the final chain of the lattice monad with
+its minimisation, kernel matrices, plain-dict report and poset
+coequaliser (``chain``); the upgrade coalgebra as a table with its
+version-filter laws (``coalgebra``); downsets, downset frames and
+lattices given by their order table (``lattice``); monotone maps and the
+behaviour functor's action on maps (``maps``); and the lattice monad
+with its reader translation (``monad``).  These modules import the
+runtime package ``ctsmin``; it never imports them, and it does not ship
+them.
+"""

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from ..models import Cts
-from ..order import Poset, UnknownElement
+from ctsmin.models import Cts
+from ctsmin.order import Poset, UnknownElement
 
 Pair = tuple[str, str]
 Edge = tuple[str, str, str]

@@ -36,12 +36,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from ..equivalence import PairKey, Partition
-from ..minimise import ChainResult, Transitions, _pair_name, _quotient_poset
-from ..models import Cts
-from ..order import Poset
-from ..theory.coalgebra import UpgradeCoalgebra
+from ctsmin.equivalence import PairKey, Partition
+from ctsmin.minimise import ChainResult, Transitions, _pair_name, _quotient_poset
+from ctsmin.models import Cts
+from ctsmin.order import Poset
 from .bisim import LatticeRelation
+from .coalgebra import UpgradeCoalgebra
 
 
 def canonical_partition(groups: Iterable[Iterable[PairKey]]) -> Partition:

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from ..models import Cts
-from ..order import Poset, UnknownElement
+from ctsmin.models import Cts
+from ctsmin.order import Poset, UnknownElement
 
 
 SuccessorPairs = frozenset[tuple[str, str]]

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from ..order import OrderError, Poset
+from ctsmin.order import OrderError, Poset
 
 
 class FrameError(Exception):

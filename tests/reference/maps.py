@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Mapping
 
-from ..order import OrderError, Poset
+from ctsmin.order import OrderError, Poset
 from .coalgebra import SuccessorPairs
 
 

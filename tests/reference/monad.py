@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Mapping
 
-from ..order import OrderError, Poset
+from ctsmin.order import OrderError, Poset
 from .lattice import BaseMismatch, Downset, HeytingFrame, TooLarge
 from .maps import MonotoneMap
 

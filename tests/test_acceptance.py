@@ -10,32 +10,32 @@ from ctsmin import (
     minimise_refinement,
     validate_poset,
 )
-from ctsmin.oracles.bisim import (
+from ctsmin.order import Poset
+from reference.bisim import (
     greatest_conditional_bisimilarity_naive,
     lattice_bisim_fixpoint,
     lattice_fixpoint_stages,
     per_condition_partition,
 )
-from ctsmin.oracles.chain import (
+from reference.chain import (
     chain_result_json,
     minimise_chain,
     partition_matrix,
     quotient_to_cts,
 )
-from ctsmin.order import Poset
-from ctsmin.theory.coalgebra import (
+from reference.coalgebra import (
     check_upgrade_preserving,
     coalgebra_encode,
     version_filter,
 )
-from ctsmin.theory.lattice import (
+from reference.lattice import (
     ExplicitLattice,
     HeytingFrame,
     NotDistributive,
     import_lattice,
 )
-from ctsmin.theory.maps import MonotoneMap
-from ctsmin.theory.monad import (
+from reference.maps import MonotoneMap
+from reference.monad import (
     ReaderMap,
     TxSpace,
     kleisli_compose,

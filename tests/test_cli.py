@@ -22,9 +22,9 @@ from ctsmin import (
 )
 from ctsmin.cli import main
 from ctsmin.minimise import bisim_text, chain_result_text
-from ctsmin.oracles.bisim import lattice_bisim_fixpoint
-from ctsmin.oracles.chain import chain_result_json, minimise_chain
-from ctsmin.theory.coalgebra import coalgebra_encode
+from reference.bisim import lattice_bisim_fixpoint
+from reference.chain import chain_result_json, minimise_chain
+from reference.coalgebra import coalgebra_encode
 
 from corpus import boolean_cts, cts_corpus
 from examples import ex1, ex2

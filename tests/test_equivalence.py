@@ -10,7 +10,7 @@ from ctsmin import (
     validate_poset,
 )
 from ctsmin.equivalence import _pair_graph, bisimilar, kernel_cells
-from ctsmin.oracles.bisim import (
+from reference.bisim import (
     ConditionFamily,
     LatticeRelation,
     Lts,

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ctsmin import TWO_LEVEL, validate_poset
-from ctsmin.theory.lattice import (
+from reference.lattice import (
     ExplicitLattice,
     HeytingFrame,
     NotALattice,

@@ -22,12 +22,12 @@ from ctsmin.minimise import (
     bisim_text,
     chain_result_text,
 )
-from ctsmin.oracles.bisim import (
+from reference.bisim import (
     greatest_conditional_bisimilarity_naive,
     lattice_bisim_fixpoint,
     lattice_fixpoint_stages,
 )
-from ctsmin.oracles.chain import (
+from reference.chain import (
     _class_names,
     alpha_transitions,
     bullet,
@@ -43,7 +43,7 @@ from ctsmin.oracles.chain import (
     pseudo_factorise,
     quotient_to_cts,
 )
-from ctsmin.theory.coalgebra import coalgebra_encode
+from reference.coalgebra import coalgebra_encode
 
 from corpus import boolean_cts, cts_corpus, line_cts
 from examples import ex1, ex2

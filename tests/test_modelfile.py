@@ -75,15 +75,18 @@ def test_serialise_rejects_names_that_read_back_as_another_system(kind, name):
 
 
 def test_serialise_writes_names_the_parser_rejects_loudly():
-    for name in ("x@phi", "a,b", 'q"', "[s"):
-        text = serialise_model(Cts([name], ["a"], TWO_LEVEL, {}))
+    models = [
+        Cts([name], ["a"], TWO_LEVEL, {}) for name in ("x@phi", "a,b", 'q"', "[s")
+    ]
+    models.append(Cts(["x"], ["a"], validate_poset(["a<=b"], []), {}))
+    for m in models:
         with pytest.raises(ParseError):
-            parse_model(text)
+            parse_model(serialise_model(m))
 
 
 # The parser's token alphabet: printable, no whitespace, no reserved
 # character and no '#', which starts a comment; a name may not start
-# with '[', and a condition may not be '<=', which makes an order line.
+# with '[', and a condition may not hold '<=', which makes an order line.
 # The characters the format gives a meaning to are drawn more often.
 TOKEN_CHARS = st.one_of(
     st.sampled_from("[]<=:"),
@@ -97,7 +100,7 @@ TOKENS = st.text(TOKEN_CHARS, min_size=1, max_size=4).filter(
 
 
 @given(
-    cts_models(TOKENS, TOKENS.filter(lambda name: name != "<=")),
+    cts_models(TOKENS, TOKENS.filter(lambda name: "<=" not in name)),
     st.sampled_from(["cts", "lats"]),
 )
 def test_parse_inverts_serialise_on_token_names(model, kind):
@@ -166,6 +169,7 @@ def test_convert_is_identity_on_matching_kind():
         ("kind: cts\n[conditions]\np\np\n", 4, "declared twice"),
         ("kind: cts\n[conditions]\np\np <= q\n", 4, "undeclared condition 'q'"),
         ("kind: cts\n[conditions]\np\np <= p <= p\n", 4, "order lines read"),
+        ("kind: cts\n[conditions]\nphi\nphi'\nphi'<=phi\n", 5, "order lines read"),
         (
             "kind: cts\n[conditions]\np\n[states]\nx\n[actions]\na\n"
             "[transitions]\nx a : p\n",

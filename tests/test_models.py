@@ -10,14 +10,14 @@ from ctsmin import (
     serialise_model,
 )
 from ctsmin.modelfile import parse_with_kind
-from ctsmin.oracles.bisim import project
-from ctsmin.theory.coalgebra import (
+from reference.bisim import project
+from reference.coalgebra import (
     UpgradeCoalgebra,
     check_upgrade_preserving,
     coalgebra_encode,
     version_filter,
 )
-from ctsmin.theory.maps import v_hat_apply
+from reference.maps import v_hat_apply
 
 from corpus import boolean_cts, cts_corpus, line_cts, random_cts
 from examples import ex1, ex2

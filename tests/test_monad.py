@@ -3,9 +3,9 @@ from itertools import product
 import pytest
 
 from ctsmin import OrderError, Poset, validate_poset
-from ctsmin.theory.lattice import HeytingFrame, TooLarge
-from ctsmin.theory.maps import MonotoneMap
-from ctsmin.theory.monad import (
+from reference.lattice import HeytingFrame, TooLarge
+from reference.maps import MonotoneMap
+from reference.monad import (
     ReaderMap,
     StarMap,
     TxSpace,

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,11 +10,11 @@ from ctsmin import (
     UnknownElement,
     validate_poset,
 )
-from ctsmin.oracles.chain import coequalise
-from ctsmin.theory.lattice import Downset, down_closure, principal_downset
-from ctsmin.theory.maps import MonotoneMap, is_monotone
+from reference.chain import coequalise
+from reference.lattice import Downset, down_closure, principal_downset
+from reference.maps import MonotoneMap, is_monotone
 
-from corpus import cts_corpus
+from corpus import boolean_cts, cts_corpus, random_poset
 
 NAMES = ["a", "b", "c", "d", "e"]
 
@@ -69,6 +71,26 @@ def test_top_down_order_starts_at_maximal():
         [("bot", "l"), ("bot", "r"), ("l", "top"), ("r", "top")],
     )
     assert p.top_down_order == ("top", "l", "r", "bot")
+
+
+def scanned_top_down_order(p):
+    """The order ``top_down_order`` gives, by its definition: repeatedly
+    take the least name among the maximal elements not yet listed."""
+    remaining = set(p.elements)
+    out = []
+    while remaining:
+        maximal = sorted(q for q in remaining if not any(p.lt(q, r) for r in remaining))
+        out.append(maximal[0])
+        remaining.remove(maximal[0])
+    return tuple(out)
+
+
+def test_top_down_order_matches_the_maximal_element_scan():
+    rng = random.Random(0)
+    posets = [random_poset(rng, 9) for _ in range(3000)]
+    posets += [boolean_cts(k, 0).conditions for k in range(2, 8)]
+    for p in posets:
+        assert p.top_down_order == scanned_top_down_order(p), p
 
 
 @given(poset_and_subset())

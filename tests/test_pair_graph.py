@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from ctsmin import Cts, TWO_LEVEL, serialise_model
 from ctsmin.cli import main
 from ctsmin.equivalence import _all_pairs, _pair_graph
-from ctsmin.theory.coalgebra import coalgebra_encode
+from reference.coalgebra import coalgebra_encode
 
 from corpus import boolean_cts, cts_corpus, line_cts
 from examples import FIXTURES, ex1, read_fixture
