@@ -1,23 +1,11 @@
 """Command line front end.
 
-Both model kinds parse to the same ``Cts``: by Birkhoff duality a
-lattice-labelled system is a conditional one, and the two file kinds
-share their body.  Only ``validate`` reads the header's kind, to name
-it; ``convert --to`` writes the kind it is given.
-
-``bisim``, ``check`` and ``minimise`` all run the rounds of the one
-refinement engine, which reads the pair graph of the upgrade coalgebra
-straight from the parsed system.  ``bisim`` and ``minimise`` refine
-every (state, condition) pair (``equivalence.refine``): ``bisim``
-writes its report from the final blocks, ``minimise`` from every
-round's moves (``minimise.minimise_refinement``).  ``project`` prints
-the edges present at its condition.  ``check`` builds and refines only
-the pairs reachable from its two (state, condition) roots and stops at
-the first round that separates them (``equivalence.bisimilar``).  No
-command tabulates the coalgebra: ``filters-check`` answers from the
-proof that every valid system's coalgebra satisfies the version-filter
-laws.  Model names may not contain '@', ',' or '"', which the outputs
-use as separators and quotes, nor start with '['.
+``main`` reads and parses the model file, once, for every command but
+``validate``, and hands the parsed ``Cts`` to the command.  Both file
+kinds parse to the same system, so only ``validate`` reads the header's
+kind, to name it, and it reads the file itself to report every fault
+in its own way; ``convert --to`` writes the kind it is given.  Model
+files are UTF-8, and a leading byte-order mark is ignored.
 
 Exit codes: 0 success (or a positive check), 1 negative check result,
 2 usage errors (including a model file that cannot be read), 3
@@ -26,10 +14,7 @@ UTF-8).  ``validate`` differs: it prints an invalid model's error on
 stdout as ``invalid: <reason>`` and exits 1.
 
 This module only parses the command line, dispatches and maps errors to
-exit codes.  Both JSON reports and the DOT graph are written by
-``ctsmin.minimise``: ``bisim_text`` and ``chain_result_text`` print what
-``json.dumps(payload, indent=2, sort_keys=True)`` prints, without
-building the payload.
+exit codes; the reports are written by ``ctsmin.minimise``.
 """
 
 from __future__ import annotations
@@ -49,24 +34,21 @@ class _Unreadable(Exception):
 
 
 def _read_text(path: str) -> str:
-    """A model file's text.  Bytes that are not UTF-8 make an invalid
-    model, with the line they are on; a file that cannot be read at all
-    raises ``_Unreadable``."""
+    """A model file's text, less a leading byte-order mark.  Bytes that
+    are not UTF-8 make an invalid model, with the line they are on; a
+    file that cannot be read at all raises ``_Unreadable``."""
     try:
         with open(path, "rb") as handle:
             data = handle.read()
     except OSError as err:
         raise _Unreadable(path) from err
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8-sig")
     except UnicodeDecodeError as err:
-        # counted as the parser counts lines; the prefix decodes cleanly
-        line = len((data[: err.start].decode("utf-8") + ".").splitlines())
+        # counted as the parser counts lines; the prefix decodes cleanly.
+        # The error's object and offset start after any byte-order mark.
+        line = len((err.object[: err.start].decode("utf-8") + ".").splitlines())
         raise ParseError(line, f"not UTF-8: {err.reason}") from None
-
-
-def _read_model(args):
-    return parse_model(_read_text(args.file), close=args.close)
 
 
 def _cmd_validate(args) -> int:
@@ -84,13 +66,12 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _cmd_convert(args) -> int:
-    sys.stdout.write(serialise_model(_read_model(args), args.to))
+def _cmd_convert(model, args) -> int:
+    sys.stdout.write(serialise_model(model, args.to))
     return 0
 
 
-def _cmd_project(args) -> int:
-    model = _read_model(args)
+def _cmd_project(model, args) -> int:
     model.conditions.check_element(args.condition)
     for src, act, dst, label in model.edges():
         if args.condition in label:
@@ -98,13 +79,12 @@ def _cmd_project(args) -> int:
     return 0
 
 
-def _cmd_bisim(args) -> int:
-    print(bisim_text(_read_model(args)))
+def _cmd_bisim(model, args) -> int:
+    print(bisim_text(model))
     return 0
 
 
-def _cmd_check(args) -> int:
-    model = _read_model(args)
+def _cmd_check(model, args) -> int:
     for state in (args.x, args.y):
         if state not in model.states:
             print(f"unknown state {state!r}", file=sys.stderr)
@@ -116,8 +96,7 @@ def _cmd_check(args) -> int:
     return 1
 
 
-def _cmd_minimise(args) -> int:
-    model = _read_model(args)
+def _cmd_minimise(model, args) -> int:
     result = minimise_refinement(model)
     print(chain_result_text(result))
     if args.dot is not None:
@@ -130,7 +109,7 @@ def _cmd_minimise(args) -> int:
     return 0
 
 
-def _cmd_filters_check(args) -> int:
+def _cmd_filters_check(model, args) -> int:
     """Every system that validates is upgrade preserving, so only the
     parse can fail.  For a state x, an action a and conditions psi and
     phi, the psi-slice of alpha(x, phi, a), the successors entered at
@@ -142,9 +121,26 @@ def _cmd_filters_check(args) -> int:
     ``check_upgrade_preserving`` in ``tests/reference/coalgebra.py``,
     stays with the tests, which run it on encodings and on mutated
     tables."""
-    _read_model(args)
     print("upgrade preserving")
     return 0
+
+
+# each command's name, help and handler, and the arguments after
+# ``file`` and ``--close``.  ``validate``'s handler takes the arguments,
+# every other handler the parsed model and the arguments.
+_COMMANDS = {
+    "validate": ("parse and validate a model file", _cmd_validate, {}),
+    "convert": ("convert between cts and lats form", _cmd_convert,
+                {"--to": {"choices": ("cts", "lats"), "required": True}}),
+    "project": ("print the plain system at one condition", _cmd_project,
+                {"--condition": {"required": True}}),
+    "bisim": ("compute conditional bisimilarity", _cmd_bisim, {}),
+    "check": ("decide bisimilarity of two states", _cmd_check,
+              {"x": {}, "y": {}, "--condition": {"required": True}}),
+    "minimise": ("minimise via the behaviour chain", _cmd_minimise,
+                 {"--dot": {"help": "also write the quotient as a dot graph"}}),
+    "filters-check": ("check that upgrades preserve behaviour", _cmd_filters_check, {}),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -153,59 +149,26 @@ def _build_parser() -> argparse.ArgumentParser:
         description="conditional transition system tools",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, (help_text, _, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("file", help="model file")
         p.add_argument(
             "--close",
             action="store_true",
             help="close transition labels downward instead of rejecting",
         )
-
-    p = sub.add_parser("validate", help="parse and validate a model file")
-    common(p)
-    p.set_defaults(run=_cmd_validate)
-
-    p = sub.add_parser("convert", help="convert between cts and lats form")
-    common(p)
-    p.add_argument("--to", choices=("cts", "lats"), required=True)
-    p.set_defaults(run=_cmd_convert)
-
-    p = sub.add_parser("project", help="print the plain system at one condition")
-    common(p)
-    p.add_argument("--condition", required=True)
-    p.set_defaults(run=_cmd_project)
-
-    p = sub.add_parser("bisim", help="compute conditional bisimilarity")
-    common(p)
-    p.set_defaults(run=_cmd_bisim)
-
-    p = sub.add_parser("check", help="decide bisimilarity of two states")
-    common(p)
-    p.add_argument("x")
-    p.add_argument("y")
-    p.add_argument("--condition", required=True)
-    p.set_defaults(run=_cmd_check)
-
-    p = sub.add_parser("minimise", help="minimise via the behaviour chain")
-    common(p)
-    p.add_argument("--dot", help="also write the quotient as a dot graph")
-    p.set_defaults(run=_cmd_minimise)
-
-    p = sub.add_parser(
-        "filters-check", help="check that upgrades preserve behaviour"
-    )
-    common(p)
-    p.set_defaults(run=_cmd_filters_check)
-
+        for flag, options in arguments.items():
+            p.add_argument(flag, **options)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    run = _COMMANDS[args.command][1]
     try:
-        return args.run(args)
+        if run is _cmd_validate:
+            return _cmd_validate(args)
+        return run(parse_model(_read_text(args.file), close=args.close), args)
     except _Unreadable as err:
         print(f"cannot read {err}", file=sys.stderr)
         return 2

@@ -59,7 +59,7 @@ def parse_with_kind(text: str, close: bool = False) -> tuple[str, Cts]:
     order_pairs: list[tuple[str, str]] = []
     states: list[str] = []
     actions: list[str] = []
-    transitions: list[tuple[int, str, str, str, frozenset[str]]] = []
+    transitions: list[tuple[int, str, str, str, list[str]]] = []
 
     for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -107,9 +107,7 @@ def parse_with_kind(text: str, close: bool = False) -> tuple[str, Cts]:
                 raise ParseError(
                     number, "transitions read 'src action dst : cond [cond ...]'"
                 )
-            transitions.append(
-                (number, tokens[0], tokens[1], tokens[2], frozenset(tokens[4:]))
-            )
+            transitions.append((number, tokens[0], tokens[1], tokens[2], tokens[4:]))
 
     if kind is None:
         raise ParseError(1, "empty model file")
@@ -132,10 +130,11 @@ def parse_with_kind(text: str, close: bool = False) -> tuple[str, Cts]:
         ):
             if name not in pool:
                 raise ParseError(number, f"undeclared {what} {name!r}")
+        # in line order, so the first undeclared one is named
         for c in conds:
             if c not in condition_set:
                 raise ParseError(number, f"undeclared condition {c!r}")
-        members = conds
+        members = frozenset(conds)
         if close:
             members = poset.down_close(members)
         elif not poset.is_downward_closed(members):

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -280,6 +281,78 @@ def test_undecodable_file_is_a_model_error(tmp_path, capsys):
         assert code == 3
         assert out == ""
         assert err.startswith(f"invalid model: line {line}: not UTF-8")
+
+
+# each command with the arguments after the file that it needs to run
+EVERY_COMMAND = {
+    "validate": [],
+    "convert": ["--to", "cts"],
+    "project": ["--condition", "phi"],
+    "bisim": [],
+    "check": ["x", "x", "--condition", "phi"],
+    "minimise": [],
+    "filters-check": [],
+}
+# each input's bytes, or None for a missing file, and its reason
+BAD_INPUTS = {
+    "missing": (None, None),
+    "undecodable": (
+        b"kind: cts\n[conditions]\nphi\n# caf\xe9\n",
+        "line 4: not UTF-8: invalid continuation byte",
+    ),
+    "cycle": (
+        b"kind: cts\n[conditions]\np\nq\np <= q\nq <= p\n[states]\nx\n"
+        b"[actions]\na\n[transitions]\n",
+        "antisymmetry violated on cycle: p <= q",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(EVERY_COMMAND))
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_every_command_keeps_the_error_contract(tmp_path, capsys, command, name):
+    data, reason = BAD_INPUTS[name]
+    path = tmp_path / name
+    if data is not None:
+        path.write_bytes(data)
+    outcome = run(capsys, command, str(path), *EVERY_COMMAND[command])
+    if data is None:
+        assert outcome == (2, "", f"cannot read {path}\n")
+    elif command == "validate":
+        assert outcome == (1, f"invalid: {reason}\n", "")
+    else:
+        assert outcome == (3, "", f"invalid model: {reason}\n")
+
+
+def test_byte_order_mark_is_ignored(tmp_path, capsys):
+    marked = tmp_path / "EX1"
+    marked.write_bytes(b"\xef\xbb\xbf" + Path(EX1).read_bytes())
+    assert run(capsys, "validate", str(marked)) == run(capsys, "validate", EX1)
+    golden = (FIXTURES.parent / "tests" / "golden" / "EX1.bisim.out").read_text()
+    assert run(capsys, "bisim", str(marked)) == (0, golden, "")
+    # a non-UTF-8 byte after the mark is still reported on its own line
+    marked.write_bytes(b"\xef\xbb\xbfkind: cts\n\n# caf\xe9\n")
+    code, _, err = run(capsys, "bisim", str(marked))
+    assert code == 3
+    assert err.startswith("invalid model: line 3: not UTF-8")
+
+
+def test_undeclared_condition_is_named_in_line_order(tmp_path):
+    # the label is a set, whose order varies with the hash seed
+    path = tmp_path / "model.cts"
+    path.write_text(
+        "kind: cts\n[conditions]\nphi\n[states]\nx\n[actions]\na\n"
+        "[transitions]\nx a x : zz yy ww vv\n"
+    )
+    for seed in ("1", "4", "5"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "ctsmin", "validate", str(path)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONHASHSEED": seed},
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == "invalid: line 9: undeclared condition 'zz'\n"
 
 
 def test_unwritable_dot_file_is_a_usage_error(tmp_path, capsys):

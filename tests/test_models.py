@@ -8,6 +8,7 @@ from ctsmin import (
     NotDownwardClosed,
     UnknownElement,
     serialise_model,
+    validate_poset,
 )
 from ctsmin.modelfile import parse_with_kind
 from reference.bisim import project
@@ -26,6 +27,24 @@ from examples import ex1, ex2
 def test_labels_must_be_downward_closed():
     with pytest.raises(NotDownwardClosed):
         Cts(["s"], ["a"], TWO_LEVEL, {("s", "a", "s"): {"phi"}})
+
+
+def test_unknown_names_are_rejected():
+    for edge, label, unknown in (
+        (("ghost", "a", "s"), {"phi'"}, "ghost"),
+        (("s", "a", "ghost"), {"phi'"}, "ghost"),
+        (("s", "b", "s"), {"phi'"}, "b"),
+        # the least unknown condition of a label is named
+        (("s", "a", "s"), {"phi'", "zeta", "psi", "omega"}, "omega"),
+    ):
+        with pytest.raises(UnknownElement) as err:
+            Cts(["s"], ["a"], TWO_LEVEL, {edge: label})
+        assert err.value.element == unknown
+
+
+def test_empty_condition_poset_is_rejected():
+    with pytest.raises(ValueError, match="non-empty"):
+        Cts(["s"], ["a"], validate_poset([], []), {})
 
 
 def test_empty_labels_dropped_not_stored():

@@ -62,6 +62,10 @@ def test_unknown_element_rejected():
         p.check_element("r")
     with pytest.raises(OrderError):
         validate_poset(["p"], [("p", "q")])
+    for pair in (("q", "p"), ("q", "r")):
+        with pytest.raises(UnknownElement) as err:
+            validate_poset(["p"], [pair])
+        assert err.value.element == "q"
 
 
 def test_top_down_order_starts_at_maximal():
