@@ -2,30 +2,55 @@
 
 One engine serves ``bisim``, ``check`` and ``minimise``: signature
 refinement of (state, condition) pairs over the upgrade coalgebra
-(``_rounds``).  The engine reads the integer graph of pairs that the
-coalgebra induces straight from the ``Cts`` (``_pair_graph``), as far as
-the query reaches; the coalgebra itself is never tabulated.  Its rounds
-are the kernels of the final chain, so they are output, and the engine
-keeps every round exact while signing only what can change: block ids
-are stable, a round re-signs the predecessors of the pairs whose id
-changed in the round before plus one representative of each touched
-block's untouched members, and a block that splits keeps its id for its
-largest part.  ``refine`` is the one pass over every pair: it hands
-``minimise`` each round's moved pairs with their new block ids, which is
-all that changes from one round to the next.  The lattice fixpoint's
-iteration count, the first round whose kernel matrix repeats, follows
-from round one alone: it is 0 when round one splits no condition's
-states, and the partition's stage otherwise (the proof is ``refine``'s).
-Its final blocks are conditional bisimilarity: ``kernel_cells`` reads
-them as the cells of their kernel, the states whose pairs at one
-condition share a block, and the ``bisim`` report is written from those
-cells.  ``bisimilar`` answers one query by building and refining only
-the pairs reachable from the two queried pairs, and stops at the first
-round that separates them.
+(``_rounds``).  Round k + 1 splits the pairs by S_k(x, phi), the set of
+(action, version chi, round-k block of (y, chi)) over the moves of
+(x, phi).  The coalgebra is never tabulated: the engine reads a
+compressed graph of pairs straight from the ``Cts`` (``_pair_graph``),
+as far as the query reaches, and signs each pair by a key that is
+canonical for S_k without listing it.
+
+The compression is the version-filter law: the moves of (x, chi) are
+those of (x, phi) that enter at versions <= chi.  Let V(x, phi), a
+downset below phi, be the versions that the moves of (x, phi) enter at.
+
+- An *own* pair, with phi in V(x, phi), has as S_k its own-version
+  moves together with S_k(x, c) for the lower covers c of phi.  Its key
+  is those moves over round-k ids and the covers' round-(k + 1) ids.
+- Any other pair has as S_k the union of S_k(x, mu) over the maxima mu
+  of V(x, phi), all own pairs.  With none its S_k is empty; with one, an
+  *alias*, the pair shares the block of (x, mu) and is never signed;
+  with several, a *join*, its key is their round-(k + 1) ids.
+
+The keys are canonical across conditions.  An own pair's S_k has the
+single maximal version phi and a join's the maxima it points at, and
+equal S_k give equal round-k blocks, so equal S_k put two pairs on one
+level: the own pairs of one condition, or the joins of one maxima set.
+On a level a key reads S_k exactly, since S_k(x, c) is the filter of
+S_k(x, phi) to versions <= c and the round-(k + 1) id of (x, c) stands
+for it.  So round k + 1 signs the levels bottom-up over a linear
+extension of the conditions, then the joins.  From round one on every
+block lies on one level, with the aliases of its own pairs, or holds
+the pairs without moves, and it splits as soon as its level is signed.
+Only the pairs whose inputs moved are signed, with one representative
+of each block they touch.
+
+``refine`` is the one pass over every pair: it hands ``minimise`` each
+round's moved pairs with their new block ids, which is all that changes
+from one round to the next.  The lattice fixpoint's iteration count,
+the first round whose kernel matrix repeats, follows from round one
+alone: it is 0 when round one splits no condition's states, and the
+partition's stage otherwise (the proof is ``refine``'s).  Its final
+blocks are conditional bisimilarity: ``kernel_cells`` reads them as the
+cells of their kernel, the states whose pairs at one condition share a
+block, and the ``bisim`` report is written from those cells.
+``bisimilar`` answers one query by building and refining only the pairs
+reachable from the two queried pairs, and stops at the first round that
+separates them.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple
 
 from .models import Cts, NotDownwardClosed
@@ -37,34 +62,55 @@ Partition = tuple[tuple[PairKey, ...], ...]
 
 class PairGraph(NamedTuple):
     """The (state, condition) pairs that a system's upgrade coalgebra
-    reaches from some roots, and each pair's moves as (successor number,
-    label).  The label of a move to a pair at version chi under action a
-    is ``action index * |conditions| + condition index of chi``, so
-    ``width``, the number of labels, is ``|actions| * |conditions|``."""
+    reaches from some roots, compressed by the version-filter law, and
+    each pair's links as (pair number, label).  A label below ``width``,
+    which is ``|actions| * |conditions|``, is an own move: under action
+    ``label // |conditions|`` to a successor at the pair's own condition,
+    whose index is ``label % |conditions|``.  A label ``width + c`` links
+    the pair to its lower pair of the same state at the condition of
+    index c.  An own pair (x, phi), one that some edge from x holds phi
+    for, has its own moves and then its covers (x, c), for the lower
+    covers c of phi.  Every other pair has only lower links, to the own
+    pairs (x, mu) for the maximal versions mu that its moves enter at:
+    none, one (an alias) or several (a join).  ``levels`` lists the
+    pairs that the engine signs in the order it signs them: the own
+    pairs of each condition, conditions bottom-up in a linear
+    extension, and then every join."""
 
     pairs: list[PairKey]
-    moves: list[list[tuple[int, int]]]
+    links: list[list[tuple[int, int]]]
+    levels: list[list[int]]
     width: int
 
 
 def _pair_graph(m: Cts, roots: Iterable[PairKey]) -> PairGraph:
-    """The pair graph of the upgrade coalgebra of ``m`` reachable from
-    the roots, read off the system directly: (x, phi) moves under a to
-    (y, chi) for every a-edge from x to y whose label holds chi, for
-    every chi <= phi.  Pairs are numbered breadth-first with the roots
-    first in their given order, and each pair's successors are taken in
-    (action, state, condition) order.  Every successor's version is at
-    most its source's, so no pair reached from a root is above that
-    root's condition.
+    """The compressed pair graph of ``m`` reachable from the roots, read
+    off the system directly.  Pairs are numbered breadth-first with the
+    roots first in their given order; an own pair's successors come in
+    (action, state) order and then its covers, and every list of lower
+    links in condition order.  Every pair reached from a root lies at or
+    below that root's condition.  The pairs reached are closed under the
+    coalgebra's moves: a move of (x, phi) at chi is an own move of
+    (x, chi), which a chain of covers, or a maximum and then covers,
+    reaches.
 
     The walk numbers pairs through a list indexed by ``state index *
     |conditions| + condition index``; when the roots are every pair in
     that order, as in ``_all_pairs``, a pair's number is that index."""
-    conditions = m.conditions.elements
+    poset = m.conditions
+    conditions = poset.elements
     height = len(conditions)
+    width = len(m.actions) * height
     column = {cond: k for k, cond in enumerate(conditions)}
+    covers: list[list[int]] = [[] for _ in conditions]
+    upper: dict[str, list[str]] = {cond: [] for cond in conditions}
+    for p, q in poset.covers:  # sorted, so each list is in condition order
+        covers[column[q]].append(column[p])
+        upper[p].append(q)
+    # a smaller downset first is a linear extension, bottom-up
+    order = sorted(conditions, key=lambda cond: len(poset.below(cond)))
+    rank = {column[cond]: r for r, cond in enumerate(order)}
     offset = {x: i * height for i, x in enumerate(m.states)}
-    lower = [m.conditions.below(cond) for cond in conditions]
     number = [-1] * (len(m.states) * height)
     found: list[int] = []
     for x, cond in roots:
@@ -72,23 +118,40 @@ def _pair_graph(m: Cts, roots: Iterable[PairKey]) -> PairGraph:
         if number[g] < 0:
             number[g] = len(found)
             found.append(g)
-    moves = []
-    for g in found:  # grows while it is walked
+    held: dict[str, frozenset[str]] = {}  # the versions some edge from x holds
+    links: list[list[tuple[int, int]]] = []
+    levels: list[list[int]] = [[] for _ in range(height + 1)]
+    for i, g in enumerate(found):  # grows while it is walked
         x, k = m.states[g // height], g % height
-        succs = []
+        cond, row, link = conditions[k], g - k, []
         for ai, a in enumerate(m.actions):
-            base = ai * height
             for y, label in m.outgoing(x, a):
-                row = offset[y]
-                for chi in sorted([column[psi] for psi in label & lower[k]]):
-                    j = number[row + chi]
+                if cond in label:
+                    j = number[offset[y] + k]
                     if j < 0:
-                        j = number[row + chi] = len(found)
-                        found.append(row + chi)
-                    succs.append((j, base + chi))
-        moves.append(succs)
+                        j = number[offset[y] + k] = len(found)
+                        found.append(offset[y] + k)
+                    link.append((j, ai * height + k))
+        if link:
+            below = covers[k]
+            levels[rank[k]].append(i)
+        else:
+            if x not in held:
+                labels = [label for a in m.actions for _, label in m.outgoing(x, a)]
+                held[x] = frozenset().union(*labels)
+            entered = held[x] & poset.below(cond)
+            below = sorted(column[mu] for mu in entered if entered.isdisjoint(upper[mu]))
+            if len(below) > 1:
+                levels[height].append(i)
+        for c in below:
+            j = number[row + c]
+            if j < 0:
+                j = number[row + c] = len(found)
+                found.append(row + c)
+            link.append((j, width + c))
+        links.append(link)
     pairs = [(m.states[g // height], conditions[g % height]) for g in found]
-    return PairGraph(pairs, moves, len(m.actions) * height)
+    return PairGraph(pairs, links, levels, width)
 
 
 class Round(NamedTuple):
@@ -105,83 +168,148 @@ class Round(NamedTuple):
     blocks: int
 
 
-def _rounds(moves: list[list[tuple[int, int]]], width: int) -> Iterator[Round]:
-    """The rounds of signature refinement over the pair graph
-    ``moves``.  Round zero has a single block.  In each later round a
-    pair's signature is its block together with the set of (label,
-    successor block) over its moves, and the new blocks are the classes
-    of equal signature.  Each round refines the last, so the generator
-    stops after the first round in which no block splits.
+def _rounds(graph: PairGraph) -> Iterator[Round]:
+    """The rounds of signature refinement over a compressed pair graph.
+    Round zero has a single block, and round k + 1 splits the pairs by
+    the keys of the module docstring; the generator stops after the
+    first round in which no block splits.
 
-    Block ids are stable and only pairs that can split are signed: a
-    pair whose successors all kept their ids in the previous round has
-    the signature of every such pair of its block, because it shared
-    their signature in the previous round.  So a round signs the
-    predecessors of the pairs that moved in the previous round (in
-    round one, every pair with a move) and one representative of each
-    touched block's untouched members, all against the previous round's
-    ids.  A block that splits keeps its id for its largest part,
-    untouched members counted, and the other parts take fresh ids.  A
-    moved pair's new block is at most half its old one, so no pair
-    moves more than log2(pairs) times (Hopcroft's rule, here applied
-    round by round)."""
-    preds: list[list[int]] = [[] for _ in moves]
-    for i, succs in enumerate(moves):
-        for j, _ in succs:
-            preds[j].append(i)
+    Within a block a pair's key is the set of ``block * span + label``
+    over its links, own moves at round-k ids and lower links at
+    round-(k + 1) ids.  Round one signs every own pair and join and one
+    representative of the pairs without moves; as every round-zero id is
+    0, a lower pair is read there by the first pair signed with its key,
+    and block 0 splits once all are signed.  A later round signs, level
+    by level, the dirty pairs, whose own-move successor moved in the
+    round before or whose lower pair moved earlier in this one, with one
+    representative of the untouched members of each block they touch,
+    and splits those blocks before the next level reads them.  Untouched
+    members shared a key in the previous round and their inputs kept
+    their ids, so they still agree.  An alias follows its maximum at the
+    end of the round: only own moves, at round-k ids, read it.  A block
+    that splits keeps its id for its largest part, untouched members
+    counted, so a pair moves at most log2(pairs) times after round one
+    (Hopcroft's rule, applied round by round)."""
+    links, levels, width = graph.links, graph.levels, graph.width
+    size = len(links)
+    span = width + len(levels) - 1  # the number of labels
+    preds: list[list[int]] = [[] for _ in links]  # own pairs moving to a pair
+    uppers: list[list[int]] = [[] for _ in links]  # signed pairs linking down to it
+    level = [-1] * size
+    for r, signed in enumerate(levels):
+        for i in signed:
+            level[i] = r
+            for j, label in links[i]:
+                (preds if label < width else uppers)[j].append(i)
+    # an alias is never signed and follows the pair it links to
+    aliases: dict[int, list[int]] = {}
+    for i in set(range(size)).difference(*levels):
+        if links[i]:
+            aliases.setdefault(links[i][0][0], []).append(i)
+    block = [0] * size
+    members = [set(range(size)).difference(*aliases.values())] if size else []
 
-    block = [0] * len(moves)
-    members = [set(range(len(moves)))] if moves else []
-    yield Round(block, [], 0, len(members))
-    # every pair entered its block in round zero, so round one signs
-    # every pair with a move
-    dirty = {i for i, succs in enumerate(moves) if succs}
-    while True:
-        touched: dict[int, int] = {}
-        for i in dirty:
-            touched[block[i]] = touched.get(block[i], 0) + 1
-        # the pairs to sign, each weighted by the pairs it signs for
-        weight = dict.fromkeys(dirty, 1)
-        for b, count in touched.items():
-            if count < len(members[b]):
-                for i in members[b]:
-                    if i not in dirty:
-                        weight[i] = len(members[b]) - count
-                        break
-        parts: dict[tuple[int, frozenset[int]], list[int]] = {}
-        for i in weight:
-            # a move to a successor in block b with label l signs as the
-            # single int b * width + l, since every label is below width
-            key = (block[i], frozenset([block[j] * width + label for j, label in moves[i]]))
-            parts.setdefault(key, []).append(i)
-        split: dict[int, list[list[int]]] = {}
-        for (b, _), part in parts.items():
-            split.setdefault(b, []).append(part)
-        moved: list[tuple[int, int]] = []
-        for b, group in split.items():
-            if len(group) == 1:
+    def split(b: int, parts: list[list[int]], dirty: set[int], rest: int) -> list[int]:
+        """Split block b into its parts of equal key, where the part that
+        ends with the representative of b's ``rest`` untouched members
+        stands for them all: the largest keeps the id, each other part
+        takes a fresh one.  The pairs that moved, aliases aside."""
+        sizes = [len(part) if part[-1] in dirty else len(part) + rest - 1 for part in parts]
+        largest = parts[sizes.index(max(sizes))]
+        moved: list[int] = []
+        for part in parts:
+            if part is largest:
                 continue
-            largest = max(group, key=lambda part: sum(map(weight.__getitem__, part)))
-            for part in group:
-                if part is largest:
-                    continue
-                # a representative is signed last, so it ends its part
-                if part[-1] in dirty:
-                    part = set(part)
-                else:
-                    part = members[b].difference(dirty).union(part)
-                members[b] -= part
-                new = len(members)
-                members.append(part)
-                for i in part:
-                    block[i] = new
+            if part[-1] in dirty:
+                part = set(part)
+            else:
+                part = members[b].difference(dirty).union(part)
+            members[b] -= part
+            new = len(members)
+            members.append(part)
+            for i in part:
+                block[i] = new
+            moved += part
+        return moved
+
+    yield Round(block, [], 0, len(members))
+    # round one, against the single block of round zero
+    batch = list(chain.from_iterable(levels))
+    dirty = set(batch)
+    rest = len(members[0]) - len(dirty) if dirty else 0
+    if rest:
+        batch.append(min(members[0] - dirty))
+    name = [0] * size  # the first pair signed with the same key
+    parts: dict[frozenset[int], list[int]] = {}
+    for i in batch:
+        key = frozenset(
+            [label if label < width else name[j] * span + label for j, label in links[i]]
+        )
+        part = parts.setdefault(key, [])
+        part.append(i)
+        name[i] = part[0]
+    moved = [(i, 0) for i in split(0, list(parts.values()), dirty, rest)] if len(parts) > 1 else []
+    signed = len(batch)
+    while True:
+        # the next round's dirty pairs, by level: the own pairs moving to
+        # a moved pair, all at its condition
+        pending: dict[int, set[int]] = {}
+        for j, b in moved:  # grows by the aliases of the pairs that moved
+            if j in aliases:
+                for i in aliases[j]:
+                    block[i] = block[j]
                     moved.append((i, b))
-        yield Round(block, moved, len(weight), len(members))
+            if preds[j]:
+                pending.setdefault(level[preds[j][0]], set()).update(preds[j])
+        yield Round(block, moved, signed, len(members))
         if not moved:
             return
-        dirty = set()
-        for i, _ in moved:
-            dirty.update(preds[i])
+        moved, signed = [], 0
+        while pending:
+            dirty = pending.pop(min(pending))
+            touched: dict[int, list[int]] = {}
+            for i in dirty:
+                touched.setdefault(block[i], []).append(i)
+            # the level's own moves read round-k ids, so its blocks split
+            # once it is signed
+            splits: list[tuple[int, list[list[int]], int]] = []
+            for b, group in touched.items():
+                # one representative of the untouched members signs for
+                # them all, last
+                rest = len(members[b]) - len(group)
+                if rest:
+                    for i in members[b]:
+                        if i not in dirty:
+                            group.append(i)
+                            break
+                signed += len(group)
+                parts = {}
+                for i in group:
+                    key = frozenset([block[j] * span + label for j, label in links[i]])
+                    parts.setdefault(key, []).append(i)
+                if len(parts) > 1:
+                    splits.append((b, list(parts.values()), rest))
+            for b, found, rest in splits:
+                for j in split(b, found, dirty, rest):
+                    moved.append((j, b))
+                    for i in uppers[j]:
+                        pending.setdefault(level[i], set()).add(i)
+
+
+def move_images(graph: PairGraph, block: list[int]) -> list[frozenset[int]]:
+    """Each pair's moves into the blocks of a partition, a move into
+    block k with label l as the single int ``k * width + l``: its own
+    moves together with those of its lower pairs, by the version-filter
+    law.  Lower pairs are own pairs, so the own pairs are expanded
+    bottom-up and every other pair after them."""
+    links, width = graph.links, graph.width
+    image: list[frozenset[int]] = [frozenset()] * len(block)
+    own = list(chain.from_iterable(graph.levels[:-1]))
+    for i in chain(own, set(range(len(block))).difference(own)):
+        image[i] = frozenset(
+            [block[j] * width + label for j, label in links[i] if label < width]
+        ).union(*[image[j] for j, label in links[i] if label >= width])
+    return image
 
 
 def _all_pairs(m: Cts) -> PairGraph:
@@ -205,6 +333,15 @@ def refine(m: Cts) -> tuple[PairGraph, Moves, list[int], int]:
     rounds hand over O(P log P) entries for P pairs rather than P ids
     per round.
 
+    Every round is the partition that re-signing every pair by its full
+    S_k would give: the engine's keys are canonical for S_k (see the
+    module docstring).  An own pair's S_k has the single maximal version
+    phi, and a join's the maxima it points at, so equal S_k put two
+    pairs on one level, where the key reads S_k exactly: the own-version
+    part directly, and the rest as the round-(k + 1) ids of the covers or
+    maxima, whose blocks are the kernel of their S_k.  Conversely equal
+    keys give equal S_k, and an alias's S_k is its maximum's.
+
     The kernel matrix of a round is its set of per-condition state
     partitions.  It first repeats at round 0 if round one leaves every
     condition's states in one block, and otherwise where the partition
@@ -226,7 +363,7 @@ def refine(m: Cts) -> tuple[PairGraph, Moves, list[int], int]:
     graph = _all_pairs(m)
     height = len(m.conditions.elements)
     rounds: Moves = []
-    for rnd in _rounds(graph.moves, graph.width):
+    for rnd in _rounds(graph):
         block = rnd.block
         if len(rounds) == 1:
             split = any(b != block[i % height] for i, b in enumerate(block))
@@ -248,9 +385,7 @@ def bisimilar(m: Cts, x: str, y: str, phi: str) -> bool:
     if x == y:
         return True
     graph = _pair_graph(m, [(x, phi), (y, phi)])
-    return all(rnd.block[0] == rnd.block[1] for rnd in _rounds(graph.moves, graph.width))
-
-
+    return all(rnd.block[0] == rnd.block[1] for rnd in _rounds(graph))
 
 
 def kernel_cells(m: Cts, block: list[int]) -> list[list[int]]:

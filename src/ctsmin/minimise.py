@@ -8,8 +8,8 @@ state partition groups the states by their row of block ids.  Each
 round rebuilds only the classes and state groups that a moved pair left
 or entered (``_Groups``), so an unchanged class is one tuple across
 stages and the report writes it once.  Each class is named by its least
-pair, its moves are read off the pair graph that ``refine`` built, and
-the classes are ordered by closing the condition covers under that
+pair, its moves are expanded from the pair graph that ``refine`` built,
+and the classes are ordered by closing the condition covers under that
 naming.  The chain oracle in ``tests/reference/chain.py`` builds its own
 ``ChainResult`` from its stage tables, so the tests compare two
 independent constructions.
@@ -33,7 +33,7 @@ from json.encoder import encode_basestring_ascii as quote
 from operator import itemgetter
 from typing import Hashable, Iterable, Mapping, Sequence
 
-from .equivalence import PairGraph, PairKey, Partition, kernel_cells, refine
+from .equivalence import PairGraph, PairKey, Partition, kernel_cells, move_images, refine
 from .models import Cts
 from .order import Poset, validate_poset
 
@@ -113,18 +113,15 @@ def _quotient_transitions(
     """The quotient's moves, one entry per (class, action), each a
     sorted tuple of (successor class, version), given each pair's block
     id on the pair graph and each block's class name.  Every pair of a
-    class must have the same moves into classes, read off the pair
+    class must have the same moves into classes, expanded from the pair
     graph; otherwise the partition is no congruence and the least action
     where the members differ is reported."""
-    moves, width = graph.moves, graph.width
+    width = graph.width
     conditions = m.conditions.elements
     height = len(conditions)
     images: dict[int, set[frozenset[int]]] = {}
-    for i, b in enumerate(block):
-        # a move into block k with label l as the single int k * width + l
-        images.setdefault(b, set()).add(
-            frozenset([block[j] * width + label for j, label in moves[i]])
-        )
+    for image, b in zip(move_images(graph, block), block):
+        images.setdefault(b, set()).add(image)
     out = []
     for b, found in images.items():
         name = names[b]

@@ -35,14 +35,18 @@ class ParseError(Exception):
         super().__init__(f"line {line}: {message}")
 
 
-def _declared(number: int, names: list[str]) -> list[str]:
-    for name in names:
+def _declare(number: int, what: str, names: dict[str, None], tokens: list[str]) -> None:
+    """Add the names declared on a line, rejecting a reserved or repeated
+    one."""
+    for name in tokens:
         if name.startswith("["):
             raise ParseError(number, f"name {name!r} starts with '['")
         for ch in RESERVED:
             if ch in name:
                 raise ParseError(number, f"name {name!r} contains reserved {ch!r}")
-    return names
+        if name in names:
+            raise ParseError(number, f"{what} {name!r} declared twice")
+        names[name] = None
 
 
 def parse_model(text: str, close: bool = False) -> Cts:
@@ -55,10 +59,11 @@ def parse_with_kind(text: str, close: bool = False) -> tuple[str, Cts]:
     kind: str | None = None
     section: str | None = None
     seen: dict[str, int] = {}
-    conditions: list[str] = []
+    # each kind of name in declaration order
+    conditions: dict[str, None] = {}
     order_pairs: list[tuple[str, str]] = []
-    states: list[str] = []
-    actions: list[str] = []
+    states: dict[str, None] = {}
+    actions: dict[str, None] = {}
     transitions: list[tuple[int, str, str, str, list[str]]] = []
 
     for number, raw in enumerate(text.splitlines(), start=1):
@@ -92,15 +97,13 @@ def parse_with_kind(text: str, close: bool = False) -> tuple[str, Cts]:
                         raise ParseError(number, f"undeclared condition {name!r}")
                 order_pairs.append((tokens[0], tokens[2]))
             elif len(tokens) == 1:
-                if tokens[0] in conditions:
-                    raise ParseError(number, f"condition {tokens[0]!r} declared twice")
-                conditions.extend(_declared(number, tokens))
+                _declare(number, "condition", conditions, tokens)
             else:
                 raise ParseError(number, "one condition name per line")
         elif section == "states":
-            states.extend(_declared(number, line.split()))
+            _declare(number, "state", states, line.split())
         elif section == "actions":
-            actions.extend(_declared(number, line.split()))
+            _declare(number, "action", actions, line.split())
         elif section == "transitions":
             tokens = line.split()
             if len(tokens) < 5 or tokens[3] != ":":
@@ -118,21 +121,18 @@ def parse_with_kind(text: str, close: bool = False) -> tuple[str, Cts]:
         raise ParseError(seen["conditions"], "at least one condition is required")
 
     poset = validate_poset(conditions, order_pairs)
-    state_set = set(states)
-    action_set = set(actions)
-    condition_set = set(conditions)
     labels: dict[tuple[str, str, str], set[str]] = {}
     for (number, src, act, dst, conds) in transitions:
         for name, pool, what in (
-            (src, state_set, "state"),
-            (dst, state_set, "state"),
-            (act, action_set, "action"),
+            (src, states, "state"),
+            (dst, states, "state"),
+            (act, actions, "action"),
         ):
             if name not in pool:
                 raise ParseError(number, f"undeclared {what} {name!r}")
         # in line order, so the first undeclared one is named
         for c in conds:
-            if c not in condition_set:
+            if c not in conditions:
                 raise ParseError(number, f"undeclared condition {c!r}")
         members = frozenset(conds)
         if close:

@@ -7,9 +7,10 @@ same ``Cts`` is also the lattice-labelled presentation of the system.
 The edges present at one fixed condition form a plain transition
 system, which the ``project`` command prints.  The refinement engine
 runs on the graph of (state, condition) pairs that the system's upgrade
-coalgebra induces, and reads that graph straight from a ``Cts``
-(``equivalence._pair_graph``).  The coalgebra table and its laws are
-a test reference (``tests/reference/coalgebra.py``).
+coalgebra induces, compressed by its version-filter law, and reads that
+graph straight from a ``Cts`` (``equivalence._pair_graph``).  The
+coalgebra table and its laws are a test reference
+(``tests/reference/coalgebra.py``).
 """
 from __future__ import annotations
 

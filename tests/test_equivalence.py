@@ -312,7 +312,7 @@ def test_bisimilar_on_disjoint_reachable_parts():
 def test_bisimilar_at_a_minimal_condition():
     m = ex1()
     # no pair above phi' is reached from a root at phi'
-    pairs, _, _ = _pair_graph(m, [("x", "phi'"), ("x'", "phi'")])
+    pairs = _pair_graph(m, [("x", "phi'"), ("x'", "phi'")]).pairs
     assert {cond for _, cond in pairs} == {"phi'"}
     assert bisimilar(m, "x", "x'", "phi'")
     assert not bisimilar(m, "x", "x'", "phi")

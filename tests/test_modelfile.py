@@ -209,6 +209,13 @@ def test_convert_is_identity_on_matching_kind():
         ),
         ("kind: cts\n[conditions]\np\n[states]\na] [x]\n", 5, "starts with '['"),
         ("kind: cts\n[conditions]\n[p\n", 3, "starts with '['"),
+        ("kind: cts\n[conditions]\np\n[states]\na a b\n", 5, "state 'a' declared twice"),
+        ("kind: cts\n[conditions]\np\n[states]\na\nb\na\n", 7, "state 'a' declared twice"),
+        (
+            "kind: cts\n[conditions]\np\n[states]\nx\n[actions]\na b a\n",
+            7,
+            "action 'a' declared twice",
+        ),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line, fragment):

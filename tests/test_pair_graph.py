@@ -1,12 +1,16 @@
 """The engine's pair graph against the tabulated upgrade coalgebra.
 
-The engine reads the graph of (state, condition) pairs straight from a
-``Cts``.  ``alpha_graph`` reads it instead off ``coalgebra_encode(m)``,
-one ``alpha`` entry at a time, so the two share no code beyond the
-system.  Both number pairs breadth-first from the roots and take each
-pair's successors in (action, state, condition) order, so they must
-give the same pairs in the same order, and the same successor set per
-pair once the engine's labels are decoded into (action, version).
+The engine reads a compressed graph of (state, condition) pairs
+straight from a ``Cts``.  ``alpha_graph`` reads the uncompressed graph
+instead off ``coalgebra_encode(m)``, one ``alpha`` entry at a time, so
+the two share no code beyond the system.  The uncompressed graph of
+``reference.pair_graph``, which full re-signing refines, must give the
+same pairs in the same order and the same successor set per pair once
+its labels are decoded into (action, version).  The engine's graph must
+expand, pair by pair, to the successor set that ``alpha`` gives: a
+pair's own-version moves together with the expansions of its lower
+pairs.  It must also be closed under moves and hold a quarter of the
+uncompressed graph's entries or fewer on the Boolean lattice 2^7.
 
 The other tests here hold that ``check`` visits only what its roots
 reach and that ``bisim``, ``check`` and ``minimise`` never tabulate the
@@ -25,6 +29,7 @@ from ctsmin import Cts, TWO_LEVEL, serialise_model
 from ctsmin.cli import main
 from ctsmin.equivalence import _all_pairs, _pair_graph
 from reference.coalgebra import coalgebra_encode
+from reference.pair_graph import all_moves, move_graph
 
 from corpus import boolean_cts, cts_corpus, line_cts
 from examples import FIXTURES, ex1, read_fixture
@@ -53,23 +58,85 @@ def alpha_graph(c, roots):
     return pairs, moves
 
 
-def assert_graph_matches_alpha(m, roots):
-    graph = _pair_graph(m, roots)
-    pairs, moves = alpha_graph(coalgebra_encode(m), roots)
+def decoded(m, graph, succs):
+    """A pair's moves as the set of (action, successor state, version);
+    each label's condition must be the version its successor is entered
+    at."""
     conditions = m.conditions.elements
     height = len(conditions)
-    assert graph.width == len(m.actions) * height
-    assert graph.pairs == pairs
-    for succs, want in zip(graph.moves, moves):
-        decoded = set()
-        for j, label in succs:
-            assert 0 <= label < graph.width
-            y, chi = graph.pairs[j]
-            # the label's condition is the version the successor is entered at
-            assert conditions[label % height] == chi
-            decoded.add((m.actions[label // height], y, chi))
-        assert len(decoded) == len(succs)
-        assert decoded == want
+    out = set()
+    for j, label in succs:
+        assert 0 <= label < graph.width
+        y, chi = graph.pairs[j]
+        assert conditions[label % height] == chi
+        out.add((m.actions[label // height], y, chi))
+    assert len(out) == len(succs)
+    return out
+
+
+def assert_graph_matches_alpha(m, roots):
+    c = coalgebra_encode(m)
+    reference = move_graph(m, roots)
+    pairs, moves = alpha_graph(c, roots)
+    assert reference.width == len(m.actions) * len(m.conditions.elements)
+    assert reference.pairs == pairs
+    for succs, want in zip(reference.moves, moves):
+        assert decoded(m, reference, succs) == want
+    assert_compressed_graph_expands_to_alpha(m, c, roots)
+
+
+def assert_compressed_graph_expands_to_alpha(m, c, roots):
+    """The engine's graph numbers the roots first and reaches every pair
+    that they reach.  Each pair's own moves come first and enter at its
+    own condition; its lower links, labelled ``width`` plus their
+    condition's index, point at pairs of its state strictly below it.
+    An own pair's lower pairs are its covers; the own pairs of each
+    condition fill one level of their own, the joins the last, and a
+    signed pair's lower pairs lie on earlier levels.  Expanded, each
+    pair's moves are those of ``alpha``, so the pairs are closed under
+    moves."""
+    graph = _pair_graph(m, roots)
+    poset = m.conditions
+    conditions = poset.elements
+    width = graph.width
+    assert width == len(m.actions) * len(conditions)
+    assert graph.pairs[: len(set(roots))] == list(dict.fromkeys(roots))
+    number = {pair: i for i, pair in enumerate(graph.pairs)}
+    assert len(number) == len(graph.pairs)
+    level = {i: r for r, signed in enumerate(graph.levels) for i in signed}
+    own_level = {}
+    rank = {cond: r for r, cond in enumerate(reversed(poset.top_down_order))}
+    # a lower pair lies strictly below, so a condition-ordered walk
+    # expands it first
+    order = sorted(range(len(graph.pairs)), key=lambda i: rank[graph.pairs[i][1]])
+    expanded = [None] * len(graph.pairs)
+    for i in order:
+        x, cond = graph.pairs[i]
+        links = graph.links[i]
+        moves = [(j, label) for j, label in links if label < width]
+        lower = [j for j, label in links if label >= width]
+        assert links == moves + [(j, width + conditions.index(graph.pairs[j][1])) for j in lower]
+        got = decoded(m, graph, moves)
+        assert {chi for _, _, chi in got} <= {cond}
+        assert [graph.pairs[j][0] for j in lower] == [x] * len(lower)
+        below = [graph.pairs[j][1] for j in lower]
+        assert all(poset.lt(mu, cond) for mu in below)
+        if moves:
+            assert below == sorted(p for p, q in poset.covers if q == cond)
+            assert own_level.setdefault(cond, level[i]) == level[i] < len(graph.levels) - 1
+        elif len(lower) > 1:
+            assert level[i] == len(graph.levels) - 1
+        else:
+            assert i not in level
+        for j in lower:
+            assert any(label < width for _, label in graph.links[j])
+            if i in level:
+                assert level[j] < level[i]
+            got |= expanded[j]
+        expanded[i] = got
+        assert got == {(a, *succ) for a in c.actions for succ in c.alpha(x, cond, a)}
+        assert all((y, chi) in number for _, y, chi in got)
+    assert len(set(own_level.values())) == len(own_level)
 
 
 def all_roots(m):
@@ -120,6 +187,19 @@ def test_pair_graph_matches_alpha_on_boolean(k):
 @given(cts_models(st.text("xyz'", min_size=1, max_size=2)), st.randoms(use_true_random=False))
 def test_pair_graph_matches_alpha_on_drawn_systems(m, rng):
     assert_graphs_match_alpha(m, rng)
+
+
+def test_compressed_graph_holds_a_quarter_of_the_moves():
+    """On the Boolean lattice 2^7 the engine's graph, its own moves and
+    lower links counted, holds at most a quarter of the entries of the
+    uncompressed graph, which lists each move once per condition above
+    its version."""
+    m = boolean_cts(7, 0)
+    graph = _all_pairs(m)
+    entries = sum(map(len, graph.links))
+    moves = sum(map(len, all_moves(m).moves))
+    assert moves == 9654
+    assert 4 * entries <= moves
 
 
 def island_and_continent(size):

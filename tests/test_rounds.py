@@ -1,23 +1,30 @@
 """The incremental refinement engine against full re-signing.
 
-``full_rounds`` signs every pair in every round and numbers blocks by
-first occurrence.  It is the engine as it stood before rounds became
-incremental, and every round of ``equivalence._rounds`` must give the
+``full_rounds`` signs every pair in every round by every move of its
+one-step behaviour, read off the uncompressed pair graph
+(``reference.pair_graph``), and numbers blocks by first occurrence.  It
+is the engine as it stood before rounds became incremental and keys
+compressed, and every round of ``equivalence._rounds`` must give the
 same partition: the rounds are observable output, since round k is the
-kernel of chain stage k.
+kernel of chain stage k.  The last tests pin the cases that make the
+compressed keys canonical across conditions: an alias, a join over a
+poset that is no lattice, and an own pair sharing its block with
+another state's alias above it.
 """
 
 import math
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ctsmin import TWO_LEVEL, Cts, refine
+from ctsmin import TWO_LEVEL, Cts, refine, validate_poset
 from ctsmin.equivalence import _all_pairs, _pair_graph, _rounds, bisimilar
 from reference.chain import canonical_partition, matrix_stage
+from reference.pair_graph import all_moves, move_graph
 
-from corpus import boolean_cts, cts_corpus, line_cts
+from corpus import boolean_cts, cts_corpus, line_cts, random_poset
 from examples import ex1, ex2
 from strategies import cts_models
 
@@ -63,10 +70,16 @@ def oracle_partitions(pairs, moves, width):
     return out
 
 
-def assert_rounds_exact(moves, width):
-    want = [index_partition(block) for block in full_rounds(moves, width)]
+def assert_rounds_exact(m, graph):
+    """Every round of the engine on a compressed graph equals full
+    re-signing of the uncompressed graph of the same pairs.  They are
+    closed under moves, so that graph, rooted at them, numbers them
+    alike and reaches no other pair."""
+    reference = move_graph(m, graph.pairs)
+    assert reference.pairs == graph.pairs
+    want = [index_partition(block) for block in full_rounds(reference.moves, reference.width)]
     got = []
-    for rnd in _rounds(moves, width):
+    for rnd in _rounds(graph):
         assert len(set(rnd.block)) == rnd.blocks
         got.append(index_partition(rnd.block))
     assert got == want
@@ -78,8 +91,8 @@ def assert_engine_matches_oracle(m, queries=None, local=None):
     query), equals full re-signing; ``refine``'s iterations and final
     blocks and ``bisimilar``'s verdicts on ``queries`` (by default
     every (x, y, phi)) are the ones the oracle's rounds give."""
-    pairs, moves, width = _all_pairs(m)
-    assert_rounds_exact(moves, width)
+    pairs, moves, width = all_moves(m)
+    assert_rounds_exact(m, _all_pairs(m))
     partitions = oracle_partitions(pairs, moves, width)
     final = {pair: i for i, cls in enumerate(partitions[-1]) for pair in cls}
     _, _, block, iterations = refine(m)
@@ -100,8 +113,7 @@ def assert_engine_matches_oracle(m, queries=None, local=None):
         assert bisimilar(m, x, y, phi) == want, (x, y, phi)
     for x, y, phi in queries if local is None else local:
         if x != y:
-            _, part, part_width = _pair_graph(m, [(x, phi), (y, phi)])
-            assert_rounds_exact(part, part_width)
+            assert_rounds_exact(m, _pair_graph(m, [(x, phi), (y, phi)]))
 
 
 def condition_partitions(block, height):
@@ -118,10 +130,9 @@ def assert_round_one_rule(m):
     exactly when the pair partition does; and when round one splits no
     condition's states, round two moves nothing.  This is the argument
     by which ``refine`` reads the kernel matrix's stage off round one."""
-    _, moves, width = _all_pairs(m)
     height = len(m.conditions.elements)
     matrices, partitions, moved = [], [], []
-    for rnd in _rounds(moves, width):
+    for rnd in _rounds(_all_pairs(m)):
         matrices.append(condition_partitions(rnd.block, height))
         partitions.append(index_partition(rnd.block))
         moved.append(rnd.moved)
@@ -160,10 +171,26 @@ def test_rounds_match_full_resigning_on_line(n):
     assert_engine_matches_oracle(m, queries, local)
 
 
-@pytest.mark.parametrize("k", [3, 4, 5])
+@pytest.mark.parametrize("k", [3, 4, 5, 6, 7])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_rounds_match_full_resigning_on_boolean(k, seed):
-    assert_engine_matches_oracle(boolean_cts(k, seed))
+    m = boolean_cts(k, seed)
+    if k <= 5:
+        assert_engine_matches_oracle(m)
+        return
+    # every pair of states at eight conditions, bottom and top included,
+    # and the reachable parts of the distinct pairs at the bottom and top
+    conditions = m.conditions.elements
+    spread = [conditions[(len(conditions) - 1) * i // 7] for i in range(8)]
+    queries = [(x, y, phi) for x in m.states for y in m.states for phi in spread]
+    local = [
+        (x, y, phi)
+        for x in m.states
+        for y in m.states
+        for phi in (conditions[0], conditions[-1])
+        if x < y
+    ]
+    assert_engine_matches_oracle(m, queries, local)
 
 
 @given(cts_models(st.text("xyz'", min_size=1, max_size=2)))
@@ -171,8 +198,38 @@ def test_rounds_match_full_resigning_on_drawn_systems(m):
     assert_engine_matches_oracle(m)
 
 
+def principal_cts(rng):
+    """A system over a random poset of up to seven conditions whose every
+    label is the downset of one condition, so that the labels of a
+    state's edges often have incomparable tops."""
+    conditions = random_poset(rng, 7)
+    states = [f"s{i}" for i in range(rng.randint(1, 5))]
+    labels = {}
+    for src in states:
+        for act in ("a", "b"):
+            for dst in states:
+                if rng.random() < 0.5:
+                    top = rng.choice(conditions.elements)
+                    labels[(src, act, dst)] = conditions.down_close([top])
+    return Cts(states, ["a", "b"], conditions, labels)
+
+
+def test_rounds_match_full_resigning_over_wide_posets():
+    # joins, pairs whose moves enter at several maximal versions, need
+    # incomparable conditions; these systems hold about one join in three
+    joins = 0
+    for seed in range(300):
+        m = principal_cts(random.Random(seed))
+        joins += len(_all_pairs(m).levels[-1])
+        conditions = m.conditions.elements
+        queries = [(x, y, phi) for x in m.states[:2] for y in m.states for phi in conditions]
+        assert_engine_matches_oracle(m, queries)
+    assert joins > 50
+
+
 def test_rounds_on_zero_pairs():
-    rounds = [(list(r.block), r.moved, r.signed, r.blocks) for r in _rounds([], 1)]
+    m = Cts([], [], TWO_LEVEL, {})
+    rounds = [(list(r.block), r.moved, r.signed, r.blocks) for r in _rounds(_all_pairs(m))]
     assert rounds == [([], [], 0, 0), ([], [], 0, 0)]
 
 
@@ -180,8 +237,7 @@ def test_rounds_without_moves_sign_nothing():
     # one state, no actions, two conditions: no pair has a predecessor,
     # so round one touches no block and stops
     m = Cts(["s"], [], TWO_LEVEL, {})
-    _, moves, width = _all_pairs(m)
-    rounds = [(list(r.block), r.moved, r.signed, r.blocks) for r in _rounds(moves, width)]
+    rounds = [(list(r.block), r.moved, r.signed, r.blocks) for r in _rounds(_all_pairs(m))]
     assert rounds == [([0, 0], [], 0, 1), ([0, 0], [], 0, 1)]
 
 
@@ -191,8 +247,9 @@ def test_largest_part_keeps_the_block_id():
     # six untouched pairs, which keep block 0; the p pairs move.
     both = {"phi", "phi'"}
     m = Cts(["p", "q", "u", "v"], ["a"], TWO_LEVEL, {("p", "a", "q"): both})
-    pairs, moves, width = _all_pairs(m)
-    first = list(_rounds(moves, width))[1]
+    graph = _all_pairs(m)
+    pairs = graph.pairs
+    first = list(_rounds(graph))[1]
     assert first.blocks == 3
     moved = sorted(pairs[i] for i, old in first.moved)
     assert moved == [("p", "phi"), ("p", "phi'")]
@@ -204,11 +261,11 @@ def test_resigning_work_is_bounded_on_a_long_line():
     """Full re-signing would sign 5,120 pairs in each of 1,281 rounds;
     each pair moves at most log2(pairs) times, so the engine signs at
     most 4 P log2 P pairs in all."""
-    pairs, moves, width = _all_pairs(line_cts(1280))
-    size = len(pairs)
+    graph = _all_pairs(line_cts(1280))
+    size = len(graph.pairs)
     assert size == 5120
     signed = rounds = 0
-    for rnd in _rounds(moves, width):
+    for rnd in _rounds(graph):
         signed += rnd.signed
         rounds += 1
     assert rounds - 1 == 1281
@@ -224,3 +281,94 @@ def test_refine_hands_over_bounded_moves_on_a_long_line():
     assert len(rounds) == 1282
     assert rounds[0] == [] and rounds[-1] == []
     assert sum(map(len, rounds)) <= 4 * size * math.log2(size)
+
+
+def rounds_of(m):
+    """The engine's block of every pair, round by round, keyed by pair."""
+    graph = _all_pairs(m)
+    return [dict(zip(graph.pairs, rnd.block)) for rnd in _rounds(graph)]
+
+
+def test_alias_shares_its_maximums_block():
+    # x moves only at phi', so every move of (x, phi) enters at phi': it
+    # is an alias of (x, phi') and is never signed, yet shares its block
+    # in every round, and leaves (y, phi') with it in round three
+    both = {"phi", "phi'"}
+    m = Cts(
+        ["u", "x", "y", "z"],
+        ["a"],
+        TWO_LEVEL,
+        {("x", "a", "y"): {"phi'"}, ("y", "a", "z"): both, ("z", "a", "u"): both},
+    )
+    graph = _all_pairs(m)
+    alias, target = graph.pairs.index(("x", "phi")), graph.pairs.index(("x", "phi'"))
+    assert graph.links[alias] == [(target, graph.width + TWO_LEVEL.elements.index("phi'"))]
+    assert alias not in [i for level in graph.levels for i in level]
+    rounds = rounds_of(m)
+    for block in rounds:
+        assert block[("x", "phi")] == block[("x", "phi'")]
+    assert rounds[2][("x", "phi")] == rounds[2][("y", "phi'")]
+    assert rounds[3][("x", "phi")] != rounds[3][("y", "phi'")]
+    assert_engine_matches_oracle(m)
+
+
+# the non-lattice "bowtie": p and q both lie below r and s, which have no
+# meet, and r and s have no join
+BOWTIE = validate_poset(["p", "q", "r", "s"], [("p", "r"), ("p", "s"), ("q", "r"), ("q", "s")])
+
+
+def test_join_over_two_maximal_versions():
+    # x and x2 enter at p and at q, so (x, r) sees the two maximal versions
+    # p and q: a join of (x, p) and (x, q).  x and x2 agree in round one;
+    # at q, z moves on and w does not, so the joins at r and s split in
+    # round two, once the level of q has split
+    m = Cts(
+        ["w", "x", "x2", "y", "z"],
+        ["a"],
+        BOWTIE,
+        {
+            ("x", "a", "y"): {"p"},
+            ("x", "a", "z"): {"q"},
+            ("x2", "a", "y"): {"p"},
+            ("x2", "a", "w"): {"q"},
+            ("z", "a", "z"): {"q"},
+        },
+    )
+    graph = _all_pairs(m)
+    at = {pair: i for i, pair in enumerate(graph.pairs)}
+    for x in ("x", "x2"):
+        for top in ("r", "s"):
+            join = at[(x, top)]
+            # p and q have condition indices 0 and 1
+            lower = [(at[(x, "p")], graph.width), (at[(x, "q")], graph.width + 1)]
+            assert graph.links[join] == lower
+            assert join in graph.levels[-1]
+    rounds = rounds_of(m)
+    assert rounds[1][("x", "r")] == rounds[1][("x2", "r")] == rounds[1][("x", "s")]
+    assert rounds[2][("x", "r")] != rounds[2][("x2", "r")]
+    assert rounds[-1][("x", "r")] == rounds[-1][("x", "s")]
+    assert_engine_matches_oracle(m)
+
+
+def test_own_pair_shares_a_block_with_another_states_alias():
+    # (x, phi) is an alias of (x, phi'), which moves like the own pairs
+    # (y, phi') and (z, phi'): in round one the alias shares a block with
+    # own pairs of other states at the condition below; y's successor w
+    # has no moves, so (y, phi') leaves in round two, and the alias ends
+    # in the block of (z, phi')
+    m = Cts(
+        ["w", "x", "y", "z"],
+        ["a"],
+        TWO_LEVEL,
+        {
+            ("x", "a", "z"): {"phi'"},
+            ("y", "a", "w"): {"phi'"},
+            ("z", "a", "z"): {"phi", "phi'"},
+        },
+    )
+    rounds = rounds_of(m)
+    first, final = rounds[1], rounds[-1]
+    assert first[("x", "phi")] == first[("y", "phi'")] == first[("z", "phi'")]
+    assert final[("x", "phi")] == final[("z", "phi'")] != final[("y", "phi'")]
+    assert final[("x", "phi")] != final[("z", "phi")]
+    assert_engine_matches_oracle(m)
