@@ -257,6 +257,13 @@ def test_filters_check_passes_on_fixtures(capsys):
         assert out == "upgrade preserving\n"
 
 
+def test_missing_file_is_a_usage_error(capsys):
+    for command in ("validate", "bisim"):
+        code, _, err = run(capsys, command, "/no/such/file")
+        assert code == 2
+        assert "cannot read" in err
+
+
 def test_unopenable_file_is_a_usage_error(tmp_path, capsys):
     # a directory raises IsADirectoryError, or PermissionError on Windows
     for command in ("validate", "bisim", "minimise"):
