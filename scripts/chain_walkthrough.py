@@ -38,7 +38,10 @@ def main(argv=None) -> int:
     parser.add_argument("--close", action="store_true")
     args = parser.parse_args(argv)
 
-    model = parse_model(Path(args.file).read_text(), close=args.close)
+    # UTF-8 whatever the locale, a leading byte-order mark ignored, as
+    # the command line tool reads model files
+    text = Path(args.file).read_text(encoding="utf-8-sig")
+    model = parse_model(text, close=args.close)
     c = coalgebra_encode(model)
 
     d = chain_init(c)

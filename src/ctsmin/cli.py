@@ -1,11 +1,10 @@
 """Command line front end.
 
-``main`` reads and parses the model file, once, for every command but
-``validate``, and hands the parsed ``Cts`` to the command.  Both file
-kinds parse to the same system, so only ``validate`` reads the header's
-kind, to name it, and it reads the file itself to report every fault
-in its own way; ``convert --to`` writes the kind it is given.  Model
-files are UTF-8, and a leading byte-order mark is ignored.
+``main`` reads, decodes and parses the model file once, for every
+command, and hands the parsed ``Cts`` to the command.  Both file kinds
+parse to the same system, so the header's kind matters only to
+``validate``, which names it; ``convert --to`` writes the kind it is
+given.  Model files are UTF-8, and a leading byte-order mark is ignored.
 
 Exit codes: 0 success (or a positive check), 1 negative check result,
 2 usage errors (including a model file that cannot be read), 3
@@ -24,24 +23,14 @@ import sys
 
 from .equivalence import bisimilar
 from .minimise import bisim_text, chain_result_dot, chain_result_text, minimise_refinement
-from .modelfile import ParseError, parse_model, parse_with_kind, serialise_model
+from .modelfile import ParseError, parse_with_kind, serialise_model
 from .models import NotDownwardClosed
 from .order import AntisymmetryViolation, OrderError
 
 
-class _Unreadable(Exception):
-    """The model file could not be opened or read."""
-
-
-def _read_text(path: str) -> str:
+def _decode(data: bytes) -> str:
     """A model file's text, less a leading byte-order mark.  Bytes that
-    are not UTF-8 make an invalid model, with the line they are on; a
-    file that cannot be read at all raises ``_Unreadable``."""
-    try:
-        with open(path, "rb") as handle:
-            data = handle.read()
-    except OSError as err:
-        raise _Unreadable(path) from err
+    are not UTF-8 make an invalid model, with the line they are on."""
     try:
         return data.decode("utf-8-sig")
     except UnicodeDecodeError as err:
@@ -51,14 +40,9 @@ def _read_text(path: str) -> str:
         raise ParseError(line, f"not UTF-8: {err.reason}") from None
 
 
-def _cmd_validate(args) -> int:
-    try:
-        kind, model = parse_with_kind(_read_text(args.file), close=args.close)
-    except (ParseError, NotDownwardClosed, AntisymmetryViolation, OrderError) as err:
-        print(f"invalid: {err}")
-        return 1
+def _cmd_validate(model, args) -> int:
     print(
-        f"ok: {kind} with {len(model.states)} states,"
+        f"ok: {args.kind} with {len(model.states)} states,"
         f" {len(model.actions)} actions,"
         f" {len(model.conditions.elements)} conditions,"
         f" {len(model.edges())} transitions"
@@ -126,8 +110,8 @@ def _cmd_filters_check(model, args) -> int:
 
 
 # each command's name, help and handler, and the arguments after
-# ``file`` and ``--close``.  ``validate``'s handler takes the arguments,
-# every other handler the parsed model and the arguments.
+# ``file`` and ``--close``.  Every handler takes the parsed model and the
+# arguments, to which ``main`` adds the header's kind as ``kind``.
 _COMMANDS = {
     "validate": ("parse and validate a model file", _cmd_validate, {}),
     "convert": ("convert between cts and lats form", _cmd_convert,
@@ -164,17 +148,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    run = _COMMANDS[args.command][1]
     try:
-        if run is _cmd_validate:
-            return _cmd_validate(args)
-        return run(parse_model(_read_text(args.file), close=args.close), args)
-    except _Unreadable as err:
-        print(f"cannot read {err}", file=sys.stderr)
+        with open(args.file, "rb") as handle:
+            data = handle.read()
+    except OSError:
+        print(f"cannot read {args.file}", file=sys.stderr)
         return 2
+    try:
+        args.kind, model = parse_with_kind(_decode(data), close=args.close)
     except (ParseError, NotDownwardClosed, AntisymmetryViolation) as err:
+        if args.command == "validate":
+            print(f"invalid: {err}")
+            return 1
         print(f"invalid model: {err}", file=sys.stderr)
         return 3
+    try:
+        return _COMMANDS[args.command][1](model, args)
     except OrderError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

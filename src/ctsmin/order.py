@@ -73,14 +73,18 @@ class Poset:
     @cached_property
     def covers(self) -> tuple[tuple[str, str], ...]:
         """The covering pairs (p, q), p < q with nothing strictly
-        between, sorted.  Every p <= q is joined by a chain of them."""
+        between, sorted.  Every p <= q is joined by a chain of them.
+        Below q, an element with a larger downset comes first, so each
+        r < q meets everything between r and q before itself: r covers
+        q unless it lies below a cover already found."""
+        size = {e: len(down) for e, down in self._down.items()}
         out = []
         for q in self.elements:
-            strict = self._down[q] - {q}
-            reached: set[str] = set()
-            for r in strict:
-                reached |= self._down[r] - {r}
-            out.extend((p, q) for p in strict - reached)
+            reached = {q}
+            for r in sorted(self._down[q], key=size.__getitem__, reverse=True):
+                if r not in reached:
+                    out.append((r, q))
+                    reached |= self._down[r]
         return tuple(sorted(out))
 
     @cached_property

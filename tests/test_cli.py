@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -338,6 +339,21 @@ def test_byte_order_mark_is_ignored(tmp_path, capsys):
     assert err.startswith("invalid model: line 3: not UTF-8")
 
 
+def test_walkthrough_ignores_byte_order_mark(tmp_path):
+    def walkthrough(path):
+        return subprocess.run(
+            [sys.executable, str(FIXTURES.parent / "scripts" / "chain_walkthrough.py"), path],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": str(FIXTURES.parent / "src")},
+        )
+
+    marked = tmp_path / "EX1"
+    marked.write_bytes(b"\xef\xbb\xbf" + Path(EX1).read_bytes())
+    plain, got = walkthrough(EX1), walkthrough(str(marked))
+    assert (got.returncode, got.stdout) == (0, plain.stdout)
+    assert plain.returncode == 0
+
+
 def test_undeclared_condition_is_named_in_line_order(tmp_path):
     # the label is a set, whose order varies with the hash seed
     path = tmp_path / "model.cts"
@@ -471,22 +487,39 @@ def mutated_fixtures(draw):
 @settings(max_examples=200, deadline=None)
 @given(mutated_fixtures())
 def test_every_command_is_total_on_mutated_fixtures(drawn):
+    """Every command ends in a documented exit code, and all of them
+    agree on whether the text is a model: ``validate`` prints
+    ``invalid: E`` exactly when every other command prints ``invalid
+    model: E`` on stderr and exits 3, with the same E, and no command
+    exits 3 on a text that validates."""
     text, x, y, phi = drawn
     with tempfile.TemporaryDirectory() as work:
         path = str(Path(work) / "model")
         Path(path).write_text(text, encoding="utf-8")
+        outcomes = {}
         for argv in (
             ["validate", path],
+            ["convert", path, "--to", "lats"],
             ["bisim", path],
             ["check", path, x, y, "--condition", phi],
             ["minimise", path, "--dot", str(Path(work) / "out.dot")],
             ["project", path, "--condition", phi],
             ["filters-check", path],
         ):
-            with contextlib.redirect_stdout(io.StringIO()):
-                with contextlib.redirect_stderr(io.StringIO()):
-                    code = main(argv)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
             assert code in (0, 1, 2, 3), argv
+            outcomes[argv[0]] = (code, out.getvalue(), err.getvalue())
+    code, out, err = outcomes.pop("validate")
+    assert err == ""
+    if code == 1:
+        assert out.startswith("invalid: ")
+        fault = (3, "", f"invalid model: {out[len('invalid: '):]}")
+        assert outcomes == dict.fromkeys(outcomes, fault)
+    else:
+        assert (code, out[:4]) == (0, "ok: ")
+        assert all(c != 3 for c, _, _ in outcomes.values()), outcomes
 
 
 def test_module_entry_point():
@@ -497,3 +530,13 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("ok: cts")
+
+
+def test_console_script_is_cli_main():
+    """The ``ctsmin`` script that ``pyproject.toml`` declares runs
+    ``cli.main``; CI runs the installed script itself."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    with open(FIXTURES.parent / "pyproject.toml", "rb") as handle:
+        scripts = tomllib.load(handle)["project"]["scripts"]
+    module, _, name = scripts["ctsmin"].partition(":")
+    assert getattr(importlib.import_module(module), name) is main

@@ -64,6 +64,18 @@ CASES = [
     ("EX1.lats.convert_cts", ["convert", "EX1.lats", "--to", "cts"], 0),
     ("EX1.lats.bisim", ["bisim", "EX1.lats"], 0),
     ("EX1.lats.minimise", ["minimise", "EX1.lats"], 0),
+    # BOWTIE's order p, q < r, s is not a chain: the pairs of u and v at
+    # r and s are joins of their pairs at p and q, w's are aliases of
+    # its pair at p, and top_down_order breaks the ties r, s and p, q
+    ("BOWTIE.validate", ["validate", "BOWTIE"], 0),
+    ("BOWTIE.convert_cts", ["convert", "BOWTIE", "--to", "cts"], 0),
+    ("BOWTIE.convert_lats", ["convert", "BOWTIE", "--to", "lats"], 0),
+    ("BOWTIE.project", ["project", "BOWTIE", "--condition", "p"], 0),
+    ("BOWTIE.bisim", ["bisim", "BOWTIE"], 0),
+    ("BOWTIE.check_yes", ["check", "BOWTIE", "u", "v", "--condition", "r"], 0),
+    ("BOWTIE.check_no", ["check", "BOWTIE", "u", "w", "--condition", "s"], 1),
+    ("BOWTIE.minimise", ["minimise", "BOWTIE"], 0),
+    ("BOWTIE.minimise_dot", ["minimise", "BOWTIE", "--dot", DOT], 0),
 ]
 
 

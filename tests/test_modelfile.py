@@ -49,7 +49,7 @@ def test_ex2_fixture_matches_builtin():
 
 
 def test_fixture_files_are_canonical():
-    for name in ("EX1", "EX2"):
+    for name in ("EX1", "EX2", "BOWTIE"):
         text = (FIXTURES / name).read_text()
         assert serialise_model(parse_model(text)) == text
 

@@ -185,6 +185,9 @@ def _boolean_lattice(k: int) -> Poset:
 def test_covers_match_the_definition():
     posets = {m.conditions for m in cts_corpus(500)}
     posets.update(_boolean_lattice(k) for k in range(1, 7))
+    # the corpus posets have at most three elements
+    rng = random.Random(11)
+    posets.update(random_poset(rng, max_elements=10) for _ in range(300))
     for p in posets:
         assert p.covers == _brute_force_covers(p)
     assert len(_boolean_lattice(6).covers) == 6 * 2**5

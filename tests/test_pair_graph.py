@@ -168,7 +168,7 @@ def test_pair_graph_matches_alpha_on_corpus():
         assert_graphs_match_alpha(m, rng)
 
 
-@pytest.mark.parametrize("name", ["EMPTY", "EX1", "EX2", "LINE6", "ONE"])
+@pytest.mark.parametrize("name", ["BOWTIE", "EMPTY", "EX1", "EX2", "LINE6", "ONE"])
 def test_pair_graph_matches_alpha_on_fixtures(name):
     m = read_fixture(name)
     assert_graphs_match_alpha(m, random.Random(name), queries=10)
