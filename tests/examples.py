@@ -1,5 +1,6 @@
-"""The worked examples, read from their model files, and the engine's
-final relation as the oracles give theirs.
+"""The worked examples, read from their model files, the engine's final
+relation as the oracles give theirs, and the checkout's paths with the
+environment in which a subprocess runs its package.
 
 EX1 is a pair of three-state gadgets over the two-level order
 phi' < phi whose top states are equivalent at each single condition
@@ -8,12 +9,25 @@ which one state can only move at the lower condition, separating
 version-aware equivalence from the per-condition view at the top.
 """
 
+import os
 from pathlib import Path
 
 from ctsmin import parse_model, refine
-from reference.chain import partition_matrix
+from reference.chain import block_partition, partition_matrix
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
+
+
+def src_env():
+    """This process's environment with ``src`` first on the module path,
+    ahead of the caller's ``PYTHONPATH``, for a subprocess to run the
+    checkout's package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    return env
 
 
 def read_fixture(name):
@@ -33,8 +47,5 @@ def final_relation(m):
     ``LatticeRelation`` (through ``partition_matrix``), with the
     engine's iteration count."""
     graph, _, block, iterations = refine(m)
-    classes = {}
-    for pair, b in zip(graph.pairs, block):
-        classes.setdefault(b, []).append(pair)
-    partition = tuple(map(tuple, classes.values()))
+    partition = block_partition(graph.pairs, block)
     return partition_matrix(m.states, m.conditions, partition), iterations

@@ -4,11 +4,11 @@ constructions of conditional bisimilarity with the transfer and
 congruence checks (``bisim``); the final chain of the lattice monad with
 its minimisation, kernel matrices, plain-dict report and poset
 coequaliser (``chain``); the upgrade coalgebra as a table with its
-version-filter laws (``coalgebra``); downsets, downset frames and
+version-filter laws and the uncompressed pair graph read off it, which
+full re-signing refines (``coalgebra``); downsets, downset frames and
 lattices given by their order table (``lattice``); monotone maps and the
-behaviour functor's action on maps (``maps``); the lattice monad with
-its reader translation (``monad``); and the uncompressed pair graph
-that full re-signing refines (``pair_graph``).  These modules import the
+behaviour functor's action on maps (``maps``); and the lattice monad
+with its reader translation (``monad``).  These modules import the
 runtime package ``ctsmin``; it never imports them, and it does not ship
 them.
 """

@@ -50,6 +50,15 @@ def canonical_partition(groups: Iterable[Iterable[PairKey]]) -> Partition:
     return tuple(sorted(classes, key=lambda cls: cls[0]))
 
 
+def block_partition(pairs: Iterable[PairKey], block: Iterable[int]) -> Partition:
+    """The canonical partition of the pairs that sharing a block id
+    induces, the i-th pair having the i-th id."""
+    groups: dict[int, list[PairKey]] = {}
+    for pair, b in zip(pairs, block):
+        groups.setdefault(b, []).append(pair)
+    return canonical_partition(groups.values())
+
+
 def _class_names(partition: Partition) -> dict[PairKey, str]:
     """Name every pair by the least pair of its class."""
     return {pair: _pair_name(cls[0]) for cls in partition for pair in cls}

@@ -2,7 +2,8 @@
 
 ``UpgradeCoalgebra`` records alpha(x, phi, a), the successors of x under
 a at condition phi together with the version each is entered at;
-``coalgebra_encode`` tabulates it for a ``Cts``.  ``version_filter`` and
+``coalgebra_encode`` tabulates it for a ``Cts``, and ``alpha_graph``
+reads the uncompressed pair graph off the table.  ``version_filter`` and
 ``check_upgrade_preserving`` state the paper's version-filter laws on
 the table.  The runtime never builds it: the refinement engine reads the
 same successors from the system as it needs them, and the tests hold
@@ -149,6 +150,30 @@ def coalgebra_encode(m: Cts) -> UpgradeCoalgebra:
                 if pairs:
                     table[(x, phi, a)] = pairs
     return UpgradeCoalgebra(m.states, m.actions, m.conditions, table, validate=False)
+
+
+def alpha_graph(
+    c: UpgradeCoalgebra, roots: Iterable[tuple[str, str]]
+) -> tuple[list[tuple[str, str]], list[set[tuple[int, tuple[str, str]]]]]:
+    """The pairs reachable over ``c.alpha`` from the roots, numbered
+    breadth-first with the roots first and successors in sorted
+    (action, state, condition) order, and each pair's moves as the set
+    of (successor number, (action, version))."""
+    number: dict[tuple[str, str], int] = {}
+    for pair in roots:
+        number.setdefault(pair, len(number))
+    pairs = list(number)
+    moves = []
+    for x, cond in pairs:  # grows while it is walked
+        succs = set()
+        for a in c.actions:
+            for succ in sorted(c.alpha(x, cond, a)):
+                if succ not in number:
+                    number[succ] = len(pairs)
+                    pairs.append(succ)
+                succs.add((number[succ], (a, succ[1])))
+        moves.append(succs)
+    return pairs, moves
 
 
 def version_filter(pairs: SuccessorPairs, phi: str) -> SuccessorPairs:

@@ -344,6 +344,7 @@ def test_walkthrough_ignores_byte_order_mark(tmp_path):
         return subprocess.run(
             [sys.executable, str(FIXTURES.parent / "scripts" / "chain_walkthrough.py"), path],
             capture_output=True,
+            # src alone, as CI runs it: the script must put tests/ on its path itself
             env={**os.environ, "PYTHONPATH": str(FIXTURES.parent / "src")},
         )
 

@@ -11,17 +11,16 @@ change what a later call prints.
 
 import contextlib
 import io
-import os
 import random
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 from ctsmin.cli import main
 
-ROOT = Path(__file__).resolve().parent.parent
+from examples import ROOT, src_env
+
 GOLDEN = ROOT / "tests" / "golden"
 DOT = "{dot}"
 
@@ -88,14 +87,10 @@ def case_args(argv, dot_path):
 def run_case(argv, dot_path, flags=()):
     """Run the CLI in a subprocess; returns (exit code, stdout bytes)."""
     args = case_args(argv, dot_path)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
-    )
     proc = subprocess.run(
         [sys.executable, *flags, "-m", "ctsmin", *args],
         capture_output=True,
-        env=env,
+        env=src_env(),
     )
     return proc.returncode, proc.stdout
 

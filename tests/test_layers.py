@@ -8,16 +8,14 @@ package itself.  No command loads any other ``ctsmin`` module, under
 """
 
 import inspect
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 import ctsmin
 
-ROOT = Path(__file__).resolve().parent.parent
+from examples import ROOT, src_env
 
 RUNTIME_MODULES = (
     "ctsmin.equivalence",
@@ -75,16 +73,12 @@ print("\\n".join(sorted(m for m in sys.modules if m.split(".")[0] == "ctsmin")))
 
 @pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimised"])
 def test_cli_loads_no_oracle_or_theory_module(flags):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
-    )
     files = [str(ROOT / "fixtures" / name) for name in ("EX1", "EX1.lats")]
     proc = subprocess.run(
         [sys.executable, *flags, "-c", PROBE, *files],
         capture_output=True,
         text=True,
-        env=env,
+        env=src_env(),
     )
     assert proc.returncode == 0, proc.stderr
     loaded = proc.stdout.split()

@@ -7,19 +7,13 @@ modules, so the properties still check under ``-O``; asserts in plain
 helper modules such as ``corpus.py`` do not fire there.
 """
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from examples import ROOT, src_env
 
 
 def test_properties_hold_under_optimisation(tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
-    )
     files = [str(ROOT / "tests" / name) for name in ("test_renaming.py", "test_rounds.py")]
     # run from a scratch directory, so the Hypothesis example database
     # of this run stays out of the checkout
@@ -27,7 +21,7 @@ def test_properties_hold_under_optimisation(tmp_path):
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", *files],
         capture_output=True,
         text=True,
-        env=env,
+        env=src_env(),
         cwd=tmp_path,
     )
     assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-4000:]

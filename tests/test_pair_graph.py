@@ -1,16 +1,14 @@
 """The engine's pair graph against the tabulated upgrade coalgebra.
 
 The engine reads a compressed graph of (state, condition) pairs
-straight from a ``Cts``.  ``alpha_graph`` reads the uncompressed graph
-instead off ``coalgebra_encode(m)``, one ``alpha`` entry at a time, so
-the two share no code beyond the system.  The uncompressed graph of
-``reference.pair_graph``, which full re-signing refines, must give the
-same pairs in the same order and the same successor set per pair once
-its labels are decoded into (action, version).  The engine's graph must
-expand, pair by pair, to the successor set that ``alpha`` gives: a
-pair's own-version moves together with the expansions of its lower
-pairs.  It must also be closed under moves and hold a quarter of the
-uncompressed graph's entries or fewer on the Boolean lattice 2^7.
+straight from a ``Cts``; the tests read the coalgebra's moves off
+``coalgebra_encode(m)``, one ``alpha`` entry at a time, so the two
+share no code beyond the system.  The engine's graph must expand, pair
+by pair, to the successor set that ``alpha`` gives: a pair's
+own-version moves together with the expansions of its lower pairs.  It
+must also be closed under moves and hold a quarter of the entries of
+the uncompressed graph, ``alpha_graph``, or fewer on the Boolean
+lattice 2^7.
 
 The other tests here hold that ``check`` visits only what its roots
 reach and that ``bisim``, ``check`` and ``minimise`` never tabulate the
@@ -28,34 +26,11 @@ from hypothesis import strategies as st
 from ctsmin import Cts, TWO_LEVEL, serialise_model
 from ctsmin.cli import main
 from ctsmin.equivalence import _all_pairs, _pair_graph
-from reference.coalgebra import coalgebra_encode
-from reference.pair_graph import all_moves, move_graph
+from reference.coalgebra import alpha_graph, coalgebra_encode
 
 from corpus import boolean_cts, cts_corpus, line_cts
 from examples import FIXTURES, ex1, read_fixture
 from strategies import cts_models
-
-
-def alpha_graph(c, roots):
-    """The pairs reachable over ``c.alpha`` from the roots, numbered
-    breadth-first with the roots first and successors in sorted
-    (action, state, condition) order, and each pair's moves as the set
-    of (action, successor state, version)."""
-    number = {}
-    for pair in roots:
-        number.setdefault(pair, len(number))
-    pairs = list(number)
-    moves = []
-    for x, cond in pairs:  # grows while it is walked
-        succs = set()
-        for a in c.actions:
-            for succ in sorted(c.alpha(x, cond, a)):
-                if succ not in number:
-                    number[succ] = len(pairs)
-                    pairs.append(succ)
-                succs.add((a, *succ))
-        moves.append(succs)
-    return pairs, moves
 
 
 def decoded(m, graph, succs):
@@ -72,17 +47,6 @@ def decoded(m, graph, succs):
         out.add((m.actions[label // height], y, chi))
     assert len(out) == len(succs)
     return out
-
-
-def assert_graph_matches_alpha(m, roots):
-    c = coalgebra_encode(m)
-    reference = move_graph(m, roots)
-    pairs, moves = alpha_graph(c, roots)
-    assert reference.width == len(m.actions) * len(m.conditions.elements)
-    assert reference.pairs == pairs
-    for succs, want in zip(reference.moves, moves):
-        assert decoded(m, reference, succs) == want
-    assert_compressed_graph_expands_to_alpha(m, c, roots)
 
 
 def assert_compressed_graph_expands_to_alpha(m, c, roots):
@@ -146,11 +110,12 @@ def all_roots(m):
 def assert_graphs_match_alpha(m, rng, queries=3):
     """All-pair roots, as ``bisim`` and ``minimise`` use, and the roots
     of some random queries, as ``check`` uses."""
-    assert_graph_matches_alpha(m, all_roots(m))
+    c = coalgebra_encode(m)
+    assert_compressed_graph_expands_to_alpha(m, c, all_roots(m))
     for _ in range(queries if m.states else 0):
         x, y = rng.choice(m.states), rng.choice(m.states)
         phi = rng.choice(m.conditions.elements)
-        assert_graph_matches_alpha(m, [(x, phi), (y, phi)])
+        assert_compressed_graph_expands_to_alpha(m, c, [(x, phi), (y, phi)])
 
 
 def test_all_pairs_are_numbered_state_by_state():
@@ -197,7 +162,7 @@ def test_compressed_graph_holds_a_quarter_of_the_moves():
     m = boolean_cts(7, 0)
     graph = _all_pairs(m)
     entries = sum(map(len, graph.links))
-    moves = sum(map(len, all_moves(m).moves))
+    moves = sum(map(len, alpha_graph(coalgebra_encode(m), all_roots(m))[1]))
     assert moves == 9654
     assert 4 * entries <= moves
 

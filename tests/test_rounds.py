@@ -1,15 +1,15 @@
 """The incremental refinement engine against full re-signing.
 
 ``full_rounds`` signs every pair in every round by every move of its
-one-step behaviour, read off the uncompressed pair graph
-(``reference.pair_graph``), and numbers blocks by first occurrence.  It
-is the engine as it stood before rounds became incremental and keys
-compressed, and every round of ``equivalence._rounds`` must give the
-same partition: the rounds are observable output, since round k is the
-kernel of chain stage k.  The last tests pin the cases that make the
-compressed keys canonical across conditions: an alias, a join over a
-poset that is no lattice, and an own pair sharing its block with
-another state's alias above it.
+one-step behaviour, read off ``coalgebra_encode(m)`` through
+``alpha_graph``, the uncompressed pair graph, and numbers blocks by
+first occurrence.  It is the engine as it stood before rounds became
+incremental and keys compressed, and every round of
+``equivalence._rounds`` must give the same partition: the rounds are
+observable output, since round k is the kernel of chain stage k.  The
+last tests pin the cases that make the compressed keys canonical across
+conditions: an alias, a join over a poset that is no lattice, and an
+own pair sharing its block with another state's alias above it.
 """
 
 import math
@@ -21,18 +21,18 @@ from hypothesis import strategies as st
 
 from ctsmin import TWO_LEVEL, Cts, refine, validate_poset
 from ctsmin.equivalence import _all_pairs, _pair_graph, _rounds, bisimilar
-from reference.chain import canonical_partition, matrix_stage
-from reference.pair_graph import all_moves, move_graph
+from reference.chain import block_partition, matrix_stage
+from reference.coalgebra import alpha_graph, coalgebra_encode
 
 from corpus import boolean_cts, cts_corpus, line_cts, random_poset
-from examples import ex1, ex2
+from examples import FIXTURES, read_fixture
 from strategies import cts_models
 
 
-def full_rounds(moves, width):
+def full_rounds(moves):
     """Yield the block of every pair, round by round.  Round zero has a
     single block; in the next round a pair's signature is its block
-    together with the set of (label, successor block) over its moves,
+    together with the set of (tag, successor block) over its moves,
     and blocks are numbered by first occurrence.  Stops after the first
     round that repeats its predecessor."""
     block = [0] * len(moves)
@@ -42,7 +42,7 @@ def full_rounds(moves, width):
         ids = {}
         nxt = []
         for i, succs in enumerate(moves):
-            sig = (block[i], frozenset([block[j] * width + label for j, label in succs]))
+            sig = (block[i], frozenset([(tag, block[j]) for j, tag in succs]))
             nxt.append(ids.setdefault(sig, len(ids)))
         yield nxt
         if len(ids) == count:
@@ -51,56 +51,39 @@ def full_rounds(moves, width):
         block = nxt
 
 
-def index_partition(block):
-    """The partition of pair numbers that a block list induces."""
-    groups = {}
-    for i, b in enumerate(block):
-        groups.setdefault(b, []).append(i)
-    return canonical_partition(groups.values())
-
-
-def oracle_partitions(pairs, moves, width):
-    """Every full re-signing round as a canonical partition of pairs."""
-    out = []
-    for block in full_rounds(moves, width):
-        groups = {}
-        for pair, b in zip(pairs, block):
-            groups.setdefault(b, []).append(pair)
-        out.append(canonical_partition(groups.values()))
-    return out
-
-
-def assert_rounds_exact(m, graph):
+def assert_rounds_exact(c, graph):
     """Every round of the engine on a compressed graph equals full
-    re-signing of the uncompressed graph of the same pairs.  They are
-    closed under moves, so that graph, rooted at them, numbers them
-    alike and reaches no other pair."""
-    reference = move_graph(m, graph.pairs)
-    assert reference.pairs == graph.pairs
-    want = [index_partition(block) for block in full_rounds(reference.moves, reference.width)]
+    re-signing of the uncompressed graph of the same pairs, which
+    ``alpha_graph`` reads off the coalgebra ``c``.  They are closed
+    under moves, so that graph, rooted at them, numbers them alike and
+    reaches no other pair.  Returns the rounds' partitions."""
+    pairs, moves = alpha_graph(c, graph.pairs)
+    assert pairs == graph.pairs
+    want = [block_partition(pairs, block) for block in full_rounds(moves)]
     got = []
     for rnd in _rounds(graph):
         assert len(set(rnd.block)) == rnd.blocks
-        got.append(index_partition(rnd.block))
+        got.append(block_partition(pairs, rnd.block))
     assert got == want
+    return want
 
 
 def assert_engine_matches_oracle(m, queries=None, local=None):
-    """Every round of the engine on the whole pair graph, and on the part
-    reachable from the roots of each query in ``local`` (by default every
-    query), equals full re-signing; ``refine``'s iterations and final
-    blocks and ``bisimilar``'s verdicts on ``queries`` (by default
-    every (x, y, phi)) are the ones the oracle's rounds give."""
-    pairs, moves, width = all_moves(m)
-    assert_rounds_exact(m, _all_pairs(m))
-    partitions = oracle_partitions(pairs, moves, width)
+    """Every round of the engine on the whole pair graph, whose pairs
+    must be every pair in state-major order, and on the part reachable
+    from the roots of each query in ``local`` (by default every query),
+    equals full re-signing; ``refine``'s iterations and final blocks and
+    ``bisimilar``'s verdicts on ``queries`` (by default every
+    (x, y, phi)) are the ones the oracle's rounds give."""
+    c = coalgebra_encode(m)
+    roots = [(x, cond) for x in m.states for cond in m.conditions.elements]
+    graph = _all_pairs(m)
+    assert graph.pairs == roots
+    partitions = assert_rounds_exact(c, graph)
     final = {pair: i for i, cls in enumerate(partitions[-1]) for pair in cls}
     _, _, block, iterations = refine(m)
     assert iterations == matrix_stage(partitions)
-    groups = {}
-    for pair, b in zip(pairs, block):
-        groups.setdefault(b, []).append(pair)
-    assert canonical_partition(groups.values()) == partitions[-1]
+    assert block_partition(roots, block) == partitions[-1]
     if queries is None:
         queries = [
             (x, y, phi)
@@ -113,7 +96,7 @@ def assert_engine_matches_oracle(m, queries=None, local=None):
         assert bisimilar(m, x, y, phi) == want, (x, y, phi)
     for x, y, phi in queries if local is None else local:
         if x != y:
-            assert_rounds_exact(m, _pair_graph(m, [(x, phi), (y, phi)]))
+            assert_rounds_exact(c, _pair_graph(m, [(x, phi), (y, phi)]))
 
 
 def condition_partitions(block, height):
@@ -131,10 +114,11 @@ def assert_round_one_rule(m):
     condition's states, round two moves nothing.  This is the argument
     by which ``refine`` reads the kernel matrix's stage off round one."""
     height = len(m.conditions.elements)
+    graph = _all_pairs(m)
     matrices, partitions, moved = [], [], []
-    for rnd in _rounds(_all_pairs(m)):
+    for rnd in _rounds(graph):
         matrices.append(condition_partitions(rnd.block, height))
-        partitions.append(index_partition(rnd.block))
+        partitions.append(block_partition(graph.pairs, rnd.block))
         moved.append(rnd.moved)
     for k in range(1, len(matrices) - 1):
         assert (matrices[k] == matrices[k + 1]) == (partitions[k] == partitions[k + 1]), k
@@ -157,9 +141,9 @@ def test_rounds_match_full_resigning_on_corpus():
         assert_engine_matches_oracle(m)
 
 
-@pytest.mark.parametrize("make", [ex1, ex2], ids=["EX1", "EX2"])
-def test_rounds_match_full_resigning_on_examples(make):
-    assert_engine_matches_oracle(make())
+@pytest.mark.parametrize("name", sorted(path.name for path in FIXTURES.iterdir()))
+def test_rounds_match_full_resigning_on_examples(name):
+    assert_engine_matches_oracle(read_fixture(name))
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 20, 80])
