@@ -54,7 +54,7 @@ from itertools import chain
 from typing import Iterable, Iterator, NamedTuple
 
 from .models import Cts, NotDownwardClosed
-from .order import UnknownElement
+from .order import UnknownElement, bits
 
 PairKey = tuple[str, str]
 Partition = tuple[tuple[PairKey, ...], ...]
@@ -101,24 +101,19 @@ def _pair_graph(m: Cts, roots: Iterable[PairKey]) -> PairGraph:
     conditions = poset.elements
     height = len(conditions)
     width = len(m.actions) * height
-    column = {cond: k for k, cond in enumerate(conditions)}
-    covers: list[list[int]] = [[] for _ in conditions]
-    upper: dict[str, list[str]] = {cond: [] for cond in conditions}
-    for p, q in poset.covers:  # sorted, so each list is in condition order
-        covers[column[q]].append(column[p])
-        upper[p].append(q)
+    down, index = poset.down, poset.index
     # a smaller downset first is a linear extension, bottom-up
-    order = sorted(conditions, key=lambda cond: len(poset.below(cond)))
-    rank = {column[cond]: r for r, cond in enumerate(order)}
+    order = sorted(range(height), key=lambda k: down[k].bit_count())
+    rank = {k: r for r, k in enumerate(order)}
     offset = {x: i * height for i, x in enumerate(m.states)}
     number = [-1] * (len(m.states) * height)
     found: list[int] = []
     for x, cond in roots:
-        g = offset[x] + column[cond]
+        g = offset[x] + index[cond]
         if number[g] < 0:
             number[g] = len(found)
             found.append(g)
-    held: dict[str, frozenset[str]] = {}  # the versions some edge from x holds
+    held: dict[str, int] = {}  # the mask of the versions some edge from x holds
     links: list[list[tuple[int, int]]] = []
     levels: list[list[int]] = [[] for _ in range(height + 1)]
     for i, g in enumerate(found):  # grows while it is walked
@@ -133,14 +128,19 @@ def _pair_graph(m: Cts, roots: Iterable[PairKey]) -> PairGraph:
                         found.append(offset[y] + k)
                     link.append((j, ai * height + k))
         if link:
-            below = covers[k]
+            below = bits(poset.lower[k])  # the lower covers, in condition order
             levels[rank[k]].append(i)
         else:
             if x not in held:
                 labels = [label for a in m.actions for _, label in m.outgoing(x, a)]
-                held[x] = frozenset().union(*labels)
-            entered = held[x] & poset.below(cond)
-            below = sorted(column[mu] for mu in entered if entered.isdisjoint(upper[mu]))
+                held[x] = sum(1 << index[mu] for mu in frozenset().union(*labels))
+            # what lies below an entered version is no maximum, nor needs a look
+            entered = rest = held[x] & down[k]
+            while rest:
+                mu = rest.bit_length() - 1
+                entered &= ~down[mu] | 1 << mu
+                rest &= ~down[mu]
+            below = list(bits(entered))
             if len(below) > 1:
                 levels[height].append(i)
         for c in below:
@@ -406,10 +406,9 @@ def kernel_cells(m: Cts, block: list[int]) -> list[list[int]]:
     cells: list[dict[int, list[int]]] = [{} for _ in range(height)]
     for i, b in enumerate(block):
         cells[i % height].setdefault(b, []).append(i // height)
-    column = {cond: k for k, cond in enumerate(conditions.elements)}
     for p, q in conditions.covers:
-        kp = column[p]
-        for cell in cells[column[q]].values():
+        kp = conditions.index[p]
+        for cell in cells[conditions.index[q]].values():
             b = block[cell[0] * height + kp]
             for y in cell:
                 if block[y * height + kp] != b:

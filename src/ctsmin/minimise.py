@@ -46,8 +46,8 @@ def _quotient_poset(
     states: tuple[str, ...], conditions: Poset, class_of: Mapping[PairKey, str]
 ) -> Poset:
     """The least order on the classes making the quotient map monotone:
-    the closure of class(x, p) <= class(x, q) over each state x and each
-    cover p < q.
+    class(x, p) <= class(x, q) over each state x and each cover p < q,
+    closed as bit masks by ``validate_poset``'s one pass.
 
     On a round of the engine, or on the equal stage kernel of the final
     chain, no cycle can arise, by induction over the rounds.  Round zero
@@ -301,7 +301,8 @@ def chain_result_text(result: ChainResult) -> str:
     transition row is one string, its keys in sorted order.  The pairs
     of a transition are sorted by (class, condition), as
     ``_quotient_transitions`` leaves them, so each run of one class is a
-    row and its conditions come sorted.
+    row and its conditions come sorted.  The order's strict pairs come
+    sorted from ``z_poset``'s up-set masks, which builds no relation.
 
     For a fixed system and names without '@' the text gives back the
     result: each pair name splits at its one '@', each class is named
@@ -331,11 +332,7 @@ def chain_result_text(result: ChainResult) -> str:
             f'{_IN6}"states": {states}{_IN4}}}'
         )
     z = result.z_poset
-    order = [
-        f"[{_IN8}{quoted[p]},{_IN8}{quoted[q]}{_IN6}]"
-        for (p, q) in sorted(z.relation)
-        if p != q
-    ]
+    order = [f"[{_IN8}{quoted[p]},{_IN8}{quoted[q]}{_IN6}]" for (p, q) in z.strict_pairs()]
     rows = []
     cond_sep = "," + _IN10
     for (src, a, pairs) in result.transitions:

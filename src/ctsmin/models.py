@@ -64,7 +64,7 @@ class Cts:
             if act not in action_set:
                 raise UnknownElement(act)
             members = frozenset(conds)
-            unknown = members - conditions._element_set
+            unknown = members.difference(conditions.index)
             if unknown:
                 raise UnknownElement(min(unknown))
             if not conditions.is_downward_closed(members):
@@ -83,15 +83,6 @@ class Cts:
     def edges(self) -> list[tuple[str, str, str, frozenset[str]]]:
         """Every edge with its label, in sorted (src, action, dst) order."""
         return [(s, a, d, label) for (s, a), row in self._out.items() for d, label in row]
-
-    def _key(self):
-        return (self.states, self.actions, self.conditions, tuple(self.edges()))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Cts) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def __repr__(self) -> str:
         return f"Cts(states={len(self.states)}, edges={len(self.edges())})"

@@ -1,18 +1,23 @@
 """Finite posets and downward closed sets.
 
-Carriers are small sets of opaque strings.  The order relation is stored
-fully reflexive-transitive closed (not as a Hasse diagram) and every
-operation iterates in lexicographic element order, so all outputs are
+Carriers are small sets of opaque strings.  An order is stored as bit
+masks (Birkhoff's downsets, in the bit-vector encoding of Aït-Kaci et
+al.): element i of the sorted elements is bit ``1 << i``, and each
+element keeps the mask of its downset and that of its lower covers,
+closed in one topological pass.  The pair relation is a view built and
+kept on first use; the downsets as name sets, and the up-set masks that
+give the strict pairs, are built when asked for.  Every operation
+iterates in lexicographic element order, so all outputs are
 deterministic and serialise identically across runs.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Mapping
+from dataclasses import dataclass, field
+from functools import cached_property, reduce
+from operator import or_
+from typing import Iterable, Iterator
 
 
 class OrderError(Exception):
@@ -33,83 +38,75 @@ class UnknownElement(OrderError):
         super().__init__(f"unknown element: {element!r}")
 
 
+def bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of a mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class Poset:
-    """A finite partial order.  ``relation`` is the full closure, including
-    the diagonal."""
+    """A finite partial order on sorted ``elements``.  ``down[i]`` is the
+    mask of the elements at or below element i, and ``lower[i]`` that of
+    its lower covers, as ``validate_poset`` closes them.  Two posets are
+    equal when they have the same elements and the same downsets."""
 
     elements: tuple[str, ...]
-    relation: frozenset[tuple[str, str]]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "elements", tuple(sorted(self.elements)))
+    down: tuple[int, ...]
+    lower: tuple[int, ...] = field(compare=False)
 
     @cached_property
-    def _element_set(self) -> frozenset[str]:
-        return frozenset(self.elements)
+    def index(self) -> dict[str, int]:
+        return {e: i for i, e in enumerate(self.elements)}
+
+    def strict_pairs(self) -> list[tuple[str, str]]:
+        """Every p < q, sorted: each p's up-set mask in bit order.  The
+        masks are closed down the covers, larger downsets first."""
+        names, up = self.elements, [1 << p for p in range(len(self.elements))]
+        for q in sorted(range(len(up)), key=lambda q: -self.down[q].bit_count()):
+            for p in bits(self.lower[q]):
+                up[p] |= up[q]
+        return [(names[p], names[q]) for p, mask in enumerate(up) for q in bits(mask ^ 1 << p)]
 
     @cached_property
-    def _down(self) -> Mapping[str, frozenset[str]]:
-        table: dict[str, set[str]] = {e: set() for e in self.elements}
-        for p, q in self.relation:
-            table[q].add(p)
-        return {e: frozenset(s) for e, s in table.items()}
-
-    def leq(self, p: str, q: str) -> bool:
-        return (p, q) in self.relation
-
-    def lt(self, p: str, q: str) -> bool:
-        return p != q and (p, q) in self.relation
+    def relation(self) -> frozenset[tuple[str, str]]:
+        """Every p <= q, including the diagonal."""
+        return frozenset([(e, e) for e in self.elements] + self.strict_pairs())
 
     def check_element(self, p: str) -> None:
-        if p not in self._element_set:
+        if p not in self.index:
             raise UnknownElement(p)
 
     def below(self, p: str) -> frozenset[str]:
         """All q with q <= p."""
-        self.check_element(p)
-        return self._down[p]
+        return self.down_close([p])
 
     @cached_property
     def covers(self) -> tuple[tuple[str, str], ...]:
         """The covering pairs (p, q), p < q with nothing strictly
-        between, sorted.  Every p <= q is joined by a chain of them.
-        Below q, an element with a larger downset comes first, so each
-        r < q meets everything between r and q before itself: r covers
-        q unless it lies below a cover already found."""
-        size = {e: len(down) for e, down in self._down.items()}
-        out = []
-        for q in self.elements:
-            reached = {q}
-            for r in sorted(self._down[q], key=size.__getitem__, reverse=True):
-                if r not in reached:
-                    out.append((r, q))
-                    reached |= self._down[r]
-        return tuple(sorted(out))
-
-    @cached_property
-    def _closed(self) -> dict[frozenset[str], bool]:
-        return {}
+        between, sorted.  Every p <= q is joined by a chain of them."""
+        names = self.elements
+        pairs = [(names[p], q) for q, mask in zip(names, self.lower) for p in bits(mask)]
+        return tuple(sorted(pairs))
 
     def is_downward_closed(self, members: Iterable[str]) -> bool:
-        """Whether ``members`` holds everything below each member.  The
-        answer is kept per distinct set, so a parse that meets one label
-        on its line and again in the system tests it once."""
-        ms = frozenset(members)
-        known = self._closed.get(ms)
-        if known is None:
-            known = self._closed[ms] = self._test_closed(ms)
-        return known
-
-    def _test_closed(self, ms: frozenset[str]) -> bool:
-        return ms.issuperset(itertools.chain.from_iterable(map(self._down.__getitem__, ms)))
+        """Whether ``members`` holds everything below each member."""
+        index, down = self.index, self.down
+        mask = closed = 0
+        for q in members:
+            i = index[q]
+            mask |= 1 << i
+            closed |= down[i]
+        return closed == mask
 
     def down_close(self, members: Iterable[str]) -> frozenset[str]:
-        closed: set[str] = set()
+        closed = 0
         for q in members:
             self.check_element(q)
-            closed |= self._down[q]
-        return frozenset(closed)
+            closed |= self.down[self.index[q]]
+        return frozenset(map(self.elements.__getitem__, bits(closed)))
 
     @cached_property
     def top_down_order(self) -> tuple[str, ...]:
@@ -117,58 +114,70 @@ class Poset:
         lexicographically.  Used for display.  Kahn's algorithm over the
         covers: an element is maximal among those not yet listed exactly
         when all its upper covers are listed."""
-        above = dict.fromkeys(self.elements, 0)
-        lower: dict[str, list[str]] = {e: [] for e in self.elements}
-        for p, q in self.covers:
-            above[p] += 1
-            lower[q].append(p)
-        ready = [e for e in self.elements if not above[e]]  # sorted, so a heap
+        above = [0] * len(self.elements)
+        for mask in self.lower:
+            for p in bits(mask):
+                above[p] += 1
+        ready = [e for e, n in enumerate(above) if not n]  # sorted, so a heap
         out: list[str] = []
         while ready:
             q = heapq.heappop(ready)
-            out.append(q)
-            for p in lower[q]:
+            out.append(self.elements[q])
+            for p in bits(self.lower[q]):
                 above[p] -= 1
                 if not above[p]:
                     heapq.heappush(ready, p)
         return tuple(out)
 
     def __repr__(self) -> str:
-        strict = sorted((p, q) for p, q in self.relation if p != q)
-        pairs = ", ".join(f"{p}<={q}" for p, q in strict)
+        pairs = ", ".join(f"{p}<={q}" for p, q in self.strict_pairs())
         return f"Poset({list(self.elements)}" + (f", {pairs})" if pairs else ")")
 
 
 def validate_poset(elements: Iterable[str], pairs: Iterable[tuple[str, str]]) -> Poset:
     """Close ``pairs`` reflexively and transitively over ``elements`` and
-    reject the result unless it is antisymmetric.  The reported cycle is
-    the sorted strongly connected component of the first offending pair."""
+    reject the result unless it is antisymmetric.  One topological pass
+    (Kahn's algorithm) closes each element's downset after those of all
+    its given lower elements, and keeps as its lower covers the given
+    lower elements that lie below no other.  On a cycle the pass stops
+    short, and the reported cycle is the sorted strongly connected
+    component of the least element on one."""
     elems = tuple(sorted(set(elements)))
-    known = set(elems)
-    reach: dict[str, set[str]] = {e: {e} for e in elems}
+    index = {e: i for i, e in enumerate(elems)}
+    given = [0] * len(elems)  # per element, the mask of its given lower elements
     for p, q in pairs:
-        if p not in known:
-            raise UnknownElement(p)
-        if q not in known:
-            raise UnknownElement(q)
-        reach[p].add(q)
-    changed = True
-    while changed:
-        changed = False
-        for p in elems:
-            extra: set[str] = set()
-            for q in reach[p]:
-                extra |= reach[q]
-            if not extra <= reach[p]:
-                reach[p] |= extra
-                changed = True
-    for p in elems:
-        for q in sorted(reach[p]):
-            if q != p and p in reach[q]:
-                cycle = sorted(r for r in reach[p] if p in reach[r])
-                raise AntisymmetryViolation(cycle)
-    relation = frozenset((p, q) for p in elems for q in reach[p])
-    return Poset(elems, relation)
+        for e in (p, q):
+            if e not in index:
+                raise UnknownElement(e)
+        given[index[q]] |= 1 << index[p]
+    upper: list[list[int]] = [[] for _ in elems]
+    for q, mask in enumerate(given):
+        given[q] = mask & ~(1 << q)  # p <= p adds nothing
+        for p in bits(given[q]):
+            upper[p].append(q)
+    waiting = [mask.bit_count() for mask in given]
+    down, lower = [0] * len(elems), [0] * len(elems)
+    ready = [q for q, n in enumerate(waiting) if not n]
+    for q in ready:  # grows while it is walked
+        closed = strict = 0
+        for p in bits(given[q]):
+            closed |= down[p]
+            strict |= down[p] ^ 1 << p
+        down[q], lower[q] = closed | 1 << q, given[q] & ~strict
+        for r in upper[q]:
+            waiting[r] -= 1
+            if not waiting[r]:
+                ready.append(r)
+    if len(ready) == len(elems):
+        return Poset(elems, tuple(down), tuple(lower))
+    # a cycle: close by squaring, since every path is shorter than len(elems)
+    down = [mask | 1 << q for q, mask in enumerate(given)]
+    for _ in range(len(elems).bit_length()):
+        down = [reduce(or_, map(down.__getitem__, bits(mask)), mask) for mask in down]
+    for q, mask in enumerate(down):
+        component = [elems[p] for p in bits(mask) if down[p] >> q & 1]
+        if len(component) > 1:
+            raise AntisymmetryViolation(component)
 
 
 # the two-level order phi' < phi of the worked examples, which the test

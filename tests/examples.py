@@ -1,6 +1,7 @@
 """The worked examples, read from their model files, the engine's final
-relation as the oracles give theirs, and the checkout's paths with the
-environment in which a subprocess runs its package.
+relation as the oracles give theirs, the key that tells two systems
+apart, and the checkout's paths with the environment in which a
+subprocess runs its package.
 
 EX1 is a pair of three-state gadgets over the two-level order
 phi' < phi whose top states are equivalent at each single condition
@@ -40,6 +41,12 @@ def ex1():
 
 def ex2():
     return read_fixture("EX2")
+
+
+def system_key(m):
+    """What makes two systems the same: their states, actions, condition
+    order and labelled edges.  ``Cts`` itself compares by identity."""
+    return (m.states, m.actions, m.conditions, tuple(m.edges()))
 
 
 def final_relation(m):

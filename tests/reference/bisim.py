@@ -26,6 +26,7 @@ from typing import Iterable, Mapping
 
 from ctsmin.models import Cts
 from ctsmin.order import Poset, UnknownElement
+from .order import lt
 
 Pair = tuple[str, str]
 Edge = tuple[str, str, str]
@@ -203,7 +204,7 @@ def is_conditional_bisimulation(
         raise ValueError("family indexed by a different condition poset")
     for phi in m.conditions.elements:
         for psi in m.conditions.elements:
-            if m.conditions.lt(psi, phi):
+            if lt(m.conditions, psi, phi):
                 extra = family.relation(phi) - family.relation(psi)
                 if extra:
                     return False, ("antitone", phi, psi, min(extra))
@@ -224,7 +225,7 @@ def is_conditional_congruence(
         _require_equivalence(m.states, phi, rel)
     for phi in m.conditions.elements:
         for psi in m.conditions.elements:
-            if m.conditions.lt(psi, phi):
+            if lt(m.conditions, psi, phi):
                 extra = family.relation(phi) - family.relation(psi)
                 if extra:
                     return False, ("antitone", phi, psi, min(extra))

@@ -39,7 +39,7 @@ from typing import Iterable, Mapping
 from ctsmin.equivalence import PairKey, Partition
 from ctsmin.minimise import ChainResult, Transitions, _pair_name, _quotient_poset
 from ctsmin.models import Cts
-from ctsmin.order import Poset
+from ctsmin.order import Poset, validate_poset
 from .bisim import LatticeRelation
 from .coalgebra import UpgradeCoalgebra
 
@@ -432,4 +432,4 @@ def coequalise(
             relation.add((names[find(r)], names[find(s)]))
     for c in class_elems:
         relation.add((c, c))
-    return Poset(class_elems, frozenset(relation)), mapping
+    return validate_poset(class_elems, frozenset(relation)), mapping

@@ -16,6 +16,7 @@ from typing import Iterable, Mapping
 
 from ctsmin.models import Cts
 from ctsmin.order import Poset, UnknownElement
+from .order import leq
 
 
 SuccessorPairs = frozenset[tuple[str, str]]
@@ -193,7 +194,7 @@ def check_upgrade_preserving(
             for phi in c.conditions.elements:
                 here = c.alpha(x, phi, a)
                 for psi in c.conditions.elements:
-                    if c.conditions.leq(psi, phi):
+                    if leq(c.conditions, psi, phi):
                         if version_filter(here, psi) != version_filter(
                             c.alpha(x, psi, a), psi
                         ):

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from ctsmin.order import OrderError, Poset
+from ctsmin.order import OrderError, Poset, validate_poset
+from .order import leq
 
 
 class FrameError(Exception):
@@ -129,7 +130,7 @@ class HeytingFrame:
             for q in self.base.elements
             if principals[p].members <= principals[q].members
         )
-        return Poset(tuple(self.base.elements), relation), principals
+        return validate_poset(tuple(self.base.elements), relation), principals
 
     def enumerate_elements(self, limit: int = 20) -> list[Downset]:
         """All downsets, smallest first, then lexicographic on members."""
@@ -313,12 +314,12 @@ def import_lattice(lattice: ExplicitLattice | Poset) -> ImportedLattice:
     irr = lattice.join_irreducible_elements()
     order = lattice.poset
     relation = frozenset(
-        (p, q) for p in irr for q in irr if order.leq(p, q)
+        (p, q) for p in irr for q in irr if leq(order, p, q)
     )
-    base = Poset(tuple(irr), relation)
+    base = validate_poset(tuple(irr), relation)
     frame = HeytingFrame(base)
     to_frame = {
-        e: Downset(base, frozenset(j for j in irr if order.leq(j, e)))
+        e: Downset(base, frozenset(j for j in irr if leq(order, j, e)))
         for e in order.elements
     }
     from_frame = {to_frame[e].members: e for e in order.elements}

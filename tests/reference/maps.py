@@ -13,6 +13,7 @@ from functools import cached_property
 from typing import Callable, Mapping
 
 from ctsmin.order import OrderError, Poset
+from .order import leq
 from .coalgebra import SuccessorPairs
 
 
@@ -46,7 +47,7 @@ class MonotoneMap:
 def is_monotone(candidate: MonotoneMap) -> bool:
     table = dict(candidate.entries)
     return all(
-        candidate.cod.leq(table[p], table[q])
+        leq(candidate.cod, table[p], table[q])
         for p, q in candidate.dom.relation
     )
 

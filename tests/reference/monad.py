@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Mapping
 
-from ctsmin.order import OrderError, Poset
+from ctsmin.order import OrderError, Poset, validate_poset
+from .order import leq
 from .lattice import BaseMismatch, Downset, HeytingFrame, TooLarge
 from .maps import MonotoneMap
 
@@ -71,7 +72,7 @@ class StarMap:
 def _least_witness(dom: Poset, values: Mapping[str, Downset], phi: str) -> str | None:
     candidates = [x for x in dom.elements if phi in values[x].members]
     for m in candidates:
-        if all(dom.leq(m, c) for c in candidates):
+        if all(leq(dom, m, c) for c in candidates):
             return m
     return None
 
@@ -97,7 +98,7 @@ class ReaderMap:
                 raise OrderError(f"map not total, missing {phi!r}")
             cod.check_element(table[phi])
         for p, q in dom.relation:
-            if not cod.leq(table[p], table[q]):
+            if not leq(cod, table[p], table[q]):
                 raise OrderError(f"not monotone: {p} <= {q} but values disagree")
         return cls(dom, cod, tuple((phi, table[phi]) for phi in dom.elements))
 
@@ -132,7 +133,7 @@ def tau_inv(reader: ReaderMap, frame: HeytingFrame) -> StarMap:
         raise BaseMismatch()
     table = {
         x: frame.element(
-            phi for phi in reader.dom.elements if reader.cod.leq(reader.value(phi), x)
+            phi for phi in reader.dom.elements if leq(reader.cod, reader.value(phi), x)
         )
         for x in reader.cod.elements
     }
@@ -147,7 +148,7 @@ def t_map(f: MonotoneMap, b: StarMap) -> StarMap:
     for y in f.cod.elements:
         members: frozenset[str] = frozenset()
         for x in b.dom.elements:
-            if f.cod.leq(f(x), y):
+            if leq(f.cod, f(x), y):
                 members |= b.value(x).members
         table[y] = b.frame.element(members)
     return StarMap.of(f.cod, b.frame, table)
@@ -158,7 +159,7 @@ def t_unit(dom: Poset, frame: HeytingFrame) -> dict[str, StarMap]:
     out = {}
     for x in dom.elements:
         table = {
-            y: frame.top if dom.leq(x, y) else frame.bottom for y in dom.elements
+            y: frame.top if leq(dom, x, y) else frame.bottom for y in dom.elements
         }
         out[x] = StarMap.of(dom, frame, table)
     return out
@@ -210,7 +211,7 @@ def tx_space(dom: Poset, frame: HeytingFrame, limit: int = 12) -> TxSpace:
         for (m, c) in named
         if star_leq(b, c)
     )
-    return TxSpace(Poset(tuple(names), relation), tuple(named))
+    return TxSpace(validate_poset(tuple(names), relation), tuple(named))
 
 
 def t_mult(h: StarMap, space: TxSpace) -> StarMap:

@@ -20,9 +20,12 @@ from ctsmin import (
     chain_result_dot,
     minimise_refinement,
     parse_model,
+    serialise_model,
     validate_poset,
 )
+from ctsmin import cli
 from ctsmin.cli import main
+from ctsmin.modelfile import parse_with_kind
 from ctsmin.minimise import bisim_text, chain_result_text
 from reference.bisim import lattice_bisim_fixpoint
 from reference.chain import chain_result_json, minimise_chain
@@ -307,6 +310,17 @@ BAD_INPUTS = {
         b"[actions]\na\n[transitions]\n",
         "antisymmetry violated on cycle: p <= q",
     ),
+    "long-cycle": (
+        b"kind: cts\n[conditions]\nr\nq\np\no\no <= p\nr <= p\nq <= r\np <= q\n"
+        b"[states]\nx\n[actions]\na\n[transitions]\n",
+        "antisymmetry violated on cycle: p <= q <= r",
+    ),
+    # an undeclared name is reported before the cycle above it
+    "cycle-then-undeclared": (
+        b"kind: cts\n[conditions]\np\nq\np <= q\nq <= p\np <= r\n[states]\nx\n"
+        b"[actions]\na\n[transitions]\n",
+        "line 7: undeclared condition 'r'",
+    ),
 }
 
 
@@ -324,6 +338,61 @@ def test_every_command_keeps_the_error_contract(tmp_path, capsys, command, name)
         assert outcome == (1, f"invalid: {reason}\n", "")
     else:
         assert outcome == (3, "", f"invalid model: {reason}\n")
+
+
+@pytest.mark.parametrize("fixture", ["EX1", "BOWTIE"])
+def test_reflexive_and_repeated_order_lines_change_nothing(tmp_path, capsys, fixture):
+    text = (FIXTURES / fixture).read_text()
+    conditions = parse_model(text).conditions
+    extra = [f"{c} <= {c}" for c in conditions.elements]
+    extra += [f"{p} <= {q}" for p, q in conditions.covers]
+    path = tmp_path / fixture
+    path.write_text(text.replace("\n\n[states]", "\n" + "\n".join(extra) + "\n\n[states]", 1))
+    for command in (["validate"], ["convert", "--to", "cts"], ["bisim"], ["minimise"]):
+        want = run(capsys, command[0], str(FIXTURES / fixture), *command[1:])
+        assert run(capsys, command[0], str(path), *command[1:]) == want
+        assert want[0] == 0
+
+
+def _guarded_run(monkeypatch, capsys, path, *argv):
+    """Run a command on a model file and return the condition poset it
+    parsed and the quotient order of any minimisation."""
+    seen = {}
+
+    def parse(text, close=False):
+        kind, seen["model"] = parse_with_kind(text, close)
+        return kind, seen["model"]
+
+    def minimise(model):
+        seen["result"] = minimise_refinement(model)
+        return seen["result"]
+
+    monkeypatch.setattr(cli, "parse_with_kind", parse)
+    monkeypatch.setattr(cli, "minimise_refinement", minimise)
+    code, _, _ = run(capsys, argv[0], str(path), *argv[1:])
+    assert code in (0, 1)
+    return seen["model"].conditions, seen.get("result") and seen["result"].z_poset
+
+
+def test_commands_never_build_the_pair_relation(tmp_path, monkeypatch, capsys):
+    """``bisim``, ``check`` and ``minimise`` ask their order questions of
+    the masks, so neither the condition poset's ``relation`` nor the
+    quotient order's is ever built; the report writes the order from the
+    up-set masks."""
+    big = tmp_path / "boolean6"
+    big.write_text(serialise_model(boolean_cts(6, 0)))
+    paths = sorted(FIXTURES.iterdir()) + [big]
+    for path in paths:
+        m = parse_model(path.read_text())
+        commands = [["bisim"], ["minimise"]]
+        if m.states:
+            top = m.conditions.top_down_order[0]
+            commands.append(["check", m.states[0], m.states[-1], "--condition", top])
+        for command in commands:
+            conditions, z_poset = _guarded_run(monkeypatch, capsys, path, *command)
+            assert "relation" not in vars(conditions), (path.name, command)
+            if command == ["minimise"]:
+                assert "relation" not in vars(z_poset), path.name
 
 
 def test_byte_order_mark_is_ignored(tmp_path, capsys):

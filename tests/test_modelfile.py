@@ -9,15 +9,14 @@ from ctsmin import (
     Cts,
     NotDownwardClosed,
     ParseError,
-    Poset,
     parse_model,
     serialise_model,
     validate_poset,
 )
 from ctsmin.modelfile import RESERVED, parse_with_kind
 
-from corpus import boolean_cts, cts_corpus
-from examples import FIXTURES, ex1, ex2
+from corpus import cts_corpus
+from examples import FIXTURES, ex1, ex2, system_key
 from strategies import cts_models
 
 BOTH = frozenset({"phi", "phi'"})
@@ -107,11 +106,7 @@ def test_parse_inverts_serialise_on_token_names(model, kind):
     text = serialise_model(model, kind)
     got_kind, again = parse_with_kind(text)
     assert got_kind == kind
-    assert again == model == parse_model(text)
-    assert again.states == model.states
-    assert again.actions == model.actions
-    assert again.conditions == model.conditions
-    assert set(again.edges()) == set(model.edges())
+    assert system_key(again) == system_key(model) == system_key(parse_model(text))
     assert serialise_model(again, kind) == text
 
 
@@ -144,8 +139,9 @@ def test_lats_kind_round_trip():
     text = serialise_model(ex1(), "lats")
     assert text.startswith("kind: lats\n")
     assert text[len("kind: lats") :] == serialise_model(ex1())[len("kind: cts") :]
-    assert parse_with_kind(text) == ("lats", ex1())
-    assert parse_with_kind((FIXTURES / "EX1.lats").read_text()) == ("lats", ex1())
+    for again in (text, (FIXTURES / "EX1.lats").read_text()):
+        kind, m = parse_with_kind(again)
+        assert (kind, system_key(m)) == ("lats", system_key(ex1()))
 
 
 def test_convert_is_identity_on_matching_kind():
@@ -246,22 +242,6 @@ def test_open_line_is_rejected_though_another_line_closes_the_union():
     with pytest.raises(NotDownwardClosed) as err:
         parse_model(text)
     assert err.value.line == 12
-
-
-def test_each_distinct_label_is_tested_for_closure_once(monkeypatch):
-    text = serialise_model(boolean_cts(4, 0))
-    labels = {conds for *_, conds in parse_model(text).edges()}
-    tested = []
-    closed = Poset._test_closed
-
-    def counted(self, members):
-        tested.append(members)
-        return closed(self, members)
-
-    monkeypatch.setattr(Poset, "_test_closed", counted)
-    model = parse_model(text)
-    assert len(model.edges()) > len(labels) > 1
-    assert sorted(map(sorted, tested)) == sorted(map(sorted, labels))
 
 
 def test_order_cycle_is_rejected():

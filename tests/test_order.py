@@ -11,6 +11,7 @@ from ctsmin import (
     validate_poset,
 )
 from reference.chain import coequalise
+from reference.order import closure_relation, leq, lt
 from reference.lattice import Downset, down_closure, principal_downset
 from reference.maps import MonotoneMap, is_monotone
 
@@ -47,7 +48,7 @@ def poset_and_subset(draw):
 
 def test_validate_poset_closes_transitively():
     p = validate_poset(["a", "b", "c"], [("a", "b"), ("b", "c")])
-    assert p.leq("a", "c")
+    assert leq(p, "a", "c")
 
 
 def test_antisymmetry_violation_reports_cycle():
@@ -83,7 +84,7 @@ def scanned_top_down_order(p):
     remaining = set(p.elements)
     out = []
     while remaining:
-        maximal = sorted(q for q in remaining if not any(p.lt(q, r) for r in remaining))
+        maximal = sorted(q for q in remaining if not any(lt(p, q, r) for r in remaining))
         out.append(maximal[0])
         remaining.remove(maximal[0])
     return tuple(out)
@@ -136,7 +137,7 @@ def test_coequalise_glues_chain():
     p = chain("p", "q", "r")
     glued, mapping = coequalise(p, [("p", "q")])
     assert mapping["p"] == mapping["q"] != mapping["r"]
-    assert glued.leq(mapping["p"], mapping["r"])
+    assert leq(glued, mapping["p"], mapping["r"])
     assert len(glued.elements) == 2
 
 
@@ -158,7 +159,7 @@ def test_coequalise_mapping_is_monotone(p, data):
     )
     glued, mapping = coequalise(p, pairs)
     for a, b in p.relation:
-        assert glued.leq(mapping[a], mapping[b])
+        assert leq(glued, mapping[a], mapping[b])
     for x, y in pairs:
         assert mapping[x] == mapping[y]
 
@@ -169,14 +170,14 @@ def _brute_force_covers(p: Poset) -> tuple[tuple[str, str], ...]:
             (a, b)
             for a in p.elements
             for b in p.elements
-            if p.lt(a, b) and not any(p.lt(a, r) and p.lt(r, b) for r in p.elements)
+            if lt(p, a, b) and not any(lt(p, a, r) and lt(p, r, b) for r in p.elements)
         )
     )
 
 
 def _boolean_lattice(k: int) -> Poset:
     names = {m: f"{m:0{k}b}" for m in range(2**k)}
-    return Poset(
+    return validate_poset(
         tuple(names.values()),
         frozenset((names[m], names[n]) for m in names for n in names if m & n == m),
     )
@@ -191,3 +192,69 @@ def test_covers_match_the_definition():
     for p in posets:
         assert p.covers == _brute_force_covers(p)
     assert len(_boolean_lattice(6).covers) == 6 * 2**5
+
+
+def test_mask_queries_match_their_definitions_over_the_relation():
+    rng = random.Random(21)
+    posets = [random_poset(rng, max_elements=9) for _ in range(300)]
+    posets += [_boolean_lattice(k) for k in range(1, 7)]
+    posets += [boolean_cts(k, 0).conditions for k in range(2, 7)]
+    for p in posets:
+        relation = p.relation
+        below = {q: {r for r in p.elements if (r, q) in relation} for q in p.elements}
+        for q in p.elements:
+            assert p.below(q) == below[q]
+        assert p.covers == _brute_force_covers(p)
+        n = len(p.elements)
+        subsets = [frozenset(), frozenset(p.elements)]
+        subsets += [frozenset(rng.sample(p.elements, rng.randint(1, n))) for _ in range(20)]
+        # each downset less one of its members, closed only if that was q
+        subsets += [frozenset(below[q]) - {rng.choice(sorted(below[q]))} for q in p.elements]
+        for members in subsets:
+            closure = set().union(*(below[q] for q in members))
+            assert p.down_close(members) == closure
+            assert p.is_downward_closed(members) == (closure == members), (p, members)
+
+
+def test_reflexive_and_repeated_pairs_change_nothing():
+    rng = random.Random(5)
+    for _ in range(300):
+        p = random_poset(rng, max_elements=7)
+        pairs = list(p.covers)
+        again = validate_poset(p.elements, pairs + [(e, e) for e in p.elements] + pairs)
+        assert again == p
+        assert again.covers == p.covers
+    # a pair given both directly and through a chain is no cover
+    q = validate_poset("abc", [("a", "c"), ("a", "b"), ("b", "c"), ("a", "c")])
+    assert q.covers == (("a", "b"), ("b", "c"))
+
+
+def test_closure_matches_the_fixpoint_oracle_on_random_relations():
+    """On relations that may hold cycles, the one-pass closure gives the
+    fixpoint closure's relation, or the same violation: its cycle and its
+    message."""
+    rng = random.Random(8)
+    cycles = 0
+    for _ in range(2000):
+        elements = NAMES[: rng.randint(1, 5)] + ["f", "g"][: rng.randint(0, 2)]
+        pairs = [
+            (rng.choice(elements), rng.choice(elements)) for _ in range(rng.randint(0, 8))
+        ]
+        try:
+            expected = closure_relation(elements, pairs)
+        except AntisymmetryViolation as err:
+            cycles += 1
+            with pytest.raises(AntisymmetryViolation) as got:
+                validate_poset(elements, pairs)
+            assert (got.value.cycle, str(got.value)) == (err.cycle, str(err)), pairs
+        else:
+            assert validate_poset(elements, pairs).relation == expected
+    assert cycles > 500
+
+
+def test_unknown_element_is_named_before_any_cycle():
+    pairs = [("a", "b"), ("b", "a"), ("b", "z"), ("y", "a")]
+    for check in (validate_poset, closure_relation):
+        with pytest.raises(UnknownElement) as err:
+            check(["a", "b"], pairs)
+        assert err.value.element == "z"

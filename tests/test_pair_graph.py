@@ -27,6 +27,7 @@ from ctsmin import Cts, TWO_LEVEL, serialise_model
 from ctsmin.cli import main
 from ctsmin.equivalence import _all_pairs, _pair_graph
 from reference.coalgebra import alpha_graph, coalgebra_encode
+from reference.order import lt
 
 from corpus import boolean_cts, cts_corpus, line_cts
 from examples import FIXTURES, ex1, read_fixture
@@ -84,7 +85,7 @@ def assert_compressed_graph_expands_to_alpha(m, c, roots):
         assert {chi for _, _, chi in got} <= {cond}
         assert [graph.pairs[j][0] for j in lower] == [x] * len(lower)
         below = [graph.pairs[j][1] for j in lower]
-        assert all(poset.lt(mu, cond) for mu in below)
+        assert all(lt(poset, mu, cond) for mu in below)
         if moves:
             assert below == sorted(p for p, q in poset.covers if q == cond)
             assert own_level.setdefault(cond, level[i]) == level[i] < len(graph.levels) - 1
