@@ -102,6 +102,7 @@ def _pair_graph(m: Cts, roots: Iterable[PairKey]) -> PairGraph:
     height = len(conditions)
     width = len(m.actions) * height
     down, index = poset.down, poset.index
+    covers = [list(bits(mask)) for mask in poset.lower]  # in condition order
     # a smaller downset first is a linear extension, bottom-up
     order = sorted(range(height), key=lambda k: down[k].bit_count())
     rank = {k: r for r, k in enumerate(order)}
@@ -128,7 +129,7 @@ def _pair_graph(m: Cts, roots: Iterable[PairKey]) -> PairGraph:
                         found.append(offset[y] + k)
                     link.append((j, ai * height + k))
         if link:
-            below = bits(poset.lower[k])  # the lower covers, in condition order
+            below = covers[k]
             levels[rank[k]].append(i)
         else:
             if x not in held:

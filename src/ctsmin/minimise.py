@@ -301,8 +301,8 @@ def chain_result_text(result: ChainResult) -> str:
     transition row is one string, its keys in sorted order.  The pairs
     of a transition are sorted by (class, condition), as
     ``_quotient_transitions`` leaves them, so each run of one class is a
-    row and its conditions come sorted.  The order's strict pairs come
-    sorted from ``z_poset``'s up-set masks, which builds no relation.
+    row and its conditions come sorted.  The order's strict pairs are
+    read off ``z_poset``'s downset masks, which builds no relation.
 
     For a fixed system and names without '@' the text gives back the
     result: each pair name splits at its one '@', each class is named

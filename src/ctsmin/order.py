@@ -5,8 +5,8 @@ masks (Birkhoff's downsets, in the bit-vector encoding of Aït-Kaci et
 al.): element i of the sorted elements is bit ``1 << i``, and each
 element keeps the mask of its downset and that of its lower covers,
 closed in one topological pass.  The pair relation is a view built and
-kept on first use; the downsets as name sets, and the up-set masks that
-give the strict pairs, are built when asked for.  Every operation
+kept on first use; the downsets as name sets and the sorted strict
+pairs are built from the masks when asked for.  Every operation
 iterates in lexicographic element order, so all outputs are
 deterministic and serialise identically across runs.
 """
@@ -62,13 +62,11 @@ class Poset:
         return {e: i for i, e in enumerate(self.elements)}
 
     def strict_pairs(self) -> list[tuple[str, str]]:
-        """Every p < q, sorted: each p's up-set mask in bit order.  The
-        masks are closed down the covers, larger downsets first."""
-        names, up = self.elements, [1 << p for p in range(len(self.elements))]
-        for q in sorted(range(len(up)), key=lambda q: -self.down[q].bit_count()):
-            for p in bits(self.lower[q]):
-                up[p] |= up[q]
-        return [(names[p], names[q]) for p, mask in enumerate(up) for q in bits(mask ^ 1 << p)]
+        """Every p < q, sorted: read off the downset masks as the codes
+        p * n + q over n elements, which sort as the pairs do."""
+        names, n = self.elements, len(self.elements)
+        codes = sorted([p * n + q for q, m in enumerate(self.down) for p in bits(m ^ 1 << q)])
+        return [(names[c // n], names[c % n]) for c in codes]
 
     @cached_property
     def relation(self) -> frozenset[tuple[str, str]]:
@@ -145,22 +143,24 @@ def validate_poset(elements: Iterable[str], pairs: Iterable[tuple[str, str]]) ->
     elems = tuple(sorted(set(elements)))
     index = {e: i for i, e in enumerate(elems)}
     given = [0] * len(elems)  # per element, the mask of its given lower elements
-    for p, q in pairs:
-        for e in (p, q):
-            if e not in index:
-                raise UnknownElement(e)
-        given[index[q]] |= 1 << index[p]
+    lowers: list[list[int]] = [[] for _ in elems]  # the same, listed
     upper: list[list[int]] = [[] for _ in elems]
-    for q, mask in enumerate(given):
-        given[q] = mask & ~(1 << q)  # p <= p adds nothing
-        for p in bits(given[q]):
-            upper[p].append(q)
-    waiting = [mask.bit_count() for mask in given]
+    for p, q in pairs:
+        if p not in index:
+            raise UnknownElement(p)
+        if q not in index:
+            raise UnknownElement(q)
+        i, j = index[p], index[q]
+        if i != j and not given[j] >> i & 1:  # p <= p and repeats add nothing
+            given[j] |= 1 << i
+            lowers[j].append(i)
+            upper[i].append(j)
+    waiting = list(map(len, lowers))
     down, lower = [0] * len(elems), [0] * len(elems)
     ready = [q for q, n in enumerate(waiting) if not n]
     for q in ready:  # grows while it is walked
         closed = strict = 0
-        for p in bits(given[q]):
+        for p in lowers[q]:
             closed |= down[p]
             strict |= down[p] ^ 1 << p
         down[q], lower[q] = closed | 1 << q, given[q] & ~strict
