@@ -91,27 +91,6 @@ def test_project_lists_plain_edges(capsys):
     assert (code, out, err) == (2, "", "error: unknown element: 'psi'\n")
 
 
-def test_bisim_fixpoint_report(capsys):
-    code, out, _ = run(capsys, "bisim", EX1)
-    report = json.loads(out)
-    assert code == 0
-    assert report["algorithm"] == "fixpoint"
-    assert report["iterations"] == 2
-    assert report["pairs"]["x,x'"] == ["phi'"]
-    assert report["pairs"]["y,y'"] == ["phi", "phi'"]
-    assert report["pairs"]["x,x"] == ["phi", "phi'"]
-    assert "x,y" not in report["pairs"]
-
-
-def test_check_answers_with_exit_code(capsys):
-    code, out, _ = run(capsys, "check", EX1, "x", "x'", "--condition", "phi'")
-    assert code == 0
-    assert out == "x and x' are bisimilar under phi'\n"
-    code, out, _ = run(capsys, "check", EX1, "x", "x'", "--condition", "phi")
-    assert code == 1
-    assert out == "x and x' are not bisimilar under phi\n"
-
-
 def test_check_rejects_unknown_names(capsys):
     code, _, err = run(capsys, "check", EX1, "x", "nope", "--condition", "phi")
     assert code == 2

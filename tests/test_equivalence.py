@@ -218,20 +218,6 @@ def test_fixpoint_result_is_a_lattice_bisimulation():
         assert ok, witness
 
 
-def test_naive_agrees_with_fixpoint_on_sample():
-    for m in cts_corpus(60):
-        family, _ = greatest_conditional_bisimilarity_naive(m)
-        rel, _ = lattice_bisim_fixpoint(m)
-        for x in m.states:
-            for y in m.states:
-                expected = frozenset(
-                    phi
-                    for phi in m.conditions.elements
-                    if (x, y) in family.relation(phi)
-                )
-                assert rel.value(x, y) == expected
-
-
 def test_per_condition_partition_on_ex1():
     m = ex1()
     assert per_condition_partition(m, "phi") == (

@@ -2,24 +2,22 @@
 
 The files under ``tests/golden/`` hold the stdout (and, for ``--dot``,
 the written graph) of each command below, on the model files under
-``fixtures/``.  Every case runs in a fresh interpreter, once plainly
-and once under ``python -O``, so checks that the optimiser strips
-cannot change a result.  Every case also runs through ``cli.main`` in
-this one interpreter, in several seeded shuffled orders, so no call can
-change what a later call prints.
+``fixtures/``.  Every case runs through ``cli.main`` in this one
+interpreter, in several seeded shuffled orders, so no call can change
+what a later call prints.  ``test_optimised.py`` runs this module again
+under ``python -O``, so checks that the optimiser strips cannot change
+a result either.
 """
 
 import contextlib
 import io
 import random
-import subprocess
-import sys
 
 import pytest
 
 from ctsmin.cli import main
 
-from examples import ROOT, src_env
+from examples import ROOT
 
 GOLDEN = ROOT / "tests" / "golden"
 DOT = "{dot}"
@@ -84,31 +82,9 @@ def case_args(argv, dot_path):
     return [str(dot_path) if a == DOT else a for a in args]
 
 
-def run_case(argv, dot_path, flags=()):
-    """Run the CLI in a subprocess; returns (exit code, stdout bytes)."""
-    args = case_args(argv, dot_path)
-    proc = subprocess.run(
-        [sys.executable, *flags, "-m", "ctsmin", *args],
-        capture_output=True,
-        env=src_env(),
-    )
-    return proc.returncode, proc.stdout
-
-
-@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimised"])
-@pytest.mark.parametrize("name,argv,code", CASES, ids=[c[0] for c in CASES])
-def test_cli_output_matches_golden(tmp_path, name, argv, code, flags):
-    dot_path = tmp_path / "out.dot"
-    got_code, stdout = run_case(argv, dot_path, flags)
-    assert got_code == code
-    assert stdout == (GOLDEN / f"{name}.out").read_bytes()
-    if DOT in argv:
-        assert dot_path.read_bytes() == (GOLDEN / f"{name}.dot").read_bytes()
-
-
 def run_in_process(argv, dot_path):
     """Run ``cli.main`` in this interpreter; returns (exit code, stdout
-    bytes as UTF-8, the encoding a subprocess's stdout has here)."""
+    bytes as UTF-8)."""
     buffer = io.BytesIO()
     stream = io.TextIOWrapper(buffer, encoding="utf-8")
     with contextlib.redirect_stdout(stream), contextlib.redirect_stderr(io.StringIO()):

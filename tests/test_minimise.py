@@ -26,7 +26,6 @@ from ctsmin.minimise import (
 from reference.bisim import (
     greatest_conditional_bisimilarity_naive,
     lattice_bisim_fixpoint,
-    lattice_fixpoint_stages,
 )
 from reference.chain import (
     _class_names,
@@ -40,7 +39,6 @@ from reference.chain import (
     kernel_matrix,
     minimise_chain,
     node,
-    partition_matrix,
     pseudo_factorise,
     quotient_to_cts,
 )
@@ -153,14 +151,6 @@ def test_partition_stage_can_trail_matrix_stage_by_one():
     assert json.loads(bisim_text(m))["iterations"] == 0
 
 
-def test_stage_matches_matrix_stage_otherwise_on_corpus():
-    for m in cts_corpus(120):
-        r = minimise_chain(coalgebra_encode(m))
-        if r.stage != r.matrix_stage:
-            assert r.matrix_stage == 0 and r.stage == 1
-            assert len(r.stages[1]) > 1
-
-
 def test_kernel_partitions_refine_monotonically():
     for m in cts_corpus(80):
         r = minimise_chain(coalgebra_encode(m))
@@ -168,20 +158,6 @@ def test_kernel_partitions_refine_monotonically():
             coarse = {pair: i for i, cls in enumerate(earlier) for pair in cls}
             for cls in later:
                 assert len({coarse[pair] for pair in cls}) == 1
-
-
-def test_kernel_matrix_equals_fixpoint_matrix_per_stage():
-    for m in cts_corpus(80):
-        c = coalgebra_encode(m)
-        r = minimise_chain(c)
-        stages = lattice_fixpoint_stages(m)
-        # the chain can run one stage past the matrix fixpoint when tables
-        # keep splitting inside a single kernel class
-        assert len(stages) <= len(r.stages)
-        for i, partition in enumerate(r.stages):
-            mat = stages[min(i, len(stages) - 1)]
-            got = partition_matrix(c.states, c.conditions, partition)
-            assert got.table() == {p: v for p, v in mat.items() if v}
 
 
 def test_kernel_classes_match_naive_bisimilarity():
@@ -194,11 +170,6 @@ def test_kernel_classes_match_naive_bisimilarity():
                 for y in m.states:
                     shared = names[(x, phi)] == names[(y, phi)]
                     assert shared == ((x, y) in family.relation(phi))
-
-
-def test_refinement_engine_matches_chain():
-    for m in [ex1(), ex2()] + list(cts_corpus(60)):
-        assert minimise_refinement(m) == minimise_chain(coalgebra_encode(m))
 
 
 @given(cts_models(LIBRARY_NAMES))

@@ -1,5 +1,6 @@
 """The Hypothesis properties of ``test_renaming.py`` and
-``test_rounds.py``, run again under ``python -O``.
+``test_rounds.py`` and the golden cases of ``test_golden.py``, run
+again under ``python -O``, in one fresh interpreter.
 
 ``-O`` strips the program's own ``assert`` statements, so a result that
 leaned on one could change.  pytest rewrites the asserts of test
@@ -14,7 +15,8 @@ from examples import ROOT, src_env
 
 
 def test_properties_hold_under_optimisation(tmp_path):
-    files = [str(ROOT / "tests" / name) for name in ("test_renaming.py", "test_rounds.py")]
+    names = ("test_renaming.py", "test_rounds.py", "test_golden.py")
+    files = [str(ROOT / "tests" / name) for name in names]
     # run from a scratch directory, so the Hypothesis example database
     # of this run stays out of the checkout
     proc = subprocess.run(
