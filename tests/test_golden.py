@@ -4,20 +4,24 @@ The files under ``tests/golden/`` hold the stdout (and, for ``--dot``,
 the written graph) of each command below, on the model files under
 ``fixtures/``.  Every case runs through ``cli.main`` in this one
 interpreter, in several seeded shuffled orders, so no call can change
-what a later call prints.  ``test_optimised.py`` runs this module again
-under ``python -O``, so checks that the optimiser strips cannot change
-a result either.
+what a later call prints.  Every case also runs in a fresh interpreter,
+once plainly and once under ``python -O``, so checks that the optimiser
+strips cannot change a result; each of these two interpreters runs all
+cases, as this module run as a script.
 """
 
 import contextlib
 import io
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from ctsmin.cli import main
 
-from examples import ROOT
+from examples import ROOT, src_env
 
 GOLDEN = ROOT / "tests" / "golden"
 DOT = "{dot}"
@@ -105,3 +109,48 @@ def test_in_process_passes_match_golden(tmp_path, seed):
         ), name
         if DOT in argv:
             assert dot_path.read_bytes() == (GOLDEN / f"{name}.dot").read_bytes(), name
+
+
+def run_all_cases(out_dir):
+    """Run every case in this interpreter, in list order, writing its
+    exit code, stdout and DOT file under ``out_dir``."""
+    for name, argv, _ in CASES:
+        code, stdout = run_in_process(argv, out_dir / f"{name}.dot")
+        (out_dir / f"{name}.code").write_text(str(code))
+        (out_dir / f"{name}.out").write_bytes(stdout)
+
+
+@pytest.fixture(scope="module")
+def fresh_runs(tmp_path_factory):
+    """The output directory of one fresh interpreter's run of every
+    case, for each set of interpreter flags, made on first use."""
+    runs = {}
+
+    def run(flags):
+        if flags not in runs:
+            out_dir = tmp_path_factory.mktemp("golden")
+            subprocess.run(
+                [sys.executable, *flags, __file__, str(out_dir)],
+                check=True,
+                env=src_env(),
+            )
+            runs[flags] = out_dir
+        return runs[flags]
+
+    return run
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimised"])
+@pytest.mark.parametrize("name,argv,code", CASES, ids=[c[0] for c in CASES])
+def test_cli_output_matches_golden(fresh_runs, name, argv, code, flags):
+    out_dir = fresh_runs(flags)
+    assert int((out_dir / f"{name}.code").read_text()) == code
+    assert (out_dir / f"{name}.out").read_bytes() == (GOLDEN / f"{name}.out").read_bytes()
+    if DOT in argv:
+        assert (out_dir / f"{name}.dot").read_bytes() == (
+            GOLDEN / f"{name}.dot"
+        ).read_bytes()
+
+
+if __name__ == "__main__":
+    run_all_cases(Path(sys.argv[1]))

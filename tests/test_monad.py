@@ -7,6 +7,7 @@ from reference.order import leq
 from reference.lattice import HeytingFrame, TooLarge
 from reference.maps import MonotoneMap
 from reference.monad import (
+    ReaderMap,
     StarMap,
     TxSpace,
     kleisli_compose,
@@ -17,6 +18,7 @@ from reference.monad import (
     t_mult,
     t_unit,
     tau,
+    tau_inv,
     tx_space,
     validate_kleisli,
 )
@@ -53,6 +55,48 @@ def monotone_readers(conditions: Poset, cod: Poset):
         if all(leq(cod, table[p], table[q]) for p, q in conditions.relation):
             out.append(table)
     return out
+
+
+def check_tau_bijection(dom, conditions, frame, space):
+    """tau is a bijection from T(X) onto the monotone readers."""
+    readers = monotone_readers(conditions, dom)
+    assert len(space.maps) == len(readers)
+    assert len({tau(b).entries for _, b in space.maps}) == len(space.maps)
+    for _, b in space.maps:
+        assert tau_inv(tau(b), frame) == b
+    for table in readers:
+        r = ReaderMap.of(conditions, dom, table)
+        assert tau(tau_inv(r, frame)) == r
+
+
+def check_residuation(dom, conditions, frame, space):
+    """tau(b)(phi) is below x iff phi is in b(x), read from both sides."""
+    for _, b in space.maps:
+        r = tau(b)
+        for phi in conditions.elements:
+            for x in dom.elements:
+                assert leq(dom, r.value(phi), x) == (phi in b.value(x).members)
+    for table in monotone_readers(conditions, dom):
+        r = ReaderMap.of(conditions, dom, table)
+        b = tau_inv(r, frame)
+        for phi in conditions.elements:
+            for x in dom.elements:
+                assert (phi in b.value(x).members) == leq(dom, r.value(phi), x)
+
+
+def check_unit_laws(dom, conditions, frame, space):
+    """eta lands in T(X), and mu after eta_T or after T(eta) is the
+    identity."""
+    unit = t_unit(dom, frame)
+    unit_tx = t_unit(space.poset, frame)
+    for x in dom.elements:
+        assert unit[x] in dict(space.maps).values()
+    embed = MonotoneMap.of(
+        dom, space.poset, {x: space.name_of(unit[x]) for x in dom.elements}
+    )
+    for name, b in space.maps:
+        assert t_mult(unit_tx[name], space) == b
+        assert t_mult(t_map(embed, b), space) == b
 
 
 def test_star_map_rejects_non_monotone():
@@ -94,6 +138,28 @@ def test_tx_space_size_guard():
 def test_tx_two_point_discrete_carrier_has_two_elements():
     space = tx_space(X_SHAPES["x2d"], HeytingFrame(P_SHAPES["p2c"]))
     assert len(space.maps) == 2
+
+
+# one test per shape for each law that criterion 7 checks on all shapes
+# at once, through the same check function
+
+
+@pytest.mark.parametrize("xn,pn,dom,conditions", COMBOS)
+def test_tau_is_a_bijection_onto_monotone_readers(xn, pn, dom, conditions):
+    frame = HeytingFrame(conditions)
+    check_tau_bijection(dom, conditions, frame, tx_space(dom, frame))
+
+
+@pytest.mark.parametrize("xn,pn,dom,conditions", COMBOS)
+def test_residuation_laws(xn, pn, dom, conditions):
+    frame = HeytingFrame(conditions)
+    check_residuation(dom, conditions, frame, tx_space(dom, frame))
+
+
+@pytest.mark.parametrize("xn,pn,dom,conditions", COMBOS)
+def test_monad_unit_laws(xn, pn, dom, conditions):
+    frame = HeytingFrame(conditions)
+    check_unit_laws(dom, conditions, frame, tx_space(dom, frame))
 
 
 @pytest.mark.parametrize("xn,pn,dom,conditions", COMBOS)
@@ -146,9 +212,11 @@ def test_kleisli_unit_laws(xn, pn, dom, conditions):
 
 
 @pytest.mark.parametrize("xn,pn,dom,conditions", COMBOS)
-def test_kleisli_arrows_are_valid_and_compose_associatively(xn, pn, dom, conditions):
+def test_kleisli_agreement_and_associativity(xn, pn, dom, conditions):
     frame = HeytingFrame(conditions)
     fs = all_kleisli_arrows(dom, dom, frame)
+    # every reader-side arrow is a Kleisli arrow on the T side; criterion
+    # 7 compares the two presentations' compositions on every pair
     for f_flat in fs:
         validate_kleisli(dom, reader_to_star(f_flat, dom, dom, frame))
     # associativity through the reader equivalence, on strided triples
