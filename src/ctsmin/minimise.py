@@ -80,13 +80,12 @@ class ChainResult:
     stage is derived on demand by the tests' ``reference.chain.partition_matrix``.
 
     ``stage`` is the first index whose partition equals the next one,
-    and ``confirmed_at`` is that next index.  ``class_of`` names every
-    pair, in pair order, by the least pair of its final class.
-    ``matrix_stage`` is the first index whose kernel matrix repeats: 0
-    when the first stage splits no condition's states, else ``stage``
-    (see ``equivalence.refine``).  So it precedes ``stage`` by one
-    exactly when the first stage splits pairs but no two states ever
-    separate."""
+    and ``confirmed_at`` is that next index.  The quotient names each
+    class of ``stages[-1]`` by its least pair.  ``matrix_stage`` is the
+    first index whose kernel matrix repeats: 0 when the first stage
+    splits no condition's states, else ``stage`` (see
+    ``equivalence.refine``).  So it precedes ``stage`` by one exactly
+    when the first stage splits pairs but no two states ever separate."""
 
     matrix_stage: int
     stages: tuple[Partition, ...]
@@ -101,10 +100,6 @@ class ChainResult:
     @property
     def confirmed_at(self) -> int:
         return self.stage + 1
-
-    @property
-    def class_of(self) -> tuple[tuple[PairKey, str], ...]:
-        return tuple(sorted((p, _pair_name(cls[0])) for cls in self.stages[-1] for p in cls))
 
 
 def _quotient_transitions(

@@ -5,10 +5,10 @@ masks (Birkhoff's downsets, in the bit-vector encoding of Aït-Kaci et
 al.): element i of the sorted elements is bit ``1 << i``, and each
 element keeps the mask of its downset and that of its lower covers,
 closed in one topological pass.  The pair relation is a view built and
-kept on first use; the downsets as name sets and the sorted strict
-pairs are built from the masks when asked for.  Every operation
-iterates in lexicographic element order, so all outputs are
-deterministic and serialise identically across runs.
+kept on first use; the down-closure of a set of names (``down_close``)
+and the sorted strict pairs are built from the masks when asked for.
+Every operation iterates in lexicographic element order, so all outputs
+are deterministic and serialise identically across runs.
 """
 
 from __future__ import annotations
@@ -76,10 +76,6 @@ class Poset:
     def check_element(self, p: str) -> None:
         if p not in self.index:
             raise UnknownElement(p)
-
-    def below(self, p: str) -> frozenset[str]:
-        """All q with q <= p."""
-        return self.down_close([p])
 
     @cached_property
     def covers(self) -> tuple[tuple[str, str], ...]:

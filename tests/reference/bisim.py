@@ -288,7 +288,7 @@ def greatest_conditional_bisimilarity_naive(m: Cts) -> tuple[ConditionFamily, in
         refined = {}
         for phi in m.conditions.elements:
             value = expanded[phi]
-            for psi in m.conditions.below(phi):
+            for psi in m.conditions.down_close([phi]):
                 value &= current[psi]
             refined[phi] = value
         if refined == current:
@@ -304,7 +304,7 @@ def lattice_fixpoint_stages(m: Cts) -> list[dict[Pair, frozenset[str]]]:
     read as its element of the downset lattice of the conditions."""
     base = m.conditions
     states = m.states
-    below = {phi: base.below(phi) for phi in base.elements}
+    below = {phi: base.down_close([phi]) for phi in base.elements}
     all_conds = frozenset(base.elements)
 
     def implies(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:

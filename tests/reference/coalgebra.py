@@ -76,7 +76,7 @@ class UpgradeCoalgebra:
             if unknown:
                 found.append(((0, x, phi, a), UnknownElement(unknown[0])))
                 continue
-            below = poset.below(phi)
+            below = poset.down_close([phi])
             for (y, psi) in pairs:
                 if y not in states or psi not in conditions:
                     error = UnknownElement(y if y not in states else psi)
@@ -139,7 +139,7 @@ def coalgebra_encode(m: Cts) -> UpgradeCoalgebra:
     entered version psi is taken from ``below(phi)``, and ``below`` is
     monotone, so each successor set grows with the condition.  The
     tests run ``validate`` on encoded systems to hold that claim."""
-    below = {phi: m.conditions.below(phi) for phi in m.conditions.elements}
+    below = {phi: m.conditions.down_close([phi]) for phi in m.conditions.elements}
     table: dict[tuple[str, str, str], SuccessorPairs] = {}
     for x in m.states:
         for a in m.actions:

@@ -94,7 +94,7 @@ class HeytingFrame:
         return Downset(self.base, frozenset(members))
 
     def principal(self, p: str) -> Downset:
-        return Downset(self.base, self.base.below(p))
+        return Downset(self.base, self.base.down_close([p]))
 
     def join(self, a: Downset, b: Downset) -> Downset:
         self._check(a)
@@ -115,7 +115,7 @@ class HeytingFrame:
         members = frozenset(
             p
             for p in self.base.elements
-            if self.base.below(p) & a.members <= b.members
+            if self.base.down_close([p]) & a.members <= b.members
         )
         return Downset(self.base, members)
 
@@ -137,10 +137,7 @@ class HeytingFrame:
         n = len(self.base.elements)
         if n > limit:
             raise TooLarge("frame base", n, limit)
-        order = [
-            p
-            for p in sorted(self.base.elements, key=lambda p: (len(self.base.below(p)), p))
-        ]
+        order = sorted(self.base.elements, key=lambda p: (len(self.base.down_close([p])), p))
         found: list[frozenset[str]] = []
 
         def extend(i: int, current: frozenset[str]) -> None:
@@ -149,7 +146,7 @@ class HeytingFrame:
                 return
             p = order[i]
             extend(i + 1, current)
-            if self.base.below(p) - {p} <= current:
+            if self.base.down_close([p]) - {p} <= current:
                 extend(i + 1, current | {p})
 
         extend(0, frozenset())
@@ -176,7 +173,7 @@ def down_closure(poset: Poset, members: Iterable[str]) -> Downset:
 
 
 def principal_downset(poset: Poset, p: str) -> Downset:
-    return Downset(poset, poset.below(p))
+    return Downset(poset, poset.down_close([p]))
 
 
 class ExplicitLattice:

@@ -5,9 +5,11 @@ the written graph) of each command below, on the model files under
 ``fixtures/``.  Every case runs through ``cli.main`` in this one
 interpreter, in several seeded shuffled orders, so no call can change
 what a later call prints.  Every case also runs in a fresh interpreter,
-once plainly and once under ``python -O``, so checks that the optimiser
-strips cannot change a result; each of these two interpreters runs all
-cases, as this module run as a script.
+once plainly and once under ``python -O``; each of these two
+interpreters runs all cases, as this module run as a script.  The
+``-O`` run is a sample: ``test_layers.py`` holds that no module the
+commands run reads the optimise flag or holds an ``assert``, so ``-O``
+cannot change a result.
 """
 
 import contextlib

@@ -5,8 +5,19 @@ and every module in it is a runtime module, the command line or the
 package itself.  No command loads any other ``ctsmin`` module, under
 ``python`` or ``python -O``, on a model file of either kind.
 ``ctsmin.__all__`` names only what the runtime modules define.
+
+One scan of the sources holds the rest.  The runtime imports nothing
+but the standard library and ``ctsmin``, so it cannot reach an oracle
+or a test dependency.  No module that the runtime, the walkthrough, the
+benchmark or the tests' helpers and oracles run holds an ``assert`` or
+reads ``__debug__`` or ``sys.flags``, so ``python -O`` cannot change
+what they compute.  The ``test_*.py`` modules are left out: pytest
+rewrites their asserts, which therefore check under ``-O`` too.  The
+``-O`` probe here and the golden cases' ``-O`` interpreter sample the
+same property end to end.
 """
 
+import ast
 import inspect
 import subprocess
 import sys
@@ -104,3 +115,46 @@ def test_runtime_modules_are_the_top_level_modules():
     }
     expected = {"ctsmin.__init__", "ctsmin.cli", "ctsmin.__main__", *RUNTIME_MODULES}
     assert found == expected
+
+
+def scanned_modules():
+    """Every Python file under ``src``, ``scripts``, ``benchmark`` and
+    ``tests``, but the ``tests/test_*.py`` modules."""
+    for top in ("src", "scripts", "benchmark", "tests"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            if not (path.parent == ROOT / "tests" and path.name.startswith("test_")):
+                yield path
+
+
+def test_no_module_reads_the_optimise_flag_and_the_runtime_imports_only_the_stdlib():
+    allowed = sys.stdlib_module_names | {"ctsmin"}
+    optimised, foreign = [], []
+    for path in scanned_modules():
+        where = path.relative_to(ROOT).as_posix()
+        runtime = path.parent == ROOT / "src" / "ctsmin"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), where)):
+            at = f"{where}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Assert):
+                optimised.append(f"{at} assert")
+            elif isinstance(node, ast.Name) and node.id == "__debug__":
+                optimised.append(f"{at} __debug__")
+            elif (
+                isinstance(node, ast.Attribute)
+                and node.attr == "flags"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "sys"
+            ):
+                optimised.append(f"{at} sys.flags")
+            elif isinstance(node, ast.ImportFrom) and node.module == "sys":
+                if any(a.name == "flags" for a in node.names):
+                    optimised.append(f"{at} from sys import flags")
+            if isinstance(node, ast.Import):
+                imported = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported = [node.module]
+            else:
+                imported = []
+            if runtime:
+                foreign += [f"{at} {n}" for n in imported if n.split(".")[0] not in allowed]
+    assert optimised == []
+    assert foreign == []

@@ -203,7 +203,7 @@ def test_mask_queries_match_their_definitions_over_the_relation():
         relation = p.relation
         below = {q: {r for r in p.elements if (r, q) in relation} for q in p.elements}
         for q in p.elements:
-            assert p.below(q) == below[q]
+            assert p.down_close([q]) == below[q]
         assert p.covers == _brute_force_covers(p)
         n = len(p.elements)
         subsets = [frozenset(), frozenset(p.elements)]

@@ -10,14 +10,13 @@ must also be closed under moves and hold a quarter of the entries of
 the uncompressed graph, ``alpha_graph``, or fewer on the Boolean
 lattice 2^7.
 
-The other tests here hold that ``check`` visits only what its roots
-reach and that ``bisim``, ``check`` and ``minimise`` never tabulate the
-coalgebra, even when its module is loaded; ``filters-check`` answers
-without it.
+The last test here holds that ``check`` visits only what its roots
+reach.  No command can call ``coalgebra_encode``: ``test_layers.py``
+holds that the runtime imports nothing but the standard library and
+``ctsmin``.
 """
 
 import random
-import sys
 
 import pytest
 from hypothesis import given
@@ -30,7 +29,7 @@ from reference.coalgebra import alpha_graph, coalgebra_encode
 from reference.order import lt
 
 from corpus import boolean_cts, cts_corpus, line_cts
-from examples import FIXTURES, ex1, read_fixture
+from examples import ex1, read_fixture
 from strategies import cts_models
 
 
@@ -200,50 +199,3 @@ def test_check_reads_only_the_reachable_states(tmp_path, monkeypatch, capsys):
     assert continent <= set(read)
     capsys.readouterr()
 
-
-def bindings(original):
-    """Every (module, attribute) in the loaded ctsmin modules bound to
-    the function ``original``."""
-    return [
-        (module, key)
-        for mod_name, module in sorted(sys.modules.items())
-        if mod_name == "ctsmin" or mod_name.startswith("ctsmin.")
-        for key, value in list(vars(module).items())
-        if value is original
-    ]
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["bisim", "EX1"],
-        ["check", "EX1", "x", "x'", "--condition", "phi'"],
-        ["check", "EX1", "x", "x'", "--condition", "phi"],
-        ["minimise", "EX1"],
-        ["minimise", "LINE6"],
-    ],
-    ids=["bisim", "check-yes", "check-no", "minimise", "minimise-line"],
-)
-def test_engine_commands_never_encode(argv, monkeypatch, capsys):
-    argv = [str(FIXTURES / a) if i == 1 else a for i, a in enumerate(argv)]
-    rc = main(argv)
-    want = capsys.readouterr()
-
-    def refuse(m):
-        raise AssertionError("coalgebra_encode called")
-
-    for module, key in bindings(coalgebra_encode):
-        monkeypatch.setattr(module, key, refuse)
-    assert main(argv) == rc
-    assert capsys.readouterr() == want
-
-
-def test_filters_check_never_encodes(monkeypatch, capsys):
-    def refuse(m):
-        raise AssertionError("coalgebra_encode called")
-
-    for module, key in bindings(coalgebra_encode):
-        monkeypatch.setattr(module, key, refuse)
-    for name in ["EX1", "EX1.lats", "EX2"]:
-        assert main(["filters-check", str(FIXTURES / name)]) == 0
-        assert capsys.readouterr().out == "upgrade preserving\n"
