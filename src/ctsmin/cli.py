@@ -13,7 +13,11 @@ UTF-8).  ``validate`` differs: it prints an invalid model's error on
 stdout as ``invalid: <reason>`` and exits 1.
 
 This module only parses the command line, dispatches and maps errors to
-exit codes; the reports are written by ``ctsmin.minimise``.
+exit codes; the reports are written by ``ctsmin.minimise``.  The
+``minimise`` report goes to stdout chunk by chunk, one stage or
+transition row at a time, as ``minimise._report_chunks`` yields it, so
+no whole report is held; its bytes are ``chain_result_text``'s and a
+newline.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import argparse
 import sys
 
 from .equivalence import bisimilar
-from .minimise import bisim_text, chain_result_dot, chain_result_text, minimise_refinement
+from .minimise import _report_chunks, bisim_text, chain_result_dot, minimise_refinement
 from .modelfile import ParseError, parse_with_kind, serialise_model
 from .models import NotDownwardClosed
 from .order import AntisymmetryViolation, OrderError
@@ -82,7 +86,8 @@ def _cmd_check(model, args) -> int:
 
 def _cmd_minimise(model, args) -> int:
     result = minimise_refinement(model)
-    print(chain_result_text(result))
+    sys.stdout.writelines(_report_chunks(result))
+    sys.stdout.write("\n")
     if args.dot is not None:
         try:
             with open(args.dot, "w", encoding="utf-8") as handle:

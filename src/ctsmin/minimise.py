@@ -8,16 +8,21 @@ state partition groups the states by their row of block ids.  Each
 round rebuilds only the classes and state groups that a moved pair left
 or entered (``_Groups``), so an unchanged class is one tuple across
 stages and the report writes it once.  Each class is named by its least
-pair, its moves are expanded from the pair graph that ``refine`` built,
-and the classes are ordered by closing the condition covers under that
-naming.  The chain oracle in ``tests/reference/chain.py`` builds its own
+pair, and its moves are expanded from the pair graph that ``refine``
+built after the blocks are renumbered to the rank of their names, so
+that one integer sort per class lists the moves in report order.  The
+classes are ordered by closing the condition covers under that naming.
+The chain oracle in ``tests/reference/chain.py`` builds its own
 ``ChainResult`` from its stage tables, so the tests compare two
 independent constructions.
 
 The module owns the layout of both JSON reports.  ``bisim_text``
 writes the ``bisim`` report from the cells of ``refine``'s final blocks
 (``equivalence.kernel_cells``), and ``chain_result_text`` the
-``minimise`` report from a ``ChainResult``.  Both print what
+``minimise`` report from a ``ChainResult``.  That report is the join of
+the chunks of one generator, ``_report_chunks``: one per order pair,
+quotient transition row and stage, which the command line writes to
+stdout as they come, so no whole report is held.  Both print what
 ``json.dumps(payload, indent=2, sort_keys=True)`` prints without a
 payload dict, quoting through the C ``encode_basestring_ascii``: with
 ``indent`` set, CPython's pure-Python encoder took longer than the whole
@@ -31,7 +36,7 @@ from dataclasses import dataclass
 from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii as quote
 from operator import itemgetter
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .equivalence import PairGraph, PairKey, Partition, kernel_cells, move_images, refine
 from .models import Cts
@@ -109,30 +114,53 @@ def _quotient_transitions(
     sorted tuple of (successor class, version), given each pair's block
     id on the pair graph and each block's class name.  Every pair of a
     class must have the same moves into classes, expanded from the pair
-    graph; otherwise the partition is no congruence and the least action
-    where the members differ is reported."""
-    width = graph.width
+    graph; otherwise the partition is no congruence, and the first such
+    class by least pair is reported with the least action where its
+    members differ.
+
+    The blocks are renumbered to the rank of their names first, so a
+    move's code ``rank * width + action * |conditions| + condition``
+    sorts as (successor name, action, condition) does, condition
+    indices following the sorted condition names: one integer sort of a
+    class's image lists each action's moves in order."""
+    width, actions = graph.width, m.actions
     conditions = m.conditions.elements
     height = len(conditions)
-    images: dict[int, set[frozenset[int]]] = {}
-    for image, b in zip(move_images(graph, block), block):
-        images.setdefault(b, set()).add(image)
-    out = []
-    for b, found in images.items():
-        name = names[b]
-        if len(found) != 1:
-            spread = frozenset().union(*found) - frozenset.intersection(*found)
-            a = m.actions[min(v % width for v in spread) // height]
-            raise ValueError(f"quotient not well defined at {name}, action {a}")
-        rows: dict[int, list[tuple[str, str]]] = {}
-        for v in found.pop():
-            label = v % width
-            rows.setdefault(label // height, []).append(
-                (names[v // width], conditions[label % height])
+    ordered = sorted(names, key=names.__getitem__)
+    rank = {b: r for r, b in enumerate(ordered)}
+    ranked = [rank[b] for b in block]
+    images = move_images(graph, ranked)
+    first: list[frozenset[int] | None] = [None] * len(ordered)
+    for image, r in zip(images, ranked):
+        seen = first[r]
+        if seen is None:
+            first[r] = image
+        elif seen != image:
+            # in the order of the classes' least pairs
+            found: dict[int, set[frozenset[int]]] = {}
+            for other, s in zip(images, ranked):
+                found.setdefault(s, set()).add(other)
+            bad, spread = next(
+                (s, frozenset().union(*f) - frozenset.intersection(*f))
+                for s, f in found.items()
+                if len(f) > 1
             )
-        for ai, a in enumerate(m.actions):
-            out.append((name, a, tuple(sorted(rows.get(ai, ())))))
-    out.sort()
+            a = actions[min(v % width for v in spread) // height]
+            raise ValueError(f"quotient not well defined at {names[ordered[bad]]}, action {a}")
+    class_names = [names[b] for b in ordered]
+    # each move code's action index and (successor class, version), made
+    # once: the classes share few distinct moves
+    moves: dict[int, tuple[int, tuple[str, str]]] = {}
+    out = []
+    for name, image in zip(class_names, first):
+        rows: list[list[tuple[str, str]]] = [[] for _ in actions]
+        for v in sorted(image):
+            move = moves.get(v)
+            if move is None:
+                k, label = divmod(v, width)
+                move = moves[v] = (label // height, (class_names[k], conditions[label % height]))
+            rows[move[0]].append(move[1])
+        out.extend((name, a, tuple(row)) for a, row in zip(actions, rows))
     return tuple(out)
 
 
@@ -288,28 +316,59 @@ def bisim_text(m: Cts) -> str:
     )
 
 
-def chain_result_text(result: ChainResult) -> str:
-    """The ``minimise`` report as ``json.dumps(payload, indent=2,
-    sort_keys=True)`` prints it, where the payload is the dict that
-    the tests' ``reference.chain.chain_result_json`` builds, written directly
-    without that dict: every name is quoted once and each quotient
-    transition row is one string, its keys in sorted order.  The pairs
-    of a transition are sorted by (class, condition), as
-    ``_quotient_transitions`` leaves them, so each run of one class is a
-    row and its conditions come sorted.  The order's strict pairs are
-    read off ``z_poset``'s downset masks, which builds no relation.
+def _closed(sep: str, indent: str) -> str:
+    """The end of a JSON list whose items were each written after
+    ``sep``, laid out as ``_json_list`` lays it out: ``sep`` is still
+    the opening one when no item was written."""
+    return "[]" if sep[0] == "[" else indent + "]"
 
-    For a fixed system and names without '@' the text gives back the
-    result: each pair name splits at its one '@', each class is named
-    by its least pair, the order's strict pairs close to ``z_poset``,
-    and the (class, action) rows without moves, which the text leaves
-    out, are those of the system's actions.  So two results give two
-    texts."""
+
+def _report_chunks(result: ChainResult) -> Iterator[str]:
+    """The ``minimise`` report in chunks, one per order pair, quotient
+    transition row and stage, which ``chain_result_text`` joins and the
+    command line writes as they come.  Each list item is written after
+    its separator, which opens the list before the first item."""
     quoted = _Quoted()
-    pair_text = {pair: quoted[_pair_name(pair)] for cls in result.stages[-1] for pair in cls}
+    z = result.z_poset
+    names = [quoted[x] for x in z.elements]
+    n = len(names)
+    yield (
+        f'{{{_IN2}"algorithm": "chain",'
+        f'{_IN2}"confirmed_at": {result.confirmed_at},'
+        f'{_IN2}"matrix_stage": {result.matrix_stage},'
+        f'{_IN2}"quotient": {{{_IN4}"order": '
+    )
+    sep = "[" + _IN6
+    for code in z.strict_codes():
+        yield f"{sep}[{_IN8}{names[code // n]},{_IN8}{names[code % n]}{_IN6}]"
+        sep = "," + _IN6
+    yield _closed(sep, _IN4)
+    yield f',{_IN4}"states": {_json_list(names, _IN4)},{_IN4}"transitions": '
+    # the moves of a transition are sorted by (class, condition), as
+    # ``_quotient_transitions`` leaves them, so a row closes where the
+    # successor class changes and its conditions come sorted
+    sep = "[" + _IN6
+    cond_sep, dst_key = "," + _IN10, f'{_IN8}],{_IN8}"dst": '
+    for src, a, moves in result.transitions:
+        if not moves:
+            continue
+        head = f'{{{_IN8}"action": {quoted[a]},{_IN8}"conditions": [{_IN10}'
+        tail = f',{_IN8}"src": {quoted[src]}{_IN6}}}'
+        dst, conds = moves[0][0], []
+        for succ, chi in moves:
+            if succ != dst:
+                yield f"{sep}{head}{cond_sep.join(conds)}{dst_key}{quoted[dst]}{tail}"
+                sep = "," + _IN6
+                dst, conds = succ, []
+            conds.append(quoted[chi])
+        yield f"{sep}{head}{cond_sep.join(conds)}{dst_key}{quoted[dst]}{tail}"
+        sep = "," + _IN6
+    yield _closed(sep, _IN4)
+    yield f'{_IN2}}},{_IN2}"stage": {result.stage},{_IN2}"stages": '
     # a class or state group that a stage leaves unchanged is the same
     # tuple in the next stage, so each distinct tuple is written once,
     # found by its id
+    pair_text = {pair: quoted[_pair_name(pair)] for cls in result.stages[-1] for pair in cls}
     written: dict[int, str] = {}
     for history, text in ((result.stages, pair_text), (result.state_partitions, quoted)):
         every = list(chain.from_iterable(history))
@@ -319,36 +378,35 @@ def chain_result_text(result: ChainResult) -> str:
     def listed(items: tuple) -> str:
         return _json_list(list(map(written.__getitem__, map(id, items))), _IN6)
 
-    stages = []
+    sep = "[" + _IN4
     for k, (partition, groups) in enumerate(zip(result.stages, result.state_partitions)):
-        kernel, states = listed(partition), listed(groups)
-        stages.append(
-            f'{{{_IN6}"kernel": {kernel},{_IN6}"stage": {k},'
-            f'{_IN6}"states": {states}{_IN4}}}'
+        yield (
+            f'{sep}{{{_IN6}"kernel": {listed(partition)},{_IN6}"stage": {k},'
+            f'{_IN6}"states": {listed(groups)}{_IN4}}}'
         )
-    z = result.z_poset
-    order = [f"[{_IN8}{quoted[p]},{_IN8}{quoted[q]}{_IN6}]" for (p, q) in z.strict_pairs()]
-    rows = []
-    cond_sep = "," + _IN10
-    for (src, a, pairs) in result.transitions:
-        head = f'{{{_IN8}"action": {quoted[a]},{_IN8}"conditions": [{_IN10}'
-        tail = f',{_IN8}"src": {quoted[src]}{_IN6}}}'
-        for dst, run in groupby(pairs, itemgetter(0)):
-            conds = cond_sep.join([quoted[chi] for _, chi in run])
-            rows.append(f'{head}{conds}{_IN8}],{_IN8}"dst": {quoted[dst]}{tail}')
-    return (
-        f'{{{_IN2}"algorithm": "chain",'
-        f'{_IN2}"confirmed_at": {result.confirmed_at},'
-        f'{_IN2}"matrix_stage": {result.matrix_stage},'
-        f'{_IN2}"quotient": {{'
-        f'{_IN4}"order": {_json_list(order, _IN4)},'
-        f'{_IN4}"states": {_json_list([quoted[x] for x in z.elements], _IN4)},'
-        f'{_IN4}"transitions": {_json_list(rows, _IN4)}'
-        f'{_IN2}}},'
-        f'{_IN2}"stage": {result.stage},'
-        f'{_IN2}"stages": {_json_list(stages, _IN2)}'
-        "\n}"
-    )
+        sep = "," + _IN4
+    yield _closed(sep, _IN2)
+    yield "\n}"
+
+
+def chain_result_text(result: ChainResult) -> str:
+    """The ``minimise`` report as ``json.dumps(payload, indent=2,
+    sort_keys=True)`` prints it, where the payload is the dict that
+    the tests' ``reference.chain.chain_result_json`` builds, written directly
+    without that dict: every name is quoted once and each quotient
+    transition row is one string, its keys in sorted order.  The text is
+    the join of ``_report_chunks``, which the command line writes to
+    stdout chunk by chunk instead, so that no whole report is held.  The
+    order's strict pairs are read off ``z_poset``'s downset masks as
+    integer codes, which builds no relation.
+
+    For a fixed system and names without '@' the text gives back the
+    result: each pair name splits at its one '@', each class is named
+    by its least pair, the order's strict pairs close to ``z_poset``,
+    and the (class, action) rows without moves, which the text leaves
+    out, are those of the system's actions.  So two results give two
+    texts."""
+    return "".join(_report_chunks(result))
 
 
 def _dot_quote(text: str) -> str:

@@ -61,12 +61,17 @@ class Poset:
     def index(self) -> dict[str, int]:
         return {e: i for i, e in enumerate(self.elements)}
 
+    def strict_codes(self) -> list[int]:
+        """Every p < q of element indices as the code p * n + q over n
+        elements, sorted, which sorts as the pairs do: read off the
+        downset masks."""
+        n = len(self.elements)
+        return sorted([p * n + q for q, m in enumerate(self.down) for p in bits(m ^ 1 << q)])
+
     def strict_pairs(self) -> list[tuple[str, str]]:
-        """Every p < q, sorted: read off the downset masks as the codes
-        p * n + q over n elements, which sort as the pairs do."""
+        """Every p < q, sorted."""
         names, n = self.elements, len(self.elements)
-        codes = sorted([p * n + q for q, m in enumerate(self.down) for p in bits(m ^ 1 << q)])
-        return [(names[c // n], names[c % n]) for c in codes]
+        return [(names[c // n], names[c % n]) for c in self.strict_codes()]
 
     @cached_property
     def relation(self) -> frozenset[tuple[str, str]]:

@@ -31,8 +31,8 @@ from reference.bisim import lattice_bisim_fixpoint
 from reference.chain import chain_result_json, minimise_chain
 from reference.coalgebra import coalgebra_encode
 
-from corpus import boolean_cts, cts_corpus
-from examples import ex1, ex2
+from corpus import boolean_cts, cts_corpus, line_cts
+from examples import ex1, ex2, read_fixture
 from strategies import LIBRARY_NAMES, cts_models
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -422,11 +422,30 @@ def test_undeclared_condition_is_named_in_line_order(tmp_path):
 
 
 def test_unwritable_dot_file_is_a_usage_error(tmp_path, capsys):
+    # the whole report is written before the DOT file fails
     target = tmp_path / "no" / "such" / "dir.dot"
     code, out, err = run(capsys, "minimise", EX1, "--dot", str(target))
     assert code == 2
-    assert json.loads(out)["algorithm"] == "chain"
+    assert out == chain_result_text(minimise_refinement(ex1())) + "\n"
     assert err == f"cannot write {target}\n"
+
+
+STREAMED = {"line40": lambda: line_cts(40), "boolean5": lambda: boolean_cts(5, 0)}
+
+
+# EMPTY's and ONE's quotient order and transitions are [], so those
+# streamed lists close with no item written
+@pytest.mark.parametrize("name", [*STREAMED, "EMPTY", "ONE"])
+def test_minimise_streams_the_report_text(name, tmp_path, capsys):
+    if name in STREAMED:
+        model = STREAMED[name]()
+        path = tmp_path / f"{name}.cts"
+        path.write_text(serialise_model(model, "cts"), encoding="utf-8")
+    else:
+        model, path = read_fixture(name), FIXTURES / name
+    code, out, err = run(capsys, "minimise", str(path))
+    assert (code, err) == (0, "")
+    assert out == chain_result_text(minimise_refinement(model)) + "\n"
 
 
 def test_invalid_model_is_a_model_error(tmp_path, capsys):

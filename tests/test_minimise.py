@@ -2,6 +2,7 @@ import json
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from ctsmin import (
     TWO_LEVEL,
@@ -349,6 +350,40 @@ def test_partition_that_is_no_congruence_is_a_value_error():
         engine_quotient(m, whole)
     with pytest.raises(ValueError, match="quotient not well defined at x@phi, action a"):
         alpha_transitions(coalgebra_encode(m), _class_names(whole))
+
+
+def test_congruence_is_checked_on_ranked_blocks():
+    # q and r move alike under a but only q moves under b, and their
+    # class is named after p's, so it is not the first by rank
+    m = Cts(
+        ["p", "q", "r"],
+        ["a", "b"],
+        TWO_LEVEL,
+        {("q", "a", "p"): {"phi'"}, ("r", "a", "p"): {"phi'"}, ("q", "b", "p"): {"phi", "phi'"}},
+    )
+    merged = canonical_partition(
+        [
+            [("p", "phi"), ("p", "phi'")],
+            [("q", "phi"), ("q", "phi'"), ("r", "phi"), ("r", "phi'")],
+        ]
+    )
+    with pytest.raises(ValueError, match="quotient not well defined at q@phi, action b"):
+        engine_quotient(m, merged)
+    with pytest.raises(ValueError, match="quotient not well defined at q@phi, action b"):
+        alpha_transitions(coalgebra_encode(m), _class_names(merged))
+
+
+@given(cts_models(LIBRARY_NAMES), st.data())
+def test_quotient_moves_do_not_depend_on_block_ids(m, data):
+    graph, _, block, _ = refine(m)
+    names = {}
+    for pair, b in zip(graph.pairs, block):
+        names.setdefault(b, _pair_name(pair))
+    ids = sorted(names)
+    renamed = dict(zip(ids, data.draw(st.permutations(ids))))
+    assert _quotient_transitions(
+        m, graph, [renamed[b] for b in block], {renamed[b]: name for b, name in names.items()}
+    ) == _quotient_transitions(m, graph, block, names)
 
 
 def test_dot_escapes_quote_in_library_names():
