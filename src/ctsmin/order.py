@@ -4,11 +4,11 @@ Carriers are small sets of opaque strings.  An order is stored as bit
 masks (Birkhoff's downsets, in the bit-vector encoding of Aït-Kaci et
 al.): element i of the sorted elements is bit ``1 << i``, and each
 element keeps the mask of its downset and that of its lower covers,
-closed in one topological pass.  The pair relation is a view built and
-kept on first use; the down-closure of a set of names (``down_close``)
-and the sorted strict pairs are built from the masks when asked for.
-Every operation iterates in lexicographic element order, so all outputs
-are deterministic and serialise identically across runs.
+closed in one topological pass.  Order questions read the masks: the
+covers, the down-closure of a set of names (``down_close``) and the
+sorted strict pairs (``strict_codes``) come from them, and no pair
+relation is built.  Every operation iterates in lexicographic element
+order, so all outputs are deterministic and serialise identically.
 """
 
 from __future__ import annotations
@@ -68,16 +68,6 @@ class Poset:
         n = len(self.elements)
         return sorted([p * n + q for q, m in enumerate(self.down) for p in bits(m ^ 1 << q)])
 
-    def strict_pairs(self) -> list[tuple[str, str]]:
-        """Every p < q, sorted."""
-        names, n = self.elements, len(self.elements)
-        return [(names[c // n], names[c % n]) for c in self.strict_codes()]
-
-    @cached_property
-    def relation(self) -> frozenset[tuple[str, str]]:
-        """Every p <= q, including the diagonal."""
-        return frozenset([(e, e) for e in self.elements] + self.strict_pairs())
-
     def check_element(self, p: str) -> None:
         if p not in self.index:
             raise UnknownElement(p)
@@ -129,7 +119,8 @@ class Poset:
         return tuple(out)
 
     def __repr__(self) -> str:
-        pairs = ", ".join(f"{p}<={q}" for p, q in self.strict_pairs())
+        names, n = self.elements, len(self.elements)
+        pairs = ", ".join(f"{names[c // n]}<={names[c % n]}" for c in self.strict_codes())
         return f"Poset({list(self.elements)}" + (f", {pairs})" if pairs else ")")
 
 

@@ -10,12 +10,13 @@ partition repeats.  ``minimise_chain`` builds its own result from the
 canonical kernel partitions: each stage's state partition groups the
 states by their row of class indices, pairs are named by the least pair
 of their class, the quotient's moves are read off the tabulated
-coalgebra (``alpha_transitions``), and ``matrix_stage`` compares the
+coalgebra (``alpha_transitions``), the quotient order is the product
+of the states with the conditions coequalised by the kernel
+(``coequalised_product``), and ``matrix_stage`` compares the
 per-condition columns of every stage.  None of that goes through the
 runtime's builder, so ``minimise_refinement`` agrees with it only when
-both constructions are right; only the result type, the pair names and
-the quotient order (``_quotient_poset``, which the tests check against
-``coequalise``) are shared.
+both constructions are right; only the result type and the pair names
+are shared.
 
 ``partition_matrix`` and ``kernel_matrix`` read a stage's
 same-condition kernel as a lattice relation.  ``chain_result_json`` is
@@ -37,11 +38,12 @@ from functools import cached_property
 from typing import Iterable, Mapping
 
 from ctsmin.equivalence import PairKey, Partition
-from ctsmin.minimise import ChainResult, Transitions, _pair_name, _quotient_poset
+from ctsmin.minimise import ChainResult, Transitions, _pair_name
 from ctsmin.models import Cts
 from ctsmin.order import Poset, validate_poset
 from .bisim import LatticeRelation
 from .coalgebra import UpgradeCoalgebra
+from .order import relation
 
 
 def canonical_partition(groups: Iterable[Iterable[PairKey]]) -> Partition:
@@ -208,7 +210,7 @@ def pseudo_factorise(d: BehaviourTable) -> tuple[Partition, Poset, dict[str, Beh
     partition = _kernel_partition(d)
     table = d.table()
     terms = {_pair_name(cls[0]): table[cls[0]] for cls in partition}
-    z_poset = _quotient_poset(d.states, d.conditions, _class_names(partition))
+    z_poset = coequalised_product(d.states, d.conditions, partition)
     return partition, z_poset, terms
 
 
@@ -297,7 +299,7 @@ def minimise_chain(c: UpgradeCoalgebra) -> ChainResult:
         matrix_stage(partitions),
         tuple(partitions),
         tuple(state_partitions),
-        _quotient_poset(c.states, c.conditions, class_of),
+        coequalised_product(c.states, c.conditions, partitions[-1]),
         alpha_transitions(c, class_of),
     )
 
@@ -349,7 +351,7 @@ def chain_result_json(result: ChainResult) -> dict:
         "quotient": {
             "states": list(z.elements),
             "order": [
-                [p, q] for (p, q) in sorted(z.relation) if p != q
+                [p, q] for (p, q) in sorted(relation(z)) if p != q
             ],
             "transitions": [
                 {
@@ -399,7 +401,7 @@ def coequalise(
     # Transitive closure of the induced relation on classes.
     roots = sorted(groups)
     reach: dict[str, set[str]] = {r: {r} for r in roots}
-    for p, q in poset.relation:
+    for p, q in relation(poset):
         reach[find(p)].add(find(q))
     changed = True
     while changed:
@@ -426,10 +428,32 @@ def coequalise(
     mapping = {e: names[find(e)] for e in poset.elements}
 
     class_elems = tuple(sorted(names.values()))
-    relation = set()
+    order = set()
     for r in final_groups:
         for s in reach[find(r)]:
-            relation.add((names[find(r)], names[find(s)]))
+            order.add((names[find(r)], names[find(s)]))
     for c in class_elems:
-        relation.add((c, c))
-    return validate_poset(class_elems, frozenset(relation)), mapping
+        order.add((c, c))
+    return validate_poset(class_elems, frozenset(order)), mapping
+
+
+def coequalised_product(states: Iterable[str], conditions: Poset, partition: Partition) -> Poset:
+    """The quotient order of a pair partition: the product of the
+    discrete states with the conditions, coequalised by the partition,
+    its classes renamed to their least (state, condition) pair."""
+    product = validate_poset(
+        tuple(_pair_name((x, p)) for x in states for p in conditions.elements),
+        frozenset(
+            (_pair_name((x, p)), _pair_name((x, q)))
+            for x in states
+            for (p, q) in relation(conditions)
+        ),
+    )
+    quotient, mapping = coequalise(
+        product, [(_pair_name(cls[0]), _pair_name(pair)) for cls in partition for pair in cls[1:]]
+    )
+    rename = {mapping[_pair_name(cls[0])]: _pair_name(cls[0]) for cls in partition}
+    return validate_poset(
+        tuple(rename[e] for e in quotient.elements),
+        frozenset((rename[p], rename[q]) for (p, q) in relation(quotient)),
+    )

@@ -24,7 +24,7 @@ from functools import cached_property
 from typing import Iterable
 
 from ctsmin.order import OrderError, Poset, validate_poset
-from .order import leq
+from .order import leq, relation
 
 
 class FrameError(Exception):
@@ -191,7 +191,7 @@ class ExplicitLattice:
         index = {e: i for i, e in enumerate(elems)}
         up = [0] * len(elems)
         down = [0] * len(elems)
-        for p, q in poset.relation:
+        for p, q in relation(poset):
             up[index[p]] |= 1 << index[q]
             down[index[q]] |= 1 << index[p]
         n = len(elems)

@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import Callable, Mapping
 
 from ctsmin.order import OrderError, Poset
-from .order import leq
+from .order import leq, relation
 from .coalgebra import SuccessorPairs
 
 
@@ -48,7 +48,7 @@ def is_monotone(candidate: MonotoneMap) -> bool:
     table = dict(candidate.entries)
     return all(
         leq(candidate.cod, table[p], table[q])
-        for p, q in candidate.dom.relation
+        for p, q in relation(candidate.dom)
     )
 
 

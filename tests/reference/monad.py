@@ -15,7 +15,7 @@ from itertools import product
 from typing import Iterable, Mapping
 
 from ctsmin.order import OrderError, Poset, validate_poset
-from .order import leq
+from .order import leq, relation
 from .lattice import BaseMismatch, Downset, HeytingFrame, TooLarge
 from .maps import MonotoneMap
 
@@ -45,7 +45,7 @@ class StarMap:
             values[x] = v if isinstance(v, Downset) else frame.element(v)
             if values[x].base != frame.base:
                 raise BaseMismatch()
-        for p, q in dom.relation:
+        for p, q in relation(dom):
             if not values[p].members <= values[q].members:
                 raise OrderError(f"not monotone: {p} <= {q} but values disagree")
         for phi in frame.base.elements:
@@ -97,7 +97,7 @@ class ReaderMap:
             if phi not in table:
                 raise OrderError(f"map not total, missing {phi!r}")
             cod.check_element(table[phi])
-        for p, q in dom.relation:
+        for p, q in relation(dom):
             if not leq(cod, table[p], table[q]):
                 raise OrderError(f"not monotone: {p} <= {q} but values disagree")
         return cls(dom, cod, tuple((phi, table[phi]) for phi in dom.elements))
@@ -234,7 +234,7 @@ def t_mult(h: StarMap, space: TxSpace) -> StarMap:
 
 def validate_kleisli(dom: Poset, arrow: Mapping[str, StarMap]) -> None:
     """A Kleisli map must be monotone from dom into the T order."""
-    for p, q in dom.relation:
+    for p, q in relation(dom):
         if not star_leq(arrow[p], arrow[q]):
             raise OrderError(f"not monotone: {p} <= {q} but T-values disagree")
 

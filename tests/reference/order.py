@@ -1,27 +1,43 @@
 """Order queries by name, and the fixpoint closure that ``validate_poset``
 replaced.
 
-``closure_relation`` closes the given pairs by a fixpoint of whole-set
-unions, as ``ctsmin.order.validate_poset`` did before it kept bit masks,
-and names a cycle the same way: the tests hold the one-pass closure
-against it, including the cycle that each violation reports.  ``leq``
-and ``lt`` ask one question of a ``Poset`` through its derived
-relation; the runtime asks its order questions of the masks instead.
+``relation`` is the pair relation of a ``Poset``, read off its downset
+masks and kept per poset: the runtime builds none, and asks its order
+questions of the masks.  ``leq`` and ``lt`` ask one question of the
+masks by name.  ``closure_relation`` closes the given pairs by a
+fixpoint of whole-set unions, as ``ctsmin.order.validate_poset`` did
+before it kept bit masks, and names a cycle the same way: the tests
+hold the one-pass closure against it, including the cycle that each
+violation reports.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
+from weakref import WeakKeyDictionary
 
-from ctsmin.order import AntisymmetryViolation, Poset, UnknownElement
+from ctsmin.order import AntisymmetryViolation, Poset, UnknownElement, bits
+
+_RELATIONS: WeakKeyDictionary[Poset, frozenset[tuple[str, str]]] = WeakKeyDictionary()
+
+
+def relation(poset: Poset) -> frozenset[tuple[str, str]]:
+    """Every p <= q of ``poset``, including the diagonal."""
+    pairs = _RELATIONS.get(poset)
+    if pairs is None:
+        names = poset.elements
+        pairs = _RELATIONS[poset] = frozenset(
+            (names[p], q) for q, mask in zip(names, poset.down) for p in bits(mask)
+        )
+    return pairs
 
 
 def leq(poset: Poset, p: str, q: str) -> bool:
-    return (p, q) in poset.relation
+    return bool(poset.down[poset.index[q]] >> poset.index[p] & 1)
 
 
 def lt(poset: Poset, p: str, q: str) -> bool:
-    return p != q and (p, q) in poset.relation
+    return p != q and leq(poset, p, q)
 
 
 def closure_relation(

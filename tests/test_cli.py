@@ -23,19 +23,16 @@ from ctsmin import (
     serialise_model,
     validate_poset,
 )
-from ctsmin import cli
 from ctsmin.cli import main
-from ctsmin.modelfile import parse_with_kind
 from ctsmin.minimise import bisim_text, chain_result_text
 from reference.bisim import lattice_bisim_fixpoint
 from reference.chain import chain_result_json, minimise_chain
 from reference.coalgebra import coalgebra_encode
 
 from corpus import boolean_cts, cts_corpus, line_cts
-from examples import ex1, ex2, read_fixture
+from examples import FIXTURES, ex1, ex2, read_fixture
 from strategies import LIBRARY_NAMES, cts_models
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 EX1 = str(FIXTURES / "EX1")
 EX2 = str(FIXTURES / "EX2")
 
@@ -333,47 +330,6 @@ def test_reflexive_and_repeated_order_lines_change_nothing(tmp_path, capsys, fix
         assert want[0] == 0
 
 
-def _guarded_run(monkeypatch, capsys, path, *argv):
-    """Run a command on a model file and return the condition poset it
-    parsed and the quotient order of any minimisation."""
-    seen = {}
-
-    def parse(text, close=False):
-        kind, seen["model"] = parse_with_kind(text, close)
-        return kind, seen["model"]
-
-    def minimise(model):
-        seen["result"] = minimise_refinement(model)
-        return seen["result"]
-
-    monkeypatch.setattr(cli, "parse_with_kind", parse)
-    monkeypatch.setattr(cli, "minimise_refinement", minimise)
-    code, _, _ = run(capsys, argv[0], str(path), *argv[1:])
-    assert code in (0, 1)
-    return seen["model"].conditions, seen.get("result") and seen["result"].z_poset
-
-
-def test_commands_never_build_the_pair_relation(tmp_path, monkeypatch, capsys):
-    """``bisim``, ``check`` and ``minimise`` ask their order questions of
-    the masks, so neither the condition poset's ``relation`` nor the
-    quotient order's is ever built; the report writes the order from the
-    up-set masks."""
-    big = tmp_path / "boolean6"
-    big.write_text(serialise_model(boolean_cts(6, 0)))
-    paths = sorted(FIXTURES.iterdir()) + [big]
-    for path in paths:
-        m = parse_model(path.read_text())
-        commands = [["bisim"], ["minimise"]]
-        if m.states:
-            top = m.conditions.top_down_order[0]
-            commands.append(["check", m.states[0], m.states[-1], "--condition", top])
-        for command in commands:
-            conditions, z_poset = _guarded_run(monkeypatch, capsys, path, *command)
-            assert "relation" not in vars(conditions), (path.name, command)
-            if command == ["minimise"]:
-                assert "relation" not in vars(z_poset), path.name
-
-
 def test_byte_order_mark_is_ignored(tmp_path, capsys):
     marked = tmp_path / "EX1"
     marked.write_bytes(b"\xef\xbb\xbf" + Path(EX1).read_bytes())
@@ -507,7 +463,7 @@ FIXTURE_TEXTS = [path.read_text() for path in sorted(FIXTURES.iterdir())]
 FIXTURE_LINES = sorted({line for text in FIXTURE_TEXTS for line in text.splitlines()})
 # fixture tokens, and ones that break the format: reserved characters, a
 # section header, a stray order or label separator
-TOKENS = sorted(
+FIXTURE_TOKENS = sorted(
     {token for text in FIXTURE_TEXTS for token in text.split()}
     | {"@", ",", '"', "[x", "[states]", "<=", ":", "kind:", "lats", "q@r"}
 )
@@ -526,7 +482,7 @@ def mutated_fixtures(draw):
         if draw(st.booleans()):
             units, pool = lines, FIXTURE_LINES
         else:
-            units, pool = lines[at].split() if at < len(lines) else [], TOKENS
+            units, pool = lines[at].split() if at < len(lines) else [], FIXTURE_TOKENS
         where = draw(st.integers(0, len(units)))
         if edit == "insert":
             units.insert(where, draw(st.sampled_from(pool)))

@@ -14,7 +14,10 @@ reads ``__debug__`` or ``sys.flags``, so ``python -O`` cannot change
 what they compute.  The ``test_*.py`` modules are left out: pytest
 rewrites their asserts, which therefore check under ``-O`` too.  The
 ``-O`` probe here and the golden cases' ``-O`` interpreter sample the
-same property end to end.
+same property end to end.  A second scan holds the runtime free of code
+only the tests call: every function, method and class that
+``src/ctsmin`` defines is named somewhere else in ``src/ctsmin``, but
+for the exported API, the console script and dunders.
 """
 
 import ast
@@ -158,3 +161,23 @@ def test_no_module_reads_the_optimise_flag_and_the_runtime_imports_only_the_stdl
                 foreign += [f"{at} {n}" for n in imported if n.split(".")[0] not in allowed]
     assert optimised == []
     assert foreign == []
+
+
+def test_every_runtime_definition_is_named_in_the_runtime():
+    exempt = {*ctsmin.__all__, "cli.py:main"}
+    defined, named = [], set()
+    for path in sorted((ROOT / "src" / "ctsmin").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), path.name)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((path.name, node.name))
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    unnamed = [
+        f"{where}: {name}"
+        for where, name in defined
+        if not {name, f"{where}:{name}"} & (named | exempt)
+        and not (name.startswith("__") and name.endswith("__"))
+    ]
+    assert unnamed == []

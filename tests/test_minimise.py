@@ -9,14 +9,13 @@ from ctsmin import (
     AntisymmetryViolation,
     ChainResult,
     Cts,
-    Poset,
     chain_result_dot,
     minimise_refinement,
     refine,
     validate_poset,
 )
 from ctsmin.equivalence import _all_pairs
-from reference.order import leq
+from reference.order import leq, relation
 from ctsmin.minimise import (
     _pair_name,
     _quotient_poset,
@@ -33,7 +32,7 @@ from reference.chain import (
     chain_init,
     chain_result_json,
     chain_step,
-    coequalise,
+    coequalised_product,
     kernel_matrix,
     minimise_chain,
     node,
@@ -280,32 +279,6 @@ def test_dot_serialisation_golden_ex1():
     assert chain_result_dot(r, m.conditions) == EX1_DOT
 
 
-def _coequalised_product(states, conditions, partition) -> Poset:
-    """Oracle for the quotient order: the product of the discrete states
-    with the conditions, coequalised by the partition, its classes renamed
-    to their least (state, condition) pair."""
-
-    def name(pair):
-        return f"{pair[0]}@{pair[1]}"
-
-    product = validate_poset(
-        tuple(name((x, p)) for x in states for p in conditions.elements),
-        frozenset(
-            (name((x, p)), name((x, q)))
-            for x in states
-            for (p, q) in conditions.relation
-        ),
-    )
-    quotient, mapping = coequalise(
-        product, [(name(cls[0]), name(pair)) for cls in partition for pair in cls[1:]]
-    )
-    rename = {mapping[name(cls[0])]: name(cls[0]) for cls in partition}
-    return validate_poset(
-        tuple(rename[e] for e in quotient.elements),
-        frozenset((rename[p], rename[q]) for (p, q) in quotient.relation),
-    )
-
-
 def test_quotient_order_matches_coequalised_product():
     systems = list(cts_corpus(500)) + [
         boolean_cts(k, seed) for k in (3, 4) for seed in range(3)
@@ -313,7 +286,7 @@ def test_quotient_order_matches_coequalised_product():
     for m in systems:
         result = minimise_refinement(m)
         for partition in result.stages:
-            expected = _coequalised_product(m.states, m.conditions, partition)
+            expected = coequalised_product(m.states, m.conditions, partition)
             assert len(expected.elements) == len(partition)
             got = _quotient_poset(m.states, m.conditions, _class_names(partition))
             assert got == expected
@@ -449,7 +422,7 @@ def assert_report_reads_back(m):
     result = minimise_refinement(m)
     text = chain_result_text(result)
     assert read_chain_result(text, m) == result
-    strict = sorted((p, q) for p, q in result.z_poset.relation if p != q)
+    strict = sorted((p, q) for p, q in relation(result.z_poset) if p != q)
     assert json.loads(text)["quotient"]["order"] == [list(pair) for pair in strict]
 
 

@@ -19,6 +19,7 @@ from reference.coalgebra import (
     version_filter,
 )
 from reference.maps import v_hat_apply
+from reference.order import relation
 
 from corpus import boolean_cts, cts_corpus, line_cts, random_cts
 from examples import ex1, ex2, system_key
@@ -172,7 +173,7 @@ def test_validation_along_covers_matches_every_comparable_pair():
             not mutated.alpha(x, psi, a) <= mutated.alpha(x, phi, a)
             for x in m.states
             for a in m.actions
-            for (psi, phi) in m.conditions.relation
+            for (psi, phi) in relation(m.conditions)
         )
         if broken:
             checked += 1

@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 
 from ctsmin import OrderError, Poset, validate_poset
-from reference.order import leq
+from reference.order import leq, relation
 from reference.lattice import HeytingFrame, TooLarge
 from reference.maps import MonotoneMap
 from reference.monad import (
@@ -52,7 +52,7 @@ def monotone_readers(conditions: Poset, cod: Poset):
     out = []
     for values in product(cod.elements, repeat=len(conditions.elements)):
         table = dict(zip(conditions.elements, values))
-        if all(leq(cod, table[p], table[q]) for p, q in conditions.relation):
+        if all(leq(cod, table[p], table[q]) for p, q in relation(conditions)):
             out.append(table)
     return out
 
@@ -194,7 +194,7 @@ def all_kleisli_arrows(dom, cod, frame, cap=12):
         }
         if all(
             leq(cod, flat[(p, phi)], flat[(q, phi)])
-            for p, q in dom.relation
+            for p, q in relation(dom)
             for phi in frame.base.elements
         ):
             arrows.append(flat)

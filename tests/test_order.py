@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ctsmin import (
+    TWO_LEVEL,
     AntisymmetryViolation,
     OrderError,
     Poset,
@@ -11,11 +12,12 @@ from ctsmin import (
     validate_poset,
 )
 from reference.chain import coequalise
-from reference.order import closure_relation, leq, lt
+from reference.order import closure_relation, leq, lt, relation
 from reference.lattice import Downset, down_closure, principal_downset
 from reference.maps import MonotoneMap, is_monotone
 
 from corpus import boolean_cts, cts_corpus, random_poset
+from examples import read_fixture
 
 NAMES = ["a", "b", "c", "d", "e"]
 
@@ -158,7 +160,7 @@ def test_coequalise_mapping_is_monotone(p, data):
         )
     )
     glued, mapping = coequalise(p, pairs)
-    for a, b in p.relation:
+    for a, b in relation(p):
         assert leq(glued, mapping[a], mapping[b])
     for x, y in pairs:
         assert mapping[x] == mapping[y]
@@ -200,8 +202,8 @@ def test_mask_queries_match_their_definitions_over_the_relation():
     posets += [_boolean_lattice(k) for k in range(1, 7)]
     posets += [boolean_cts(k, 0).conditions for k in range(2, 7)]
     for p in posets:
-        relation = p.relation
-        below = {q: {r for r in p.elements if (r, q) in relation} for q in p.elements}
+        pairs = relation(p)
+        below = {q: {r for r in p.elements if (r, q) in pairs} for q in p.elements}
         for q in p.elements:
             assert p.down_close([q]) == below[q]
         assert p.covers == _brute_force_covers(p)
@@ -248,7 +250,7 @@ def test_closure_matches_the_fixpoint_oracle_on_random_relations():
                 validate_poset(elements, pairs)
             assert (got.value.cycle, str(got.value)) == (err.cycle, str(err)), pairs
         else:
-            assert validate_poset(elements, pairs).relation == expected
+            assert relation(validate_poset(elements, pairs)) == expected
     assert cycles > 500
 
 
@@ -258,3 +260,14 @@ def test_unknown_element_is_named_before_any_cycle():
         with pytest.raises(UnknownElement) as err:
             check(["a", "b"], pairs)
         assert err.value.element == "z"
+
+
+def test_repr_lists_the_strict_pairs():
+    assert repr(TWO_LEVEL) == "Poset(['phi', \"phi'\"], phi'<=phi)"
+    assert repr(read_fixture("BOWTIE").conditions) == (
+        "Poset(['p', 'q', 'r', 's'], p<=r, p<=s, q<=r, q<=s)"
+    )
+    assert repr(validate_poset(["a"], [])) == "Poset(['a'])"
+    assert repr(boolean_cts(2, 0).conditions) == (
+        "Poset(['00', '01', '10', '11'], 00<=01, 00<=10, 00<=11, 01<=11, 10<=11)"
+    )
