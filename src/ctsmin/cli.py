@@ -7,10 +7,12 @@ parse to the same system, so the header's kind matters only to
 given.  Model files are UTF-8, and a leading byte-order mark is ignored.
 
 Exit codes: 0 success (or a positive check), 1 negative check result,
-2 usage errors (including a model file that cannot be read), 3
-validation errors in the input model (including bytes that are not
-UTF-8).  ``validate`` differs: it prints an invalid model's error on
-stdout as ``invalid: <reason>`` and exits 1.
+2 usage errors (including a model file that cannot be read, a state or
+condition named on the command line that the model lacks, reported as
+``error: unknown element: '<name>'``, and standard output that cannot
+be written), 3 validation errors in the input model (including bytes
+that are not UTF-8).  ``validate`` differs: it prints an invalid
+model's error on stdout as ``invalid: <reason>`` and exits 1.
 
 This module only parses the command line, dispatches and maps errors to
 exit codes; the reports are written by ``ctsmin.minimise``.  The
@@ -23,6 +25,7 @@ newline.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .equivalence import bisimilar
@@ -73,10 +76,6 @@ def _cmd_bisim(model, args) -> int:
 
 
 def _cmd_check(model, args) -> int:
-    for state in (args.x, args.y):
-        if state not in model.states:
-            print(f"unknown state {state!r}", file=sys.stderr)
-            return 2
     if bisimilar(model, args.x, args.y, args.condition):
         print(f"{args.x} and {args.y} are bisimilar under {args.condition}")
         return 0
@@ -168,9 +167,18 @@ def main(argv=None) -> int:
         print(f"invalid model: {err}", file=sys.stderr)
         return 3
     try:
-        return _COMMANDS[args.command][1](model, args)
+        code = _COMMANDS[args.command][1](model, args)
+        sys.stdout.flush()
+        return code
     except OrderError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader closed standard output: what is still buffered goes
+        # to os.devnull, so the flush at exit raises nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 2
 
 

@@ -18,6 +18,7 @@ from reference.bisim import (
     per_condition_partition,
 )
 from reference.chain import (
+    _class_names,
     minimise_chain,
     partition_matrix,
     quotient_to_cts,
@@ -52,7 +53,7 @@ from reference.monad import (
 
 from corpus import cts_corpus, random_poset
 from examples import FIXTURES, ex1, ex2, final_relation, read_fixture
-from test_frame import m3, n5
+from test_frame import check_import_round_trips, m3, n5
 from test_monad import (
     COMBOS,
     all_kleisli_arrows,
@@ -69,15 +70,19 @@ def test_criterion_1_worked_example_minimisation():
     assert r.state_partitions[1] == (("x", "x'"), ("y", "y'"), ("z", "z'"))
     assert r.state_partitions[2] == (("x",), ("x'",), ("y", "y'"), ("z", "z'"))
     assert r.state_partitions[3] == r.state_partitions[2]
-    assert r.stage == 2 and r.confirmed_at == 3
+    assert (r.stage, r.confirmed_at, r.matrix_stage) == (2, 3, 2)
     assert len(r.stages[-1]) == 5
-    assert len(r.z_poset.elements) == 5
+    assert r.z_poset.elements == ("x'@phi", "x@phi", "x@phi'", "y@phi", "z@phi")
+    names = _class_names(r.stages[-1])
+    assert names[("x'", "phi'")] == "x@phi'"
+    assert names[("y'", "phi")] == "y@phi"
     assert len(quotient_to_cts(r, ex1().conditions).states) == 5
     assert perf_counter() - start < 1.0
 
 
 def test_criterion_2_worked_example_bisimilarity():
-    rel, _ = lattice_bisim_fixpoint(ex1())
+    rel, rounds = lattice_bisim_fixpoint(ex1())
+    assert rounds == 2
     assert rel.value("x", "x'") == {"phi'"}
     assert rel.value("y", "y'") == {"phi", "phi'"}
     assert rel.value("z", "z'") == {"phi", "phi'"}
@@ -87,6 +92,7 @@ def test_criterion_2_worked_example_bisimilarity():
 def test_criterion_3_counterexample_pair_unrelated():
     rel, _ = lattice_bisim_fixpoint(ex2())
     assert rel.value("x1", "x2") == frozenset()
+    assert rel.value("x2", "x1") == frozenset()
     assert "phi" not in rel.value("x1", "x2")
 
 
@@ -153,24 +159,7 @@ def test_criterion_6_birkhoff_duality():
             assert principals[p].members == base.down_close([p])
             for q in base.elements:
                 assert leq(jp, p, q) == leq(base, p, q)
-        # the downset lattice itself imports and round-trips
-        downsets = frame.enumerate_elements()
-        names = {d.members: "".join(sorted(d.members)) or "0" for d in downsets}
-        order = validate_poset(
-            sorted(names.values()),
-            [
-                (names[a.members], names[b.members])
-                for a in downsets
-                for b in downsets
-                if a.members <= b.members
-            ],
-        )
-        imported = import_lattice(ExplicitLattice(order))
-        for d in downsets:
-            name = names[d.members]
-            assert imported.decode(imported.encode(name)) == name
-        for e in imported.frame.enumerate_elements():
-            assert imported.encode(imported.decode(e)) == e
+        check_import_round_trips(frame)
     for shape in (m3(), n5()):
         with pytest.raises(NotDistributive):
             import_lattice(ExplicitLattice(shape))

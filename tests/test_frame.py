@@ -119,10 +119,11 @@ def test_m3_and_n5_rejected():
             import_lattice(lat)
 
 
-@given(posets(max_elements=4))
-def test_import_lattice_round_trips(p):
-    f = HeytingFrame(p)
-    downsets = f.enumerate_elements(limit=16)
+def check_import_round_trips(frame):
+    """The downset lattice of the frame's base, given as an explicit
+    lattice named by its members, imports, and encode and decode are
+    inverse on it."""
+    downsets = frame.enumerate_elements()
     names = {d.members: "".join(sorted(d.members)) or "0" for d in downsets}
     order = validate_poset(
         sorted(names.values()),
@@ -137,5 +138,10 @@ def test_import_lattice_round_trips(p):
     for d in downsets:
         name = names[d.members]
         assert imported.decode(imported.encode(name)) == name
-    for e in imported.frame.enumerate_elements(limit=32):
+    for e in imported.frame.enumerate_elements():
         assert imported.encode(imported.decode(e)) == e
+
+
+@given(posets(max_elements=4))
+def test_import_lattice_round_trips(p):
+    check_import_round_trips(HeytingFrame(p))

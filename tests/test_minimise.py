@@ -112,18 +112,6 @@ def test_kernel_matrix_values_on_ex1():
     assert m.value("x", "x") == {"phi", "phi'"}
 
 
-def test_minimise_chain_on_ex1():
-    r = minimise_chain(coalgebra_encode(ex1()))
-    assert (r.stage, r.confirmed_at, r.matrix_stage) == (2, 3, 2)
-    assert r.state_partitions[1] == (("x", "x'"), ("y", "y'"), ("z", "z'"))
-    assert r.state_partitions[2] == (("x",), ("x'",), ("y", "y'"), ("z", "z'"))
-    assert r.state_partitions[3] == r.state_partitions[2]
-    assert r.z_poset.elements == ("x'@phi", "x@phi", "x@phi'", "y@phi", "z@phi")
-    names = _class_names(r.stages[-1])
-    assert names[("x'", "phi'")] == "x@phi'"
-    assert names[("y'", "phi")] == "y@phi"
-
-
 def test_minimise_chain_on_ex2():
     r = minimise_chain(coalgebra_encode(ex2()))
     assert (r.stage, r.matrix_stage) == (1, 1)
@@ -211,72 +199,6 @@ def test_quotient_is_minimal_and_behaviour_preserving():
             for phi in m.conditions.elements:
                 partner = f"q_{names[(x, phi)]}"
                 assert phi in rel.value(f"o_{x}", partner)
-
-
-EX2_JSON = {
-    "stage": 1,
-    "confirmed_at": 2,
-    "matrix_stage": 1,
-    "stages": [
-        {
-            "stage": 0,
-            "kernel": [["x1@phi", "x1@phi'", "x2@phi", "x2@phi'"]],
-            "states": [["x1", "x2"]],
-        },
-        {
-            "stage": 1,
-            "kernel": [["x1@phi", "x1@phi'"], ["x2@phi", "x2@phi'"]],
-            "states": [["x1"], ["x2"]],
-        },
-        {
-            "stage": 2,
-            "kernel": [["x1@phi", "x1@phi'"], ["x2@phi", "x2@phi'"]],
-            "states": [["x1"], ["x2"]],
-        },
-    ],
-    "quotient": {
-        "states": ["x1@phi", "x2@phi"],
-        "order": [],
-        "transitions": [
-            {
-                "src": "x2@phi",
-                "action": "a",
-                "dst": "x2@phi",
-                "conditions": ["phi'"],
-            }
-        ],
-    },
-}
-
-
-def test_json_serialisation_golden_ex2():
-    got = chain_result_json(minimise_chain(coalgebra_encode(ex2())))
-    assert got.pop("algorithm") == "chain"
-    assert got == EX2_JSON
-
-
-EX1_DOT = """digraph minimised {
-  rankdir=LR;
-  "x'@phi";
-  "x@phi";
-  "x@phi'";
-  "y@phi";
-  "z@phi";
-  "x'@phi" -> "y@phi" [label="phi'"];
-  "x'@phi" -> "z@phi" [label="phi,phi'"];
-  "x@phi" -> "y@phi" [label="phi,phi'"];
-  "x@phi" -> "z@phi" [label="phi,phi'"];
-  "x@phi'" -> "y@phi" [label="phi'"];
-  "x@phi'" -> "z@phi" [label="phi'"];
-  "y@phi" -> "x@phi'" [label="phi'"];
-}
-"""
-
-
-def test_dot_serialisation_golden_ex1():
-    m = ex1()
-    r = minimise_chain(coalgebra_encode(m))
-    assert chain_result_dot(r, m.conditions) == EX1_DOT
 
 
 def test_quotient_order_matches_coequalised_product():
