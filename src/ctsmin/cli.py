@@ -10,8 +10,9 @@ Exit codes: 0 success (or a positive check), 1 negative check result,
 2 usage errors (including a model file that cannot be read, a state or
 condition named on the command line that the model lacks, reported as
 ``error: unknown element: '<name>'``, and standard output that cannot
-be written), 3 validation errors in the input model (including bytes
-that are not UTF-8).  ``validate`` differs: it prints an invalid
+be written, whether it takes a report, ``validate``'s verdict or the
+``--help`` text), 3 validation errors in the input model (including
+bytes that are not UTF-8).  ``validate`` differs: it prints an invalid
 model's error on stdout as ``invalid: <reason>`` and exits 1.
 
 This module only parses the command line, dispatches and maps errors to
@@ -151,28 +152,31 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        with open(args.file, "rb") as handle:
-            data = handle.read()
-    except OSError:
-        print(f"cannot read {args.file}", file=sys.stderr)
-        return 2
-    try:
-        args.kind, model = parse_with_kind(_decode(data), close=args.close)
-    except (ParseError, NotDownwardClosed, AntisymmetryViolation) as err:
-        if args.command == "validate":
-            print(f"invalid: {err}")
-            return 1
-        print(f"invalid model: {err}", file=sys.stderr)
-        return 3
-    try:
-        code = _COMMANDS[args.command][1](model, args)
-        sys.stdout.flush()
-        return code
-    except OrderError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        try:
+            args = _build_parser().parse_args(argv)
+            try:
+                with open(args.file, "rb") as handle:
+                    data = handle.read()
+            except OSError:
+                print(f"cannot read {args.file}", file=sys.stderr)
+                return 2
+            try:
+                args.kind, model = parse_with_kind(_decode(data), close=args.close)
+            except (ParseError, NotDownwardClosed, AntisymmetryViolation) as err:
+                if args.command == "validate":
+                    print(f"invalid: {err}")
+                    return 1
+                print(f"invalid model: {err}", file=sys.stderr)
+                return 3
+            return _COMMANDS[args.command][1](model, args)
+        except OrderError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 2
+        finally:
+            # on every way out, argparse's SystemExit included, so that
+            # a closed stdout fails here, not in the flush at exit
+            sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed standard output: what is still buffered goes
         # to os.devnull, so the flush at exit raises nothing

@@ -196,6 +196,13 @@ def test_convert_is_identity_on_matching_kind():
             2,
             "at least one condition",
         ),
+        # Were '@' allowed, s@p at q and s at p@q would both print as
+        # "s@p@q" and minimise would give a kernel of 2 classes but a
+        # quotient of 1 state.  With ',' the bisim key "a,b,a" would
+        # stand for both (a, b,a) and (a,b, a).  A '"' would go into the
+        # DOT output unescaped.  A name starting with '[' could be
+        # written first on a line that ends in ']': states "a]" and
+        # "[x]" serialise as "[x] a]", a section header.
         ("kind: cts\n[conditions]\np@q\n", 3, "reserved '@'"),
         ("kind: cts\n[conditions]\np\n[states]\nx y,z\n", 5, "reserved ','"),
         (
