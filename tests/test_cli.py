@@ -172,17 +172,21 @@ def test_bisim_text_is_the_dumped_payload(m):
         assert read == dict(relation.entries)
 
 
+# the ids name the JSON payloads whose strings these lists once were
 @pytest.mark.parametrize(
     "names",
     [
-        [],
-        ["a", "b"],
-        ["z", "a", "m"],
-        ["caf\u00e9", "\u2203x", "back\\slash", 'quo"te', "tab\t", "\ud83d\ude00"],
-        ["\u00fcber", "k\\y", ""],
-        ["t", "f", "n", "i"],
-        ["tu", "ple"],
-        ["plain"],
+        pytest.param([], id="payload0"),
+        pytest.param(["a", "b"], id="payload2"),
+        pytest.param(["z", "a", "m"], id="payload4"),
+        pytest.param(
+            ["caf\u00e9", "\u2203x", "back\\slash", 'quo"te', "tab\t", "\ud83d\ude00"],
+            id="payload5",
+        ),
+        pytest.param(["\u00fcber", "k\\y", ""], id="payload6"),
+        pytest.param(["t", "f", "n", "i"], id="payload8"),
+        pytest.param(["tu", "ple"], id="payload9"),
+        pytest.param(["plain"], id="plain"),
     ],
 )
 def test_json_writer_matches_indented_dumps_on_edge_cases(names):
