@@ -50,8 +50,9 @@ separates them.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from itertools import chain
-from typing import Iterable, Iterator, NamedTuple
 
 from .models import Cts, NotDownwardClosed
 from .order import UnknownElement, bits
@@ -60,7 +61,7 @@ PairKey = tuple[str, str]
 Partition = tuple[tuple[PairKey, ...], ...]
 
 
-class PairGraph(NamedTuple):
+class PairGraph(namedtuple("PairGraph", "pairs links levels width")):
     """The (state, condition) pairs that a system's upgrade coalgebra
     reaches from some roots, compressed by the version-filter law, and
     each pair's links as (pair number, label).  A label below ``width``,
@@ -77,10 +78,7 @@ class PairGraph(NamedTuple):
     pairs of each condition, conditions bottom-up in a linear
     extension, and then every join."""
 
-    pairs: list[PairKey]
-    links: list[list[tuple[int, int]]]
-    levels: list[list[int]]
-    width: int
+    __slots__ = ()
 
 
 def _pair_graph(m: Cts, roots: Iterable[PairKey]) -> PairGraph:
@@ -155,7 +153,7 @@ def _pair_graph(m: Cts, roots: Iterable[PairKey]) -> PairGraph:
     return PairGraph(pairs, links, levels, width)
 
 
-class Round(NamedTuple):
+class Round(namedtuple("Round", "block moved signed blocks")):
     """One round of ``_rounds``.  ``block`` gives every pair's block id
     after the round; the engine updates that list in place, so it is
     valid only until the generator resumes.  ``moved`` lists (pair,
@@ -163,10 +161,7 @@ class Round(NamedTuple):
     ``signed`` counts the signatures computed in it and ``blocks`` is
     the number of blocks."""
 
-    block: list[int]
-    moved: list[tuple[int, int]]
-    signed: int
-    blocks: int
+    __slots__ = ()
 
 
 def _rounds(graph: PairGraph) -> Iterator[Round]:

@@ -32,15 +32,14 @@ quotient for Graphviz.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
 from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii as quote
 from operator import itemgetter
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .equivalence import PairGraph, PairKey, Partition, kernel_cells, move_images, refine
 from .models import Cts
-from .order import Poset, validate_poset
+from .order import Poset, _Value, validate_poset
 
 
 def _pair_name(pair: PairKey) -> str:
@@ -77,8 +76,7 @@ def _quotient_poset(
 Transitions = tuple[tuple[str, str, tuple[tuple[str, str], ...]], ...]
 
 
-@dataclass(frozen=True)
-class ChainResult:
+class ChainResult(_Value):
     """Outcome of minimisation: every stage's kernel partition and state
     partition (the states with equal columns), up to and including the
     first repeat, and the quotient of the last.  The kernel matrix of a
@@ -92,11 +90,18 @@ class ChainResult:
     ``equivalence.refine``).  So it precedes ``stage`` by one exactly
     when the first stage splits pairs but no two states ever separate."""
 
-    matrix_stage: int
-    stages: tuple[Partition, ...]
-    state_partitions: tuple[tuple[tuple[str, ...], ...], ...]
-    z_poset: Poset
-    transitions: Transitions
+    def __init__(self, matrix_stage: int, stages: tuple[Partition, ...],
+                 state_partitions: tuple[tuple[tuple[str, ...], ...], ...], z_poset: Poset,
+                 transitions: Transitions):
+        vars(self).update(matrix_stage=matrix_stage, stages=stages,
+                          state_partitions=state_partitions, z_poset=z_poset,
+                          transitions=transitions)
+
+    def _key(self) -> tuple:
+        return tuple(vars(self).values())
+
+    def __repr__(self) -> str:
+        return f"ChainResult({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
     @property
     def stage(self) -> int:

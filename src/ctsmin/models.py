@@ -14,7 +14,7 @@ coalgebra table and its laws are a test reference
 """
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 from .order import Poset, UnknownElement
 

@@ -14,10 +14,9 @@ order, so all outputs are deterministic and serialise identically.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator
 from functools import cached_property, reduce
 from operator import or_
-from typing import Iterable, Iterator
 
 
 class OrderError(Exception):
@@ -46,16 +45,34 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass(frozen=True)
-class Poset:
+class _Value:
+    """Equal and hashed by ``_key()``, with fields that ``__init__`` sets
+    and nothing assigns after.  No dataclass: ``dataclasses`` costs
+    every cold start of the command line a few milliseconds."""
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"field {name!r} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+class Poset(_Value):
     """A finite partial order on sorted ``elements``.  ``down[i]`` is the
     mask of the elements at or below element i, and ``lower[i]`` that of
     its lower covers, as ``validate_poset`` closes them.  Two posets are
     equal when they have the same elements and the same downsets."""
 
-    elements: tuple[str, ...]
-    down: tuple[int, ...]
-    lower: tuple[int, ...] = field(compare=False)
+    def __init__(self, elements: tuple[str, ...], down: tuple[int, ...], lower: tuple[int, ...]):
+        vars(self).update(elements=elements, down=down, lower=lower)
+
+    def _key(self) -> tuple:
+        return self.elements, self.down
 
     @cached_property
     def index(self) -> dict[str, int]:

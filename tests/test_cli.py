@@ -93,6 +93,24 @@ def test_check_rejects_unknown_names(capsys):
         assert outcome == (2, "", f"error: unknown element: {name!r}\n")
 
 
+def test_names_that_start_with_a_dash_reach_check_and_project(tmp_path, capsys):
+    # argparse reads a bare '-y' or '-h' as an option: a condition goes
+    # in --condition=NAME, and states come after '--'
+    model = tmp_path / "dash.cts"
+    model.write_text(
+        "kind: cts\n[conditions]\n-h\nphi\n-h <= phi\n[states]\nx -y\n[actions]\na\n"
+        "[transitions]\nx a -y : -h\n-y a -y : -h phi\n"
+    )
+    path = str(model)
+    assert run(capsys, "check", path, "--condition=-h", "--", "x", "-y") == (
+        0, "x and -y are bisimilar under -h\n", ""
+    )
+    assert run(capsys, "check", path, "--condition=phi", "--", "x", "-y") == (
+        1, "x and -y are not bisimilar under phi\n", ""
+    )
+    assert run(capsys, "project", path, "--condition=-h") == (0, "-y a -y\nx a -y\n", "")
+
+
 def test_minimise_dot_escapes_backslash_in_names(tmp_path, capsys):
     model = tmp_path / "backslash.cts"
     model.write_text(
@@ -439,7 +457,8 @@ def mutated_fixtures(draw):
         if units is not lines:
             lines[at:at + 1] = [" ".join(units)]
     text = "\n".join(lines) + "\n"
-    # a token starting with '-' would be read as an option
+    # a token starting with '-' would be read as an option; the forms
+    # that pass such names are test_names_that_start_with_a_dash_*
     tokens = st.sampled_from([t for t in text.split() + ["x"] if not t.startswith("-")])
     states = conditions = tokens
     try:

@@ -3,8 +3,10 @@ reference constructions live in ``tests/reference`` and import the
 runtime, which cannot import them: ``src/ctsmin`` holds no subpackage,
 and every module in it is a runtime module, the command line or the
 package itself.  No command loads any other ``ctsmin`` module, under
-``python`` or ``python -O``, on a model file of either kind.
-``ctsmin.__all__`` names only what the runtime modules define.
+``python`` or ``python -O``, on a model file of either kind, and none
+loads ``dataclasses``, ``inspect`` or ``typing``, which every cold call
+would pay for.  ``ctsmin.__all__`` names only what the runtime modules
+define.
 
 One scan of the sources holds the rest.  The runtime imports nothing
 but the standard library and ``ctsmin``, so it cannot reach an oracle
@@ -62,8 +64,7 @@ RUNTIME_API = [
 ]
 
 # imports the command line, runs all seven commands on each model file
-# given, checks that each succeeded, and prints every ctsmin module then
-# loaded
+# given, checks that each succeeded, and prints every module then loaded
 PROBE = """
 import contextlib, io, os, sys, tempfile
 from ctsmin.cli import main
@@ -81,12 +82,14 @@ with contextlib.redirect_stdout(io.StringIO()):
             ["filters-check", path],
         ):
             assert main(argv) == 0, argv
-print("\\n".join(sorted(m for m in sys.modules if m.split(".")[0] == "ctsmin")))
+print("\\n".join(sorted(sys.modules)))
 """
 
 
-@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimised"])
-def test_cli_loads_no_oracle_or_theory_module(flags):
+def modules_after_every_command(flags):
+    """The modules loaded in a fresh interpreter, started with ``flags``,
+    once the command line has run every command on a ``cts`` and a
+    ``lats`` file."""
     files = [str(ROOT / "fixtures" / name) for name in ("EX1", "EX1.lats")]
     proc = subprocess.run(
         [sys.executable, *flags, "-c", PROBE, *files],
@@ -95,9 +98,25 @@ def test_cli_loads_no_oracle_or_theory_module(flags):
         env=src_env(),
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = proc.stdout.split()
+    return set(proc.stdout.split())
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimised"])
+def test_cli_loads_no_oracle_or_theory_module(flags):
+    loaded = {m for m in modules_after_every_command(flags) if m.split(".")[0] == "ctsmin"}
     assert "ctsmin.cli" in loaded
-    assert set(loaded) <= {"ctsmin", "ctsmin.cli", *RUNTIME_MODULES}
+    assert loaded <= {"ctsmin", "ctsmin.cli", *RUNTIME_MODULES}
+
+
+@pytest.mark.parametrize("flags", [("-S",), ("-S", "-O")], ids=["plain", "optimised"])
+def test_cli_loads_no_dataclasses_inspect_or_typing(flags):
+    """A cold call pays for every module the command line imports, and
+    these three are costly.  ``-S`` skips the site set-up, since a
+    ``.pth`` file there may import ``typing`` before any ``ctsmin``
+    code runs."""
+    loaded = modules_after_every_command(flags)
+    assert "ctsmin.cli" in loaded
+    assert {"dataclasses", "inspect", "typing"} & loaded == set()
 
 
 def test_all_is_the_runtime_api():

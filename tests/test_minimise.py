@@ -14,7 +14,7 @@ from ctsmin import (
     refine,
     validate_poset,
 )
-from ctsmin.equivalence import _all_pairs
+from ctsmin.equivalence import PairGraph, Round, _all_pairs, _rounds
 from reference.order import leq, relation
 from ctsmin.minimise import (
     _pair_name,
@@ -367,3 +367,47 @@ def test_report_reads_back_on_token_names(m):
     """Pair names are state@condition and no token holds '@', so two
     different results for one system give two different reports."""
     assert_report_reads_back(m)
+
+
+def test_chain_results_are_values_of_their_five_fields():
+    result = minimise_refinement(ex1())
+    fields = [
+        result.matrix_stage,
+        result.stages,
+        result.state_partitions,
+        result.z_poset,
+        result.transitions,
+    ]
+    again = ChainResult(*fields)
+    assert again == result and hash(again) == hash(result)
+    assert again == minimise_refinement(ex1())
+    others = [result.matrix_stage + 1, result.stages[:-1], (), TWO_LEVEL, ()]
+    for at, other in enumerate(others):
+        changed = ChainResult(*fields[:at], other, *fields[at + 1:])
+        assert changed != result and result != changed, at
+    assert result != tuple(fields)
+    assert repr(result) == (
+        f"ChainResult(matrix_stage={result.matrix_stage!r}, stages={result.stages!r},"
+        f" state_partitions={result.state_partitions!r}, z_poset={result.z_poset!r},"
+        f" transitions={result.transitions!r})"
+    )
+    with pytest.raises(AttributeError):
+        result.stages = ()
+    assert result.stages == fields[1]
+
+
+def test_pair_graph_and_round_unpack_to_their_four_fields():
+    graph = _all_pairs(ex1())
+    pairs, links, levels, width = graph
+    assert PairGraph._fields == ("pairs", "links", "levels", "width")
+    assert (pairs, links, levels, width) == (graph.pairs, graph.links, graph.levels, graph.width)
+    assert repr(graph) == (
+        f"PairGraph(pairs={pairs!r}, links={links!r}, levels={levels!r}, width={width!r})"
+    )
+    first = next(_rounds(graph))
+    block, moved, signed, blocks = first
+    assert Round._fields == ("block", "moved", "signed", "blocks")
+    assert (block, moved, signed, blocks) == (first.block, first.moved, first.signed, first.blocks)
+    assert repr(first) == (
+        f"Round(block={block!r}, moved={moved!r}, signed={signed!r}, blocks={blocks!r})"
+    )

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
@@ -271,3 +273,31 @@ def test_repr_lists_the_strict_pairs():
     assert repr(boolean_cts(2, 0).conditions) == (
         "Poset(['00', '01', '10', '11'], 00<=01, 00<=10, 00<=11, 01<=11, 10<=11)"
     )
+
+
+def test_posets_are_values_of_their_elements_and_downsets():
+    # the same order with and without its lower covers
+    covered = Poset(("a", "b"), (1, 3), (0, 1))
+    bare = Poset(elements=("a", "b"), down=(1, 3), lower=(0, 0))
+    assert covered == bare and hash(covered) == hash(bare)
+    assert covered == validate_poset(["a", "b"], [("a", "b")])
+    assert covered != Poset(("a", "b"), (1, 2), (0, 0))
+    assert covered != Poset(("a", "c"), (1, 3), (0, 1))
+    assert covered != (("a", "b"), (1, 3))
+    assert covered.__eq__((("a", "b"), (1, 3))) is NotImplemented
+    assert len({covered, bare, TWO_LEVEL}) == 2
+
+
+def test_posets_are_read_only_and_weakly_referenced():
+    poset = validate_poset(["a", "b"], [("a", "b")])
+    for name in ("elements", "down", "lower"):
+        with pytest.raises(AttributeError):
+            setattr(poset, name, ())
+    assert poset.elements == ("a", "b")
+    assert poset.index == {"a": 0, "b": 1}  # cached_property still caches
+    assert poset.index is poset.index
+    keyed = weakref.WeakKeyDictionary({poset: "kept"})
+    assert keyed[validate_poset(["b", "a"], [("a", "b")])] == "kept"
+    del poset
+    gc.collect()
+    assert len(keyed) == 0
