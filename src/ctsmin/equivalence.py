@@ -94,7 +94,11 @@ def _pair_graph(m: Cts, roots: Iterable[PairKey]) -> PairGraph:
 
     The walk numbers pairs through a list indexed by ``state index *
     |conditions| + condition index``; when the roots are every pair in
-    that order, as in ``_all_pairs``, a pair's number is that index."""
+    that order, as in ``_all_pairs``, a pair's number is that index.
+    It reads each state's rows once per walk, the first time it reaches
+    one of the state's pairs, and the versions the state's edges hold
+    are read off those rows when a pair of it without own moves first
+    needs them."""
     poset = m.conditions
     conditions = poset.elements
     height = len(conditions)
@@ -112,29 +116,38 @@ def _pair_graph(m: Cts, roots: Iterable[PairKey]) -> PairGraph:
         if number[g] < 0:
             number[g] = len(found)
             found.append(g)
-    held: dict[str, int] = {}  # the mask of the versions some edge from x holds
+    # each state's edges as (action index * |conditions|, successor
+    # offset, label), read the first time the walk reaches the state
+    outgoing: list[list[tuple[int, int, frozenset[str]]] | None] = [None] * len(m.states)
+    held: dict[int, int] = {}  # the mask of the versions some edge from a state holds
     links: list[list[tuple[int, int]]] = []
     levels: list[list[int]] = [[] for _ in range(height + 1)]
     for i, g in enumerate(found):  # grows while it is walked
-        x, k = m.states[g // height], g % height
+        s, k = divmod(g, height)
+        edges = outgoing[s]
+        if edges is None:
+            edges = outgoing[s] = [
+                (ai * height, offset[y], label)
+                for ai, a in enumerate(m.actions)
+                for y, label in m.outgoing(m.states[s], a)
+            ]
         cond, row, link = conditions[k], g - k, []
-        for ai, a in enumerate(m.actions):
-            for y, label in m.outgoing(x, a):
-                if cond in label:
-                    j = number[offset[y] + k]
-                    if j < 0:
-                        j = number[offset[y] + k] = len(found)
-                        found.append(offset[y] + k)
-                    link.append((j, ai * height + k))
+        for base, succ, label in edges:
+            if cond in label:
+                j = number[succ + k]
+                if j < 0:
+                    j = number[succ + k] = len(found)
+                    found.append(succ + k)
+                link.append((j, base + k))
         if link:
             below = covers[k]
             levels[rank[k]].append(i)
         else:
-            if x not in held:
-                labels = [label for a in m.actions for _, label in m.outgoing(x, a)]
-                held[x] = sum(1 << index[mu] for mu in frozenset().union(*labels))
+            if s not in held:
+                labels = frozenset().union(*[label for _, _, label in edges])
+                held[s] = sum(1 << index[mu] for mu in labels)
             # what lies below an entered version is no maximum, nor needs a look
-            entered = rest = held[x] & down[k]
+            entered = rest = held[s] & down[k]
             while rest:
                 mu = rest.bit_length() - 1
                 entered &= ~down[mu] | 1 << mu

@@ -67,7 +67,7 @@ def parse_with_kind(text: str, close: bool = False) -> tuple[str, Cts]:
     transitions: list[tuple[int, str, str, str, list[str]]] = []
 
     for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
         if not line:
             continue
         if kind is None:
@@ -121,27 +121,27 @@ def parse_with_kind(text: str, close: bool = False) -> tuple[str, Cts]:
         raise ParseError(seen["conditions"], "at least one condition is required")
 
     poset = validate_poset(conditions, order_pairs)
-    labels: dict[tuple[str, str, str], set[str]] = {}
+    labels: dict[tuple[str, str, str], frozenset[str]] = {}
     for (number, src, act, dst, conds) in transitions:
-        for name, pool, what in (
-            (src, states, "state"),
-            (dst, states, "state"),
-            (act, actions, "action"),
-        ):
-            if name not in pool:
-                raise ParseError(number, f"undeclared {what} {name!r}")
-        # in line order, so the first undeclared one is named
-        for c in conds:
-            if c not in conditions:
-                raise ParseError(number, f"undeclared condition {c!r}")
+        if src not in states:
+            raise ParseError(number, f"undeclared state {src!r}")
+        if dst not in states:
+            raise ParseError(number, f"undeclared state {dst!r}")
+        if act not in actions:
+            raise ParseError(number, f"undeclared action {act!r}")
         members = frozenset(conds)
+        if not conditions.keys() >= members:
+            # in line order, so the first undeclared one is named
+            c = next(c for c in conds if c not in conditions)
+            raise ParseError(number, f"undeclared condition {c!r}")
         if close:
             members = poset.down_close(members)
         elif not poset.is_downward_closed(members):
             raise NotDownwardClosed(
                 f"{src} {act} {dst} : {' '.join(sorted(members))}", line=number
             )
-        labels.setdefault((src, act, dst), set()).update(members)
+        edge = (src, act, dst)
+        labels[edge] = labels[edge] | members if edge in labels else members
 
     return kind, Cts(states, actions, poset, labels)
 

@@ -146,6 +146,24 @@ def test_kernel_partitions_refine_monotonically():
                 assert len({coarse[pair] for pair in cls}) == 1
 
 
+def test_unchanged_classes_are_shared_across_stages():
+    """A class or state group that no pair leaves or enters in a round is
+    the same tuple in the next stage: that keeps long histories small
+    in memory and lets the report write each distinct tuple once."""
+    result = minimise_refinement(line_cts(40))
+    shared = total = 0
+    for history in (result.stages, result.state_partitions):
+        for earlier, later in zip(history, history[1:]):
+            kept = {group: group for group in earlier}
+            for group in later:
+                total += 1
+                if group in kept:
+                    assert group is kept[group]
+                    shared += 1
+    # a round of a long chain splits a few classes and keeps the rest
+    assert shared > total / 2
+
+
 @given(cts_models(LIBRARY_NAMES))
 def test_refinement_engine_matches_chain_on_library_names(model):
     result = minimise_refinement(model)

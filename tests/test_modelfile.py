@@ -251,6 +251,26 @@ def test_open_line_is_rejected_though_another_line_closes_the_union():
     assert err.value.line == 12
 
 
+def test_lines_for_one_edge_merge_into_their_union():
+    text = NOT_CLOSED.replace("[states]\nx\n", "[states]\nx y\n").replace(
+        "x a x : phi\n", "x a y : phi'\nx a y : phi phi'\n"
+    )
+    m = parse_model(text)
+    assert m.outgoing("x", "a") == [("y", BOTH)]
+    assert [line for line in serialise_model(m).splitlines() if " : " in line] == [
+        "x a y : phi phi'"
+    ]
+
+
+@pytest.mark.parametrize("conds", ["phi zz", "phi zz aa", "zz phi"])
+def test_first_undeclared_condition_of_a_line_is_named(conds):
+    text = NOT_CLOSED.replace("x a x : phi\n", f"x a x : phi'\nx a x : {conds}\n")
+    with pytest.raises(ParseError) as err:
+        parse_model(text)
+    assert err.value.line == 12
+    assert "undeclared condition 'zz'" in str(err.value)
+
+
 def test_order_cycle_is_rejected():
     text = (
         "kind: cts\n[conditions]\np\nq\np <= q\nq <= p\n[states]\nx\n"

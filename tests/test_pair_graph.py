@@ -178,24 +178,42 @@ def island_and_continent(size):
     return Cts(["p", "q"] + continent, ["a"], TWO_LEVEL, labels), set(continent)
 
 
-def test_check_reads_only_the_reachable_states(tmp_path, monkeypatch, capsys):
-    m, continent = island_and_continent(200)
-    path = tmp_path / "model"
-    path.write_text(serialise_model(m))
+@pytest.fixture
+def reads(monkeypatch):
+    """The (state, action) rows that ``Cts.outgoing`` hands out, in
+    order."""
     read = []
     outgoing = Cts.outgoing
 
     def counted(self, src, act):
-        read.append(src)
+        read.append((src, act))
         return outgoing(self, src, act)
 
     monkeypatch.setattr(Cts, "outgoing", counted)
+    return read
+
+
+def test_check_reads_only_the_reachable_states(tmp_path, reads, capsys):
+    m, continent = island_and_continent(200)
+    path = tmp_path / "model"
+    path.write_text(serialise_model(m))
     assert main(["check", str(path), "p", "q", "--condition", "phi"]) == 1
-    assert read and set(read) <= {"p", "q"}
+    assert reads and {src for src, _ in reads} <= {"p", "q"}
     assert main(["check", str(path), "p", "p", "--condition", "phi"]) == 0
     # bisim reads every state, the continent included
-    read.clear()
+    reads.clear()
     assert main(["bisim", str(path)]) == 0
-    assert continent <= set(read)
+    assert continent <= {src for src, _ in reads}
     capsys.readouterr()
 
+
+def test_bisim_reads_each_row_once(tmp_path, reads, capsys):
+    """The walk reads a state's rows the first time it reaches one of
+    its pairs, and never again: not for its other pairs, nor for the
+    versions its edges hold."""
+    m, _ = island_and_continent(200)
+    path = tmp_path / "model"
+    path.write_text(serialise_model(m))
+    assert main(["bisim", str(path)]) == 0
+    assert sorted(reads) == [(x, a) for x in m.states for a in m.actions]
+    capsys.readouterr()
