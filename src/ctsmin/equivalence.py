@@ -5,9 +5,10 @@ refinement of (state, condition) pairs over the upgrade coalgebra
 (``_rounds``).  Round k + 1 splits the pairs by S_k(x, phi), the set of
 (action, version chi, round-k block of (y, chi)) over the moves of
 (x, phi).  The coalgebra is never tabulated: the engine reads a
-compressed graph of pairs straight from the ``Cts`` (``_pair_graph``),
-as far as the query reaches, and signs each pair by a key that is
-canonical for S_k without listing it.
+compressed graph of pairs straight from the rows of the ``Cts``, each
+state's edges by action and successor index (``_pair_graph``), as far
+as the query reaches, and signs each pair by a key that is canonical
+for S_k without listing it.
 
 The compression is the version-filter law: the moves of (x, chi) are
 those of (x, phi) that enter at versions <= chi.  Let V(x, phi), a
@@ -95,10 +96,11 @@ def _pair_graph(m: Cts, roots: Iterable[PairKey]) -> PairGraph:
     The walk numbers pairs through a list indexed by ``state index *
     |conditions| + condition index``; when the roots are every pair in
     that order, as in ``_all_pairs``, a pair's number is that index.
-    It reads each state's rows once per walk, the first time it reaches
-    one of the state's pairs, and the versions the state's edges hold
-    are read off those rows when a pair of it without own moves first
-    needs them."""
+    Each pair walks its state's entry of ``m.rows``, whose action and
+    successor indices give its own moves' labels and pair indices
+    directly, and the versions the state's edges hold are read off that
+    entry once per walk, when a pair of it without own moves first needs
+    them."""
     poset = m.conditions
     conditions = poset.elements
     height = len(conditions)
@@ -108,43 +110,33 @@ def _pair_graph(m: Cts, roots: Iterable[PairKey]) -> PairGraph:
     # a smaller downset first is a linear extension, bottom-up
     order = sorted(range(height), key=lambda k: down[k].bit_count())
     rank = {k: r for r, k in enumerate(order)}
-    offset = {x: i * height for i, x in enumerate(m.states)}
-    number = [-1] * (len(m.states) * height)
+    rows, number = m.rows, [-1] * (len(m.states) * height)
     found: list[int] = []
     for x, cond in roots:
-        g = offset[x] + index[cond]
+        g = m.index[x] * height + index[cond]
         if number[g] < 0:
             number[g] = len(found)
             found.append(g)
-    # each state's edges as (action index * |conditions|, successor
-    # offset, label), read the first time the walk reaches the state
-    outgoing: list[list[tuple[int, int, frozenset[str]]] | None] = [None] * len(m.states)
     held: dict[int, int] = {}  # the mask of the versions some edge from a state holds
     links: list[list[tuple[int, int]]] = []
     levels: list[list[int]] = [[] for _ in range(height + 1)]
     for i, g in enumerate(found):  # grows while it is walked
         s, k = divmod(g, height)
-        edges = outgoing[s]
-        if edges is None:
-            edges = outgoing[s] = [
-                (ai * height, offset[y], label)
-                for ai, a in enumerate(m.actions)
-                for y, label in m.outgoing(m.states[s], a)
-            ]
-        cond, row, link = conditions[k], g - k, []
-        for base, succ, label in edges:
+        cond, base, link = conditions[k], g - k, []
+        for a, y, label in rows[s]:
             if cond in label:
-                j = number[succ + k]
+                succ = y * height + k
+                j = number[succ]
                 if j < 0:
-                    j = number[succ + k] = len(found)
-                    found.append(succ + k)
-                link.append((j, base + k))
+                    j = number[succ] = len(found)
+                    found.append(succ)
+                link.append((j, a * height + k))
         if link:
             below = covers[k]
             levels[rank[k]].append(i)
         else:
             if s not in held:
-                labels = frozenset().union(*[label for _, _, label in edges])
+                labels = frozenset().union(*[label for _, _, label in rows[s]])
                 held[s] = sum(1 << index[mu] for mu in labels)
             # what lies below an entered version is no maximum, nor needs a look
             entered = rest = held[s] & down[k]
@@ -156,10 +148,10 @@ def _pair_graph(m: Cts, roots: Iterable[PairKey]) -> PairGraph:
             if len(below) > 1:
                 levels[height].append(i)
         for c in below:
-            j = number[row + c]
+            j = number[base + c]
             if j < 0:
-                j = number[row + c] = len(found)
-                found.append(row + c)
+                j = number[base + c] = len(found)
+                found.append(base + c)
             link.append((j, width + c))
         links.append(link)
     pairs = [(m.states[g // height], conditions[g % height]) for g in found]
@@ -388,7 +380,7 @@ def bisimilar(m: Cts, x: str, y: str, phi: str) -> bool:
     visited and signed, and the answer is no at the first round that
     separates the two roots, since later rounds only refine."""
     for state in (x, y):
-        if state not in m.states:
+        if state not in m.index:
             raise UnknownElement(state)
     m.conditions.check_element(phi)
     if x == y:

@@ -8,9 +8,9 @@ The edges present at one fixed condition form a plain transition
 system, which the ``project`` command prints.  The refinement engine
 runs on the graph of (state, condition) pairs that the system's upgrade
 coalgebra induces, compressed by its version-filter law, and reads that
-graph straight from a ``Cts`` (``equivalence._pair_graph``).  The
-coalgebra table and its laws are a test reference
-(``tests/reference/coalgebra.py``).
+graph straight from the ``Cts``'s rows, its edges by state, action and
+successor index (``equivalence._pair_graph``).  The coalgebra table and
+its laws are a test reference (``tests/reference/coalgebra.py``).
 """
 from __future__ import annotations
 
@@ -38,7 +38,13 @@ class Cts:
     ``labels`` maps (src, action, dst) to the set of conditions under
     which the edge is present.  Each label set must be downward closed,
     which is the same thing as the successor structure shrinking under
-    upgrades.
+    upgrades.  The keys are checked in sorted order, so a bad mapping
+    raises for its least bad edge whatever order it was built in.
+
+    ``index`` gives each state its position in ``states``, and
+    ``rows[i]`` lists the edges from state i as (action index, successor
+    index, label), in sorted (action, successor) order; edges with an
+    empty label are dropped.  The refinement engine walks these rows.
     """
 
     def __init__(
@@ -53,36 +59,35 @@ class Cts:
         self.states: tuple[str, ...] = tuple(sorted(set(states)))
         self.actions: tuple[str, ...] = tuple(sorted(set(actions)))
         self.conditions = conditions
-        state_set = set(self.states)
-        action_set = set(self.actions)
-        table: dict[Edge, frozenset[str]] = {}
-        for (src, act, dst), conds in labels.items():
-            if src not in state_set:
+        self.index = index = {x: i for i, x in enumerate(self.states)}
+        action_index = {a: i for i, a in enumerate(self.actions)}
+        rows: list[list[tuple[int, int, frozenset[str]]]] = [[] for _ in self.states]
+        for edge in sorted(labels):
+            src, act, dst = edge
+            if src not in index:
                 raise UnknownElement(src)
-            if dst not in state_set:
+            if dst not in index:
                 raise UnknownElement(dst)
-            if act not in action_set:
+            if act not in action_index:
                 raise UnknownElement(act)
-            members = frozenset(conds)
+            members = frozenset(labels[edge])
             unknown = members.difference(conditions.index)
             if unknown:
                 raise UnknownElement(min(unknown))
             if not conditions.is_downward_closed(members):
                 raise NotDownwardClosed(f"{src} {act} {dst} : {sorted(members)}")
             if members:
-                table[(src, act, dst)] = members
-        # each (src, act) row of (dst, label), keys and rows in sorted order
-        out: dict[tuple[str, str], list[tuple[str, frozenset[str]]]] = {}
-        for (src, act, dst) in sorted(table):
-            out.setdefault((src, act), []).append((dst, table[(src, act, dst)]))
-        self._out = out
-
-    def outgoing(self, src: str, act: str) -> list[tuple[str, frozenset[str]]]:
-        return self._out.get((src, act), [])
+                rows[index[src]].append((action_index[act], index[dst], members))
+        self.rows = rows
 
     def edges(self) -> list[tuple[str, str, str, frozenset[str]]]:
         """Every edge with its label, in sorted (src, action, dst) order."""
-        return [(s, a, d, label) for (s, a), row in self._out.items() for d, label in row]
+        states, actions = self.states, self.actions
+        return [
+            (x, actions[a], states[d], label)
+            for x, row in zip(states, self.rows)
+            for a, d, label in row
+        ]
 
     def __repr__(self) -> str:
         return f"Cts(states={len(self.states)}, edges={len(self.edges())})"

@@ -26,6 +26,7 @@ from typing import Iterable, Mapping
 
 from ctsmin.models import Cts
 from ctsmin.order import Poset, UnknownElement
+from .models import outgoing
 from .order import lt
 
 Pair = tuple[str, str]
@@ -111,7 +112,7 @@ def project(m: Cts, phi: str) -> Lts:
 def successors(m: Cts, src: str, act: str, phi: str) -> frozenset[str]:
     """The a-successors of a state that are present at condition phi."""
     m.conditions.check_element(phi)
-    return frozenset(dst for dst, conds in m.outgoing(src, act) if phi in conds)
+    return frozenset(dst for dst, conds in outgoing(m, src, act) if phi in conds)
 
 
 @dataclass(frozen=True)
@@ -320,16 +321,16 @@ def lattice_fixpoint_stages(m: Cts) -> list[dict[Pair, frozenset[str]]]:
             for y in states:
                 value = current[(x, y)]
                 for a in m.actions:
-                    for (x1, gx) in m.outgoing(x, a):
+                    for (x1, gx) in outgoing(m, x, a):
                         matched: frozenset[str] = frozenset()
-                        for (y1, gy) in m.outgoing(y, a):
+                        for (y1, gy) in outgoing(m, y, a):
                             matched |= gy & current[(x1, y1)]
                         value &= implies(gx, matched)
                         if not value:
                             break
-                    for (y1, gy) in m.outgoing(y, a):
+                    for (y1, gy) in outgoing(m, y, a):
                         matched = frozenset()
-                        for (x1, gx) in m.outgoing(x, a):
+                        for (x1, gx) in outgoing(m, x, a):
                             matched |= gx & current[(x1, y1)]
                         value &= implies(gy, matched)
                         if not value:
@@ -368,19 +369,19 @@ def is_lattice_bisimulation(
             for side in ("forth", "back"):
                 mover = x if side == "forth" else y
                 for a in m.actions:
-                    for (t, g_mv) in m.outgoing(mover, a):
+                    for (t, g_mv) in outgoing(m, mover, a):
                         for phi in base.elements:
                             if phi not in g_mv or phi not in related:
                                 continue
                             if side == "forth":
                                 ok = any(
                                     phi in gy and phi in rel.value(t, y1)
-                                    for (y1, gy) in m.outgoing(y, a)
+                                    for (y1, gy) in outgoing(m, y, a)
                                 )
                             else:
                                 ok = any(
                                     phi in gx and phi in rel.value(x1, t)
-                                    for (x1, gx) in m.outgoing(x, a)
+                                    for (x1, gx) in outgoing(m, x, a)
                                 )
                             if not ok:
                                 return False, (x, y, side, a, t, phi)

@@ -16,6 +16,7 @@ from typing import Iterable, Mapping
 
 from ctsmin.models import Cts
 from ctsmin.order import Poset, UnknownElement
+from .models import outgoing
 from .order import leq
 
 
@@ -143,7 +144,7 @@ def coalgebra_encode(m: Cts) -> UpgradeCoalgebra:
     table: dict[tuple[str, str, str], SuccessorPairs] = {}
     for x in m.states:
         for a in m.actions:
-            out = m.outgoing(x, a)
+            out = outgoing(m, x, a)
             for phi, lower in below.items():
                 pairs = frozenset(
                     (d, psi) for (d, conds) in out for psi in conds & lower

@@ -14,6 +14,7 @@ from ctsmin import (
     validate_poset,
 )
 from ctsmin.modelfile import RESERVED, parse_with_kind
+from reference.models import outgoing
 
 from corpus import cts_corpus
 from examples import FIXTURES, ex1, ex2, system_key
@@ -130,7 +131,7 @@ x a y : phi' phi
 def test_parse_tolerates_comments_and_section_order():
     m = parse_model(SCRAMBLED)
     assert isinstance(m, Cts)
-    assert m.outgoing("x", "a") == [("y", BOTH)]
+    assert outgoing(m, "x", "a") == [("y", BOTH)]
     canonical = serialise_model(m)
     assert "x a y : phi phi'" in canonical
 
@@ -239,7 +240,7 @@ def test_labels_must_be_downward_closed_unless_closing():
         parse_model(NOT_CLOSED)
     assert err.value.line == 11
     closed = parse_model(NOT_CLOSED, close=True)
-    assert closed.outgoing("x", "a") == [("x", BOTH)]
+    assert outgoing(closed, "x", "a") == [("x", BOTH)]
 
 
 def test_open_line_is_rejected_though_another_line_closes_the_union():
@@ -256,7 +257,7 @@ def test_lines_for_one_edge_merge_into_their_union():
         "x a x : phi\n", "x a y : phi'\nx a y : phi phi'\n"
     )
     m = parse_model(text)
-    assert m.outgoing("x", "a") == [("y", BOTH)]
+    assert outgoing(m, "x", "a") == [("y", BOTH)]
     assert [line for line in serialise_model(m).splitlines() if " : " in line] == [
         "x a y : phi phi'"
     ]

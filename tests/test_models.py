@@ -19,6 +19,7 @@ from reference.coalgebra import (
     version_filter,
 )
 from reference.maps import v_hat_apply
+from reference.models import outgoing
 from reference.order import relation
 
 from corpus import boolean_cts, cts_corpus, line_cts, random_cts
@@ -43,6 +44,19 @@ def test_unknown_names_are_rejected():
         assert err.value.element == unknown
 
 
+def test_least_bad_edge_is_named_whatever_the_insertion_order():
+    # ("s", "a", "s") sorts before ("s", "b", "s"), so its open label is
+    # reported, not the undeclared action of the other edge
+    bad = [(("s", "b", "s"), {"phi'"}), (("s", "a", "s"), {"phi"})]
+    raised = []
+    for labels in (dict(bad), dict(reversed(bad))):
+        with pytest.raises(Exception) as err:
+            Cts(["s"], ["a"], TWO_LEVEL, labels)
+        raised.append((err.type, str(err.value)))
+    assert raised[0] == raised[1]
+    assert raised[0][0] is NotDownwardClosed
+
+
 def test_empty_condition_poset_is_rejected():
     with pytest.raises(ValueError, match="non-empty"):
         Cts(["s"], ["a"], validate_poset([], []), {})
@@ -50,7 +64,7 @@ def test_empty_condition_poset_is_rejected():
 
 def test_empty_labels_dropped_not_stored():
     m = Cts(["s", "t"], ["a"], TWO_LEVEL, {("s", "a", "t"): {"phi'"}})
-    assert m.outgoing("s", "a") == [("t", frozenset({"phi'"}))]
+    assert outgoing(m, "s", "a") == [("t", frozenset({"phi'"}))]
     assert len(m.edges()) == 1
 
 
