@@ -83,3 +83,19 @@ def line_cts(n: int) -> Cts:
             labels[(src, "a", dst)] = {"phi", "phi'"}
     labels[(left[-1], "a", left[-1])] = {"phi'"}
     return Cts(left + right, ["a"], TWO_LEVEL, labels)
+
+
+def principal_cts(rng):
+    """A system over a random poset of up to seven conditions whose every
+    label is the downset of one condition, so that the labels of a
+    state's edges often have incomparable tops."""
+    conditions = random_poset(rng, 7)
+    states = [f"s{i}" for i in range(rng.randint(1, 5))]
+    labels = {}
+    for src in states:
+        for act in ("a", "b"):
+            for dst in states:
+                if rng.random() < 0.5:
+                    top = rng.choice(conditions.elements)
+                    labels[(src, act, dst)] = conditions.down_close([top])
+    return Cts(states, ["a", "b"], conditions, labels)

@@ -1,7 +1,11 @@
 """Acceptance gate: one test per headline claim, each exact and
 within its stated time budget."""
 
+import os
 import random
+import shutil
+import subprocess
+import sys
 from time import perf_counter
 
 import pytest
@@ -10,6 +14,7 @@ from ctsmin import (
     minimise_refinement,
     validate_poset,
 )
+from ctsmin.equivalence import _all_pairs
 from reference.order import leq
 from reference.bisim import (
     greatest_conditional_bisimilarity_naive,
@@ -51,8 +56,8 @@ from reference.monad import (
     tx_space,
 )
 
-from corpus import cts_corpus, random_poset
-from examples import FIXTURES, ex1, ex2, final_relation, read_fixture
+from corpus import cts_corpus, principal_cts, random_poset
+from examples import FIXTURES, ROOT, ex1, ex2, final_relation, read_fixture
 from test_frame import check_import_round_trips, m3, n5
 from test_monad import (
     COMBOS,
@@ -96,17 +101,24 @@ def test_criterion_3_counterexample_pair_unrelated():
     assert "phi" not in rel.value("x1", "x2")
 
 
-def fixtures_then_corpus():
-    """Every model under ``fixtures/``, then the 500-system corpus."""
+def gate_systems():
+    """Every model under ``fixtures/``, the 500-system corpus, then
+    ``principal_cts`` over seeds 0-299.  The corpus's posets of at most
+    three conditions almost never give a join, a pair whose moves enter
+    at several maximal versions; the principal systems hold about one
+    join in three."""
     for path in sorted(FIXTURES.iterdir()):
         yield read_fixture(path.name)
     yield from cts_corpus(500)
+    for seed in range(300):
+        yield principal_cts(random.Random(seed))
 
 
 def test_criterion_4_chain_and_fixpoint_stabilise_together():
     start = perf_counter()
-    checked = 0
-    for m in fixtures_then_corpus():
+    checked = joins = 0
+    for m in gate_systems():
+        joins += len(_all_pairs(m).levels[-1])
         c = coalgebra_encode(m)
         r = minimise_chain(c)
         stages = lattice_fixpoint_stages(m)
@@ -123,13 +135,15 @@ def test_criterion_4_chain_and_fixpoint_stabilise_together():
         # the refinement engine's rounds are the chain's stages
         assert minimise_refinement(m) == r
         checked += 1
-    assert checked >= 507
+    assert checked >= 807
+    assert joins >= 100
     assert perf_counter() - start < 30.0
 
 
 def test_criterion_5_fixpoint_agrees_with_naive_oracle():
-    checked = 0
-    for m in fixtures_then_corpus():
+    checked = joins = 0
+    for m in gate_systems():
+        joins += len(_all_pairs(m).levels[-1])
         rel, rounds = lattice_bisim_fixpoint(m)
         family, _ = greatest_conditional_bisimilarity_naive(m)
         engine, iterations = final_relation(m)
@@ -143,7 +157,83 @@ def test_criterion_5_fixpoint_agrees_with_naive_oracle():
                     if (x, y) in family.relation(phi)
                 )
         checked += 1
-    assert checked >= 507
+    assert checked >= 807
+    assert joins >= 100
+
+
+CRITERION_4 = "tests/test_acceptance.py::test_criterion_4_chain_and_fixpoint_stabilise_together"
+
+# Faults planted in a copy of the runtime, each as (file under
+# src/ctsmin, the exact text it replaces, which occurs once in that file,
+# the replacement, the tests that must fail on it).  The tests run in a
+# child pytest whose module path holds the copy alone, so none of them
+# may start a subprocess through examples.src_env(), which puts the
+# checkout's unmutated src first.
+MUTANTS = {
+    # the chain oracle orders its quotient by coequalising the product
+    # order, not through _quotient_poset
+    "quotient-order-skips-first-state": (
+        "minimise.py",
+        "for x in states\n",
+        "for x in states[1:]\n",
+        [CRITERION_4],
+    ),
+    "quotient-transitions-unchecked": (
+        "minimise.py",
+        "elif seen != image:",
+        "elif False:",
+        [
+            "tests/test_minimise.py::test_congruence_is_checked_on_ranked_blocks",
+            "tests/test_minimise.py::test_partition_that_is_no_congruence_is_a_value_error",
+        ],
+    ),
+    "first-part-keeps-block-id": (
+        "equivalence.py",
+        "largest = parts[sizes.index(max(sizes))]",
+        "largest = parts[0]",
+        ["tests/test_rounds.py::test_largest_part_keeps_the_block_id"],
+    ),
+    "kernel-cells-unchecked": (
+        "equivalence.py",
+        "if block[y * height + kp] != b:",
+        "if False:",
+        ["tests/test_equivalence.py::test_kernel_relation_rejects_corrupted_blocks"],
+    ),
+    "least-undeclared-condition-named": (
+        "modelfile.py",
+        "c = next(c for c in conds if c not in conditions)",
+        "c = min(c for c in conds if c not in conditions)",
+        ["tests/test_modelfile.py::test_first_undeclared_condition_of_a_line_is_named"],
+    ),
+    # a pair without own moves expands only its first maximal version, so
+    # only joins go wrong
+    "join-expands-first-maximum": (
+        "equivalence.py",
+        "if label >= width])",
+        "if label >= width][: None if i in own else 1])",
+        [CRITERION_4],
+    ),
+}
+
+
+@pytest.mark.parametrize("mutant", MUTANTS)
+def test_mutant_is_killed(tmp_path, mutant):
+    module, old, new, killers = MUTANTS[mutant]
+    src = tmp_path / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    path = src / "ctsmin" / module
+    text = path.read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *killers],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    # pytest exits 1 when a test fails, and otherwise on errors
+    assert proc.returncode == 1, proc.stdout + proc.stderr
 
 
 def test_criterion_6_birkhoff_duality():

@@ -24,7 +24,7 @@ from ctsmin.equivalence import _all_pairs, _pair_graph, _rounds, bisimilar
 from reference.chain import block_partition, matrix_stage
 from reference.coalgebra import alpha_graph, coalgebra_encode
 
-from corpus import boolean_cts, cts_corpus, line_cts, random_poset
+from corpus import boolean_cts, cts_corpus, line_cts, principal_cts
 from examples import FIXTURES, read_fixture
 from strategies import cts_models
 
@@ -180,22 +180,6 @@ def test_rounds_match_full_resigning_on_boolean(k, seed):
 @given(cts_models(st.text("xyz'", min_size=1, max_size=2)))
 def test_rounds_match_full_resigning_on_drawn_systems(m):
     assert_engine_matches_oracle(m)
-
-
-def principal_cts(rng):
-    """A system over a random poset of up to seven conditions whose every
-    label is the downset of one condition, so that the labels of a
-    state's edges often have incomparable tops."""
-    conditions = random_poset(rng, 7)
-    states = [f"s{i}" for i in range(rng.randint(1, 5))]
-    labels = {}
-    for src in states:
-        for act in ("a", "b"):
-            for dst in states:
-                if rng.random() < 0.5:
-                    top = rng.choice(conditions.elements)
-                    labels[(src, act, dst)] = conditions.down_close([top])
-    return Cts(states, ["a", "b"], conditions, labels)
 
 
 def test_rounds_match_full_resigning_over_wide_posets():
