@@ -16,11 +16,11 @@ bytes that are not UTF-8).  ``validate`` differs: it prints an invalid
 model's error on stdout as ``invalid: <reason>`` and exits 1.
 
 This module only parses the command line, dispatches and maps errors to
-exit codes; the reports are written by ``ctsmin.minimise``.  The
-``minimise`` report goes to stdout chunk by chunk, one stage or
-transition row at a time, as ``minimise._report_chunks`` yields it, so
-no whole report is held; its bytes are ``chain_result_text``'s and a
-newline.
+exit codes; the reports are written by ``ctsmin.minimise``.  Both
+JSON reports go to stdout chunk by chunk, as ``minimise._bisim_chunks``
+(one state at a time) and ``minimise._report_chunks`` (one stage or
+transition row at a time) yield them, then a newline, so no whole
+report is held.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import os
 import sys
 
 from .equivalence import bisimilar
-from .minimise import _report_chunks, bisim_text, chain_result_dot, minimise_refinement
+from .minimise import _bisim_chunks, _report_chunks, chain_result_dot, minimise_refinement
 from .modelfile import ParseError, parse_with_kind, serialise_model
 from .models import NotDownwardClosed
 from .order import AntisymmetryViolation, OrderError
@@ -72,7 +72,8 @@ def _cmd_project(model, args) -> int:
 
 
 def _cmd_bisim(model, args) -> int:
-    print(bisim_text(model))
+    sys.stdout.writelines(_bisim_chunks(model))
+    sys.stdout.write("\n")
     return 0
 
 
@@ -184,7 +185,3 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -162,7 +162,7 @@ class Round(namedtuple("Round", "block moved signed blocks")):
     """One round of ``_rounds``.  ``block`` gives every pair's block id
     after the round; the engine updates that list in place, so it is
     valid only until the generator resumes.  ``moved`` lists (pair,
-    previous block id) for the pairs whose id changed in this round,
+    block id after the round) for the pairs whose id changed in it,
     ``signed`` counts the signatures computed in it and ``blocks`` is
     the number of blocks."""
 
@@ -214,10 +214,11 @@ def _rounds(graph: PairGraph) -> Iterator[Round]:
         """Split block b into its parts of equal key, where the part that
         ends with the representative of b's ``rest`` untouched members
         stands for them all: the largest keeps the id, each other part
-        takes a fresh one.  The pairs that moved, aliases aside."""
+        takes a fresh one.  The pairs that moved, aliases aside, each
+        with its new id."""
         sizes = [len(part) if part[-1] in dirty else len(part) + rest - 1 for part in parts]
         largest = parts[sizes.index(max(sizes))]
-        moved: list[int] = []
+        moved: list[tuple[int, int]] = []
         for part in parts:
             if part is largest:
                 continue
@@ -230,7 +231,7 @@ def _rounds(graph: PairGraph) -> Iterator[Round]:
             members.append(part)
             for i in part:
                 block[i] = new
-            moved += part
+                moved.append((i, new))
         return moved
 
     yield Round(block, [], 0, len(members))
@@ -249,7 +250,7 @@ def _rounds(graph: PairGraph) -> Iterator[Round]:
         part = parts.setdefault(key, [])
         part.append(i)
         name[i] = part[0]
-    moved = [(i, 0) for i in split(0, list(parts.values()), dirty, rest)] if len(parts) > 1 else []
+    moved = split(0, list(parts.values()), dirty, rest) if len(parts) > 1 else []
     signed = len(batch)
     while True:
         # the next round's dirty pairs, by level: the own pairs moving to
@@ -258,7 +259,7 @@ def _rounds(graph: PairGraph) -> Iterator[Round]:
         for j, b in moved:  # grows by the aliases of the pairs that moved
             if j in aliases:
                 for i in aliases[j]:
-                    block[i] = block[j]
+                    block[i] = b
                     moved.append((i, b))
             if preds[j]:
                 pending.setdefault(level[preds[j][0]], set()).update(preds[j])
@@ -291,8 +292,8 @@ def _rounds(graph: PairGraph) -> Iterator[Round]:
                 if len(parts) > 1:
                     splits.append((b, list(parts.values()), rest))
             for b, found, rest in splits:
-                for j in split(b, found, dirty, rest):
-                    moved.append((j, b))
+                for j, new in split(b, found, dirty, rest):
+                    moved.append((j, new))
                     for i in uppers[j]:
                         pending.setdefault(level[i], set()).add(i)
 
@@ -368,7 +369,7 @@ def refine(m: Cts) -> tuple[PairGraph, Moves, list[int], int]:
         block = rnd.block
         if len(rounds) == 1:
             split = any(b != block[i % height] for i, b in enumerate(block))
-        rounds.append([(i, block[i]) for i, _ in rnd.moved])
+        rounds.append(rnd.moved)
     return graph, rounds, block, len(rounds) - 2 if split else 0
 
 

@@ -16,13 +16,13 @@ The chain oracle in ``tests/reference/chain.py`` builds its own
 ``ChainResult`` from its stage tables, so the tests compare two
 independent constructions.
 
-The module owns the layout of both JSON reports.  ``bisim_text``
-writes the ``bisim`` report from the cells of ``refine``'s final blocks
-(``equivalence.kernel_cells``), and ``chain_result_text`` the
-``minimise`` report from a ``ChainResult``.  That report is the join of
-the chunks of one generator, ``_report_chunks``: one per order pair,
-quotient transition row and stage, which the command line writes to
-stdout as they come, so no whole report is held.  Both print what
+The module owns the layout of both JSON reports.  Each comes from one
+chunk generator, whose chunks the command line writes to stdout as they
+come, so no whole report is held: ``_bisim_chunks`` writes the
+``bisim`` report from the cells of ``refine``'s final blocks, one chunk
+per state, and ``_report_chunks`` the ``minimise`` report from a
+``ChainResult``, one chunk per order pair, quotient transition row and
+stage, which ``chain_result_text`` joins.  Both print what
 ``json.dumps(payload, indent=2, sort_keys=True)`` prints without a
 payload dict, quoting through the C ``encode_basestring_ascii``: with
 ``indent`` set, CPython's pure-Python encoder took longer than the whole
@@ -274,12 +274,14 @@ def _json_list(items: list[str], indent: str) -> str:
     return f"[{inner}{(',' + inner).join(items)}{indent}]"
 
 
-def bisim_text(m: Cts) -> str:
-    """The ``bisim`` report, as ``json.dumps`` with ``indent=2`` and
-    ``sort_keys=True`` prints the payload {"algorithm": "fixpoint",
-    "iterations": ..., "pairs": {"x,y": [conditions]}}, written straight
-    from the cells of ``refine``'s final blocks (``kernel_cells``).  The
-    engine computes the lattice fixpoint, which names the report.
+def _bisim_chunks(m: Cts) -> Iterator[str]:
+    """The ``bisim`` report in chunks: the header, one per state x with
+    x's related pairs (x itself among them) and the closing, which join
+    to what ``json.dumps(payload, indent=2, sort_keys=True)`` prints for
+    {"algorithm": "fixpoint", "iterations": ..., "pairs": {"x,y":
+    [conditions]}}, from the cells of ``refine``'s final blocks
+    (``kernel_cells``), the lattice fixpoint.  All checks and engine
+    work come first, so a failing call writes nothing.
 
     ``sort_keys`` sorts the raw "x,y" keys, not their quoted form.  When
     no state name holds ',', the key of x and y sorts by x + ',' first
@@ -303,29 +305,29 @@ def bisim_text(m: Cts) -> str:
     head = [quote(x)[:-1] + "," for x in states]
     tail = [quote(y)[1:] for y in states]
     values: dict[tuple[int, ...], str] = {}
-    items = []
+    yield f'{{{_IN2}"algorithm": "fixpoint",{_IN2}"iterations": {iterations},{_IN2}"pairs": '
+    sep = "{" + _IN4
     for x in sorted(range(len(states)), key=lambda s: states[s] + ","):
         related: dict[int, list[int]] = {}
         for k, members in enumerate(cell[x * height : (x + 1) * height]):
             for y in members:
                 related.setdefault(y, []).append(k)
+        items = []
         for y in sorted(related):
             key = tuple(related[y])
             if key not in values:
                 values[key] = _json_list([conditions[k] for k in key], _IN4)
             items.append(f"{head[x]}{tail[y]}: {values[key]}")
-    pairs = f"{{{_IN4}{(',' + _IN4).join(items)}{_IN2}}}" if items else "{}"
-    return (
-        f'{{{_IN2}"algorithm": "fixpoint",{_IN2}"iterations": {iterations},'
-        f'{_IN2}"pairs": {pairs}\n}}'
-    )
+        yield sep + ("," + _IN4).join(items)
+        sep = "," + _IN4
+    yield _closed(sep, _IN2, "}") + "\n}"
 
 
-def _closed(sep: str, indent: str) -> str:
-    """The end of a JSON list whose items were each written after
-    ``sep``, laid out as ``_json_list`` lays it out: ``sep`` is still
-    the opening one when no item was written."""
-    return "[]" if sep[0] == "[" else indent + "]"
+def _closed(sep: str, indent: str, end: str = "]") -> str:
+    """The end of a JSON list, or an object if ``end`` is "}", whose
+    items were each written after ``sep``, laid out as ``_json_list``
+    lays it out: ``sep`` is still the opening one when none was."""
+    return indent + end if sep[0] == "," else sep[0] + end
 
 
 def _report_chunks(result: ChainResult) -> Iterator[str]:

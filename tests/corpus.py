@@ -99,3 +99,19 @@ def principal_cts(rng):
                     top = rng.choice(conditions.elements)
                     labels[(src, act, dst)] = conditions.down_close([top])
     return Cts(states, ["a", "b"], conditions, labels)
+
+
+def wide_cts(n: int, seed: int) -> Cts:
+    """States s0..s(n-1) over the two-level order with actions a and b,
+    each state with two successors per action drawn uniformly; a label
+    is {phi, phi'} with probability 0.8 and {phi'} otherwise.  Every
+    state moves under a and b at phi', so at phi' all states are
+    bisimilar and the ``bisim`` report is quadratic in n."""
+    rng = random.Random(seed)
+    states = [f"s{i}" for i in range(n)]
+    labels = {}
+    for x in states:
+        for a in ("a", "b"):
+            for y in rng.sample(states, 2):
+                labels[(x, a, y)] = {"phi", "phi'"} if rng.random() < 0.8 else {"phi'"}
+    return Cts(states, ["a", "b"], TWO_LEVEL, labels)

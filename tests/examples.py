@@ -1,7 +1,7 @@
 """The worked examples, read from their model files, the engine's final
 relation as the oracles give theirs, the key that tells two systems
-apart, and the checkout's paths with the environment in which a
-subprocess runs its package.
+apart, the checkout's paths with the environment in which a
+subprocess runs its package, and a command's peak memory in a child.
 
 EX1 is a pair of three-state gadgets over the two-level order
 phi' < phi whose top states are equivalent at each single condition
@@ -11,6 +11,8 @@ version-aware equivalence from the per-condition view at the top.
 """
 
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 from ctsmin import parse_model, refine
@@ -29,6 +31,31 @@ def src_env():
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
     )
     return env
+
+
+# a child's ru_maxrss also counts the pages of the process it was forked
+# from, up to its exec, so a fresh interpreter launches it: spawned from
+# the test process, that process's own peak would pass for the child's
+LAUNCHER = (
+    "import os, sys; pid = os.posix_spawn(sys.executable, sys.argv[1:], os.environ); "
+    "_, status, usage = os.wait4(pid, 0); print(usage.ru_maxrss, file=sys.stderr); "
+    "sys.exit(os.waitstatus_to_exitcode(status))"
+)
+
+
+def child_peak_mb(*argv):
+    """The peak RSS in MB of ``python -m ctsmin`` run on ``argv`` in a
+    child of a fresh interpreter, its stdout discarded.  A child that
+    fails raises with its stderr."""
+    proc = subprocess.run(
+        [sys.executable, "-c", LAUNCHER, sys.executable, "-m", "ctsmin", *argv],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        env=src_env(),
+    )
+    if proc.returncode:
+        raise RuntimeError(proc.stderr.decode())
+    return int(proc.stderr) / (2**20 if sys.platform == "darwin" else 2**10)
 
 
 def read_fixture(name):

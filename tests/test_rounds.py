@@ -112,7 +112,8 @@ def assert_round_one_rule(m):
     """From round one on, the per-condition state partitions repeat
     exactly when the pair partition does; and when round one splits no
     condition's states, round two moves nothing.  This is the argument
-    by which ``refine`` reads the kernel matrix's stage off round one."""
+    by which ``refine`` reads the kernel matrix's stage off round one.
+    Each moved pair is logged with its block id after the round."""
     height = len(m.conditions.elements)
     graph = _all_pairs(m)
     matrices, partitions, moved = [], [], []
@@ -120,6 +121,7 @@ def assert_round_one_rule(m):
         matrices.append(condition_partitions(rnd.block, height))
         partitions.append(block_partition(graph.pairs, rnd.block))
         moved.append(rnd.moved)
+        assert all(rnd.block[i] == b for i, b in rnd.moved)
     for k in range(1, len(matrices) - 1):
         assert (matrices[k] == matrices[k + 1]) == (partitions[k] == partitions[k + 1]), k
     if matrices[1] == matrices[0] and len(moved) > 2:
@@ -217,11 +219,13 @@ def test_largest_part_keeps_the_block_id():
     m = Cts(["p", "q", "u", "v"], ["a"], TWO_LEVEL, {("p", "a", "q"): both})
     graph = _all_pairs(m)
     pairs = graph.pairs
-    first = list(_rounds(graph))[1]
+    rounds = _rounds(graph)
+    next(rounds)
+    first = next(rounds)
     assert first.blocks == 3
-    moved = sorted(pairs[i] for i, old in first.moved)
+    moved = sorted(pairs[i] for i, _ in first.moved)
     assert moved == [("p", "phi"), ("p", "phi'")]
-    assert all(old == 0 for _, old in first.moved)
+    assert all(new == first.block[i] != 0 for i, new in first.moved)
     assert first.signed == 3
 
 
