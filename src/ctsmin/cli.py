@@ -53,7 +53,7 @@ def _cmd_validate(model, args) -> int:
         f"ok: {args.kind} with {len(model.states)} states,"
         f" {len(model.actions)} actions,"
         f" {len(model.conditions.elements)} conditions,"
-        f" {len(model.edges())} transitions"
+        f" {sum(map(len, model.rows))} transitions"
     )
     return 0
 

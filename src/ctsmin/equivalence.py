@@ -33,7 +33,7 @@ extension of the conditions, then the joins.  From round one on every
 block lies on one level, with the aliases of its own pairs, or holds
 the pairs without moves, and it splits as soon as its level is signed.
 Only the pairs whose inputs moved are signed, with one representative
-of each block they touch.
+of each block they touch; a block of one pair cannot split, unsigned.
 
 ``refine`` is the one pass over every pair: it hands ``minimise`` each
 round's moved pairs with their new block ids, which is all that changes
@@ -53,7 +53,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
+from functools import reduce
 from itertools import chain
+from operator import or_
 
 from .models import Cts, NotDownwardClosed
 from .order import UnknownElement, bits
@@ -98,9 +100,9 @@ def _pair_graph(m: Cts, roots: Iterable[PairKey]) -> PairGraph:
     that order, as in ``_all_pairs``, a pair's number is that index.
     Each pair walks its state's entry of ``m.rows``, whose action and
     successor indices give its own moves' labels and pair indices
-    directly, and the versions the state's edges hold are read off that
-    entry once per walk, when a pair of it without own moves first needs
-    them."""
+    directly, and each label is a mask that holds condition k as bit k.
+    The versions the state's edges hold, the OR of its masks, are read
+    once per walk, when a pair of it without own moves first needs them."""
     poset = m.conditions
     conditions = poset.elements
     height = len(conditions)
@@ -122,9 +124,9 @@ def _pair_graph(m: Cts, roots: Iterable[PairKey]) -> PairGraph:
     levels: list[list[int]] = [[] for _ in range(height + 1)]
     for i, g in enumerate(found):  # grows while it is walked
         s, k = divmod(g, height)
-        cond, base, link = conditions[k], g - k, []
+        base, link = g - k, []
         for a, y, label in rows[s]:
-            if cond in label:
+            if label >> k & 1:
                 succ = y * height + k
                 j = number[succ]
                 if j < 0:
@@ -136,8 +138,7 @@ def _pair_graph(m: Cts, roots: Iterable[PairKey]) -> PairGraph:
             levels[rank[k]].append(i)
         else:
             if s not in held:
-                labels = frozenset().union(*[label for _, _, label in rows[s]])
-                held[s] = sum(1 << index[mu] for mu in labels)
+                held[s] = reduce(or_, [label for _, _, label in rows[s]], 0)
             # what lies below an entered version is no maximum, nor needs a look
             entered = rest = held[s] & down[k]
             while rest:
@@ -186,11 +187,13 @@ def _rounds(graph: PairGraph) -> Iterator[Round]:
     representative of the untouched members of each block they touch,
     and splits those blocks before the next level reads them.  Untouched
     members shared a key in the previous round and their inputs kept
-    their ids, so they still agree.  An alias follows its maximum at the
-    end of the round: only own moves, at round-k ids, read it.  A block
-    that splits keeps its id for its largest part, untouched members
-    counted, so a pair moves at most log2(pairs) times after round one
-    (Hopcroft's rule, applied round by round)."""
+    their ids, so they still agree.  A touched block of a single pair is
+    skipped: a lone pair cannot split, and aliases are no members.  An
+    alias follows its maximum at the end of the round: only own moves,
+    at round-k ids, read it.  A block that splits keeps its id for its
+    largest part, untouched members counted, so a pair moves at most
+    log2(pairs) times after round one (Hopcroft's rule, applied round by
+    round)."""
     links, levels, width = graph.links, graph.levels, graph.width
     size = len(links)
     span = width + len(levels) - 1  # the number of labels
@@ -276,6 +279,8 @@ def _rounds(graph: PairGraph) -> Iterator[Round]:
             # once it is signed
             splits: list[tuple[int, list[list[int]], int]] = []
             for b, group in touched.items():
+                if len(members[b]) == 1:
+                    continue
                 # one representative of the untouched members signs for
                 # them all, last
                 rest = len(members[b]) - len(group)

@@ -22,7 +22,7 @@ and serialise are mutually inverse on canonical text.
 from __future__ import annotations
 
 from .models import Cts, NotDownwardClosed
-from .order import validate_poset
+from .order import UnknownElement, validate_poset
 
 KINDS = ("cts", "lats")
 SECTIONS = ("conditions", "states", "actions", "transitions")
@@ -121,7 +121,8 @@ def parse_with_kind(text: str, close: bool = False) -> tuple[str, Cts]:
         raise ParseError(seen["conditions"], "at least one condition is required")
 
     poset = validate_poset(conditions, order_pairs)
-    labels: dict[tuple[str, str, str], frozenset[str]] = {}
+    # each edge's label mask: the OR of its lines' closures
+    labels: dict[tuple[str, str, str], int] = {}
     for (number, src, act, dst, conds) in transitions:
         if src not in states:
             raise ParseError(number, f"undeclared state {src!r}")
@@ -129,19 +130,16 @@ def parse_with_kind(text: str, close: bool = False) -> tuple[str, Cts]:
             raise ParseError(number, f"undeclared state {dst!r}")
         if act not in actions:
             raise ParseError(number, f"undeclared action {act!r}")
-        members = frozenset(conds)
-        if not conditions.keys() >= members:
+        try:
             # in line order, so the first undeclared one is named
-            c = next(c for c in conds if c not in conditions)
-            raise ParseError(number, f"undeclared condition {c!r}")
-        if close:
-            members = poset.down_close(members)
-        elif not poset.is_downward_closed(members):
+            mask, closed = poset.masks(conds)
+        except UnknownElement as err:
+            raise ParseError(number, f"undeclared condition {err.element!r}") from None
+        if mask != closed and not close:
             raise NotDownwardClosed(
-                f"{src} {act} {dst} : {' '.join(sorted(members))}", line=number
+                f"{src} {act} {dst} : {' '.join(sorted(set(conds)))}", line=number
             )
-        edge = (src, act, dst)
-        labels[edge] = labels[edge] | members if edge in labels else members
+        labels[src, act, dst] = labels.get((src, act, dst), 0) | closed
 
     return kind, Cts(states, actions, poset, labels)
 
@@ -156,7 +154,6 @@ def serialise_model(model: Cts, kind: str = "cts") -> str:
         if name.split() != [name] or "#" in name:
             raise ValueError(f"name {name!r} is empty or holds whitespace or '#'")
     poset = model.conditions
-    rank = {c: i for i, c in enumerate(poset.top_down_order)}
     lines = [f"kind: {kind}", "", "[conditions]"]
     lines.extend(poset.top_down_order)
     lines.extend(f"{p} <= {q}" for (p, q) in poset.covers)
@@ -170,8 +167,13 @@ def serialise_model(model: Cts, kind: str = "cts") -> str:
         lines.append(" ".join(model.actions))
     lines.append("")
     lines.append("[transitions]")
-    for (src, act, dst, conds) in model.edges():
-        shown = " ".join(sorted(conds, key=lambda c: (rank[c], c)))
-        lines.append(f"{src} {act} {dst} : {shown}")
+    # each label's text, its conditions top down, made once
+    names, top_down = poset.elements, [poset.index[c] for c in poset.top_down_order]
+    states, actions, shown = model.states, model.actions, {}
+    for x, row in zip(states, model.rows):
+        for a, d, label in row:
+            text = shown.get(label)
+            if text is None:
+                text = shown[label] = " ".join([names[i] for i in top_down if label >> i & 1])
+            lines.append(f"{x} {actions[a]} {states[d]} : {text}")
     return "\n".join(lines) + "\n"
-

@@ -9,8 +9,9 @@ system, which the ``project`` command prints.  The refinement engine
 runs on the graph of (state, condition) pairs that the system's upgrade
 coalgebra induces, compressed by its version-filter law, and reads that
 graph straight from the ``Cts``'s rows, its edges by state, action and
-successor index (``equivalence._pair_graph``).  The coalgebra table and
-its laws are a test reference (``tests/reference/coalgebra.py``).
+successor index, with each label as its downset mask over the sorted
+conditions (``equivalence._pair_graph``).  The coalgebra table and its
+laws are a test reference (``tests/reference/coalgebra.py``).
 """
 from __future__ import annotations
 
@@ -38,13 +39,16 @@ class Cts:
     ``labels`` maps (src, action, dst) to the set of conditions under
     which the edge is present.  Each label set must be downward closed,
     which is the same thing as the successor structure shrinking under
-    upgrades.  The keys are checked in sorted order, so a bad mapping
-    raises for its least bad edge whatever order it was built in.
+    upgrades.  A label given by names is checked; one given as an
+    ``int``, its mask over ``conditions.elements`` (bit i for element
+    i), is taken as it is, as the parser checks its masks line by line.
+    The keys are checked in sorted order, so a bad mapping raises for
+    its least bad edge whatever order it was built in.
 
     ``index`` gives each state its position in ``states``, and
     ``rows[i]`` lists the edges from state i as (action index, successor
-    index, label), in sorted (action, successor) order; edges with an
-    empty label are dropped.  The refinement engine walks these rows.
+    index, label mask), in sorted (action, successor) order; edges with
+    an empty label are dropped.  The refinement engine walks these rows.
     """
 
     def __init__(
@@ -52,7 +56,7 @@ class Cts:
         states: Iterable[str],
         actions: Iterable[str],
         conditions: Poset,
-        labels: Mapping[Edge, Iterable[str]],
+        labels: Mapping[Edge, Iterable[str] | int],
     ):
         if not conditions.elements:
             raise ValueError("condition poset must be non-empty")
@@ -61,7 +65,7 @@ class Cts:
         self.conditions = conditions
         self.index = index = {x: i for i, x in enumerate(self.states)}
         action_index = {a: i for i, a in enumerate(self.actions)}
-        rows: list[list[tuple[int, int, frozenset[str]]]] = [[] for _ in self.states]
+        rows: list[list[tuple[int, int, int]]] = [[] for _ in self.states]
         for edge in sorted(labels):
             src, act, dst = edge
             if src not in index:
@@ -70,24 +74,27 @@ class Cts:
                 raise UnknownElement(dst)
             if act not in action_index:
                 raise UnknownElement(act)
-            members = frozenset(labels[edge])
-            unknown = members.difference(conditions.index)
-            if unknown:
-                raise UnknownElement(min(unknown))
-            if not conditions.is_downward_closed(members):
-                raise NotDownwardClosed(f"{src} {act} {dst} : {sorted(members)}")
-            if members:
-                rows[index[src]].append((action_index[act], index[dst], members))
+            label = labels[edge]
+            if not isinstance(label, int):
+                members = frozenset(label)
+                unknown = members.difference(conditions.index)
+                if unknown:
+                    raise UnknownElement(min(unknown))
+                if not conditions.is_downward_closed(members):
+                    raise NotDownwardClosed(f"{src} {act} {dst} : {sorted(members)}")
+                label = conditions.masks(members)[0]
+            if label:
+                rows[index[src]].append((action_index[act], index[dst], label))
         self.rows = rows
 
     def edges(self) -> list[tuple[str, str, str, frozenset[str]]]:
-        """Every edge with its label, in sorted (src, action, dst) order."""
-        states, actions = self.states, self.actions
+        """Every edge with its label's names, in sorted (src, action, dst) order."""
+        states, actions, names = self.states, self.actions, self.conditions.names
         return [
-            (x, actions[a], states[d], label)
+            (x, actions[a], states[d], names(label))
             for x, row in zip(states, self.rows)
             for a, d, label in row
         ]
 
     def __repr__(self) -> str:
-        return f"Cts(states={len(self.states)}, edges={len(self.edges())})"
+        return f"Cts(states={len(self.states)}, edges={sum(map(len, self.rows))})"

@@ -7,8 +7,10 @@ element keeps the mask of its downset and that of its lower covers,
 closed in one topological pass.  Order questions read the masks: the
 covers, the down-closure of a set of names (``down_close``) and the
 sorted strict pairs (``strict_codes``) come from them, and no pair
-relation is built.  Every operation iterates in lexicographic element
-order, so all outputs are deterministic and serialise identically.
+relation is built.  A ``Cts`` keeps its edge labels as downset masks
+too, which ``masks`` reads from names and ``names`` writes back.  Every
+operation iterates in lexicographic element order, so all outputs are
+deterministic and serialise identically.
 """
 
 from __future__ import annotations
@@ -97,22 +99,34 @@ class Poset(_Value):
         pairs = [(names[p], q) for q, mask in zip(names, self.lower) for p in bits(mask)]
         return tuple(sorted(pairs))
 
-    def is_downward_closed(self, members: Iterable[str]) -> bool:
-        """Whether ``members`` holds everything below each member."""
+    def masks(self, members: Iterable[str]) -> tuple[int, int]:
+        """The masks of a set of names and of its down-closure, in one
+        pass; an unknown name raises ``UnknownElement``, the first met."""
         index, down = self.index, self.down
         mask = closed = 0
-        for q in members:
-            i = index[q]
-            mask |= 1 << i
-            closed |= down[i]
-        return closed == mask
+        try:
+            for q in members:
+                i = index[q]
+                mask |= 1 << i
+                closed |= down[i]
+        except KeyError:
+            raise UnknownElement(q) from None
+        return mask, closed
+
+    def names(self, mask: int) -> frozenset[str]:
+        """The elements whose bits a mask sets."""
+        return frozenset(map(self.elements.__getitem__, bits(mask)))
+
+    def is_downward_closed(self, members: Iterable[str]) -> bool:
+        """Whether ``members`` is its own down-closure."""
+        members = frozenset(members)
+        return self.down_close(members) == members
 
     def down_close(self, members: Iterable[str]) -> frozenset[str]:
-        closed = 0
-        for q in members:
-            self.check_element(q)
-            closed |= self.down[self.index[q]]
-        return frozenset(map(self.elements.__getitem__, bits(closed)))
+        """The down-closure of a set of names, the set itself if closed."""
+        members = frozenset(members)
+        mask, closed = self.masks(members)
+        return members if mask == closed else self.names(closed)
 
     @cached_property
     def top_down_order(self) -> tuple[str, ...]:

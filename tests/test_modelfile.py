@@ -9,6 +9,7 @@ from ctsmin import (
     Cts,
     NotDownwardClosed,
     ParseError,
+    Poset,
     parse_model,
     serialise_model,
     validate_poset,
@@ -270,6 +271,47 @@ def test_first_undeclared_condition_of_a_line_is_named(conds):
         parse_model(text)
     assert err.value.line == 12
     assert "undeclared condition 'zz'" in str(err.value)
+
+
+def transition_lines(text):
+    """The number of lines in a model file's transitions section."""
+    section, count = None, 0
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line.startswith("[") and line.endswith("]"):
+            section = line[1:-1].strip()
+        elif line and section == "transitions":
+            count += 1
+    return count
+
+
+def test_each_line_is_closure_tested_once_and_rows_match_the_api(monkeypatch):
+    """Every closure test reads a set of names through ``Poset.masks``:
+    the parse makes one per transition line, and ``Cts`` tests none of
+    the masks the parser hands it again.  The parsed rows are those of a
+    system built through the API from the same names."""
+    calls = []
+    masks = Poset.masks
+
+    def counted(self, members):
+        calls.append(members)
+        return masks(self, members)
+
+    texts = [path.read_text(encoding="utf-8") for path in sorted(FIXTURES.iterdir())]
+    built = list(cts_corpus(500))
+    texts += [serialise_model(m) for m in built]
+    monkeypatch.setattr(Poset, "masks", counted)
+    parsed = []
+    for text in texts:
+        calls.clear()
+        parsed.append(parse_model(text))
+        assert len(calls) == transition_lines(text)
+    monkeypatch.undo()
+    for m in parsed[: -len(built)]:
+        again = Cts(m.states, m.actions, m.conditions, {e[:3]: e[3] for e in m.edges()})
+        assert again.rows == m.rows
+    for m, original in zip(parsed[-len(built):], built):
+        assert m.rows == original.rows
 
 
 def test_order_cycle_is_rejected():

@@ -229,6 +229,17 @@ def test_largest_part_keeps_the_block_id():
     assert first.signed == 3
 
 
+def test_block_of_one_pair_is_not_signed():
+    # x loops under a at both levels.  Round one splits its two pairs,
+    # as their own moves enter at different versions, and leaves each
+    # alone in its block; each is then dirty in round two, as its own
+    # successor moved, but a block of one pair cannot split.
+    m = Cts(["x"], ["a"], TWO_LEVEL, {("x", "a", "x"): {"phi", "phi'"}})
+    rounds = [(list(r.block), r.moved, r.signed, r.blocks) for r in _rounds(_all_pairs(m))]
+    assert [blocks for *_, blocks in rounds] == [1, 2, 2]
+    assert rounds[2] == (rounds[1][0], [], 0, 2)
+
+
 def test_resigning_work_is_bounded_on_a_long_line():
     """Full re-signing would sign 5,120 pairs in each of 1,281 rounds;
     each pair moves at most log2(pairs) times, so the engine signs at
