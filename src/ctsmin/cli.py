@@ -64,10 +64,11 @@ def _cmd_convert(model, args) -> int:
 
 
 def _cmd_project(model, args) -> int:
-    model.conditions.check_element(args.condition)
-    for src, act, dst, label in model.edges():
-        if args.condition in label:
-            print(f"{src} {act} {dst}")
+    bit = model.conditions.masks([args.condition])[0]  # an unknown name raises
+    for x, row in zip(model.states, model.rows):
+        for a, d, label in row:
+            if label & bit:
+                print(f"{x} {model.actions[a]} {model.states[d]}")
     return 0
 
 

@@ -408,19 +408,19 @@ def kernel_cells(m: Cts, block: list[int]) -> list[list[int]]:
     every p <= q is joined by a chain of covers; a partition that breaks
     it is corrupted and raises ``NotDownwardClosed``, naming the first
     two states of such a cell that part at p."""
-    conditions = m.conditions
-    height = len(conditions.elements)
+    conditions = m.conditions.elements
+    height = len(conditions)
     cells: list[dict[int, list[int]]] = [{} for _ in range(height)]
     for i, b in enumerate(block):
         cells[i % height].setdefault(b, []).append(i // height)
-    for p, q in conditions.covers:
-        kp = conditions.index[p]
-        for cell in cells[conditions.index[q]].values():
+    # the covers by index, sorted as ``Poset.covers`` sorts their names
+    for kp, kq in sorted((p, q) for q, mask in enumerate(m.conditions.lower) for p in bits(mask)):
+        for cell in cells[kq].values():
             b = block[cell[0] * height + kp]
             for y in cell:
                 if block[y * height + kp] != b:
                     x, y = m.states[cell[0]], m.states[y]
                     raise NotDownwardClosed(
-                        f"kernel value at ({x},{y}) holds {q} but not {p}"
+                        f"kernel value at ({x},{y}) holds {conditions[kq]} but not {conditions[kp]}"
                     )
     return [cells[i % height][b] for i, b in enumerate(block)]

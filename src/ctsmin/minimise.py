@@ -7,11 +7,11 @@ condition) order, and a stage's kernel groups them by block id, its
 state partition groups the states by their row of block ids.  Each
 round rebuilds only the classes and state groups that a moved pair left
 or entered (``_Groups``), so an unchanged class is one tuple across
-stages and the report writes it once.  Each class is named by its least
-pair, and its moves are expanded from the pair graph that ``refine``
-built after the blocks are renumbered to the rank of their names, so
-that one integer sort per class lists the moves in report order.  The
-classes are ordered by closing the condition covers under that naming.
+stages and the report writes it once.  The final classes are named by
+their least pairs and ranked by name once (``_class_ranks``): the
+quotient order closes the condition covers over the ranks, and one
+integer sort lists each class's moves, read off ``refine``'s pair
+graph, in report order.
 The chain oracle in ``tests/reference/chain.py`` builds its own
 ``ChainResult`` from its stage tables, so the tests compare two
 independent constructions.
@@ -32,26 +32,35 @@ quotient for Graphviz.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Hashable, Iterable, Iterator, Sequence
 from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii as quote
 from operator import itemgetter
 
 from .equivalence import PairGraph, PairKey, Partition, kernel_cells, move_images, refine
 from .models import Cts
-from .order import Poset, _Value, validate_poset
+from .order import Poset, _Value, bits, validate_poset
 
 
 def _pair_name(pair: PairKey) -> str:
     return f"{pair[0]}@{pair[1]}"
 
 
-def _quotient_poset(
-    states: tuple[str, ...], conditions: Poset, class_of: Mapping[PairKey, str]
-) -> Poset:
+def _class_ranks(pairs: Sequence[PairKey], block: Sequence[int]) -> tuple[list[int], list[str]]:
+    """Each pair's class rank and each rank's class name, given each
+    pair's block id, the pairs in sorted order: a class is named by its
+    least pair, and the classes are ranked by name."""
+    named = {b: _pair_name(pair) for b, pair in dict(zip(block[::-1], pairs[::-1])).items()}
+    ordered = sorted(named, key=named.__getitem__)
+    rank = {b: r for r, b in enumerate(ordered)}
+    return [rank[b] for b in block], [named[b] for b in ordered]
+
+
+def _quotient_poset(m: Cts, ranked: list[int], names: list[str]) -> Poset:
     """The least order on the classes making the quotient map monotone:
     class(x, p) <= class(x, q) over each state x and each cover p < q,
-    closed as bit masks by ``validate_poset``'s one pass.
+    closed as bit masks by ``validate_poset``'s one pass, over the pairs
+    numbered state by state and their classes ranked by ``_class_ranks``.
 
     On a round of the engine, or on the equal stage kernel of the final
     chain, no cycle can arise, by induction over the rounds.  Round zero
@@ -62,14 +71,14 @@ def _quotient_poset(
     classes are therefore equal, and so are the signatures, which makes
     it one class.  A partition that breaks this raises
     ``AntisymmetryViolation``."""
-    return validate_poset(
-        class_of.values(),
-        {
-            (class_of[(x, p)], class_of[(x, q)])
-            for x in states
-            for (p, q) in conditions.covers
-        },
-    )
+    height = len(m.conditions.elements)
+    covers = [(p, q) for q, mask in enumerate(m.conditions.lower) for p in bits(mask)]
+    below = {
+        (names[ranked[x + p]], names[ranked[x + q]])
+        for x in range(0, len(ranked), height)
+        for p, q in covers
+    }
+    return validate_poset(names, below)
 
 
 # per (class, action): the sorted (successor class, version) pairs
@@ -113,29 +122,26 @@ class ChainResult(_Value):
 
 
 def _quotient_transitions(
-    m: Cts, graph: PairGraph, block: list[int], names: Mapping[int, str]
+    m: Cts, graph: PairGraph, ranked: list[int], names: list[str]
 ) -> Transitions:
     """The quotient's moves, one entry per (class, action), each a
-    sorted tuple of (successor class, version), given each pair's block
-    id on the pair graph and each block's class name.  Every pair of a
-    class must have the same moves into classes, expanded from the pair
-    graph; otherwise the partition is no congruence, and the first such
-    class by least pair is reported with the least action where its
-    members differ.
+    sorted tuple of (successor class, version), given each pair's class
+    rank on the pair graph and each rank's class name (``_class_ranks``).
+    Every pair of a class must have the same moves into classes,
+    expanded from the pair graph; otherwise the partition is no
+    congruence, and the first such class by least pair is reported with
+    the least action where its members differ.
 
-    The blocks are renumbered to the rank of their names first, so a
-    move's code ``rank * width + action * |conditions| + condition``
-    sorts as (successor name, action, condition) does, condition
-    indices following the sorted condition names: one integer sort of a
-    class's image lists each action's moves in order."""
+    The classes are ranked by name, so a move's code ``rank * width +
+    action * |conditions| + condition`` sorts as (successor name,
+    action, condition) does, condition indices following the sorted
+    condition names: one integer sort of a class's image lists each
+    action's moves in order."""
     width, actions = graph.width, m.actions
     conditions = m.conditions.elements
     height = len(conditions)
-    ordered = sorted(names, key=names.__getitem__)
-    rank = {b: r for r, b in enumerate(ordered)}
-    ranked = [rank[b] for b in block]
     images = move_images(graph, ranked)
-    first: list[frozenset[int] | None] = [None] * len(ordered)
+    first: list[frozenset[int] | None] = [None] * len(names)
     for image, r in zip(images, ranked):
         seen = first[r]
         if seen is None:
@@ -151,19 +157,18 @@ def _quotient_transitions(
                 if len(f) > 1
             )
             a = actions[min(v % width for v in spread) // height]
-            raise ValueError(f"quotient not well defined at {names[ordered[bad]]}, action {a}")
-    class_names = [names[b] for b in ordered]
+            raise ValueError(f"quotient not well defined at {names[bad]}, action {a}")
     # each move code's action index and (successor class, version), made
     # once: the classes share few distinct moves
     moves: dict[int, tuple[int, tuple[str, str]]] = {}
     out = []
-    for name, image in zip(class_names, first):
+    for name, image in zip(names, first):
         rows: list[list[tuple[str, str]]] = [[] for _ in actions]
         for v in sorted(image):
             move = moves.get(v)
             if move is None:
                 k, label = divmod(v, width)
-                move = moves[v] = (label // height, (class_names[k], conditions[label % height]))
+                move = moves[v] = (label // height, (names[k], conditions[label % height]))
             rows[move[0]].append(move[1])
         out.extend((name, a, tuple(row)) for a, row in zip(actions, rows))
     return tuple(out)
@@ -242,14 +247,13 @@ def minimise_refinement(m: Cts) -> ChainResult:
             partition, state_partition = classes.partition(), groups.partition()
         partitions.append(partition)
         state_partitions.append(state_partition)
-    names = {b: _pair_name(pairs[i]) for b, i in classes.least.items()}
-    class_of = {pair: names[b] for pair, b in zip(pairs, block)}
+    ranked, names = _class_ranks(pairs, block)
     return ChainResult(
         matrix_stage,
         tuple(partitions),
         tuple(state_partitions),
-        _quotient_poset(states, m.conditions, class_of),
-        _quotient_transitions(m, graph, block, names),
+        _quotient_poset(m, ranked, names),
+        _quotient_transitions(m, graph, ranked, names),
     )
 
 

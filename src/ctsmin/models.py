@@ -37,18 +37,20 @@ class Cts:
     """A conditional transition system over a finite condition poset.
 
     ``labels`` maps (src, action, dst) to the set of conditions under
-    which the edge is present.  Each label set must be downward closed,
-    which is the same thing as the successor structure shrinking under
-    upgrades.  A label given by names is checked; one given as an
-    ``int``, its mask over ``conditions.elements`` (bit i for element
-    i), is taken as it is, as the parser checks its masks line by line.
-    The keys are checked in sorted order, so a bad mapping raises for
-    its least bad edge whatever order it was built in.
+    which the edge is present, by names or as an ``int``, its mask over
+    ``conditions.elements`` (bit i for element i).  Either way it must
+    be a downset of known conditions, which is the same thing as the
+    successor structure shrinking under upgrades: an unknown name raises
+    ``UnknownElement``, a bit beyond the conditions ``ValueError`` and
+    an open label ``NotDownwardClosed``, naming the edge.  The keys are
+    checked in sorted order, so a bad mapping raises for its least bad
+    edge whatever order it was built in.
 
     ``index`` gives each state its position in ``states``, and
     ``rows[i]`` lists the edges from state i as (action index, successor
     index, label mask), in sorted (action, successor) order; edges with
-    an empty label are dropped.  The refinement engine walks these rows.
+    an empty label are dropped.  The refinement engine walks these rows
+    and the writers name them.
     """
 
     def __init__(
@@ -63,6 +65,7 @@ class Cts:
         self.states: tuple[str, ...] = tuple(sorted(set(states)))
         self.actions: tuple[str, ...] = tuple(sorted(set(actions)))
         self.conditions = conditions
+        height, down = len(conditions.elements), conditions.down
         self.index = index = {x: i for i, x in enumerate(self.states)}
         action_index = {a: i for i, a in enumerate(self.actions)}
         rows: list[list[tuple[int, int, int]]] = [[] for _ in self.states]
@@ -75,26 +78,21 @@ class Cts:
             if act not in action_index:
                 raise UnknownElement(act)
             label = labels[edge]
-            if not isinstance(label, int):
+            if isinstance(label, int):
+                if label >> height:
+                    raise ValueError(f"{src} {act} {dst} : mask {label:#b} exceeds the conditions")
+                rest = label  # walked from its highest bit, whose downset must lie in it
+                while rest and not down[top := rest.bit_length() - 1] & ~label:
+                    rest &= ~down[top]
+            else:
                 members = frozenset(label)
                 unknown = members.difference(conditions.index)
                 if unknown:
                     raise UnknownElement(min(unknown))
-                if not conditions.is_downward_closed(members):
-                    raise NotDownwardClosed(f"{src} {act} {dst} : {sorted(members)}")
+                rest = conditions.down_close(members) != members
                 label = conditions.masks(members)[0]
+            if rest:  # the label is open
+                raise NotDownwardClosed(f"{src} {act} {dst} : {sorted(conditions.names(label))}")
             if label:
                 rows[index[src]].append((action_index[act], index[dst], label))
         self.rows = rows
-
-    def edges(self) -> list[tuple[str, str, str, frozenset[str]]]:
-        """Every edge with its label's names, in sorted (src, action, dst) order."""
-        states, actions, names = self.states, self.actions, self.conditions.names
-        return [
-            (x, actions[a], states[d], names(label))
-            for x, row in zip(states, self.rows)
-            for a, d, label in row
-        ]
-
-    def __repr__(self) -> str:
-        return f"Cts(states={len(self.states)}, edges={sum(map(len, self.rows))})"

@@ -8,9 +8,10 @@ closed in one topological pass.  Order questions read the masks: the
 covers, the down-closure of a set of names (``down_close``) and the
 sorted strict pairs (``strict_codes``) come from them, and no pair
 relation is built.  A ``Cts`` keeps its edge labels as downset masks
-too, which ``masks`` reads from names and ``names`` writes back.  Every
-operation iterates in lexicographic element order, so all outputs are
-deterministic and serialise identically.
+too, which ``masks`` reads from names and ``names`` writes back, and
+checks a label given as a mask against ``down`` without naming it.
+Every operation iterates in lexicographic element order, so all
+outputs are deterministic and serialise identically.
 """
 
 from __future__ import annotations
@@ -116,11 +117,6 @@ class Poset(_Value):
     def names(self, mask: int) -> frozenset[str]:
         """The elements whose bits a mask sets."""
         return frozenset(map(self.elements.__getitem__, bits(mask)))
-
-    def is_downward_closed(self, members: Iterable[str]) -> bool:
-        """Whether ``members`` is its own down-closure."""
-        members = frozenset(members)
-        return self.down_close(members) == members
 
     def down_close(self, members: Iterable[str]) -> frozenset[str]:
         """The down-closure of a set of names, the set itself if closed."""

@@ -17,6 +17,7 @@ from pathlib import Path
 
 from ctsmin import parse_model, refine
 from reference.chain import block_partition, partition_matrix
+from reference.models import edges
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -73,7 +74,7 @@ def ex2():
 def system_key(m):
     """What makes two systems the same: their states, actions, condition
     order and labelled edges.  ``Cts`` itself compares by identity."""
-    return (m.states, m.actions, m.conditions, tuple(m.edges()))
+    return (m.states, m.actions, m.conditions, tuple(edges(m)))
 
 
 def final_relation(m):

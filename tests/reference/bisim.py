@@ -26,8 +26,8 @@ from typing import Iterable, Mapping
 
 from ctsmin.models import Cts
 from ctsmin.order import Poset, UnknownElement
-from .models import outgoing
-from .order import lt
+from .models import edges, outgoing
+from .order import is_downward_closed, lt
 
 Pair = tuple[str, str]
 Edge = tuple[str, str, str]
@@ -57,7 +57,7 @@ class LatticeRelation:
             if x not in known or y not in known:
                 raise ValueError(f"pair ({x},{y}) outside the carrier")
             members = frozenset(conds)
-            if not base.is_downward_closed(members):
+            if not is_downward_closed(base, members):
                 raise ValueError(f"value at ({x},{y}) not downward closed")
             if members:
                 cleaned[(x, y)] = members
@@ -103,10 +103,8 @@ class Lts:
 def project(m: Cts, phi: str) -> Lts:
     """The plain transition system seen at one fixed condition."""
     m.conditions.check_element(phi)
-    edges = [
-        (s, a, d) for (s, a, d, conds) in m.edges() if phi in conds
-    ]
-    return Lts(m.states, m.actions, edges)
+    present = [(s, a, d) for (s, a, d, conds) in edges(m) if phi in conds]
+    return Lts(m.states, m.actions, present)
 
 
 def successors(m: Cts, src: str, act: str, phi: str) -> frozenset[str]:

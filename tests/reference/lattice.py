@@ -24,7 +24,7 @@ from functools import cached_property
 from typing import Iterable
 
 from ctsmin.order import OrderError, Poset, validate_poset
-from .order import leq, relation
+from .order import is_downward_closed, leq, relation
 
 
 class FrameError(Exception):
@@ -52,7 +52,7 @@ class Downset:
         object.__setattr__(self, "members", frozenset(self.members))
         for q in self.members:
             self.base.check_element(q)
-        if not self.base.is_downward_closed(self.members):
+        if not is_downward_closed(self.base, self.members):
             raise OrderError(f"not downward closed: {sorted(self.members)}")
 
     def __contains__(self, p: str) -> bool:

@@ -4,11 +4,12 @@ replaced.
 ``relation`` is the pair relation of a ``Poset``, read off its downset
 masks and kept per poset: the runtime builds none, and asks its order
 questions of the masks.  ``leq`` and ``lt`` ask one question of the
-masks by name.  ``closure_relation`` closes the given pairs by a
-fixpoint of whole-set unions, as ``ctsmin.order.validate_poset`` did
-before it kept bit masks, and names a cycle the same way: the tests
-hold the one-pass closure against it, including the cycle that each
-violation reports.
+masks by name, and ``is_downward_closed`` one of a set of names, as
+``ctsmin.models.Cts`` did before it checked labels as masks.
+``closure_relation`` closes the given pairs by a fixpoint of whole-set
+unions, as ``ctsmin.order.validate_poset`` did before it kept bit
+masks, and names a cycle the same way: the tests hold the one-pass
+closure against it, including the cycle that each violation reports.
 """
 
 from __future__ import annotations
@@ -38,6 +39,12 @@ def leq(poset: Poset, p: str, q: str) -> bool:
 
 def lt(poset: Poset, p: str, q: str) -> bool:
     return p != q and leq(poset, p, q)
+
+
+def is_downward_closed(poset: Poset, members: Iterable[str]) -> bool:
+    """Whether ``members`` is its own down-closure in ``poset``."""
+    members = frozenset(members)
+    return poset.down_close(members) == members
 
 
 def closure_relation(

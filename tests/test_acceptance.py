@@ -174,8 +174,8 @@ MUTANTS = {
     # order, not through _quotient_poset
     "quotient-order-skips-first-state": (
         "minimise.py",
-        "for x in states\n",
-        "for x in states[1:]\n",
+        "for x in range(0, len(ranked), height)\n",
+        "for x in range(height, len(ranked), height)\n",
         [CRITERION_4],
     ),
     "quotient-transitions-unchecked": (
@@ -198,6 +198,17 @@ MUTANTS = {
         "if block[y * height + kp] != b:",
         "if False:",
         ["tests/test_equivalence.py::test_kernel_relation_rejects_corrupted_blocks"],
+    ),
+    # a label given as a mask is taken unwalked, as the parser's masks
+    # were before, so an open mask gets through
+    "int-mask-unchecked": (
+        "models.py",
+        "rest = label  #",
+        "rest = 0  #",
+        [
+            "tests/test_models.py::test_labels_must_be_downward_closed",
+            "tests/test_models.py::test_least_bad_edge_is_named_whatever_the_insertion_order",
+        ],
     ),
     "least-undeclared-condition-named": (
         "modelfile.py",

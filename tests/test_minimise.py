@@ -18,7 +18,7 @@ from ctsmin.equivalence import PairGraph, Round, _all_pairs, _rounds
 from reference.order import leq, relation
 from ctsmin.minimise import (
     _bisim_chunks,
-    _pair_name,
+    _class_ranks,
     _quotient_poset,
     _quotient_transitions,
     chain_result_text,
@@ -40,6 +40,7 @@ from reference.chain import (
     quotient_to_cts,
 )
 from reference.coalgebra import coalgebra_encode
+from reference.models import edges
 
 from corpus import boolean_cts, cts_corpus, line_cts
 from examples import ex1, ex2
@@ -203,11 +204,11 @@ def test_quotient_is_minimal_and_behaviour_preserving():
             {
                 **{
                     (f"o_{s}", a, f"o_{d}"): conds
-                    for (s, a, d, conds) in m.edges()
+                    for (s, a, d, conds) in edges(m)
                 },
                 **{
                     (f"q_{s}", a, f"q_{d}"): conds
-                    for (s, a, d, conds) in q.edges()
+                    for (s, a, d, conds) in edges(q)
                 },
             },
         )
@@ -225,10 +226,12 @@ def test_quotient_order_matches_coequalised_product():
     ]
     for m in systems:
         result = minimise_refinement(m)
+        pairs = [(x, phi) for x in m.states for phi in m.conditions.elements]
         for partition in result.stages:
             expected = coequalised_product(m.states, m.conditions, partition)
             assert len(expected.elements) == len(partition)
-            got = _quotient_poset(m.states, m.conditions, _class_names(partition))
+            index = {pair: k for k, cls in enumerate(partition) for pair in cls}
+            got = _quotient_poset(m, *_class_ranks(pairs, [index[pair] for pair in pairs]))
             assert got == expected
         assert result.z_poset == expected
 
@@ -247,11 +250,10 @@ def test_cyclic_partition_is_rejected():
 def engine_quotient(m, partition):
     """The runtime's quotient order and moves for a given final
     partition, the moves read off the engine's pair graph."""
+    graph = _all_pairs(m)
     index = {pair: k for k, cls in enumerate(partition) for pair in cls}
-    block = [index[(x, phi)] for x in m.states for phi in m.conditions.elements]
-    names = {k: _pair_name(cls[0]) for k, cls in enumerate(partition)}
-    poset = _quotient_poset(m.states, m.conditions, _class_names(partition))
-    return poset, _quotient_transitions(m, _all_pairs(m), block, names)
+    ranked, names = _class_ranks(graph.pairs, [index[pair] for pair in graph.pairs])
+    return _quotient_poset(m, ranked, names), _quotient_transitions(m, graph, ranked, names)
 
 
 def test_partition_that_is_no_congruence_is_a_value_error():
@@ -289,14 +291,13 @@ def test_congruence_is_checked_on_ranked_blocks():
 @given(cts_models(LIBRARY_NAMES), st.data())
 def test_quotient_moves_do_not_depend_on_block_ids(m, data):
     graph, _, block, _ = refine(m)
-    names = {}
-    for pair, b in zip(graph.pairs, block):
-        names.setdefault(b, _pair_name(pair))
-    ids = sorted(names)
+    ids = sorted(set(block))
     renamed = dict(zip(ids, data.draw(st.permutations(ids))))
-    assert _quotient_transitions(
-        m, graph, [renamed[b] for b in block], {renamed[b]: name for b, name in names.items()}
-    ) == _quotient_transitions(m, graph, block, names)
+    ranked, names = _class_ranks(graph.pairs, block)
+    assert _class_ranks(graph.pairs, [renamed[b] for b in block]) == (ranked, names)
+    # one rank per class, in name order, and the moves read them
+    assert names == sorted(set(names)) and set(ranked) == set(range(len(names)))
+    assert _quotient_transitions(m, graph, ranked, names) == minimise_refinement(m).transitions
 
 
 def test_dot_escapes_quote_in_library_names():

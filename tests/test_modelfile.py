@@ -15,7 +15,8 @@ from ctsmin import (
     validate_poset,
 )
 from ctsmin.modelfile import RESERVED, parse_with_kind
-from reference.models import outgoing
+from ctsmin.order import bits
+from reference.models import edges, outgoing
 
 from corpus import cts_corpus
 from examples import FIXTURES, ex1, ex2, system_key
@@ -32,7 +33,7 @@ def test_ex1_fixture_matches_builtin():
     assert m.states == ("x", "x'", "y", "y'", "z", "z'")
     assert m.actions == ("a",)
     assert m.conditions == TWO_LEVEL
-    assert m.edges() == [
+    assert edges(m) == [
         ("x", "a", "y", BOTH),
         ("x", "a", "z", BOTH),
         ("x'", "a", "y'", LOW),
@@ -46,7 +47,7 @@ def test_ex2_fixture_matches_builtin():
     # x2 loops only at phi', x1 never moves
     m = ex2()
     assert (m.states, m.actions, m.conditions) == (("x1", "x2"), ("a",), TWO_LEVEL)
-    assert m.edges() == [("x2", "a", "x2", LOW)]
+    assert edges(m) == [("x2", "a", "x2", LOW)]
 
 
 def test_fixture_files_are_canonical():
@@ -59,7 +60,7 @@ def test_serialise_is_canonical_on_corpus():
     for m in cts_corpus(40):
         text = serialise_model(m)
         again = parse_model(text)
-        assert set(again.edges()) == set(m.edges())
+        assert set(edges(again)) == set(edges(m))
         assert serialise_model(again) == text
 
 
@@ -110,6 +111,26 @@ def test_parse_inverts_serialise_on_token_names(model, kind):
     assert got_kind == kind
     assert system_key(again) == system_key(model) == system_key(parse_model(text))
     assert serialise_model(again, kind) == text
+
+
+@given(cts_models(TOKENS, TOKENS.filter(lambda name: "<=" not in name)), st.data())
+def test_every_system_cts_takes_reads_back_from_its_text(model, data):
+    """Labels drawn as any set of bits, one beyond the conditions among
+    them, and given by names or as the mask: ``Cts`` refuses an open
+    label or a stray bit, and every system it takes serialises to text
+    that parses back to the same rows."""
+    conditions = model.conditions.elements
+    keys = [(x, a, y) for x in model.states for a in model.actions for y in model.states]
+    labels = {}
+    for edge in data.draw(st.lists(st.sampled_from(keys), max_size=4, unique=True)):
+        mask = data.draw(st.integers(0, (2 << len(conditions)) - 1))
+        by_names = not mask >> len(conditions) and data.draw(st.booleans())
+        labels[edge] = [conditions[i] for i in bits(mask)] if by_names else mask
+    try:
+        m = Cts(model.states, model.actions, model.conditions, labels)
+    except (NotDownwardClosed, ValueError):
+        return
+    assert parse_model(serialise_model(m)).rows == m.rows
 
 
 SCRAMBLED = """
@@ -286,10 +307,11 @@ def transition_lines(text):
 
 
 def test_each_line_is_closure_tested_once_and_rows_match_the_api(monkeypatch):
-    """Every closure test reads a set of names through ``Poset.masks``:
-    the parse makes one per transition line, and ``Cts`` tests none of
-    the masks the parser hands it again.  The parsed rows are those of a
-    system built through the API from the same names."""
+    """The parse reads each transition line's names once, through one
+    ``Poset.masks`` call, and ``Cts`` checks the masks the parser hands
+    it against ``Poset.down`` without naming them again.  The parsed
+    rows are those of a system built through the API from the same
+    names."""
     calls = []
     masks = Poset.masks
 
@@ -308,7 +330,7 @@ def test_each_line_is_closure_tested_once_and_rows_match_the_api(monkeypatch):
         assert len(calls) == transition_lines(text)
     monkeypatch.undo()
     for m in parsed[: -len(built)]:
-        again = Cts(m.states, m.actions, m.conditions, {e[:3]: e[3] for e in m.edges()})
+        again = Cts(m.states, m.actions, m.conditions, {e[:3]: e[3] for e in edges(m)})
         assert again.rows == m.rows
     for m, original in zip(parsed[-len(built):], built):
         assert m.rows == original.rows

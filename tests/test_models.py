@@ -19,7 +19,7 @@ from reference.coalgebra import (
     version_filter,
 )
 from reference.maps import v_hat_apply
-from reference.models import outgoing
+from reference.models import edges, outgoing
 from reference.order import relation
 
 from corpus import boolean_cts, cts_corpus, line_cts, random_cts
@@ -27,8 +27,13 @@ from examples import ex1, ex2, system_key
 
 
 def test_labels_must_be_downward_closed():
-    with pytest.raises(NotDownwardClosed):
-        Cts(["s"], ["a"], TWO_LEVEL, {("s", "a", "s"): {"phi"}})
+    # {phi} lacks phi' < phi, whether it is given by names or as its mask
+    raised = []
+    for label in ({"phi"}, 0b01):
+        with pytest.raises(NotDownwardClosed) as err:
+            Cts(["s"], ["a"], TWO_LEVEL, {("s", "a", "s"): label})
+        raised.append(str(err.value))
+    assert raised == ["label set not downward closed: s a s : ['phi']"] * 2
 
 
 def test_unknown_names_are_rejected():
@@ -42,19 +47,30 @@ def test_unknown_names_are_rejected():
         with pytest.raises(UnknownElement) as err:
             Cts(["s"], ["a"], TWO_LEVEL, {edge: label})
         assert err.value.element == unknown
+    # a mask bit beyond the two conditions names none of them
+    for mask in (0b100, 0b111, -1):
+        with pytest.raises(ValueError, match=f"^s a s : mask {mask:#b} exceeds the conditions$"):
+            Cts(["s"], ["a"], TWO_LEVEL, {("s", "a", "s"): mask})
 
 
 def test_least_bad_edge_is_named_whatever_the_insertion_order():
     # ("s", "a", "s") sorts before ("s", "b", "s"), so its open label is
-    # reported, not the undeclared action of the other edge
-    bad = [(("s", "b", "s"), {"phi'"}), (("s", "a", "s"), {"phi"})]
-    raised = []
-    for labels in (dict(bad), dict(reversed(bad))):
-        with pytest.raises(Exception) as err:
-            Cts(["s"], ["a"], TWO_LEVEL, labels)
-        raised.append((err.type, str(err.value)))
-    assert raised[0] == raised[1]
-    assert raised[0][0] is NotDownwardClosed
+    # reported, not the undeclared action of the other edge, whether it
+    # comes by names or as a mask among good masks
+    for label in ({"phi"}, 0b01):
+        bad = [
+            (("t", "a", "s"), 0b11),
+            (("s", "b", "s"), {"phi'"}),
+            (("s", "a", "s"), label),
+            (("s", "a", "t"), 0b10),
+        ]
+        raised = []
+        for labels in (dict(bad), dict(reversed(bad))):
+            with pytest.raises(Exception) as err:
+                Cts(["s", "t"], ["a"], TWO_LEVEL, labels)
+            raised.append((err.type, str(err.value)))
+        assert raised[0] == raised[1]
+        assert raised[0] == (NotDownwardClosed, "label set not downward closed: s a s : ['phi']")
 
 
 def test_empty_condition_poset_is_rejected():
@@ -65,7 +81,7 @@ def test_empty_condition_poset_is_rejected():
 def test_empty_labels_dropped_not_stored():
     m = Cts(["s", "t"], ["a"], TWO_LEVEL, {("s", "a", "t"): {"phi'"}})
     assert outgoing(m, "s", "a") == [("t", frozenset({"phi'"}))]
-    assert len(m.edges()) == 1
+    assert len(edges(m)) == 1
 
 
 def test_ex1_projections():

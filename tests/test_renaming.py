@@ -21,6 +21,7 @@ from ctsmin import (
 )
 from ctsmin.equivalence import bisimilar
 from reference.chain import _class_names
+from reference.models import edges
 from reference.order import leq
 
 from corpus import boolean_cts, random_cts
@@ -63,7 +64,7 @@ def rename(m, states, conditions, actions):
     )
     labels = {
         (states[s], actions[a], states[d]): {conditions[c] for c in conds}
-        for s, a, d, conds in m.edges()
+        for s, a, d, conds in edges(m)
     }
     return Cts(states.values(), actions.values(), poset, labels)
 
