@@ -11,12 +11,7 @@ Birkhoff duality its labels are the downward closed condition sets, so
 one system type serves both model file kinds."""
 
 from .equivalence import bisimilar, refine
-from .minimise import (
-    ChainResult,
-    chain_result_dot,
-    chain_result_text,
-    minimise_refinement,
-)
+from .minimise import ChainResult, chain_result_dot, minimise_refinement
 from .modelfile import ParseError, parse_model, serialise_model
 from .models import Cts, NotDownwardClosed
 from .order import (
@@ -42,7 +37,6 @@ __all__ = [
     "UnknownElement",
     "bisimilar",
     "chain_result_dot",
-    "chain_result_text",
     "minimise_refinement",
     "parse_model",
     "refine",

@@ -22,7 +22,7 @@ come, so no whole report is held: ``_bisim_chunks`` writes the
 ``bisim`` report from the cells of ``refine``'s final blocks, one chunk
 per state, and ``_report_chunks`` the ``minimise`` report from a
 ``ChainResult``, one chunk per order pair, quotient transition row and
-stage, which ``chain_result_text`` joins.  Both print what
+stage.  Each report has that one form.  Both print what
 ``json.dumps(payload, indent=2, sort_keys=True)`` prints without a
 payload dict, quoting through the C ``encode_basestring_ascii``: with
 ``indent`` set, CPython's pure-Python encoder took longer than the whole
@@ -336,9 +336,16 @@ def _closed(sep: str, indent: str, end: str = "]") -> str:
 
 def _report_chunks(result: ChainResult) -> Iterator[str]:
     """The ``minimise`` report in chunks, one per order pair, quotient
-    transition row and stage, which ``chain_result_text`` joins and the
-    command line writes as they come.  Each list item is written after
-    its separator, which opens the list before the first item."""
+    transition row and stage, which the command line writes as they
+    come.  Each list item is written after its separator, which opens
+    the list before the first item.
+
+    For a fixed system and names without '@' the joined text gives back
+    the result: each pair name splits at its one '@', each class is
+    named by its least pair, the order's strict pairs close to
+    ``z_poset``, and the (class, action) rows without moves, which the
+    text leaves out, are those of the system's actions.  So two results
+    give two texts."""
     quoted = _Quoted()
     z = result.z_poset
     names = [quoted[x] for x in z.elements]
@@ -398,26 +405,6 @@ def _report_chunks(result: ChainResult) -> Iterator[str]:
         sep = "," + _IN4
     yield _closed(sep, _IN2)
     yield "\n}"
-
-
-def chain_result_text(result: ChainResult) -> str:
-    """The ``minimise`` report as ``json.dumps(payload, indent=2,
-    sort_keys=True)`` prints it, where the payload is the dict that
-    the tests' ``reference.chain.chain_result_json`` builds, written directly
-    without that dict: every name is quoted once and each quotient
-    transition row is one string, its keys in sorted order.  The text is
-    the join of ``_report_chunks``, which the command line writes to
-    stdout chunk by chunk instead, so that no whole report is held.  The
-    order's strict pairs are read off ``z_poset``'s downset masks as
-    integer codes, which builds no relation.
-
-    For a fixed system and names without '@' the text gives back the
-    result: each pair name splits at its one '@', each class is named
-    by its least pair, the order's strict pairs close to ``z_poset``,
-    and the (class, action) rows without moves, which the text leaves
-    out, are those of the system's actions.  So two results give two
-    texts."""
-    return "".join(_report_chunks(result))
 
 
 def _dot_quote(text: str) -> str:

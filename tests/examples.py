@@ -1,7 +1,8 @@
 """The worked examples, read from their model files, the engine's final
-relation as the oracles give theirs, the key that tells two systems
-apart, the checkout's paths with the environment in which a
-subprocess runs its package, and a command's peak memory in a child.
+relation as the oracles give theirs, the ``minimise`` report's text,
+the key that tells two systems apart, the checkout's paths with the
+environment in which a subprocess runs its package, and a command's
+peak memory in a child.
 
 EX1 is a pair of three-state gadgets over the two-level order
 phi' < phi whose top states are equivalent at each single condition
@@ -16,6 +17,7 @@ import sys
 from pathlib import Path
 
 from ctsmin import parse_model, refine
+from ctsmin.minimise import _report_chunks
 from reference.chain import block_partition, partition_matrix
 from reference.models import edges
 
@@ -84,3 +86,9 @@ def final_relation(m):
     graph, _, block, iterations = refine(m)
     partition = block_partition(graph.pairs, block)
     return partition_matrix(m.states, m.conditions, partition), iterations
+
+
+def report_text(result):
+    """The ``minimise`` report of ``result``: its chunks joined, as the
+    command line writes them, without the final newline."""
+    return "".join(_report_chunks(result))

@@ -20,10 +20,10 @@ are shared.
 
 ``partition_matrix`` and ``kernel_matrix`` read a stage's
 same-condition kernel as a lattice relation.  ``chain_result_json`` is
-the report as a plain dict, the reference the tests hold
-``minimise.chain_result_text`` against.  ``quotient_to_cts`` re-reads a
-quotient as a conditional system, and ``coequalise`` quotients a poset
-by the equivalence that a set of pairs generates.
+the report as a plain dict, the reference the tests hold the joined
+chunks of ``minimise._report_chunks`` against.  ``quotient_to_cts``
+re-reads a quotient as a conditional system, and ``coequalise``
+quotients a poset by the equivalence that a set of pairs generates.
 
 Terms are hash-consed through a module interner keyed by sub-term
 identity, so equality is pointer equality and table comparisons stay

@@ -23,12 +23,12 @@ from ctsmin import (
     validate_poset,
 )
 from ctsmin.cli import main
-from ctsmin.minimise import _bisim_chunks, chain_result_text
+from ctsmin.minimise import _bisim_chunks
 from reference.bisim import lattice_bisim_fixpoint
 from reference.chain import chain_result_json
 
 from corpus import boolean_cts, cts_corpus, line_cts, wide_cts
-from examples import FIXTURES, child_peak_mb, ex1, ex2, read_fixture, src_env
+from examples import FIXTURES, child_peak_mb, ex1, ex2, read_fixture, report_text, src_env
 from strategies import LIBRARY_NAMES, cts_models
 
 EX1 = str(FIXTURES / "EX1")
@@ -162,7 +162,7 @@ def test_json_writer_matches_indented_dumps_on_reports():
             bisim_payload(*lattice_bisim_fixpoint(m)), indent=2, sort_keys=True
         )
         result = minimise_refinement(m)
-        assert chain_result_text(result) == json.dumps(
+        assert report_text(result) == json.dumps(
             chain_result_json(result), indent=2, sort_keys=True
         )
 
@@ -351,7 +351,7 @@ def test_unwritable_dot_file_is_a_usage_error(tmp_path, capsys):
     target = tmp_path / "no" / "such" / "dir.dot"
     code, out, err = run(capsys, "minimise", EX1, "--dot", str(target))
     assert code == 2
-    assert out == chain_result_text(minimise_refinement(ex1())) + "\n"
+    assert out == report_text(minimise_refinement(ex1())) + "\n"
     assert err == f"cannot write {target}\n"
 
 
@@ -427,19 +427,27 @@ def test_streamed_bisim_report_bounds_peak_memory(tmp_path):
 STREAMED = {"line40": lambda: line_cts(40), "boolean5": lambda: boolean_cts(5, 0)}
 
 
-# EMPTY's and ONE's quotient order and transitions are [], so those
-# streamed lists close with no item written
+# each command's report, joined from the generator the command line
+# writes; EMPTY's and ONE's quotient order and transitions are [], so
+# those streamed lists close with no item written
+REPORTS = {
+    "bisim": lambda model: "".join(_bisim_chunks(model)),
+    "minimise": lambda model: report_text(minimise_refinement(model)),
+}
+
+
 @pytest.mark.parametrize("name", [*STREAMED, "EMPTY", "ONE"])
-def test_minimise_streams_the_report_text(name, tmp_path, capsys):
+@pytest.mark.parametrize("command", REPORTS)
+def test_command_streams_the_report_text(command, name, tmp_path, capsys):
     if name in STREAMED:
         model = STREAMED[name]()
         path = tmp_path / f"{name}.cts"
         path.write_text(serialise_model(model, "cts"), encoding="utf-8")
     else:
         model, path = read_fixture(name), FIXTURES / name
-    code, out, err = run(capsys, "minimise", str(path))
+    code, out, err = run(capsys, command, str(path))
     assert (code, err) == (0, "")
-    assert out == chain_result_text(minimise_refinement(model)) + "\n"
+    assert out == REPORTS[command](model) + "\n"
 
 
 FIXTURE_TEXTS = [path.read_text() for path in sorted(FIXTURES.iterdir())]

@@ -19,7 +19,8 @@ rewrites their asserts, which therefore check under ``-O`` too.  The
 same property end to end.  A second scan holds the runtime free of code
 only the tests call: every function, method and class that
 ``src/ctsmin`` defines is named somewhere else in ``src/ctsmin``, but
-for the exported API, the console script and dunders.
+for the console script, dunders and the exported names that
+``benchmark`` or ``scripts`` name.
 """
 
 import ast
@@ -55,7 +56,6 @@ RUNTIME_API = [
     "UnknownElement",
     "bisimilar",
     "chain_result_dot",
-    "chain_result_text",
     "minimise_refinement",
     "parse_model",
     "refine",
@@ -182,8 +182,26 @@ def test_no_module_reads_the_optimise_flag_and_the_runtime_imports_only_the_stdl
     assert foreign == []
 
 
+def names_in(*tops):
+    """Every name, attribute and name imported from a module in the
+    Python files under the given top-level directories."""
+    named = set()
+    for top in tops:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+                if isinstance(node, ast.Name):
+                    named.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    named.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    named.update(alias.name for alias in node.names)
+    return named
+
+
 def test_every_runtime_definition_is_named_in_the_runtime():
-    exempt = {*ctsmin.__all__, "cli.py:main"}
+    # an exported name is exempt only if the benchmark or the walkthrough
+    # names it, so no twin of a runtime path can live on for the tests
+    exempt = {*(set(ctsmin.__all__) & names_in("benchmark", "scripts")), "cli.py:main"}
     defined, named = [], set()
     for path in sorted((ROOT / "src" / "ctsmin").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), path.name)):

@@ -21,7 +21,6 @@ from ctsmin.minimise import (
     _class_ranks,
     _quotient_poset,
     _quotient_transitions,
-    chain_result_text,
 )
 from reference.bisim import lattice_bisim_fixpoint
 from reference.chain import (
@@ -43,7 +42,7 @@ from reference.coalgebra import coalgebra_encode
 from reference.models import edges
 
 from corpus import boolean_cts, cts_corpus, line_cts
-from examples import ex1, ex2
+from examples import ex1, ex2, report_text
 from strategies import LIBRARY_NAMES, cts_models
 from test_modelfile import TOKENS
 
@@ -170,7 +169,7 @@ def test_refinement_engine_matches_chain_on_library_names(model):
     result = minimise_refinement(model)
     chain = minimise_chain(coalgebra_encode(model))
     assert result == chain
-    assert chain_result_text(result) == chain_result_text(chain)
+    assert report_text(result) == report_text(chain)
 
 
 def test_colliding_pair_names_are_rejected():
@@ -315,11 +314,11 @@ def test_dot_escapes_quote_in_library_names():
 @given(cts_models(LIBRARY_NAMES))
 def test_report_text_is_the_dumped_report_dict(model):
     result = minimise_refinement(model)
-    text = chain_result_text(result)
+    text = report_text(result)
     assert text == json.dumps(chain_result_json(result), indent=2, sort_keys=True)
     assert len(result.z_poset.elements) == len(result.stages[result.stage])
-    assert chain_result_text(result) == text
-    assert chain_result_text(minimise_refinement(model)) == text
+    assert report_text(result) == text
+    assert report_text(minimise_refinement(model)) == text
 
 
 
@@ -361,7 +360,7 @@ def read_chain_result(text, m):
 
 def assert_report_reads_back(m):
     result = minimise_refinement(m)
-    text = chain_result_text(result)
+    text = report_text(result)
     assert read_chain_result(text, m) == result
     strict = sorted((p, q) for p, q in relation(result.z_poset) if p != q)
     assert json.loads(text)["quotient"]["order"] == [list(pair) for pair in strict]
