@@ -385,10 +385,9 @@ def bisimilar(m: Cts, x: str, y: str, phi: str) -> bool:
     them are the rounds of that part alone.  Only those pairs are
     visited and signed, and the answer is no at the first round that
     separates the two roots, since later rounds only refine."""
-    for state in (x, y):
-        if state not in m.index:
-            raise UnknownElement(state)
-    m.conditions.check_element(phi)
+    for name, known in ((x, m.index), (y, m.index), (phi, m.conditions.index)):
+        if name not in known:
+            raise UnknownElement(name)
     if x == y:
         return True
     graph = _pair_graph(m, [(x, phi), (y, phi)])

@@ -33,7 +33,7 @@ quotient for Graphviz.
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Iterator, Sequence
-from itertools import chain, groupby
+from itertools import groupby
 from json.encoder import encode_basestring_ascii as quote
 from operator import itemgetter
 
@@ -383,24 +383,23 @@ def _report_chunks(result: ChainResult) -> Iterator[str]:
         sep = "," + _IN6
     yield _closed(sep, _IN4)
     yield f'{_IN2}}},{_IN2}"stage": {result.stage},{_IN2}"stages": '
-    # a class or state group that a stage leaves unchanged is the same
-    # tuple in the next stage, so each distinct tuple is written once,
-    # found by its id
+    # each distinct class or state group is written once, however many
+    # stages list it: groups are keyed by value, so it does not matter
+    # whether a stage shares the tuples it leaves unchanged
     pair_text = {pair: quoted[_pair_name(pair)] for cls in result.stages[-1] for pair in cls}
-    written: dict[int, str] = {}
-    for history, text in ((result.stages, pair_text), (result.state_partitions, quoted)):
-        every = list(chain.from_iterable(history))
-        for key, items in dict(zip(map(id, every), every)).items():
-            written[key] = _json_list([text[item] for item in items], _IN8)
+    written: dict[tuple, str] = {}
 
-    def listed(items: tuple) -> str:
-        return _json_list(list(map(written.__getitem__, map(id, items))), _IN6)
+    def listed(groups: tuple, text: dict) -> str:
+        for items in groups:
+            if items not in written:
+                written[items] = _json_list([text[item] for item in items], _IN8)
+        return _json_list(list(map(written.__getitem__, groups)), _IN6)
 
     sep = "[" + _IN4
     for k, (partition, groups) in enumerate(zip(result.stages, result.state_partitions)):
         yield (
-            f'{sep}{{{_IN6}"kernel": {listed(partition)},{_IN6}"stage": {k},'
-            f'{_IN6}"states": {listed(groups)}{_IN4}}}'
+            f'{sep}{{{_IN6}"kernel": {listed(partition, pair_text)},{_IN6}"stage": {k},'
+            f'{_IN6}"states": {listed(groups, quoted)}{_IN4}}}'
         )
         sep = "," + _IN4
     yield _closed(sep, _IN2)

@@ -40,11 +40,11 @@ class Cts:
     which the edge is present, by names or as an ``int``, its mask over
     ``conditions.elements`` (bit i for element i).  Either way it must
     be a downset of known conditions, which is the same thing as the
-    successor structure shrinking under upgrades: an unknown name raises
-    ``UnknownElement``, a bit beyond the conditions ``ValueError`` and
-    an open label ``NotDownwardClosed``, naming the edge.  The keys are
-    checked in sorted order, so a bad mapping raises for its least bad
-    edge whatever order it was built in.
+    successor structure shrinking under upgrades.  The least bad edge
+    raises, whatever order the mapping was built in: ``UnknownElement``
+    for its source, else destination, else action, else least unknown
+    condition; ``ValueError`` naming it for a bit beyond the conditions;
+    ``NotDownwardClosed`` naming it for an open label.
 
     ``index`` gives each state its position in ``states``, and
     ``rows[i]`` lists the edges from state i as (action index, successor
@@ -71,12 +71,10 @@ class Cts:
         rows: list[list[tuple[int, int, int]]] = [[] for _ in self.states]
         for edge in sorted(labels):
             src, act, dst = edge
-            if src not in index:
-                raise UnknownElement(src)
-            if dst not in index:
-                raise UnknownElement(dst)
-            if act not in action_index:
-                raise UnknownElement(act)
+            try:
+                i, j, a = index[src], index[dst], action_index[act]
+            except KeyError as err:
+                raise UnknownElement(err.args[0]) from None
             label = labels[edge]
             if isinstance(label, int):
                 if label >> height:
@@ -86,13 +84,10 @@ class Cts:
                     rest &= ~down[top]
             else:
                 members = frozenset(label)
-                unknown = members.difference(conditions.index)
-                if unknown:
-                    raise UnknownElement(min(unknown))
+                label = conditions.masks(sorted(members))[0]
                 rest = conditions.down_close(members) != members
-                label = conditions.masks(members)[0]
             if rest:  # the label is open
                 raise NotDownwardClosed(f"{src} {act} {dst} : {sorted(conditions.names(label))}")
             if label:
-                rows[index[src]].append((action_index[act], index[dst], label))
+                rows[i].append((a, j, label))
         self.rows = rows

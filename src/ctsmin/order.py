@@ -88,10 +88,6 @@ class Poset(_Value):
         n = len(self.elements)
         return sorted([p * n + q for q, m in enumerate(self.down) for p in bits(m ^ 1 << q)])
 
-    def check_element(self, p: str) -> None:
-        if p not in self.index:
-            raise UnknownElement(p)
-
     @cached_property
     def covers(self) -> tuple[tuple[str, str], ...]:
         """The covering pairs (p, q), p < q with nothing strictly
@@ -165,11 +161,10 @@ def validate_poset(elements: Iterable[str], pairs: Iterable[tuple[str, str]]) ->
     lowers: list[list[int]] = [[] for _ in elems]  # the same, listed
     upper: list[list[int]] = [[] for _ in elems]
     for p, q in pairs:
-        if p not in index:
-            raise UnknownElement(p)
-        if q not in index:
-            raise UnknownElement(q)
-        i, j = index[p], index[q]
+        try:
+            i, j = index[p], index[q]
+        except KeyError as err:
+            raise UnknownElement(err.args[0]) from None
         if i != j and not given[j] >> i & 1:  # p <= p and repeats add nothing
             given[j] |= 1 << i
             lowers[j].append(i)

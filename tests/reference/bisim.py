@@ -27,7 +27,7 @@ from typing import Iterable, Mapping
 from ctsmin.models import Cts
 from ctsmin.order import Poset, UnknownElement
 from .models import edges, outgoing
-from .order import is_downward_closed, lt
+from .order import check_element, is_downward_closed, lt
 
 Pair = tuple[str, str]
 Edge = tuple[str, str, str]
@@ -102,14 +102,14 @@ class Lts:
 
 def project(m: Cts, phi: str) -> Lts:
     """The plain transition system seen at one fixed condition."""
-    m.conditions.check_element(phi)
+    check_element(m.conditions, phi)
     present = [(s, a, d) for (s, a, d, conds) in edges(m) if phi in conds]
     return Lts(m.states, m.actions, present)
 
 
 def successors(m: Cts, src: str, act: str, phi: str) -> frozenset[str]:
     """The a-successors of a state that are present at condition phi."""
-    m.conditions.check_element(phi)
+    check_element(m.conditions, phi)
     return frozenset(dst for dst, conds in outgoing(m, src, act) if phi in conds)
 
 
@@ -137,7 +137,7 @@ class ConditionFamily:
         return dict(self.relations)
 
     def relation(self, phi: str) -> frozenset[Pair]:
-        self.conditions.check_element(phi)
+        check_element(self.conditions, phi)
         return self._table[phi]
 
     def table(self) -> dict[str, frozenset[Pair]]:

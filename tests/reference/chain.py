@@ -43,7 +43,7 @@ from ctsmin.models import Cts
 from ctsmin.order import Poset, validate_poset
 from .bisim import LatticeRelation
 from .coalgebra import UpgradeCoalgebra
-from .order import relation
+from .order import check_element, relation
 
 
 def canonical_partition(groups: Iterable[Iterable[PairKey]]) -> Partition:
@@ -388,8 +388,8 @@ def coequalise(
         return e
 
     for p, q in pairs:
-        poset.check_element(p)
-        poset.check_element(q)
+        check_element(poset, p)
+        check_element(poset, q)
         rp, rq = find(p), find(q)
         if rp != rq:
             parent[max(rp, rq)] = min(rp, rq)

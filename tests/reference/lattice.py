@@ -24,7 +24,7 @@ from functools import cached_property
 from typing import Iterable
 
 from ctsmin.order import OrderError, Poset, validate_poset
-from .order import is_downward_closed, leq, relation
+from .order import check_element, is_downward_closed, leq, relation
 
 
 class FrameError(Exception):
@@ -51,7 +51,7 @@ class Downset:
     def __post_init__(self) -> None:
         object.__setattr__(self, "members", frozenset(self.members))
         for q in self.members:
-            self.base.check_element(q)
+            check_element(self.base, q)
         if not is_downward_closed(self.base, self.members):
             raise OrderError(f"not downward closed: {sorted(self.members)}")
 

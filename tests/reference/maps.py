@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import Callable, Mapping
 
 from ctsmin.order import OrderError, Poset
-from .order import leq, relation
+from .order import check_element, leq, relation
 from .coalgebra import SuccessorPairs
 
 
@@ -32,8 +32,8 @@ class MonotoneMap:
         if missing:
             raise OrderError(f"map not total, missing {sorted(missing)}")
         for x, y in table.items():
-            dom.check_element(x)
-            cod.check_element(y)
+            check_element(dom, x)
+            check_element(cod, y)
         return cls(dom, cod, tuple(sorted((x, table[x]) for x in dom.elements)))
 
     @cached_property

@@ -15,7 +15,7 @@ from itertools import product
 from typing import Iterable, Mapping
 
 from ctsmin.order import OrderError, Poset, validate_poset
-from .order import leq, relation
+from .order import check_element, leq, relation
 from .lattice import BaseMismatch, Downset, HeytingFrame, TooLarge
 from .maps import MonotoneMap
 
@@ -96,7 +96,7 @@ class ReaderMap:
         for phi in dom.elements:
             if phi not in table:
                 raise OrderError(f"map not total, missing {phi!r}")
-            cod.check_element(table[phi])
+            check_element(cod, table[phi])
         for p, q in relation(dom):
             if not leq(cod, table[p], table[q]):
                 raise OrderError(f"not monotone: {p} <= {q} but values disagree")

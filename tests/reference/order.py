@@ -6,6 +6,9 @@ masks and kept per poset: the runtime builds none, and asks its order
 questions of the masks.  ``leq`` and ``lt`` ask one question of the
 masks by name, and ``is_downward_closed`` one of a set of names, as
 ``ctsmin.models.Cts`` did before it checked labels as masks.
+``check_element`` rejects an unknown name before the reference
+constructions read it; the runtime reads each name once and lets the
+miss raise.
 ``closure_relation`` closes the given pairs by a fixpoint of whole-set
 unions, as ``ctsmin.order.validate_poset`` did before it kept bit
 masks, and names a cycle the same way: the tests hold the one-pass
@@ -39,6 +42,12 @@ def leq(poset: Poset, p: str, q: str) -> bool:
 
 def lt(poset: Poset, p: str, q: str) -> bool:
     return p != q and leq(poset, p, q)
+
+
+def check_element(poset: Poset, p: str) -> None:
+    """Raise ``UnknownElement`` unless ``p`` is an element of ``poset``."""
+    if p not in poset.index:
+        raise UnknownElement(p)
 
 
 def is_downward_closed(poset: Poset, members: Iterable[str]) -> bool:

@@ -210,6 +210,14 @@ MUTANTS = {
             "tests/test_models.py::test_least_bad_edge_is_named_whatever_the_insertion_order",
         ],
     ),
+    # an edge naming both an unknown action and an unknown destination
+    # names the action
+    "action-read-before-destination": (
+        "models.py",
+        "i, j, a = index[src], index[dst], action_index[act]",
+        "i, a, j = index[src], action_index[act], index[dst]",
+        ["tests/test_models.py::test_unknown_names_are_rejected"],
+    ),
     "least-undeclared-condition-named": (
         "modelfile.py",
         "mask, closed = poset.masks(conds)",

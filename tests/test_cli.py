@@ -88,6 +88,9 @@ def test_check_rejects_unknown_names(capsys):
         ("nope", "x", "phi", "nope"),
         ("x", "nope", "phi", "nope"),
         ("x", "x'", "bogus", "bogus"),
+        # x, then y, then the condition: the first unknown one is named
+        ("nope", "nada", "bogus", "nope"),
+        ("x", "nada", "bogus", "nada"),
     ):
         outcome = run(capsys, "check", EX1, x, y, "--condition", phi)
         assert outcome == (2, "", f"error: unknown element: {name!r}\n")

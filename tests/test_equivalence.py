@@ -22,7 +22,7 @@ from reference.bisim import (
     per_condition_partition,
 )
 
-from corpus import cts_corpus
+from corpus import boolean_cts, cts_corpus
 from examples import ex1, ex2, final_relation
 
 
@@ -200,6 +200,16 @@ def test_fixpoint_result_is_a_lattice_bisimulation():
         assert ok, witness
 
 
+def test_engine_relation_is_the_fixpoint_at_scale():
+    # criterion 5's engine check over 1,024 conditions; the fixpoint is
+    # quadratic in the states, so a wide system stays out of reach
+    m = boolean_cts(10, 0)
+    rel, rounds = lattice_bisim_fixpoint(m)
+    engine, iterations = final_relation(m)
+    assert engine.table() == rel.table()
+    assert iterations == rounds
+
+
 def test_per_condition_partition_on_ex1():
     m = ex1()
     assert per_condition_partition(m, "phi") == (
@@ -274,7 +284,9 @@ def test_bisimilar_at_a_minimal_condition():
 
 def test_bisimilar_rejects_unknown_names():
     m = ex1()
-    with pytest.raises(UnknownElement):
+    with pytest.raises(UnknownElement) as err:
         bisimilar(m, "x", "nowhere", "phi")
-    with pytest.raises(UnknownElement):
+    assert err.value.element == "nowhere"
+    with pytest.raises(UnknownElement) as err:
         bisimilar(m, "x", "x'", "psi")
+    assert err.value.element == "psi"

@@ -41,7 +41,7 @@ from reference.chain import (
 from reference.coalgebra import coalgebra_encode
 from reference.models import edges
 
-from corpus import boolean_cts, cts_corpus, line_cts
+from corpus import boolean_cts, cts_corpus, line_cts, wide_cts
 from examples import ex1, ex2, report_text
 from strategies import LIBRARY_NAMES, cts_models
 from test_modelfile import TOKENS
@@ -148,8 +148,9 @@ def test_kernel_partitions_refine_monotonically():
 
 def test_unchanged_classes_are_shared_across_stages():
     """A class or state group that no pair leaves or enters in a round is
-    the same tuple in the next stage: that keeps long histories small
-    in memory and lets the report write each distinct tuple once."""
+    the same tuple in the next stage, which keeps long histories small
+    in memory.  The report does not rely on it: it writes each distinct
+    group once, found by value."""
     result = minimise_refinement(line_cts(40))
     shared = total = 0
     for history in (result.stages, result.state_partitions):
@@ -170,6 +171,12 @@ def test_refinement_engine_matches_chain_on_library_names(model):
     chain = minimise_chain(coalgebra_encode(model))
     assert result == chain
     assert report_text(result) == report_text(chain)
+
+
+@pytest.mark.parametrize("make, size", [(boolean_cts, 8), (wide_cts, 1000)])
+def test_refinement_engine_matches_chain_at_scale(make, size):
+    m = make(size, 0)
+    assert minimise_refinement(m) == minimise_chain(coalgebra_encode(m))
 
 
 def test_colliding_pair_names_are_rejected():

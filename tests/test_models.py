@@ -41,6 +41,9 @@ def test_unknown_names_are_rejected():
         (("ghost", "a", "s"), {"phi'"}, "ghost"),
         (("s", "a", "ghost"), {"phi'"}, "ghost"),
         (("s", "b", "s"), {"phi'"}, "b"),
+        # an edge's names are read source, destination, then action
+        (("s", "b", "ghost"), {"phi'"}, "ghost"),
+        (("ghost", "b", "phantom"), {"phi'"}, "ghost"),
         # the least unknown condition of a label is named
         (("s", "a", "s"), {"phi'", "zeta", "psi", "omega"}, "omega"),
     ):

@@ -63,8 +63,9 @@ def test_antisymmetry_violation_reports_cycle():
 
 def test_unknown_element_rejected():
     p = chain("p", "q")
-    with pytest.raises(UnknownElement):
-        p.check_element("r")
+    with pytest.raises(UnknownElement) as err:
+        p.masks(["r"])
+    assert err.value.element == "r"
     with pytest.raises(OrderError):
         validate_poset(["p"], [("p", "q")])
     for pair in (("q", "p"), ("q", "r")):

@@ -24,7 +24,7 @@ from ctsmin.equivalence import _all_pairs, _pair_graph, _rounds, bisimilar
 from reference.chain import block_partition, matrix_stage
 from reference.coalgebra import alpha_graph, coalgebra_encode
 
-from corpus import boolean_cts, cts_corpus, line_cts, principal_cts
+from corpus import boolean_cts, cts_corpus, line_cts, principal_cts, wide_cts
 from examples import FIXTURES, read_fixture
 from strategies import cts_models
 
@@ -177,6 +177,14 @@ def test_rounds_match_full_resigning_on_boolean(k, seed):
         if x < y
     ]
     assert_engine_matches_oracle(m, queries, local)
+
+
+@pytest.mark.parametrize("make, size", [(boolean_cts, 10), (wide_cts, 1000)])
+def test_rounds_match_full_resigning_at_scale(make, size):
+    # every round over every pair of a benchmark-sized system; the
+    # per-query checks stay on the smaller systems above
+    m = make(size, 0)
+    assert_rounds_exact(coalgebra_encode(m), _all_pairs(m))
 
 
 @given(cts_models(st.text("xyz'", min_size=1, max_size=2)))
