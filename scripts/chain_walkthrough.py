@@ -41,7 +41,7 @@ def main(argv=None) -> int:
     # UTF-8 whatever the locale, a leading byte-order mark ignored, as
     # the command line tool reads model files
     text = Path(args.file).read_text(encoding="utf-8-sig")
-    model = parse_model(text, close=args.close)
+    _, model = parse_model(text, close=args.close)
     c = coalgebra_encode(model)
 
     d = chain_init(c)

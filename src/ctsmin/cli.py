@@ -1,10 +1,10 @@
 """Command line front end.
 
-``main`` reads, decodes and parses the model file once, for every
-command, and hands the parsed ``Cts`` to the command.  Both file kinds
-parse to the same system, so the header's kind matters only to
-``validate``, which names it; ``convert --to`` writes the kind it is
-given.  Model files are UTF-8, and a leading byte-order mark is ignored.
+``main`` reads and decodes the model file, and one ``parse_model`` call,
+for every command, gives the header's kind and the ``Cts`` it hands to
+the command.  Only ``validate`` names the kind; ``convert --to`` writes
+the kind it is given, as ``serialise_model`` inverts ``parse_model``.
+Model files are UTF-8, and a leading byte-order mark is ignored.
 
 Exit codes: 0 success (or a positive check), 1 negative check result,
 2 usage errors (including a model file that cannot be read, a state or
@@ -31,7 +31,7 @@ import sys
 
 from .equivalence import bisimilar
 from .minimise import _bisim_chunks, _report_chunks, chain_result_dot, minimise_refinement
-from .modelfile import ParseError, parse_with_kind, serialise_model
+from .modelfile import KINDS, ParseError, parse_model, serialise_model
 from .models import NotDownwardClosed
 from .order import AntisymmetryViolation, OrderError
 
@@ -122,7 +122,7 @@ def _cmd_filters_check(model, args) -> int:
 _COMMANDS = {
     "validate": ("parse and validate a model file", _cmd_validate, {}),
     "convert": ("convert between cts and lats form", _cmd_convert,
-                {"--to": {"choices": ("cts", "lats"), "required": True}}),
+                {"--to": {"choices": KINDS, "required": True}}),
     "project": ("print the plain system at one condition", _cmd_project,
                 {"--condition": {"required": True}}),
     "bisim": ("compute conditional bisimilarity", _cmd_bisim, {}),
@@ -164,7 +164,7 @@ def main(argv=None) -> int:
                 print(f"cannot read {args.file}", file=sys.stderr)
                 return 2
             try:
-                args.kind, model = parse_with_kind(_decode(data), close=args.close)
+                args.kind, model = parse_model(_decode(data), close=args.close)
             except (ParseError, NotDownwardClosed, AntisymmetryViolation) as err:
                 if args.command == "validate":
                     print(f"invalid: {err}")

@@ -6,7 +6,7 @@ sets, and one line per labelled edge.  The two kinds have the same
 body: a label set of conditions is read either as the conditions under
 which the edge is present (``cts``) or, by Birkhoff duality, as an
 element of the lattice of downsets of the conditions (``lats``).  Both
-parse to the same ``Cts``; only the header line tells them apart.
+parse to one ``Cts``, which ``parse_model`` returns with the kind.
 
 Comments run from '#' to the end of the line.  Names may not contain
 '@', ',' or '"': the outputs join states and conditions with the first
@@ -14,9 +14,9 @@ two and quote names with the third, so such a name could make two
 outputs collide.  Nor may a name start with '[': the serialiser could
 write it at the start of a line that ends in ']', which reads back as a
 section header.  A condition may not hold '<=': the line declaring it
-would read as an order line.  The serialiser emits a canonical form: conditions top
-down, order lines as covering pairs, everything else sorted, so parse
-and serialise are mutually inverse on canonical text.
+would read as an order line.  ``serialise_model(m, kind)`` writes a
+canonical form (conditions top down, order lines as covering pairs, the
+rest sorted), so it and ``parse_model`` are inverse on canonical text.
 """
 
 from __future__ import annotations
@@ -49,12 +49,7 @@ def _declare(number: int, what: str, names: dict[str, None], tokens: list[str]) 
         names[name] = None
 
 
-def parse_model(text: str, close: bool = False) -> Cts:
-    """The system a model file describes, of either kind."""
-    return parse_with_kind(text, close)[1]
-
-
-def parse_with_kind(text: str, close: bool = False) -> tuple[str, Cts]:
+def parse_model(text: str, close: bool = False) -> tuple[str, Cts]:
     """The kind named in a model file's header, and its system."""
     kind: str | None = None
     section: str | None = None

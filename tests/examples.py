@@ -62,7 +62,7 @@ def child_peak_mb(*argv):
 
 
 def read_fixture(name):
-    return parse_model((FIXTURES / name).read_text(encoding="utf-8"))
+    return parse_model((FIXTURES / name).read_text(encoding="utf-8"))[1]
 
 
 def ex1():

@@ -22,6 +22,7 @@ from ctsmin import (
     serialise_model,
     validate_poset,
 )
+from ctsmin import cli, modelfile
 from ctsmin.cli import main
 from ctsmin.minimise import _bisim_chunks
 from reference.bisim import lattice_bisim_fixpoint
@@ -287,10 +288,28 @@ def test_every_command_keeps_the_error_contract(tmp_path, capsys, command, name)
         assert outcome == (3, "", f"invalid model: {reason}\n")
 
 
+@pytest.mark.parametrize("command", sorted(EVERY_COMMAND))
+def test_every_command_parses_once_through_parse_model(monkeypatch, capsys, command):
+    """``main`` parses the file with one call of ``modelfile.parse_model``
+    itself, the function the benchmark's tracer wraps, whatever the
+    command."""
+    assert cli.parse_model is modelfile.parse_model
+    want = run(capsys, command, EX1, *EVERY_COMMAND[command])
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return modelfile.parse_model(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "parse_model", counted)
+    assert run(capsys, command, EX1, *EVERY_COMMAND[command]) == want
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("fixture", ["EX1", "BOWTIE"])
 def test_reflexive_and_repeated_order_lines_change_nothing(tmp_path, capsys, fixture):
     text = (FIXTURES / fixture).read_text()
-    conditions = parse_model(text).conditions
+    conditions = parse_model(text)[1].conditions
     extra = [f"{c} <= {c}" for c in conditions.elements]
     extra += [f"{p} <= {q}" for p, q in conditions.covers]
     path = tmp_path / fixture
@@ -493,7 +512,7 @@ def mutated_fixtures(draw):
     tokens = st.sampled_from([t for t in text.split() + ["x"] if not t.startswith("-")])
     states = conditions = tokens
     try:
-        model = parse_model(text)
+        _, model = parse_model(text)
     except (ParseError, NotDownwardClosed, OrderError):
         pass
     else:

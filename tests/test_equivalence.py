@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from ctsmin import (
@@ -5,6 +7,7 @@ from ctsmin import (
     Cts,
     NotDownwardClosed,
     UnknownElement,
+    refine,
     validate_poset,
 )
 from ctsmin.equivalence import _pair_graph, bisimilar, kernel_cells
@@ -22,7 +25,7 @@ from reference.bisim import (
     per_condition_partition,
 )
 
-from corpus import boolean_cts, cts_corpus
+from corpus import boolean_cts, cts_corpus, wide_cts
 from examples import ex1, ex2, final_relation
 
 
@@ -201,13 +204,13 @@ def test_fixpoint_result_is_a_lattice_bisimulation():
 
 
 def test_engine_relation_is_the_fixpoint_at_scale():
-    # criterion 5's engine check over 1,024 conditions; the fixpoint is
-    # quadratic in the states, so a wide system stays out of reach
-    m = boolean_cts(10, 0)
-    rel, rounds = lattice_bisim_fixpoint(m)
-    engine, iterations = final_relation(m)
-    assert engine.table() == rel.table()
-    assert iterations == rounds
+    # criterion 5's engine check over 1,024 conditions, and over as many
+    # states as the fixpoint, superlinear in the states, reaches quickly
+    for m in (boolean_cts(10, 0), wide_cts(120, 0)):
+        rel, rounds = lattice_bisim_fixpoint(m)
+        engine, iterations = final_relation(m)
+        assert engine.table() == rel.table()
+        assert iterations == rounds
 
 
 def test_per_condition_partition_on_ex1():
@@ -232,6 +235,39 @@ def assert_bisimilar_matches_relation(m):
             for phi in m.conditions.elements:
                 want = phi in relation.value(x, y)
                 assert bisimilar(m, x, y, phi) == want, (x, y, phi)
+
+
+def fixpoint_bisimilarity(m):
+    rel, _ = lattice_bisim_fixpoint(m)
+    return lambda x, y, phi: phi in rel.value(x, y)
+
+
+def engine_bisimilarity(m):
+    """The same-condition kernel of ``refine``'s final blocks, which
+    the rounds test holds against full re-signing at these sizes."""
+    graph, _, block, _ = refine(m)
+    at = dict(zip(graph.pairs, block))
+    return lambda x, y, phi: at[x, phi] == at[y, phi]
+
+
+@pytest.mark.parametrize(
+    "make, size, oracle",
+    [(boolean_cts, 10, fixpoint_bisimilarity), (wide_cts, 1000, engine_bisimilarity)],
+)
+def test_bisimilar_agrees_with_the_relation_on_sampled_queries_at_scale(make, size, oracle):
+    # the fixpoint is out of reach on the wide system, so there the
+    # reachable-part engine is held against the whole-system one
+    m = make(size, 0)
+    related = oracle(m)
+    rng = random.Random(size)
+    answers = set()
+    for _ in range(100):
+        x, y = rng.choice(m.states), rng.choice(m.states)
+        phi = rng.choice(m.conditions.elements)
+        got = bisimilar(m, x, y, phi)
+        assert got == related(x, y, phi), (x, y, phi)
+        answers.add(got)
+    assert answers == {False, True}
 
 
 def test_bisimilar_on_one_state_twice():

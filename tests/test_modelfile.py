@@ -14,7 +14,7 @@ from ctsmin import (
     serialise_model,
     validate_poset,
 )
-from ctsmin.modelfile import RESERVED, parse_with_kind
+from ctsmin.modelfile import RESERVED
 from ctsmin.order import bits
 from reference.models import edges, outgoing
 
@@ -51,15 +51,17 @@ def test_ex2_fixture_matches_builtin():
 
 
 def test_fixture_files_are_canonical():
-    for name in ("EX1", "EX2", "BOWTIE"):
-        text = (FIXTURES / name).read_text()
-        assert serialise_model(parse_model(text)) == text
+    # serialise_model(m, kind) inverts parse_model on both kinds
+    for path in sorted(FIXTURES.iterdir()):
+        text = path.read_text(encoding="utf-8")
+        kind, m = parse_model(text)
+        assert serialise_model(m, kind) == text, path.name
 
 
 def test_serialise_is_canonical_on_corpus():
     for m in cts_corpus(40):
         text = serialise_model(m)
-        again = parse_model(text)
+        _, again = parse_model(text)
         assert set(edges(again)) == set(edges(m))
         assert serialise_model(again) == text
 
@@ -107,9 +109,9 @@ TOKENS = st.text(TOKEN_CHARS, min_size=1, max_size=4).filter(
 )
 def test_parse_inverts_serialise_on_token_names(model, kind):
     text = serialise_model(model, kind)
-    got_kind, again = parse_with_kind(text)
+    got_kind, again = parse_model(text)
     assert got_kind == kind
-    assert system_key(again) == system_key(model) == system_key(parse_model(text))
+    assert system_key(again) == system_key(model)
     assert serialise_model(again, kind) == text
 
 
@@ -130,7 +132,7 @@ def test_every_system_cts_takes_reads_back_from_its_text(model, data):
         m = Cts(model.states, model.actions, model.conditions, labels)
     except (NotDownwardClosed, ValueError):
         return
-    assert parse_model(serialise_model(m)).rows == m.rows
+    assert parse_model(serialise_model(m))[1].rows == m.rows
 
 
 SCRAMBLED = """
@@ -151,8 +153,8 @@ x a y : phi' phi
 
 
 def test_parse_tolerates_comments_and_section_order():
-    m = parse_model(SCRAMBLED)
-    assert isinstance(m, Cts)
+    kind, m = parse_model(SCRAMBLED)
+    assert kind == "cts" and isinstance(m, Cts)
     assert outgoing(m, "x", "a") == [("y", BOTH)]
     canonical = serialise_model(m)
     assert "x a y : phi phi'" in canonical
@@ -163,14 +165,15 @@ def test_lats_kind_round_trip():
     assert text.startswith("kind: lats\n")
     assert text[len("kind: lats") :] == serialise_model(ex1())[len("kind: cts") :]
     for again in (text, (FIXTURES / "EX1.lats").read_text()):
-        kind, m = parse_with_kind(again)
+        kind, m = parse_model(again)
         assert (kind, system_key(m)) == ("lats", system_key(ex1()))
 
 
 def test_convert_is_identity_on_matching_kind():
     for kind in ("cts", "lats"):
         text = serialise_model(ex1(), kind)
-        assert serialise_model(parse_model(text), kind) == text
+        got, m = parse_model(text)
+        assert (got, serialise_model(m, kind)) == (kind, text)
     with pytest.raises(ValueError):
         serialise_model(ex1(), "graph")
 
@@ -261,7 +264,7 @@ def test_labels_must_be_downward_closed_unless_closing():
     with pytest.raises(NotDownwardClosed) as err:
         parse_model(NOT_CLOSED)
     assert err.value.line == 11
-    closed = parse_model(NOT_CLOSED, close=True)
+    _, closed = parse_model(NOT_CLOSED, close=True)
     assert outgoing(closed, "x", "a") == [("x", BOTH)]
 
 
@@ -278,7 +281,7 @@ def test_lines_for_one_edge_merge_into_their_union():
     text = NOT_CLOSED.replace("[states]\nx\n", "[states]\nx y\n").replace(
         "x a x : phi\n", "x a y : phi'\nx a y : phi phi'\n"
     )
-    m = parse_model(text)
+    _, m = parse_model(text)
     assert outgoing(m, "x", "a") == [("y", BOTH)]
     assert [line for line in serialise_model(m).splitlines() if " : " in line] == [
         "x a y : phi phi'"
@@ -326,7 +329,7 @@ def test_each_line_is_closure_tested_once_and_rows_match_the_api(monkeypatch):
     parsed = []
     for text in texts:
         calls.clear()
-        parsed.append(parse_model(text))
+        parsed.append(parse_model(text)[1])
         assert len(calls) == transition_lines(text)
     monkeypatch.undo()
     for m in parsed[: -len(built)]:

@@ -7,10 +7,10 @@ from ctsmin import (
     Cts,
     NotDownwardClosed,
     UnknownElement,
+    parse_model,
     serialise_model,
     validate_poset,
 )
-from ctsmin.modelfile import parse_with_kind
 from reference.bisim import project
 from reference.coalgebra import (
     UpgradeCoalgebra,
@@ -105,7 +105,7 @@ def test_ex1_projections():
 def test_lats_round_trip_on_corpus():
     # a lats file is the same system under Birkhoff duality
     for m in cts_corpus(40):
-        kind, again = parse_with_kind(serialise_model(m, "lats"))
+        kind, again = parse_model(serialise_model(m, "lats"))
         assert (kind, system_key(again)) == ("lats", system_key(m))
 
 

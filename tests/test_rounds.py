@@ -179,7 +179,7 @@ def test_rounds_match_full_resigning_on_boolean(k, seed):
     assert_engine_matches_oracle(m, queries, local)
 
 
-@pytest.mark.parametrize("make, size", [(boolean_cts, 10), (wide_cts, 1000)])
+@pytest.mark.parametrize("make, size", [(boolean_cts, 10), (wide_cts, 1000), (wide_cts, 10000)])
 def test_rounds_match_full_resigning_at_scale(make, size):
     # every round over every pair of a benchmark-sized system; the
     # per-query checks stay on the smaller systems above
