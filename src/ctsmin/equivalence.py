@@ -65,26 +65,26 @@ Partition = tuple[tuple[PairKey, ...], ...]
 
 
 class PairGraph(namedtuple("PairGraph", "pairs links levels width")):
-    """The (state, condition) pairs that a system's upgrade coalgebra
-    reaches from some roots, compressed by the version-filter law, and
-    each pair's links as (pair number, label).  A label below ``width``,
-    which is ``|actions| * |conditions|``, is an own move: under action
-    ``label // |conditions|`` to a successor at the pair's own condition,
-    whose index is ``label % |conditions|``.  A label ``width + c`` links
-    the pair to its lower pair of the same state at the condition of
-    index c.  An own pair (x, phi), one that some edge from x holds phi
-    for, has its own moves and then its covers (x, c), for the lower
-    covers c of phi.  Every other pair has only lower links, to the own
-    pairs (x, mu) for the maximal versions mu that its moves enter at:
-    none, one (an alias) or several (a join).  ``levels`` lists the
-    pairs that the engine signs in the order it signs them: the own
-    pairs of each condition, conditions bottom-up in a linear
-    extension, and then every join."""
+    """The (state, condition) pairs, by name, that a system's upgrade
+    coalgebra reaches from some pair codes, compressed by the
+    version-filter law, and each pair's links as (pair number, label).
+    A label below ``width``, which is ``|actions| * |conditions|``, is
+    an own move: under action ``label // |conditions|`` to a successor
+    at the pair's own condition, whose index is ``label % |conditions|``.
+    A label ``width + c`` links the pair to its lower pair of the same
+    state at the condition of index c.  An own pair (x, phi), one that
+    some edge from x holds phi for, has its own moves and then its
+    covers (x, c), for the lower covers c of phi.  Every other pair has
+    only lower links, to the own pairs (x, mu) for the maximal versions
+    mu that its moves enter at: none, one (an alias) or several (a
+    join).  ``levels`` lists the pairs that the engine signs in the
+    order it signs them: the own pairs of each condition, conditions
+    bottom-up in a linear extension, and then every join."""
 
     __slots__ = ()
 
 
-def _pair_graph(m: Cts, roots: Iterable[PairKey]) -> PairGraph:
+def _pair_graph(m: Cts, roots: Iterable[int]) -> PairGraph:
     """The compressed pair graph of ``m`` reachable from the roots, read
     off the system directly.  Pairs are numbered breadth-first with the
     roots first in their given order; an own pair's successors come in
@@ -95,27 +95,27 @@ def _pair_graph(m: Cts, roots: Iterable[PairKey]) -> PairGraph:
     (x, chi), which a chain of covers, or a maximum and then covers,
     reaches.
 
-    The walk numbers pairs through a list indexed by ``state index *
-    |conditions| + condition index``; when the roots are every pair in
-    that order, as in ``_all_pairs``, a pair's number is that index.
-    Each pair walks its state's entry of ``m.rows``, whose action and
-    successor indices give its own moves' labels and pair indices
-    directly, and each label is a mask that holds condition k as bit k.
-    The versions the state's edges hold, the OR of its masks, are read
-    once per walk, when a pair of it without own moves first needs them."""
+    The roots are pair codes, ``state index * |conditions| + condition
+    index``, and the walk numbers pairs through a list indexed by code;
+    when the roots are every code in order, as ``refine`` passes them, a
+    pair's number is its code.  Each pair walks its state's entry of
+    ``m.rows``, whose action and successor indices give its own moves'
+    labels and pair codes directly, and each label is a mask that holds
+    condition k as bit k.  The versions the state's edges hold, the OR
+    of its masks, are read once per walk, when a pair of it without own
+    moves first needs them."""
     poset = m.conditions
     conditions = poset.elements
     height = len(conditions)
     width = len(m.actions) * height
-    down, index = poset.down, poset.index
+    down = poset.down
     covers = [list(bits(mask)) for mask in poset.lower]  # in condition order
     # a smaller downset first is a linear extension, bottom-up
     order = sorted(range(height), key=lambda k: down[k].bit_count())
     rank = {k: r for r, k in enumerate(order)}
     rows, number = m.rows, [-1] * (len(m.states) * height)
     found: list[int] = []
-    for x, cond in roots:
-        g = m.index[x] * height + index[cond]
+    for g in roots:
         if number[g] < 0:
             number[g] = len(found)
             found.append(g)
@@ -319,13 +319,6 @@ def move_images(graph: PairGraph, block: list[int]) -> list[frozenset[int]]:
     return image
 
 
-def _all_pairs(m: Cts) -> PairGraph:
-    """The pair graph of every (state, condition) pair, numbered state
-    by state: (x, phi) is ``state index * |conditions| + condition
-    index``."""
-    return _pair_graph(m, [(x, cond) for x in m.states for cond in m.conditions.elements])
-
-
 Moves = list[list[tuple[int, int]]]
 
 
@@ -334,11 +327,11 @@ def refine(m: Cts) -> tuple[PairGraph, Moves, list[int], int]:
     graph, every round's moved pairs as (pair, new block id) up to and
     including the first round that moves none, every pair's final block
     id, and the index of the first repeated kernel matrix.  Round zero
-    puts every pair in block 0 and moves none.  Pairs are numbered in
-    sorted (state, condition) order, so pair i lies at condition
-    i % |conditions|.  A pair moves at most log2(pairs) times, so the
-    rounds hand over O(P log P) entries for P pairs rather than P ids
-    per round.
+    puts every pair in block 0 and moves none.  The graph's roots are
+    every pair code in order, so pair i is the pair of code i and lies
+    at condition i % |conditions|.  A pair moves at most log2(pairs)
+    times, so the rounds hand over O(P log P) entries for P pairs rather
+    than P ids per round.
 
     Every round is the partition that re-signing every pair by its full
     S_k would give: the engine's keys are canonical for S_k (see the
@@ -367,8 +360,8 @@ def refine(m: Cts) -> tuple[PairGraph, Moves, list[int], int]:
     - If round one splits no condition's states, each successor's
       round-one block depends on its condition alone, so round two
       splits nothing and the partition repeats from round one."""
-    graph = _all_pairs(m)
     height = len(m.conditions.elements)
+    graph = _pair_graph(m, range(len(m.states) * height))
     rounds: Moves = []
     for rnd in _rounds(graph):
         block = rnd.block
@@ -379,18 +372,20 @@ def refine(m: Cts) -> tuple[PairGraph, Moves, list[int], int]:
 
 
 def bisimilar(m: Cts, x: str, y: str, phi: str) -> bool:
-    """Whether x and y are conditionally bisimilar under phi.  The pairs
-    reachable from (x, phi) and (y, phi) form a subcoalgebra, and the
-    inclusion is a homomorphism, so ``refine``'s rounds restricted to
-    them are the rounds of that part alone.  Only those pairs are
-    visited and signed, and the answer is no at the first round that
-    separates the two roots, since later rounds only refine."""
-    for name, known in ((x, m.index), (y, m.index), (phi, m.conditions.index)):
-        if name not in known:
-            raise UnknownElement(name)
-    if x == y:
+    """Whether x and y are conditionally bisimilar under phi, reading the
+    names in that order: the first unknown one raises ``UnknownElement``.
+    The pairs reachable from (x, phi) and (y, phi) form a subcoalgebra,
+    and the inclusion is a homomorphism, so ``refine``'s rounds
+    restricted to them are the rounds of that part alone.  Only those
+    pairs are visited and signed, and the answer is no at the first
+    round that separates the two roots, since later rounds only refine."""
+    try:
+        i, j, k = m.index[x], m.index[y], m.conditions.index[phi]
+    except KeyError as err:
+        raise UnknownElement(err.args[0]) from None
+    if i == j:
         return True
-    graph = _pair_graph(m, [(x, phi), (y, phi)])
+    graph = _pair_graph(m, [s * len(m.conditions.elements) + k for s in (i, j)])
     return all(rnd.block[0] == rnd.block[1] for rnd in _rounds(graph))
 
 

@@ -1,8 +1,8 @@
 """The worked examples, read from their model files, the engine's final
 relation as the oracles give theirs, the ``minimise`` report's text,
-the key that tells two systems apart, the checkout's paths with the
-environment in which a subprocess runs its package, and a command's
-peak memory in a child.
+the key that tells two systems apart, the codes of named pairs, the
+checkout's paths with the environment in which a subprocess runs its
+package, and a command's peak memory in a child.
 
 EX1 is a pair of three-state gadgets over the two-level order
 phi' < phi whose top states are equivalent at each single condition
@@ -77,6 +77,14 @@ def system_key(m):
     """What makes two systems the same: their states, actions, condition
     order and labelled edges.  ``Cts`` itself compares by identity."""
     return (m.states, m.actions, m.conditions, tuple(edges(m)))
+
+
+def pair_codes(m, pairs):
+    """The codes of (state, condition) pairs, ``state index *
+    |conditions| + condition index``, as ``_pair_graph`` takes its
+    roots."""
+    height = len(m.conditions.elements)
+    return [m.index[x] * height + m.conditions.index[cond] for x, cond in pairs]
 
 
 def final_relation(m):

@@ -92,6 +92,9 @@ def test_check_rejects_unknown_names(capsys):
         # x, then y, then the condition: the first unknown one is named
         ("nope", "nada", "bogus", "nope"),
         ("x", "nada", "bogus", "nada"),
+        # the names are read before one state is found bisimilar to itself
+        ("nope", "nope", "phi", "nope"),
+        ("x", "x", "bogus", "bogus"),
     ):
         outcome = run(capsys, "check", EX1, x, y, "--condition", phi)
         assert outcome == (2, "", f"error: unknown element: {name!r}\n")

@@ -26,7 +26,7 @@ from reference.bisim import (
 )
 
 from corpus import boolean_cts, cts_corpus, wide_cts
-from examples import ex1, ex2, final_relation
+from examples import ex1, ex2, final_relation, pair_codes
 
 
 def family_of(m, relations):
@@ -301,8 +301,8 @@ def test_bisimilar_on_disjoint_reachable_parts():
             ("s", "a", "t"): both,
         },
     )
-    reached = set(_pair_graph(m, [("p", "phi")]).pairs)
-    assert not reached & set(_pair_graph(m, [("r", "phi")]).pairs)
+    reached = set(_pair_graph(m, pair_codes(m, [("p", "phi")])).pairs)
+    assert not reached & set(_pair_graph(m, pair_codes(m, [("r", "phi")])).pairs)
     assert bisimilar(m, "p", "r", "phi")
     assert not bisimilar(m, "p", "s", "phi")
     assert not bisimilar(m, "s", "t", "phi'")
@@ -312,7 +312,7 @@ def test_bisimilar_on_disjoint_reachable_parts():
 def test_bisimilar_at_a_minimal_condition():
     m = ex1()
     # no pair above phi' is reached from a root at phi'
-    pairs = _pair_graph(m, [("x", "phi'"), ("x'", "phi'")]).pairs
+    pairs = _pair_graph(m, pair_codes(m, [("x", "phi'"), ("x'", "phi'")])).pairs
     assert {cond for _, cond in pairs} == {"phi'"}
     assert bisimilar(m, "x", "x'", "phi'")
     assert not bisimilar(m, "x", "x'", "phi")
@@ -326,3 +326,8 @@ def test_bisimilar_rejects_unknown_names():
     with pytest.raises(UnknownElement) as err:
         bisimilar(m, "x", "x'", "psi")
     assert err.value.element == "psi"
+    # the same state twice is bisimilar only once its names are read
+    for x, phi, name in (("nope", "phi", "nope"), ("x", "bogus", "bogus")):
+        with pytest.raises(UnknownElement) as err:
+            bisimilar(m, x, x, phi)
+        assert err.value.element == name

@@ -14,7 +14,7 @@ from ctsmin import (
     refine,
     validate_poset,
 )
-from ctsmin.equivalence import PairGraph, Round, _all_pairs, _rounds
+from ctsmin.equivalence import PairGraph, Round, _rounds
 from reference.order import leq, relation
 from ctsmin.minimise import (
     _bisim_chunks,
@@ -256,7 +256,7 @@ def test_cyclic_partition_is_rejected():
 def engine_quotient(m, partition):
     """The runtime's quotient order and moves for a given final
     partition, the moves read off the engine's pair graph."""
-    graph = _all_pairs(m)
+    graph = refine(m)[0]
     index = {pair: k for k, cls in enumerate(partition) for pair in cls}
     ranked, names = _class_ranks(graph.pairs, [index[pair] for pair in graph.pairs])
     return _quotient_poset(m, ranked, names), _quotient_transitions(m, graph, ranked, names)
@@ -422,7 +422,7 @@ def test_chain_results_are_values_of_their_five_fields():
 
 
 def test_pair_graph_and_round_unpack_to_their_four_fields():
-    graph = _all_pairs(ex1())
+    graph = refine(ex1())[0]
     pairs, links, levels, width = graph
     assert PairGraph._fields == ("pairs", "links", "levels", "width")
     assert (pairs, links, levels, width) == (graph.pairs, graph.links, graph.levels, graph.width)

@@ -22,14 +22,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ctsmin import Cts, TWO_LEVEL, serialise_model
+from ctsmin import Cts, TWO_LEVEL, refine, serialise_model
 from ctsmin.cli import main
-from ctsmin.equivalence import _all_pairs, _pair_graph
+from ctsmin.equivalence import _pair_graph
 from reference.coalgebra import alpha_graph, coalgebra_encode
 from reference.order import lt
 
 from corpus import boolean_cts, cts_corpus, line_cts
-from examples import ex1, read_fixture
+from examples import ex1, pair_codes, read_fixture
 from strategies import cts_models
 
 
@@ -59,7 +59,7 @@ def assert_compressed_graph_expands_to_alpha(m, c, roots):
     signed pair's lower pairs lie on earlier levels.  Expanded, each
     pair's moves are those of ``alpha``, so the pairs are closed under
     moves."""
-    graph = _pair_graph(m, roots)
+    graph = _pair_graph(m, pair_codes(m, roots))
     poset = m.conditions
     conditions = poset.elements
     width = graph.width
@@ -118,10 +118,10 @@ def assert_graphs_match_alpha(m, rng, queries=3):
         assert_compressed_graph_expands_to_alpha(m, c, [(x, phi), (y, phi)])
 
 
-def test_all_pairs_are_numbered_state_by_state():
+def test_refine_numbers_pairs_state_by_state():
     m = ex1()
     height = len(m.conditions.elements)
-    pairs = _all_pairs(m).pairs
+    pairs = refine(m)[0].pairs
     assert pairs == all_roots(m)
     for i, (x, cond) in enumerate(pairs):
         assert i == m.states.index(x) * height + m.conditions.elements.index(cond)
@@ -160,7 +160,7 @@ def test_compressed_graph_holds_a_quarter_of_the_moves():
     uncompressed graph, which lists each move once per condition above
     its version."""
     m = boolean_cts(7, 0)
-    graph = _all_pairs(m)
+    graph = refine(m)[0]
     entries = sum(map(len, graph.links))
     moves = sum(map(len, alpha_graph(coalgebra_encode(m), all_roots(m))[1]))
     assert moves == 9654

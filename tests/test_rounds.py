@@ -20,12 +20,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ctsmin import TWO_LEVEL, Cts, refine, validate_poset
-from ctsmin.equivalence import _all_pairs, _pair_graph, _rounds, bisimilar
+from ctsmin.equivalence import _pair_graph, _rounds, bisimilar
 from reference.chain import block_partition, matrix_stage
 from reference.coalgebra import alpha_graph, coalgebra_encode
 
 from corpus import boolean_cts, cts_corpus, line_cts, principal_cts, wide_cts
-from examples import FIXTURES, read_fixture
+from examples import FIXTURES, pair_codes, read_fixture
 from strategies import cts_models
 
 
@@ -77,7 +77,7 @@ def assert_engine_matches_oracle(m, queries=None, local=None):
     (x, y, phi)) are the ones the oracle's rounds give."""
     c = coalgebra_encode(m)
     roots = [(x, cond) for x in m.states for cond in m.conditions.elements]
-    graph = _all_pairs(m)
+    graph = refine(m)[0]
     assert graph.pairs == roots
     partitions = assert_rounds_exact(c, graph)
     final = {pair: i for i, cls in enumerate(partitions[-1]) for pair in cls}
@@ -96,7 +96,7 @@ def assert_engine_matches_oracle(m, queries=None, local=None):
         assert bisimilar(m, x, y, phi) == want, (x, y, phi)
     for x, y, phi in queries if local is None else local:
         if x != y:
-            assert_rounds_exact(c, _pair_graph(m, [(x, phi), (y, phi)]))
+            assert_rounds_exact(c, _pair_graph(m, pair_codes(m, [(x, phi), (y, phi)])))
 
 
 def condition_partitions(block, height):
@@ -115,7 +115,7 @@ def assert_round_one_rule(m):
     by which ``refine`` reads the kernel matrix's stage off round one.
     Each moved pair is logged with its block id after the round."""
     height = len(m.conditions.elements)
-    graph = _all_pairs(m)
+    graph = refine(m)[0]
     matrices, partitions, moved = [], [], []
     for rnd in _rounds(graph):
         matrices.append(condition_partitions(rnd.block, height))
@@ -184,7 +184,7 @@ def test_rounds_match_full_resigning_at_scale(make, size):
     # every round over every pair of a benchmark-sized system; the
     # per-query checks stay on the smaller systems above
     m = make(size, 0)
-    assert_rounds_exact(coalgebra_encode(m), _all_pairs(m))
+    assert_rounds_exact(coalgebra_encode(m), refine(m)[0])
 
 
 @given(cts_models(st.text("xyz'", min_size=1, max_size=2)))
@@ -198,7 +198,7 @@ def test_rounds_match_full_resigning_over_wide_posets():
     joins = 0
     for seed in range(300):
         m = principal_cts(random.Random(seed))
-        joins += len(_all_pairs(m).levels[-1])
+        joins += len(refine(m)[0].levels[-1])
         conditions = m.conditions.elements
         queries = [(x, y, phi) for x in m.states[:2] for y in m.states for phi in conditions]
         assert_engine_matches_oracle(m, queries)
@@ -207,7 +207,7 @@ def test_rounds_match_full_resigning_over_wide_posets():
 
 def test_rounds_on_zero_pairs():
     m = Cts([], [], TWO_LEVEL, {})
-    rounds = [(list(r.block), r.moved, r.signed, r.blocks) for r in _rounds(_all_pairs(m))]
+    rounds = [(list(r.block), r.moved, r.signed, r.blocks) for r in _rounds(refine(m)[0])]
     assert rounds == [([], [], 0, 0), ([], [], 0, 0)]
 
 
@@ -215,7 +215,7 @@ def test_rounds_without_moves_sign_nothing():
     # one state, no actions, two conditions: no pair has a predecessor,
     # so round one touches no block and stops
     m = Cts(["s"], [], TWO_LEVEL, {})
-    rounds = [(list(r.block), r.moved, r.signed, r.blocks) for r in _rounds(_all_pairs(m))]
+    rounds = [(list(r.block), r.moved, r.signed, r.blocks) for r in _rounds(refine(m)[0])]
     assert rounds == [([0, 0], [], 0, 1), ([0, 0], [], 0, 1)]
 
 
@@ -225,7 +225,7 @@ def test_largest_part_keeps_the_block_id():
     # six untouched pairs, which keep block 0; the p pairs move.
     both = {"phi", "phi'"}
     m = Cts(["p", "q", "u", "v"], ["a"], TWO_LEVEL, {("p", "a", "q"): both})
-    graph = _all_pairs(m)
+    graph = refine(m)[0]
     pairs = graph.pairs
     rounds = _rounds(graph)
     next(rounds)
@@ -243,7 +243,7 @@ def test_block_of_one_pair_is_not_signed():
     # alone in its block; each is then dirty in round two, as its own
     # successor moved, but a block of one pair cannot split.
     m = Cts(["x"], ["a"], TWO_LEVEL, {("x", "a", "x"): {"phi", "phi'"}})
-    rounds = [(list(r.block), r.moved, r.signed, r.blocks) for r in _rounds(_all_pairs(m))]
+    rounds = [(list(r.block), r.moved, r.signed, r.blocks) for r in _rounds(refine(m)[0])]
     assert [blocks for *_, blocks in rounds] == [1, 2, 2]
     assert rounds[2] == (rounds[1][0], [], 0, 2)
 
@@ -252,7 +252,7 @@ def test_resigning_work_is_bounded_on_a_long_line():
     """Full re-signing would sign 5,120 pairs in each of 1,281 rounds;
     each pair moves at most log2(pairs) times, so the engine signs at
     most 4 P log2 P pairs in all."""
-    graph = _all_pairs(line_cts(1280))
+    graph = refine(line_cts(1280))[0]
     size = len(graph.pairs)
     assert size == 5120
     signed = rounds = 0
@@ -276,7 +276,7 @@ def test_refine_hands_over_bounded_moves_on_a_long_line():
 
 def rounds_of(m):
     """The engine's block of every pair, round by round, keyed by pair."""
-    graph = _all_pairs(m)
+    graph = refine(m)[0]
     return [dict(zip(graph.pairs, rnd.block)) for rnd in _rounds(graph)]
 
 
@@ -291,7 +291,7 @@ def test_alias_shares_its_maximums_block():
         TWO_LEVEL,
         {("x", "a", "y"): {"phi'"}, ("y", "a", "z"): both, ("z", "a", "u"): both},
     )
-    graph = _all_pairs(m)
+    graph = refine(m)[0]
     alias, target = graph.pairs.index(("x", "phi")), graph.pairs.index(("x", "phi'"))
     assert graph.links[alias] == [(target, graph.width + TWO_LEVEL.elements.index("phi'"))]
     assert alias not in [i for level in graph.levels for i in level]
@@ -325,7 +325,7 @@ def test_join_over_two_maximal_versions():
             ("z", "a", "z"): {"q"},
         },
     )
-    graph = _all_pairs(m)
+    graph = refine(m)[0]
     at = {pair: i for i, pair in enumerate(graph.pairs)}
     for x in ("x", "x2"):
         for top in ("r", "s"):
